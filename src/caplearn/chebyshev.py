@@ -4,9 +4,13 @@ The Chebyshev distance of a system is the smallest max-norm perturbation of
 its right-hand side that restores consistency.  It has a closed form: a
 max over rows of a min over columns of per-cell terms, where each term
 combines the row's own shortfall with cross-row corrections capped at half
-the gap between targets.  Relaxing the right-hand side by that distance and
-re-solving yields the greatest (max-min) or lowest (min-max) approximate
-solution.
+the gap between targets.  Evaluated literally, every cell scans every row,
+O(m·N²) for N rows and m columns; ``chebyshev_distance`` evaluates the same
+closed form by a per-column sweep over the rows in target order, in
+O(N log N + m·N), with bit-identical results.  Min-max systems run the same
+sweep on their exact negation.  Relaxing the right-hand side by the
+distance and re-solving yields the greatest (max-min) or lowest (min-max)
+approximate solution.
 
 Finite-chain systems are embedded in [0, 1] by their numeric values; the
 halving in the cross terms can land between chain levels, so results are
@@ -15,7 +19,9 @@ reported on the unit interval and compared with the scale tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .errors import DomainError
 from .relational import (
@@ -59,30 +65,66 @@ def chebyshev_distance(sys: RelationalSystem) -> DistanceReport:
     For each row i, every column A gets the larger of the row's own
     shortfall and the worst cross-row term; the row's contribution is the
     best (smallest) column, and the distance is the worst row.
+
+    Evaluated by one sweep per column over the rows in target order
+    (``_maxmin_per_row``): O(N log N + m·N) for N rows and m columns instead
+    of the literal O(m·N²), with the same floats bit for bit.
     """
     if sys.kind is SystemKind.MAX_MIN:
-        cross = cross_gap_maxmin
-
-        def cell(i: int, j: int) -> float:
-            shortfall = _pos(sys.rhs[i] - sys.matrix[i][j])
-            worst = max(cross(sys.rhs[i], sys.matrix[l][j], sys.rhs[l]) for l in range(sys.n_rows))
-            return max(shortfall, worst)
-
+        rhs = sys.rhs
+        columns = zip(*sys.matrix)
     elif sys.kind is SystemKind.MIN_MAX:
-        cross = cross_gap_minmax
-
-        def cell(i: int, j: int) -> float:
-            overshoot = _pos(sys.matrix[i][j] - sys.rhs[i])
-            worst = max(cross(sys.rhs[i], sys.matrix[l][j], sys.rhs[l]) for l in range(sys.n_rows))
-            return max(overshoot, worst)
-
+        # Each min-max term is the max-min term of the negated system:
+        # negation is exact and (-t) - (-b) is bit for bit b - t.
+        rhs = tuple(-b for b in sys.rhs)
+        columns = (tuple(-a for a in column) for column in zip(*sys.matrix))
     else:  # pragma: no cover - enum is closed
         raise DomainError(f"unknown system kind {sys.kind!r}")
-
-    per_row = tuple(
-        min(cell(i, j) for j in range(sys.n_cols)) for i in range(sys.n_rows)
-    )
+    per_row = _maxmin_per_row(columns, rhs)
     return DistanceReport(max(per_row), per_row)
+
+
+def _maxmin_per_row(
+    columns: Iterable[Sequence[float]], rhs: tuple[float, ...]
+) -> tuple[float, ...]:
+    """Per-row contributions of a max-min system, one column at a time.
+
+    In a column with entries a_l, the worst cross term of a row with target
+    t is g(t) = max over rows l with b_l < t of min((t - b_l)/2, c_l), where
+    c_l = pos(a_l - b_l).  Sweeping the rows in target order, the rows before
+    the current one form a queue sorted by target.  A row whose ramp
+    (t - b_l)/2 has reached its cap c_l is saturated and stays so as t
+    grows; it leaves the front of the queue and its cap joins a running
+    max.  Every row still queued is dominated by the ramp of the front row,
+    which has the lowest target, so g(t) = max(saturated, (t - b_front)/2).
+    A queued row tied with t has a zero ramp, so ties need no special case.
+    """
+    order = sorted(range(len(rhs)), key=rhs.__getitem__)
+    per_row = [math.inf] * len(rhs)
+    for column in columns:
+        front, saturated = 0, 0.0
+        for below, i in enumerate(order):
+            t = rhs[i]
+            while front < below:
+                b = rhs[order[front]]
+                cap = column[order[front]] - b
+                if cap > 0.0:
+                    # the closed form's own expression, so ties round alike
+                    if (t - b) / 2.0 < cap:
+                        break
+                    if cap > saturated:
+                        saturated = cap
+                front += 1
+            worst = saturated
+            if front < below:
+                ramp = (t - rhs[order[front]]) / 2.0
+                if ramp > worst:
+                    worst = ramp
+            shortfall = t - column[i]
+            cell = shortfall if shortfall > worst else worst
+            if cell < per_row[i]:
+                per_row[i] = cell
+    return tuple(per_row)
 
 
 def upper_bound_rhs(rhs: tuple[float, ...], distance: float) -> tuple[float, ...]:

@@ -252,13 +252,19 @@ def training_set_from_csv_text(
 def load_training_set(
     path: str | Path, scale: Scale | None = None, tol: float | None = None
 ) -> TrainingSet:
-    """Load a training set from a .csv file or a JSON document."""
+    """Load a training set from a .csv file or a JSON document.
+
+    ``tol`` overrides the scale tolerance; a CSV file without an explicit
+    ``scale`` is read on the unit interval with that tolerance.
+    """
     p = Path(path)
     if p.suffix.lower() == ".csv":
         try:
             text = p.read_text()
         except OSError as exc:
             raise FormatError(f"cannot read {path}: {exc}") from exc
+        if scale is None:
+            scale = Scale.unit_interval(DEFAULT_TOLERANCE if tol is None else tol)
         return training_set_from_csv_text(text, scale, source=str(path))
     return training_set_from_json(_read_json(p), tol)
 

@@ -347,12 +347,13 @@ def learn_qmax(ts: TrainingSet, q: int) -> LearnReport:
     _check_q(q, ts.n)
     sys = build_maxmin_system(ts, q)
     e = potential_greatest(sys)
-    consistent = maxmin_apply(sys, e.values) == sys.rhs
+    produced = maxmin_apply(sys, e.values)
+    consistent = produced == sys.rhs
     witness = _best_witness(e, q)
     boundary_ok = witness is not None and witness[1] == 1.0
     notes: tuple[str, ...] = ()
     if not consistent:
-        notes += _row_mismatches(maxmin_apply(sys, e.values), sys.rhs)
+        notes += _row_mismatches(produced, sys.rhs)
     if not boundary_ok and witness is not None:
         notes += (
             f"no size-{q} subset is solved at 1; best is"
@@ -372,7 +373,8 @@ def learn_qmin(ts: TrainingSet, q: int) -> LearnReport:
     _check_q(q, ts.n)
     sys = build_minmax_system(ts, q)
     f = potential_lowest(sys)
-    consistent = minmax_apply(sys, f.values) == sys.rhs
+    produced = minmax_apply(sys, f.values)
+    consistent = produced == sys.rhs
     layer = [
         (mask, v) for mask, v in zip(f.labels, f.values) if cardinality(mask) == ts.n - q
     ]
@@ -380,7 +382,7 @@ def learn_qmin(ts: TrainingSet, q: int) -> LearnReport:
     boundary_ok = best is not None and best[1] == 0.0
     notes: tuple[str, ...] = ()
     if not consistent:
-        notes += _row_mismatches(minmax_apply(sys, f.values), sys.rhs)
+        notes += _row_mismatches(produced, sys.rhs)
     if not boundary_ok and best is not None:
         notes += (
             f"no size-{ts.n - q} subset is solved at 0; best is"

@@ -12,12 +12,16 @@ import random
 
 from caplearn import (
     Capacity,
+    DistanceReport,
     RelationalSystem,
     Scale,
     SystemKind,
     TrainingSet,
+    cross_gap_maxmin,
+    cross_gap_minmax,
     index_sets,
 )
+from caplearn.chebyshev import _pos
 from caplearn.subsets import (
     cardinality,
     complement,
@@ -75,6 +79,38 @@ def random_system(
     )
     rhs = tuple(rng.choice(levels) for _ in range(n_rows))
     return RelationalSystem(kind, matrix, rhs, tuple(range(n_cols)), Scale.unit_interval())
+
+
+def chebyshev_distance_reference(sys: RelationalSystem) -> DistanceReport:
+    """The Chebyshev distance's closed form evaluated literally, in O(m·N²).
+
+    Every cell (i, j) scans all N rows for its worst cross term; the
+    library's per-column sweep must reproduce this report bit for bit.
+    """
+    if sys.kind is SystemKind.MAX_MIN:
+
+        def cell(i: int, j: int) -> float:
+            shortfall = _pos(sys.rhs[i] - sys.matrix[i][j])
+            worst = max(
+                cross_gap_maxmin(sys.rhs[i], sys.matrix[l][j], sys.rhs[l])
+                for l in range(sys.n_rows)
+            )
+            return max(shortfall, worst)
+
+    else:
+
+        def cell(i: int, j: int) -> float:
+            overshoot = _pos(sys.matrix[i][j] - sys.rhs[i])
+            worst = max(
+                cross_gap_minmax(sys.rhs[i], sys.matrix[l][j], sys.rhs[l])
+                for l in range(sys.n_rows)
+            )
+            return max(overshoot, worst)
+
+    per_row = tuple(
+        min(cell(i, j) for j in range(sys.n_cols)) for i in range(sys.n_rows)
+    )
+    return DistanceReport(max(per_row), per_row)
 
 
 def random_training_set(rng: random.Random, n: int, size: int, levels) -> TrainingSet:

@@ -299,3 +299,15 @@ def test_criterion_9_distance_monotone_in_cardinality_bound():
                 assert large <= small + TOL
             for small, large in zip(nablas, nablas[1:]):
                 assert large <= small + TOL
+
+
+def test_criterion_10_distance_scales_to_large_N():
+    with criterion("10 chebyshev distance at n=10, q=3, N=800 (175 columns)", 10.0):
+        rng = random.Random(209)
+        # distinct unit-interval values leave few tied targets for the sweep
+        levels = [rng.random() for _ in range(1000)]
+        ts = random_training_set(rng, 10, 800, levels)
+        for sys_ in (build_maxmin_system(ts, 3), build_minmax_system(ts, 3)):
+            assert sys_.n_cols == 175
+            report = chebyshev_distance(sys_)
+            assert report.distance == max(report.per_row) > 0.0

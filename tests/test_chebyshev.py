@@ -8,6 +8,7 @@ from caplearn import (
     RelationalSystem,
     Scale,
     SystemKind,
+    TrainingSet,
     build_maxmin_system,
     build_minmax_system,
     chebyshev_distance,
@@ -24,10 +25,52 @@ from caplearn import (
     upper_bound_rhs,
 )
 
-from helpers import CHAIN21, random_system, reference_training_set
+from helpers import (
+    CHAIN21,
+    chebyshev_distance_reference,
+    random_system,
+    reference_training_set,
+)
 
 UNIT = Scale.unit_interval()
 unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# Values are drawn from a small pool so that tied entries and tied targets
+# are frequent; the chain pool adds exact level arithmetic.
+value_pools = st.one_of(
+    st.lists(unit_floats, min_size=1, max_size=4),
+    st.just(CHAIN21.levels),
+)
+
+
+@st.composite
+def relational_systems(draw):
+    kind = draw(st.sampled_from(SystemKind))
+    value = st.sampled_from(draw(value_pools))
+    n_cols = draw(st.integers(1, 6))
+    row = st.tuples(st.tuples(*[value] * n_cols), value)
+    distinct = draw(st.lists(row, min_size=1, max_size=6))
+    # drawing rows from a few distinct ones repeats whole rows
+    rows = draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=10))
+    return RelationalSystem(
+        kind,
+        tuple(entries for entries, _ in rows),
+        tuple(b for _, b in rows),
+        tuple(range(n_cols)),
+        UNIT,
+    )
+
+
+@st.composite
+def learning_systems(draw):
+    n = draw(st.integers(1, 4))
+    value = st.sampled_from(draw(value_pools))
+    pairs = draw(
+        st.lists(st.tuples(st.tuples(*[value] * n), value), min_size=1, max_size=10)
+    )
+    ts = TrainingSet.from_pairs(n, UNIT, pairs)
+    build = draw(st.sampled_from([build_maxmin_system, build_minmax_system]))
+    return build(ts, draw(st.integers(1, n)))
 
 
 def one_row(kind, entries, b):
@@ -89,6 +132,38 @@ class TestDistance:
                 chebyshev_distance(wide).distance
                 <= chebyshev_distance(narrow).distance + 1e-9
             )
+
+
+class TestSweepMatchesClosedForm:
+    """The per-column sweep against the literal O(m·N²) closed form."""
+
+    @staticmethod
+    def check(sys_):
+        fast = chebyshev_distance(sys_)
+        slow = chebyshev_distance_reference(sys_)
+        assert fast == slow
+        assert repr(fast) == repr(slow)  # also the sign of every zero
+
+    @given(relational_systems())
+    def test_random_systems(self, sys_):
+        self.check(sys_)
+
+    @given(learning_systems())
+    def test_systems_built_from_training_sets(self, sys_):
+        self.check(sys_)
+
+    def test_saturation_rounds_like_the_closed_form(self):
+        # Here t >= b + 2*c holds in floats but (t - b)/2 >= c does not, so
+        # a sweep testing saturation the first way reports c, one ulp high.
+        b, t, a = 0.026527351333575075, 0.25158329759496567, 0.13905532446427038
+        self.check(RelationalSystem(SystemKind.MAX_MIN, ((a,), (1.0,)), (b, t), (0,), UNIT))
+
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    def test_signed_zeros(self, kind):
+        sys_ = RelationalSystem(
+            kind, ((0.0, -0.0), (-0.0, 0.5), (1.0, 0.0)), (-0.0, 0.0, 0.5), (0, 1), UNIT
+        )
+        self.check(sys_)
 
 
 class TestBoundVectors:
