@@ -34,7 +34,6 @@ from .learning import (
     TrainingSet,
     build_maxmin_system,
     build_minmax_system,
-    index_sets,
     learn,
     learn_greatest,
     learn_lowest,
@@ -110,7 +109,6 @@ __all__ = [
     "godel_imp",
     "greatest_approx_solution",
     "grid_chebyshev",
-    "index_sets",
     "iota",
     "is_capacity",
     "is_consistent",

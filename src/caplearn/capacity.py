@@ -4,19 +4,19 @@ structural predicates (axioms, q-maxitivity, q-minitivity, conjugation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
 from .scale import Scale, iota
 from .subsets import (
-    cardinality,
     check_criteria_count,
     check_mask,
     complement,
-    drop_one_bit,
     add_one_bit,
     full_mask,
+    masks_of_sizes,
     subset_label,
 )
 
@@ -42,7 +42,10 @@ class Capacity:
             raise DomainError(
                 f"capacity on {self.n} criteria needs {size} values, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
+        if self.scale.contains_all(self.values):
+            return
+        # some value is off-scale: find the first one and name its subset
         for mask, v in enumerate(self.values):
             self.scale.require(v, f"value of {subset_label(mask)}")
 
@@ -106,31 +109,62 @@ def _check_q(q: int, n: int) -> int:
     return q
 
 
+def _bit_slices(n: int, bit: int) -> list[tuple[slice, slice]]:
+    """Slice pairs (masks without ``bit``, the same masks with it) covering 2^n.
+
+    Low bits use few long strided slices, high bits few contiguous blocks,
+    so a pass costs at most about 2^(n/2) slice operations.
+    """
+    size, step = 1 << n, 1 << bit
+    if step * step < size:
+        return [
+            (slice(off, size, 2 * step), slice(off + step, size, 2 * step))
+            for off in range(step)
+        ]
+    return [
+        (slice(start, start + step), slice(start + step, start + 2 * step))
+        for start in range(0, size, 2 * step)
+    ]
+
+
 def max_over_small_subsets(values: Sequence[float], n: int, q: int) -> list[float]:
     """Table of max{values[Y] : Y subset of X, |Y| <= q}, for every X.
 
-    Computed over the lattice in ascending cardinality; entries at
-    cardinality <= q hold values[X] itself, and larger subsets take the max
-    over their covered entries, which grounds out on the size-q layer.
+    Entries at cardinality <= q hold values[X] itself; a larger X takes the
+    max over its size-q subsets (the only ones that reach it through the
+    covering chain).  Computed by one sweep over the bits, high to low,
+    seeded with the size-q layer: n * 2^(n-1) binary maxes, each taking the
+    neighbour without the bit as first operand, which reproduces the tie
+    choices (the sign of a zero) of the covering recursion.
     """
-    out = [0.0] * (1 << n)
-    for mask in range(1 << n):
-        if cardinality(mask) <= q:
-            out[mask] = values[mask]
-        else:
-            out[mask] = max(out[sub] for sub in drop_one_bit(mask))
+    out = [-math.inf] * (1 << n)
+    for mask in masks_of_sizes(n, (q,)):
+        out[mask] = values[mask]
+    for bit in reversed(range(n)):
+        for lo, hi in _bit_slices(n, bit):
+            # max(a, b), inlined: b only when strictly greater
+            out[hi] = [b if b > a else a for a, b in zip(out[lo], out[hi])]
+    for mask in masks_of_sizes(n, range(q)):
+        out[mask] = values[mask]
     return out
 
 
 def min_over_large_supersets(values: Sequence[float], n: int, q: int) -> list[float]:
-    """Table of min{values[Y] : Y superset of X, |Y| >= n - q}, for every X."""
-    out = [0.0] * (1 << n)
+    """Table of min{values[Y] : Y superset of X, |Y| >= n - q}, for every X.
+
+    The order dual of :func:`max_over_small_subsets`: the same sweep, seeded
+    with the size n - q layer, carries mins down to smaller subsets.
+    """
     low = n - q
-    for mask in sorted(range(1 << n), key=cardinality, reverse=True):
-        if cardinality(mask) >= low:
-            out[mask] = values[mask]
-        else:
-            out[mask] = min(out[sup] for sup in add_one_bit(mask, n))
+    out = [math.inf] * (1 << n)
+    for mask in masks_of_sizes(n, (low,)):
+        out[mask] = values[mask]
+    for bit in reversed(range(n)):
+        for lo, hi in _bit_slices(n, bit):
+            # min(a, b), inlined: b only when strictly smaller
+            out[lo] = [b if b < a else a for a, b in zip(out[hi], out[lo])]
+    for mask in masks_of_sizes(n, range(low + 1, n + 1)):
+        out[mask] = values[mask]
     return out
 
 
@@ -140,12 +174,7 @@ def is_q_maxitive(mu: Capacity, q: int) -> bool:
     Every capacity is n-maxitive, so q = n always returns True.
     """
     _check_q(q, mu.n)
-    table = max_over_small_subsets(mu.values, mu.n, q)
-    return all(
-        mu.values[mask] == table[mask]
-        for mask in range(1 << mu.n)
-        if cardinality(mask) > q
-    )
+    return max_over_small_subsets(mu.values, mu.n, q) == list(mu.values)
 
 
 def is_q_minitive(mu: Capacity, q: int) -> bool:
@@ -155,9 +184,4 @@ def is_q_minitive(mu: Capacity, q: int) -> bool:
     conjugate is q-maxitive.
     """
     _check_q(q, mu.n)
-    table = min_over_large_supersets(mu.values, mu.n, q)
-    return all(
-        mu.values[mask] == table[mask]
-        for mask in range(1 << mu.n)
-        if cardinality(mask) < mu.n - q
-    )
+    return min_over_large_supersets(mu.values, mu.n, q) == list(mu.values)

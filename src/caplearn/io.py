@@ -52,6 +52,12 @@ def scale_to_json(scale: Scale) -> dict:
     }
 
 
+def _scale_text(scale: Scale) -> str:
+    if scale.levels is None:
+        return scale.describe()
+    return f"{scale.describe()} {list(scale.levels)}"
+
+
 def scale_from_json(obj: Any, tol: float | None = None) -> Scale:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("scale must be an object with a 'kind' field")
@@ -255,7 +261,9 @@ def load_training_set(
     """Load a training set from a .csv file or a JSON document.
 
     ``tol`` overrides the scale tolerance; a CSV file without an explicit
-    ``scale`` is read on the unit interval with that tolerance.
+    ``scale`` is read on the unit interval with that tolerance.  A JSON
+    document declares its own scale; a given ``scale`` must be that one
+    (its tolerance applies unless ``tol`` is given).
     """
     p = Path(path)
     if p.suffix.lower() == ".csv":
@@ -266,7 +274,14 @@ def load_training_set(
         if scale is None:
             scale = Scale.unit_interval(DEFAULT_TOLERANCE if tol is None else tol)
         return training_set_from_csv_text(text, scale, source=str(path))
-    return training_set_from_json(_read_json(p), tol)
+    if scale is None:
+        return training_set_from_json(_read_json(p), tol)
+    ts = training_set_from_json(_read_json(p), scale.tol if tol is None else tol)
+    if (ts.scale.kind, ts.scale.levels) != (scale.kind, scale.levels):
+        raise FormatError(
+            f"{path} declares {_scale_text(ts.scale)}, not the requested {_scale_text(scale)}"
+        )
+    return ts
 
 
 def save_training_set(ts: TrainingSet, path: str | Path) -> None:

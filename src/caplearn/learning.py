@@ -14,8 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Sequence
 
-from .capacity import Capacity, _check_q
+from .capacity import (
+    Capacity,
+    _check_q,
+    max_over_small_subsets,
+    min_over_large_supersets,
+)
 from .chebyshev import (
     chebyshev_distance,
     greatest_approx_solution,
@@ -33,16 +40,13 @@ from .relational import (
 )
 from .scale import Scale
 from .subsets import (
-    add_one_bit,
     cardinality,
     check_criteria_count,
-    complement,
-    drop_one_bit,
     full_mask,
-    members,
+    masks_of_sizes,
     subset_label,
 )
-from .sugeno import sugeno_maxmin
+from .sugeno import sugeno_maxmin, sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 
 @dataclass(frozen=True)
@@ -63,6 +67,12 @@ class TrainingSet:
         check_criteria_count(self.n)
         if not self.items:
             raise DomainError("training set needs at least one item")
+        on_scale = self.scale.contains_all
+        if all(
+            len(item.x) == self.n and on_scale(item.x) for item in self.items
+        ) and on_scale(self.targets()):
+            return
+        # some item fails: find the first failure and name it
         for k, item in enumerate(self.items):
             if len(item.x) != self.n:
                 raise DomainError(
@@ -130,6 +140,25 @@ def validate_data(ts: TrainingSet) -> list[DataViolation]:
     return out
 
 
+def _subset_columns(ts: TrainingSet, masks: list[int], op) -> dict[int, Sequence[float]]:
+    """columns[A][k] = op over object k's coordinates in A, for A in ``masks``.
+
+    ``masks`` must be ascending and closed under dropping the lowest bit.
+    Each column is op(coordinate column of A's lowest criterion, column of
+    the rest), one map over the items, so a build costs O(N * m) for m
+    columns.  The lowest criterion comes first, which keeps the tie choice
+    of a left-to-right op over A's members (the sign of a zero).
+    """
+    coords = list(zip(*(item.x for item in ts.items)))
+    columns: dict[int, Sequence[float]] = {}
+    for mask in masks:
+        low = mask & -mask
+        rest = mask ^ low
+        first = coords[low.bit_length() - 1]
+        columns[mask] = list(map(op, first, columns[rest])) if rest else first
+    return columns
+
+
 def build_maxmin_system(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
     """Max-min system over nonempty subsets of cardinality <= q (default n).
 
@@ -138,61 +167,29 @@ def build_maxmin_system(ts: TrainingSet, q: int | None = None) -> RelationalSyst
     labeled by their masks.
     """
     q = ts.n if q is None else _check_q(q, ts.n)
-    labels = tuple(
-        mask for mask in range(1, 1 << ts.n) if cardinality(mask) <= q
+    labels = masks_of_sizes(ts.n, range(1, q + 1))
+    columns = _subset_columns(ts, labels, min)
+    matrix = tuple(zip(*(columns[mask] for mask in labels)))
+    return RelationalSystem(
+        SystemKind.MAX_MIN, matrix, ts.targets(), tuple(labels), ts.scale
     )
-    matrix = tuple(
-        tuple(min(item.x[i - 1] for i in members(mask)) for mask in labels)
-        for item in ts.items
-    )
-    return RelationalSystem(SystemKind.MAX_MIN, matrix, ts.targets(), labels, ts.scale)
 
 
 def build_minmax_system(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
     """Min-max system over proper subsets of cardinality >= n - q (default all).
 
-    Column (k, A) holds the maximum of object k outside A.
+    Column (k, A) holds the maximum of object k outside A; the columns are
+    computed per complement, the nonempty sets of cardinality <= q.
     """
     q = ts.n if q is None else _check_q(q, ts.n)
-    low = ts.n - q
-    labels = tuple(
-        mask for mask in range(full_mask(ts.n)) if cardinality(mask) >= low
-    )
-    matrix = tuple(
-        tuple(
-            max(item.x[i - 1] for i in members(complement(mask, ts.n)))
-            for mask in labels
-        )
-        for item in ts.items
-    )
+    outside = masks_of_sizes(ts.n, range(1, q + 1))
+    columns = _subset_columns(ts, outside, max)
+    # ascending masks are descending complements
+    order = outside[::-1]
+    matrix = tuple(zip(*(columns[c] for c in order)))
+    full = full_mask(ts.n)
+    labels = tuple(full ^ c for c in order)
     return RelationalSystem(SystemKind.MIN_MAX, matrix, ts.targets(), labels, ts.scale)
-
-
-def index_sets(ts: TrainingSet) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
-    """Per-subset blocking item sets; an independent route to the solved vectors.
-
-    For a nonempty subset A, the first map collects the items whose minimum
-    inside A exceeds their target; the greatest solution at A is then the
-    smallest such target (1 when the set is empty).  The second map is the
-    dual for proper subsets: items whose maximum outside B falls below
-    their target, the lowest solution being their largest target (0 when
-    empty).
-    """
-    j_map: dict[int, frozenset[int]] = {}
-    for mask in range(1, 1 << ts.n):
-        j_map[mask] = frozenset(
-            k
-            for k, item in enumerate(ts.items)
-            if min(item.x[i - 1] for i in members(mask)) > item.alpha
-        )
-    k_map: dict[int, frozenset[int]] = {}
-    for mask in range(full_mask(ts.n)):
-        k_map[mask] = frozenset(
-            k
-            for k, item in enumerate(ts.items)
-            if max(item.x[i - 1] for i in members(complement(mask, ts.n))) < item.alpha
-        )
-    return j_map, k_map
 
 
 class LearnMode(Enum):
@@ -235,13 +232,10 @@ def qmax_capacity_from_solution(
     """
     check_criteria_count(n)
     _check_q(q, n)
-    table = [0.0] * (1 << n)
-    for mask in range(1, 1 << n):
-        if cardinality(mask) <= q:
-            table[mask] = solved[mask]
-        else:
-            table[mask] = max(table[sub] for sub in drop_one_bit(mask))
-    return Capacity(n, scale, tuple(table))
+    seed = [0.0] * (1 << n)
+    for mask in masks_of_sizes(n, range(1, q + 1)):
+        seed[mask] = solved[mask]
+    return Capacity(n, scale, tuple(max_over_small_subsets(seed, n, q)))
 
 
 def qmin_capacity_from_solution(
@@ -254,20 +248,24 @@ def qmin_capacity_from_solution(
     """
     check_criteria_count(n)
     _check_q(q, n)
-    size = 1 << n
-    table = [0.0] * size
-    table[size - 1] = 1.0
-    low = n - q
-    for mask in sorted(range(size - 1), key=cardinality, reverse=True):
-        if cardinality(mask) >= low:
-            table[mask] = solved[mask]
-        else:
-            table[mask] = min(table[sup] for sup in add_one_bit(mask, n))
-    return Capacity(n, scale, tuple(table))
+    seed = [0.0] * (1 << n)
+    seed[-1] = 1.0
+    for mask in masks_of_sizes(n, range(n - q, n)):
+        seed[mask] = solved[mask]
+    return Capacity(n, scale, tuple(min_over_large_supersets(seed, n, q)))
 
 
-def _residuals(mu: Capacity, ts: TrainingSet) -> tuple[float, ...]:
-    return tuple(sugeno_maxmin(mu, item.x) - item.alpha for item in ts.items)
+def _residuals(mu: Capacity, ts: TrainingSet, integral=sugeno_maxmin) -> tuple[float, ...]:
+    """Integral minus target per item; ``integral(mu, x)`` may be a reduced form.
+
+    The q-modes pass the reduced form of their capacity's class, which
+    costs C(n, <=q) subsets per item instead of 2^n and equals the full
+    integral on the capacities they build, except for the sign of a zero:
+    the full max-min form returns mu's value of the empty set for 0, so
+    every form reports that value.
+    """
+    zero = mu.values[0]
+    return tuple((integral(mu, item.x) or zero) - item.alpha for item in ts.items)
 
 
 def _row_mismatches(produced, rhs) -> tuple[str, ...]:
@@ -362,7 +360,8 @@ def learn_qmax(ts: TrainingSet, q: int) -> LearnReport:
     if not (consistent and boundary_ok):
         return LearnReport(LearnMode.QMAX, q, consistent, boundary_ok, None, None, None, notes)
     mu = qmax_capacity_from_solution(e.as_dict(), ts.n, q, ts.scale)
-    return LearnReport(LearnMode.QMAX, q, True, True, None, mu, _residuals(mu, ts))
+    residuals = _residuals(mu, ts, partial(sugeno_qmax_unchecked, q=q))
+    return LearnReport(LearnMode.QMAX, q, True, True, None, mu, residuals)
 
 
 def learn_qmin(ts: TrainingSet, q: int) -> LearnReport:
@@ -391,7 +390,8 @@ def learn_qmin(ts: TrainingSet, q: int) -> LearnReport:
     if not (consistent and boundary_ok):
         return LearnReport(LearnMode.QMIN, q, consistent, boundary_ok, None, None, None, notes)
     mu = qmin_capacity_from_solution(f.as_dict(), ts.n, q, ts.scale)
-    return LearnReport(LearnMode.QMIN, q, True, True, None, mu, _residuals(mu, ts))
+    residuals = _residuals(mu, ts, partial(sugeno_qmin_unchecked, q=q))
+    return LearnReport(LearnMode.QMIN, q, True, True, None, mu, residuals)
 
 
 def _approx_scale(ts: TrainingSet) -> Scale:
@@ -427,8 +427,9 @@ def learn_qmax_approx(ts: TrainingSet, q: int) -> LearnReport:
             LearnMode.QMAX_APPROX, q, consistent, False, report.distance, None, None, notes
         )
     mu = qmax_capacity_from_solution(eta.as_dict(), ts.n, q, _approx_scale(ts))
+    residuals = _residuals(mu, ts, partial(sugeno_qmax_unchecked, q=q))
     return LearnReport(
-        LearnMode.QMAX_APPROX, q, consistent, True, report.distance, mu, _residuals(mu, ts)
+        LearnMode.QMAX_APPROX, q, consistent, True, report.distance, mu, residuals
     )
 
 
@@ -455,8 +456,9 @@ def learn_qmin_approx(ts: TrainingSet, q: int) -> LearnReport:
             LearnMode.QMIN_APPROX, q, consistent, False, report.distance, None, None, notes
         )
     mu = qmin_capacity_from_solution(nu.as_dict(), ts.n, q, _approx_scale(ts))
+    residuals = _residuals(mu, ts, partial(sugeno_qmin_unchecked, q=q))
     return LearnReport(
-        LearnMode.QMIN_APPROX, q, consistent, True, report.distance, mu, _residuals(mu, ts)
+        LearnMode.QMIN_APPROX, q, consistent, True, report.distance, mu, residuals
     )
 
 

@@ -54,6 +54,10 @@ class RelationalSystem:
             raise DomainError(
                 f"right-hand side has {len(self.rhs)} entries for {len(self.matrix)} equations"
             )
+        on_scale = self.scale.contains_all
+        if all(len(row) == m and on_scale(row) for row in self.matrix) and on_scale(self.rhs):
+            return
+        # some entry fails: find the first one and name it
         for k, row in enumerate(self.matrix):
             if len(row) != m:
                 raise DomainError(f"row {k} has {len(row)} entries, expected {m}")

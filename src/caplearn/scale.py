@@ -84,6 +84,13 @@ class Scale:
             return isinstance(value, (int, float)) and 0.0 <= value <= 1.0
         return value in self._level_index
 
+    def contains_all(self, values: Iterable[float]) -> bool:
+        """Same answer as ``all(map(self.contains, values))``; on a chain it
+        probes the level table directly, without a method call per value."""
+        if self.kind is ScaleKind.UNIT_INTERVAL:
+            return all(map(self.contains, values))
+        return all(map(self._level_index.__contains__, values))
+
     def require(self, value: float, what: str = "value") -> float:
         if not self.contains(value):
             raise DomainError(f"{what} {value!r} is not a member of {self.describe()}")

@@ -7,6 +7,7 @@ used for matrix columns and serialization is ascending mask value.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -67,16 +68,15 @@ def subset_label(mask: int) -> str:
     return "{" + ",".join(str(i) for i in members(mask)) + "}"
 
 
-def iter_subsets(n: int) -> Iterator[int]:
-    return iter(range(1 << n))
+def masks_of_sizes(n: int, sizes: Iterable[int]) -> list[int]:
+    """Ascending masks whose cardinality is in ``sizes``.
 
-
-def iter_nonempty(n: int) -> Iterator[int]:
-    return iter(range(1, 1 << n))
-
-
-def iter_proper(n: int) -> Iterator[int]:
-    return iter(range(full_mask(n)))
+    Built from combinations, so bounded layers cost C(n, k) each rather
+    than a scan of all 2**n masks.
+    """
+    return sorted(
+        sum(1 << i for i in combo) for k in sizes for combo in combinations(range(n), k)
+    )
 
 
 def submasks(mask: int) -> Iterator[int]:

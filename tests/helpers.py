@@ -9,7 +9,10 @@ are used to cross-check the solver, not to reuse it.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from unittest import mock
 
+import caplearn.learning
 from caplearn import (
     Capacity,
     DistanceReport,
@@ -19,10 +22,12 @@ from caplearn import (
     TrainingSet,
     cross_gap_maxmin,
     cross_gap_minmax,
-    index_sets,
+    sugeno_maxmin,
 )
+from caplearn.capacity import _check_q
 from caplearn.chebyshev import _pos
 from caplearn.subsets import (
+    add_one_bit,
     cardinality,
     complement,
     drop_one_bit,
@@ -113,6 +118,116 @@ def chebyshev_distance_reference(sys: RelationalSystem) -> DistanceReport:
     return DistanceReport(max(per_row), per_row)
 
 
+def build_maxmin_system_reference(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
+    """The max-min system with every cell taken as a min over members()."""
+    q = ts.n if q is None else _check_q(q, ts.n)
+    labels = tuple(mask for mask in range(1, 1 << ts.n) if cardinality(mask) <= q)
+    matrix = tuple(
+        tuple(min(item.x[i - 1] for i in members(mask)) for mask in labels)
+        for item in ts.items
+    )
+    return RelationalSystem(SystemKind.MAX_MIN, matrix, ts.targets(), labels, ts.scale)
+
+
+def build_minmax_system_reference(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
+    """The min-max system with every cell a max over the complement's members()."""
+    q = ts.n if q is None else _check_q(q, ts.n)
+    labels = tuple(mask for mask in range(full_mask(ts.n)) if cardinality(mask) >= ts.n - q)
+    matrix = tuple(
+        tuple(
+            max(item.x[i - 1] for i in members(complement(mask, ts.n))) for mask in labels
+        )
+        for item in ts.items
+    )
+    return RelationalSystem(SystemKind.MIN_MAX, matrix, ts.targets(), labels, ts.scale)
+
+
+def max_over_small_subsets_reference(values, n: int, q: int) -> list[float]:
+    """Covering recursion: a set above cardinality q takes the max over
+    its one-smaller subsets, in ascending order of the dropped bit."""
+    out = [0.0] * (1 << n)
+    for mask in range(1 << n):
+        if cardinality(mask) <= q:
+            out[mask] = values[mask]
+        else:
+            out[mask] = max(out[sub] for sub in drop_one_bit(mask))
+    return out
+
+
+def min_over_large_supersets_reference(values, n: int, q: int) -> list[float]:
+    """Covering recursion, dual: min over the one-larger supersets."""
+    out = [0.0] * (1 << n)
+    low = n - q
+    for mask in sorted(range(1 << n), key=cardinality, reverse=True):
+        if cardinality(mask) >= low:
+            out[mask] = values[mask]
+        else:
+            out[mask] = min(out[sup] for sup in add_one_bit(mask, n))
+    return out
+
+
+def qmax_capacity_from_solution_reference(solved, n: int, q: int, scale: Scale) -> Capacity:
+    table = [0.0] * (1 << n)
+    for mask, v in solved.items():
+        table[mask] = v
+    return Capacity(n, scale, tuple(max_over_small_subsets_reference(table, n, q)))
+
+
+def qmin_capacity_from_solution_reference(solved, n: int, q: int, scale: Scale) -> Capacity:
+    table = [0.0] * (1 << n)
+    table[-1] = 1.0
+    for mask, v in solved.items():
+        table[mask] = v
+    return Capacity(n, scale, tuple(min_over_large_supersets_reference(table, n, q)))
+
+
+def residuals_reference(mu: Capacity, ts: TrainingSet, *_reduced) -> tuple[float, ...]:
+    """Full max-min integral minus target, whatever reduced form is offered."""
+    return tuple(sugeno_maxmin(mu, item.x) - item.alpha for item in ts.items)
+
+
+@contextmanager
+def reference_learning():
+    """Run caplearn's learners on the reference builds, extensions and
+    residuals above, so whole reports can be compared with the fast path."""
+    with mock.patch.multiple(
+        caplearn.learning,
+        build_maxmin_system=build_maxmin_system_reference,
+        build_minmax_system=build_minmax_system_reference,
+        qmax_capacity_from_solution=qmax_capacity_from_solution_reference,
+        qmin_capacity_from_solution=qmin_capacity_from_solution_reference,
+        _residuals=residuals_reference,
+    ):
+        yield
+
+
+def index_sets(ts: TrainingSet) -> tuple[dict[int, frozenset[int]], dict[int, frozenset[int]]]:
+    """Per-subset blocking item sets; an independent route to the solved vectors.
+
+    For a nonempty subset A, the first map collects the items whose minimum
+    inside A exceeds their target; the greatest solution at A is then the
+    smallest such target (1 when the set is empty).  The second map is the
+    dual for proper subsets: items whose maximum outside B falls below
+    their target, the lowest solution being their largest target (0 when
+    empty).
+    """
+    j_map: dict[int, frozenset[int]] = {}
+    for mask in range(1, 1 << ts.n):
+        j_map[mask] = frozenset(
+            k
+            for k, item in enumerate(ts.items)
+            if min(item.x[i - 1] for i in members(mask)) > item.alpha
+        )
+    k_map: dict[int, frozenset[int]] = {}
+    for mask in range(full_mask(ts.n)):
+        k_map[mask] = frozenset(
+            k
+            for k, item in enumerate(ts.items)
+            if max(item.x[i - 1] for i in members(complement(mask, ts.n))) < item.alpha
+        )
+    return j_map, k_map
+
+
 def random_training_set(rng: random.Random, n: int, size: int, levels) -> TrainingSet:
     scale = Scale.finite_chain(levels) if 0.0 in levels and 1.0 in levels else Scale.unit_interval()
     return TrainingSet.from_pairs(
@@ -124,8 +239,6 @@ def random_training_set(rng: random.Random, n: int, size: int, levels) -> Traini
 
 def representable_training_set(rng: random.Random, n: int, size: int, levels):
     """Data generated from a hidden capacity, plus that capacity."""
-    from caplearn import sugeno_maxmin
-
     mu = random_capacity(rng, n, levels)
     pairs = []
     for _ in range(size):

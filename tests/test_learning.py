@@ -11,7 +11,6 @@ from caplearn import (
     build_minmax_system,
     capacity_violations,
     chebyshev_distance,
-    index_sets,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -38,6 +37,7 @@ from helpers import (
     capacity_leq,
     closed_form_greatest,
     closed_form_lowest,
+    index_sets,
     random_training_set,
     representable_training_set,
 )

@@ -58,6 +58,17 @@ class TestMembership:
         assert sc.contains(0.0) and sc.contains(1.0) and sc.contains(0.3333)
         assert not sc.contains(-0.1) and not sc.contains(1.0001)
 
+    @given(
+        st.sampled_from([CHAIN21, Scale.unit_interval()]),
+        st.lists(
+            st.sampled_from(CHAIN21.levels + (-0.0, 1, 0.151, 1.5, -0.1, float("nan")))
+            | st.floats(),
+            max_size=6,
+        ),
+    )
+    def test_contains_all_is_contains_on_every_value(self, sc, values):
+        assert sc.contains_all(values) == all(map(sc.contains, values))
+
     def test_require_raises_with_context(self):
         with pytest.raises(DomainError, match="coordinate"):
             CHAIN21.require(0.21, "coordinate x1")
