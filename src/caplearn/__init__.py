@@ -15,16 +15,7 @@ from .capacity import (
     is_q_maxitive,
     is_q_minitive,
 )
-from .chebyshev import (
-    DistanceReport,
-    chebyshev_distance,
-    cross_gap_maxmin,
-    cross_gap_minmax,
-    greatest_approx_solution,
-    lower_bound_rhs,
-    lowest_approx_solution,
-    upper_bound_rhs,
-)
+from .chebyshev import DistanceReport, approx_solution, chebyshev_distance, relaxed_rhs
 from .errors import BudgetError, CaplearnError, DomainError, FormatError
 from .learning import (
     DataViolation,
@@ -32,17 +23,8 @@ from .learning import (
     LearnReport,
     TrainingDatum,
     TrainingSet,
-    build_maxmin_system,
-    build_minmax_system,
+    build_system,
     learn,
-    learn_greatest,
-    learn_lowest,
-    learn_qmax,
-    learn_qmax_approx,
-    learn_qmin,
-    learn_qmin_approx,
-    qmax_capacity_from_solution,
-    qmin_capacity_from_solution,
     validate_data,
 )
 from .oracle import (
@@ -57,23 +39,11 @@ from .relational import (
     SolutionVector,
     SystemKind,
     apply_system,
-    eps_prod,
-    godel_imp,
     is_consistent,
-    maxmin_apply,
-    minmax_apply,
-    potential_greatest,
-    potential_lowest,
+    potential_solution,
 )
 from .scale import Scale, ScaleKind, iota
-from .sugeno import (
-    sugeno_maxmin,
-    sugeno_minmax,
-    sugeno_qmax,
-    sugeno_qmax_unchecked,
-    sugeno_qmin,
-    sugeno_qmin_unchecked,
-)
+from .sugeno import sugeno_maxmin, sugeno_minmax, sugeno_qmax, sugeno_qmin
 
 __version__ = "0.1.0"
 
@@ -96,18 +66,13 @@ __all__ = [
     "TrainingDatum",
     "TrainingSet",
     "apply_system",
-    "build_maxmin_system",
-    "build_minmax_system",
+    "approx_solution",
+    "build_system",
     "capacity_violations",
     "chebyshev_distance",
     "conjugate",
-    "cross_gap_maxmin",
-    "cross_gap_minmax",
     "enumerate_capacities",
     "enumerate_solutions",
-    "eps_prod",
-    "godel_imp",
-    "greatest_approx_solution",
     "grid_chebyshev",
     "iota",
     "is_capacity",
@@ -115,27 +80,12 @@ __all__ = [
     "is_q_maxitive",
     "is_q_minitive",
     "learn",
-    "learn_greatest",
-    "learn_lowest",
-    "learn_qmax",
-    "learn_qmax_approx",
-    "learn_qmin",
-    "learn_qmin_approx",
-    "lower_bound_rhs",
-    "lowest_approx_solution",
-    "maxmin_apply",
     "min_learning_error",
-    "minmax_apply",
-    "potential_greatest",
-    "potential_lowest",
-    "qmax_capacity_from_solution",
-    "qmin_capacity_from_solution",
+    "potential_solution",
+    "relaxed_rhs",
     "sugeno_maxmin",
     "sugeno_minmax",
     "sugeno_qmax",
-    "sugeno_qmax_unchecked",
     "sugeno_qmin",
-    "sugeno_qmin_unchecked",
-    "upper_bound_rhs",
     "validate_data",
 ]

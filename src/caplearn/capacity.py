@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DomainError
+from .relational import SystemKind
 from .scale import Scale, iota
 from .subsets import (
     check_criteria_count,
@@ -127,7 +128,7 @@ def _bit_slices(n: int, bit: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def max_over_small_subsets(values: Sequence[float], n: int, q: int) -> list[float]:
+def _max_over_small_subsets(values: Sequence[float], n: int, q: int) -> list[float]:
     """Table of max{values[Y] : Y subset of X, |Y| <= q}, for every X.
 
     Entries at cardinality <= q hold values[X] itself; a larger X takes the
@@ -149,23 +150,24 @@ def max_over_small_subsets(values: Sequence[float], n: int, q: int) -> list[floa
     return out
 
 
-def min_over_large_supersets(values: Sequence[float], n: int, q: int) -> list[float]:
-    """Table of min{values[Y] : Y superset of X, |Y| >= n - q}, for every X.
+def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> list[float]:
+    """Extend a table from its boundary layer, in the order of ``kind``.
 
-    The order dual of :func:`max_over_small_subsets`: the same sweep, seeded
-    with the size n - q layer, carries mins down to smaller subsets.
+    Max-min: max{values[Y] : Y subset of X, |Y| <= q}, the q-maxitive
+    extension.  Min-max: min{values[Y] : Y superset of X, |Y| >= n - q},
+    the q-minitive one.  The min-max side is the max-min sweep on the table
+    read by complements (reversed) and negated, both exact, so the signs of
+    zeros come out as the dual covering recursion gives them.
     """
-    low = n - q
-    out = [math.inf] * (1 << n)
-    for mask in masks_of_sizes(n, (low,)):
-        out[mask] = values[mask]
-    for bit in reversed(range(n)):
-        for lo, hi in _bit_slices(n, bit):
-            # min(a, b), inlined: b only when strictly smaller
-            out[lo] = [b if b < a else a for a, b in zip(out[hi], out[lo])]
-    for mask in masks_of_sizes(n, range(low + 1, n + 1)):
-        out[mask] = values[mask]
-    return out
+    if not kind.order.dual:
+        return _max_over_small_subsets(values, n, q)
+    flipped = _max_over_small_subsets([-v for v in reversed(values)], n, q)
+    return [-v for v in reversed(flipped)]
+
+
+def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
+    _check_q(q, mu.n)
+    return extend_layer(mu.values, mu.n, q, kind) == list(mu.values)
 
 
 def is_q_maxitive(mu: Capacity, q: int) -> bool:
@@ -173,8 +175,7 @@ def is_q_maxitive(mu: Capacity, q: int) -> bool:
 
     Every capacity is n-maxitive, so q = n always returns True.
     """
-    _check_q(q, mu.n)
-    return max_over_small_subsets(mu.values, mu.n, q) == list(mu.values)
+    return _is_q_extension(mu, q, SystemKind.MAX_MIN)
 
 
 def is_q_minitive(mu: Capacity, q: int) -> bool:
@@ -183,5 +184,4 @@ def is_q_minitive(mu: Capacity, q: int) -> bool:
     Dual of :func:`is_q_maxitive`: a capacity is q-minitive exactly when its
     conjugate is q-maxitive.
     """
-    _check_q(q, mu.n)
-    return min_over_large_supersets(mu.values, mu.n, q) == list(mu.values)
+    return _is_q_extension(mu, q, SystemKind.MIN_MAX)

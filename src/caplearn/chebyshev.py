@@ -23,32 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import DomainError
-from .relational import (
-    RelationalSystem,
-    SolutionVector,
-    SystemKind,
-    potential_greatest,
-    potential_lowest,
-)
-
-
-def _pos(x: float) -> float:
-    return x if x > 0.0 else 0.0
-
-
-def cross_gap_maxmin(target_i: float, entry_l: float, target_l: float) -> float:
-    """How far row l's equation can push target i upward, for max-min systems.
-
-    Half the gap between the two targets, capped by row l's overshoot above
-    its own target (an entry below target l exerts no pressure).
-    """
-    return min(_pos(target_i - target_l) / 2.0, _pos(entry_l - target_l))
-
-
-def cross_gap_minmax(target_i: float, entry_l: float, target_l: float) -> float:
-    """Dual cross term: downward pressure on target i in a min-max system."""
-    return min(_pos(target_l - target_i) / 2.0, _pos(target_l - entry_l))
+from .relational import RelationalSystem, SolutionVector, SystemKind, potential_solution
 
 
 @dataclass(frozen=True)
@@ -70,16 +45,14 @@ def chebyshev_distance(sys: RelationalSystem) -> DistanceReport:
     (``_maxmin_per_row``): O(N log N + m·N) for N rows and m columns instead
     of the literal O(m·N²), with the same floats bit for bit.
     """
-    if sys.kind is SystemKind.MAX_MIN:
-        rhs = sys.rhs
-        columns = zip(*sys.matrix)
-    elif sys.kind is SystemKind.MIN_MAX:
+    if sys.kind.order.dual:
         # Each min-max term is the max-min term of the negated system:
         # negation is exact and (-t) - (-b) is bit for bit b - t.
         rhs = tuple(-b for b in sys.rhs)
         columns = (tuple(-a for a in column) for column in zip(*sys.matrix))
-    else:  # pragma: no cover - enum is closed
-        raise DomainError(f"unknown system kind {sys.kind!r}")
+    else:
+        rhs = sys.rhs
+        columns = zip(*sys.matrix)
     per_row = _maxmin_per_row(columns, rhs)
     return DistanceReport(max(per_row), per_row)
 
@@ -127,69 +100,40 @@ def _maxmin_per_row(
     return tuple(per_row)
 
 
-def upper_bound_rhs(rhs: tuple[float, ...], distance: float) -> tuple[float, ...]:
-    """Right-hand side relaxed upward by the distance, clamped at 1."""
-    return tuple(min(b + distance, 1.0) for b in rhs)
+def relaxed_rhs(
+    rhs: Sequence[float], distance: float, kind: SystemKind
+) -> tuple[float, ...]:
+    """Right-hand side moved by the distance toward the order's top and
+    clamped there: up to at most 1 (max-min), down to at least 0 (min-max)."""
+    order = kind.order
+    step = order.sign * distance
+    return tuple(order.meet(b + step, order.top) for b in rhs)
 
 
-def lower_bound_rhs(rhs: tuple[float, ...], distance: float) -> tuple[float, ...]:
-    """Right-hand side relaxed downward by the distance, clamped at 0."""
-    return tuple(max(b - distance, 0.0) for b in rhs)
+def approx_solution(sys: RelationalSystem, distance: float | None = None) -> SolutionVector:
+    """Greatest (max-min) or lowest (min-max) approximate solution.
 
-
-def greatest_approx_solution(
-    sys: RelationalSystem, distance: float | None = None
-) -> SolutionVector:
-    """Greatest approximate solution of a max-min system.
-
-    Solves against the upward-relaxed right-hand side; applying the system
-    to the result lands within the Chebyshev distance of the original rhs,
-    and exactly on it when the system is consistent.  ``distance`` may be
+    Solves against the relaxed right-hand side; applying the system to the
+    result lands within the Chebyshev distance of the original rhs, and
+    exactly on it when the system is consistent.  ``distance`` may be
     passed to reuse an already computed value.
 
     The optimum is attained where matrix entries tie with the relaxed rhs,
-    so those comparisons use the scale tolerance: the float sum rhs + d can
-    land a few ulps on either side of the tie and the strict branch would
-    then forfeit the optimality guarantee.  A zero distance skips the
-    relaxation entirely and reproduces the exact solved vector.
+    so those comparisons use the scale tolerance, toward the order's top
+    (1 for max-min, 0 for min-max): the float sum rhs + d can land a few
+    ulps on either side of the tie and the strict branch would then forfeit
+    the optimality guarantee.  A zero distance skips the relaxation
+    entirely and reproduces the exact solved vector.
     """
-    if sys.kind is not SystemKind.MAX_MIN:
-        raise DomainError("greatest_approx_solution expects a maxmin system")
     d = chebyshev_distance(sys).distance if distance is None else distance
     if d == 0.0:
-        return potential_greatest(sys)
-    relaxed = upper_bound_rhs(sys.rhs, d)
-    tol = sys.scale.tol
+        return potential_solution(sys)
+    order = sys.kind.order
+    relaxed = relaxed_rhs(sys.rhs, d, sys.kind)
+    slack = order.sign * sys.scale.tol
+    le, top = order.le, order.top
     values = tuple(
-        min(
-            (1.0 if sys.matrix[k][j] <= relaxed[k] + tol else relaxed[k])
-            for k in range(sys.n_rows)
-        )
-        for j in range(sys.n_cols)
-    )
-    return SolutionVector(sys.column_labels, values)
-
-
-def lowest_approx_solution(
-    sys: RelationalSystem, distance: float | None = None
-) -> SolutionVector:
-    """Lowest approximate solution of a min-max system (dual construction).
-
-    Ties against the relaxed rhs resolve toward 0 within the scale
-    tolerance, mirroring the max-min case.
-    """
-    if sys.kind is not SystemKind.MIN_MAX:
-        raise DomainError("lowest_approx_solution expects a minmax system")
-    d = chebyshev_distance(sys).distance if distance is None else distance
-    if d == 0.0:
-        return potential_lowest(sys)
-    relaxed = lower_bound_rhs(sys.rhs, d)
-    tol = sys.scale.tol
-    values = tuple(
-        max(
-            (relaxed[k] if sys.matrix[k][j] < relaxed[k] - tol else 0.0)
-            for k in range(sys.n_rows)
-        )
-        for j in range(sys.n_cols)
+        order.meet(top if le(a, r + slack) else r for a, r in zip(column, relaxed))
+        for column in zip(*sys.matrix)
     )
     return SolutionVector(sys.column_labels, values)

@@ -16,7 +16,7 @@ import sys
 from typing import Any
 
 from .capacity import capacity_violations, is_q_maxitive, is_q_minitive
-from .chebyshev import chebyshev_distance, lower_bound_rhs, upper_bound_rhs
+from .chebyshev import chebyshev_distance, relaxed_rhs
 from .errors import BudgetError, CaplearnError, DomainError
 from .io import (
     dumps_json,
@@ -27,9 +27,9 @@ from .io import (
     system_from_json,
     _read_json,
 )
-from .learning import LearnMode, build_maxmin_system, build_minmax_system, learn, validate_data
-from .oracle import GridSpec, enumerate_solutions, grid_chebyshev, min_learning_error
-from .relational import SystemKind, apply_system, potential_greatest, potential_lowest
+from .learning import LearnMode, build_system, learn, validate_data
+from .oracle import grid_levels, learning_check, system_checks
+from .relational import SystemKind
 from .scale import ScaleKind
 from .subsets import subset_label
 from .sugeno import sugeno_maxmin, sugeno_minmax
@@ -230,30 +230,25 @@ def _cmd_check(args) -> int:
     return EXIT_OK if not problems else EXIT_CONDITION
 
 
-def _load_system_or_build(args, kind: str):
-    """Accept either a system JSON or a training file to build one from."""
+def _load_system_or_training(args):
+    """(system, None) for a system JSON, else (None, the training set)."""
     if not str(args.data).lower().endswith(".csv"):
         doc = _read_json(args.data)
         if isinstance(doc, dict) and "matrix" in doc:
-            return system_from_json(doc, args.tolerance)
-    ts = load_training_set(args.data, tol=args.tolerance)
-    q = args.q if args.q is not None else ts.n
-    builder = build_maxmin_system if kind == "maxmin" else build_minmax_system
-    return builder(ts, q)
+            return system_from_json(doc, args.tolerance), None
+    return None, load_training_set(args.data, tol=args.tolerance)
 
 
 def _cmd_distance(args) -> int:
-    sys_ = _load_system_or_build(args, args.type)
+    sys_, ts = _load_system_or_training(args)
+    if sys_ is None:
+        sys_ = build_system(ts, SystemKind(args.type), args.q)
     report = chebyshev_distance(sys_)
-    if sys_.kind is SystemKind.MAX_MIN:
-        bounded = upper_bound_rhs(sys_.rhs, report.distance)
-    else:
-        bounded = lower_bound_rhs(sys_.rhs, report.distance)
     payload: dict[str, Any] = {
         "kind": sys_.kind.value,
         "distance": report.distance,
         "per_row": list(report.per_row),
-        "bounded_rhs": list(bounded),
+        "bounded_rhs": list(relaxed_rhs(sys_.rhs, report.distance, sys_.kind)),
         "consistent": report.distance == 0.0,
         "columns": [
             subset_label(lbl) if isinstance(lbl, int) else str(lbl)
@@ -269,103 +264,16 @@ def _cmd_distance(args) -> int:
     return EXIT_OK
 
 
-def _grid_levels(step: float) -> tuple[float, ...]:
-    if not 0.0 < step <= 1.0:
-        raise DomainError(f"grid step must be in (0, 1], got {step}")
-    count = round(1.0 / step)
-    return tuple(i / count for i in range(count + 1))
-
-
 def _cmd_oracle(args) -> int:
-    checks: list[dict[str, Any]] = []
-    levels = _grid_levels(args.grid_step)
-    if not str(args.data).lower().endswith(".csv"):
-        doc = _read_json(args.data)
-        if isinstance(doc, dict) and "matrix" in doc:
-            sys_ = system_from_json(doc, args.tolerance)
-            checks.extend(_system_checks(sys_, levels, args))
-            return _finish_oracle(checks, args)
-    ts = load_training_set(args.data, tol=args.tolerance)
-    q = args.q if args.q is not None else ts.n
-    builder = build_maxmin_system if args.mode == "qmax" else build_minmax_system
-    sys_ = builder(ts, q)
-    checks.extend(_system_checks(sys_, levels, args))
-    checks.append(_learning_check(ts, q, args))
-    return _finish_oracle(checks, args)
-
-
-def _system_checks(sys_, levels, args) -> list[dict[str, Any]]:
-    formula = chebyshev_distance(sys_).distance
-    step = args.grid_step
-    spec = GridSpec(levels, 1, budget=args.budget)
-    grid = grid_chebyshev(sys_, spec)
-    tol = sys_.scale.tol
-    checks = [
-        {
-            "check": "chebyshev distance formula vs grid search",
-            "formula": formula,
-            "grid": grid,
-            "ok": grid >= formula - tol and abs(formula - grid) <= step + tol,
-        }
-    ]
-    # solution candidates only need the system's own values plus the bounds;
-    # a finer grid multiplies the search without new lattice behavior
-    enum_levels = tuple(
-        sorted({0.0, 1.0} | {v for row in sys_.matrix for v in row} | set(sys_.rhs))
-    )
-    enum_spec = GridSpec(enum_levels, 1, budget=args.budget)
-    if sys_.kind is SystemKind.MAX_MIN:
-        extremal = potential_greatest(sys_).values
-        ok = all(
-            all(v <= e for v, e in zip(sol.values, extremal))
-            for sol in enumerate_solutions(sys_, enum_spec)
-        )
-        name = "every enumerated solution below the greatest vector"
+    levels = grid_levels(args.grid_step)
+    sys_, ts = _load_system_or_training(args)
+    if sys_ is not None:
+        checks = system_checks(sys_, levels, args.grid_step, args.budget)
     else:
-        extremal = potential_lowest(sys_).values
-        ok = all(
-            all(v >= f for v, f in zip(sol.values, extremal))
-            for sol in enumerate_solutions(sys_, enum_spec)
-        )
-        name = "every enumerated solution above the lowest vector"
-    checks.append({"check": name, "ok": ok})
-    solves = apply_system(sys_, extremal) == sys_.rhs
-    checks.append(
-        {
-            "check": "distance is zero exactly on consistent systems",
-            "ok": (formula == 0.0) == solves,
-        }
-    )
-    return checks
-
-
-def _learning_check(ts, q, args) -> dict[str, Any]:
-    mode = "qmax" if args.mode == "qmax" else "qmin"
-    builder = build_maxmin_system if mode == "qmax" else build_minmax_system
-    formula = chebyshev_distance(builder(ts, q)).distance
-    # capacity values beyond the data's own levels cannot improve the fit,
-    # so the exhaustive search enumerates over exactly those
-    levels = tuple(
-        sorted({0.0, 1.0} | {v for item in ts.items for v in item.x} | set(ts.targets()))
-    )
-    spec = GridSpec(levels, ts.n, q_mode=mode, q=q, budget=args.budget)
-    err, _ = min_learning_error(ts, spec)
-    tol = ts.scale.tol
-    learner = learn(ts, LearnMode(mode + "_approx"), q)
-    resolution = max(b - a for a, b in zip(levels, levels[1:]))
-    ok = err >= formula - tol
-    if learner.boundary_ok:
-        # the formula is attainable, so the grid optimum lands within one gap
-        ok = ok and err <= formula + resolution + tol
-    return {
-        "check": f"minimal {mode} learning error vs exhaustive grid search",
-        "formula": formula,
-        "grid": err,
-        "ok": ok,
-    }
-
-
-def _finish_oracle(checks, args) -> int:
+        q = args.q if args.q is not None else ts.n
+        kind = SystemKind.MAX_MIN if args.mode == "qmax" else SystemKind.MIN_MAX
+        checks = system_checks(build_system(ts, kind, q), levels, args.grid_step, args.budget)
+        checks.append(learning_check(ts, q, args.mode, args.budget))
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format, args.out)
     return EXIT_OK if ok else EXIT_CONDITION

@@ -14,39 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from operator import itemgetter
 from typing import Sequence
 
-from .capacity import (
-    Capacity,
-    _check_q,
-    max_over_small_subsets,
-    min_over_large_supersets,
-)
-from .chebyshev import (
-    chebyshev_distance,
-    greatest_approx_solution,
-    lowest_approx_solution,
-)
+from .capacity import Capacity, _check_q, extend_layer
+from .chebyshev import approx_solution, chebyshev_distance
 from .errors import DomainError
-from .relational import (
-    RelationalSystem,
-    SolutionVector,
-    SystemKind,
-    maxmin_apply,
-    minmax_apply,
-    potential_greatest,
-    potential_lowest,
-)
+from .relational import RelationalSystem, SystemKind, apply_system, potential_solution
 from .scale import Scale
-from .subsets import (
-    cardinality,
-    check_criteria_count,
-    full_mask,
-    masks_of_sizes,
-    subset_label,
-)
-from .sugeno import sugeno_maxmin, sugeno_qmax_unchecked, sugeno_qmin_unchecked
+from .subsets import cardinality, check_criteria_count, full_mask, masks_of_sizes, subset_label
 
 
 @dataclass(frozen=True)
@@ -159,37 +135,26 @@ def _subset_columns(ts: TrainingSet, masks: list[int], op) -> dict[int, Sequence
     return columns
 
 
-def build_maxmin_system(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
-    """Max-min system over nonempty subsets of cardinality <= q (default n).
+def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> RelationalSystem:
+    """The system of ``kind`` over the columns of the layers up to q (default n).
 
-    Column (k, A) holds the minimum of object k inside A; the right-hand
-    side is the target vector.  Columns follow ascending mask order and are
-    labeled by their masks.
+    Max-min: nonempty subsets of cardinality <= q; column (k, A) holds the
+    minimum of object k inside A.  Min-max: proper subsets of cardinality
+    >= n - q; column (k, A) holds the maximum of object k outside A,
+    computed per complement.  The right-hand side is the target vector and
+    columns follow ascending label order.
     """
     q = ts.n if q is None else _check_q(q, ts.n)
-    labels = masks_of_sizes(ts.n, range(1, q + 1))
-    columns = _subset_columns(ts, labels, min)
-    matrix = tuple(zip(*(columns[mask] for mask in labels)))
-    return RelationalSystem(
-        SystemKind.MAX_MIN, matrix, ts.targets(), tuple(labels), ts.scale
-    )
-
-
-def build_minmax_system(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
-    """Min-max system over proper subsets of cardinality >= n - q (default all).
-
-    Column (k, A) holds the maximum of object k outside A; the columns are
-    computed per complement, the nonempty sets of cardinality <= q.
-    """
-    q = ts.n if q is None else _check_q(q, ts.n)
-    outside = masks_of_sizes(ts.n, range(1, q + 1))
-    columns = _subset_columns(ts, outside, max)
-    # ascending masks are descending complements
-    order = outside[::-1]
-    matrix = tuple(zip(*(columns[c] for c in order)))
-    full = full_mask(ts.n)
-    labels = tuple(full ^ c for c in order)
-    return RelationalSystem(SystemKind.MIN_MAX, matrix, ts.targets(), labels, ts.scale)
+    order = kind.order
+    masks = masks_of_sizes(ts.n, range(1, q + 1))
+    columns = _subset_columns(ts, masks, order.meet)
+    labels = masks
+    if order.dual:
+        # ascending masks are descending complements
+        masks = masks[::-1]
+        labels = [full_mask(ts.n) ^ mask for mask in masks]
+    matrix = tuple(zip(*(columns[mask] for mask in masks)))
+    return RelationalSystem(kind, matrix, ts.targets(), tuple(labels), ts.scale)
 
 
 class LearnMode(Enum):
@@ -221,51 +186,66 @@ class LearnReport:
     notes: tuple[str, ...] = ()
 
 
-def qmax_capacity_from_solution(
-    solved: dict[int, float], n: int, q: int, scale: Scale
-) -> Capacity:
-    """Extend a solved low layer to a q-maxitive capacity.
+# mode -> (system kind, approximate?, note when the boundary layer misses the top)
+_MODES = {
+    LearnMode.GREATEST: (
+        SystemKind.MAX_MIN, False,
+        "solved vector assigns {value!r} to the full set; some target"
+        " lies below its object's smallest coordinate",
+    ),
+    LearnMode.LOWEST: (
+        SystemKind.MIN_MAX, False,
+        "solved vector assigns {value!r} to the empty set; some target"
+        " exceeds its object's largest coordinate",
+    ),
+    LearnMode.QMAX: (
+        SystemKind.MAX_MIN, False,
+        "no size-{size} subset is solved at 1; best is {label} = {value!r}",
+    ),
+    LearnMode.QMIN: (
+        SystemKind.MIN_MAX, False,
+        "no size-{size} subset is solved at 0; best is {label} = {value!r}",
+    ),
+    LearnMode.QMAX_APPROX: (
+        SystemKind.MAX_MIN, True,
+        "no size-{size} subset reaches 1 in the approximate solution; best is {label} = {value!r}",
+    ),
+    LearnMode.QMIN_APPROX: (
+        SystemKind.MIN_MAX, True,
+        "no size-{size} subset reaches 0 in the approximate solution; best is {label} = {value!r}",
+    ),
+}
 
-    Keeps the solved values on nonempty subsets of cardinality <= q and
-    fills larger subsets with the max over their contained small subsets.
-    Requires a size-q subset solved at 1 so the full set reaches 1.
+
+def capacity_from_solution(
+    solved: dict[int, float], n: int, q: int, scale: Scale, kind: SystemKind
+) -> Capacity:
+    """Extend a solved layer to a q-maxitive (max-min) or q-minitive capacity.
+
+    Max-min keeps the solved values on nonempty subsets of cardinality <= q
+    and fills larger subsets with the max over their contained small
+    subsets.  Min-max keeps them on proper subsets of cardinality >= n - q
+    and fills smaller subsets with the min over their covering large ones.
+    The boundary set (empty, resp. full) holds the order's bottom.  A
+    capacity needs a boundary-layer subset solved at the order's top.
     """
     check_criteria_count(n)
     _check_q(q, n)
-    seed = [0.0] * (1 << n)
-    for mask in masks_of_sizes(n, range(1, q + 1)):
-        seed[mask] = solved[mask]
-    return Capacity(n, scale, tuple(max_over_small_subsets(seed, n, q)))
+    seed = [kind.order.bottom] * (1 << n)
+    for mask, v in solved.items():
+        seed[mask] = v
+    return Capacity(n, scale, tuple(extend_layer(seed, n, q, kind)))
 
 
-def qmin_capacity_from_solution(
-    solved: dict[int, float], n: int, q: int, scale: Scale
-) -> Capacity:
-    """Extend a solved high layer to a q-minitive capacity (dual template).
+def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tuple[float, ...]:
+    """Integral minus target per item, from the system product.
 
-    Keeps the solved values on proper subsets of cardinality >= n - q and
-    fills smaller subsets with the min over their covering large subsets.
-    """
-    check_criteria_count(n)
-    _check_q(q, n)
-    seed = [0.0] * (1 << n)
-    seed[-1] = 1.0
-    for mask in masks_of_sizes(n, range(n - q, n)):
-        seed[mask] = solved[mask]
-    return Capacity(n, scale, tuple(min_over_large_supersets(seed, n, q)))
-
-
-def _residuals(mu: Capacity, ts: TrainingSet, integral=sugeno_maxmin) -> tuple[float, ...]:
-    """Integral minus target per item; ``integral(mu, x)`` may be a reduced form.
-
-    The q-modes pass the reduced form of their capacity's class, which
-    costs C(n, <=q) subsets per item instead of 2^n and equals the full
-    integral on the capacities they build, except for the sign of a zero:
-    the full max-min form returns mu's value of the empty set for 0, so
-    every form reports that value.
+    On the capacity extended from a solution, each item's integral is the
+    system applied to that solution, except for the sign of a zero: the
+    integral reports a zero as mu's value of the empty set, so this does too.
     """
     zero = mu.values[0]
-    return tuple((integral(mu, item.x) or zero) - item.alpha for item in ts.items)
+    return tuple((p or zero) - item.alpha for p, item in zip(produced, ts.items))
 
 
 def _row_mismatches(produced, rhs) -> tuple[str, ...]:
@@ -276,203 +256,53 @@ def _row_mismatches(produced, rhs) -> tuple[str, ...]:
     )
 
 
-def _best_witness(vec: SolutionVector, size: int) -> tuple[int, float] | None:
-    layer = [
-        (mask, v) for mask, v in zip(vec.labels, vec.values) if cardinality(mask) == size
-    ]
-    if not layer:
-        return None
-    return max(layer, key=lambda pair: pair[1])
-
-
-def learn_greatest(ts: TrainingSet) -> LearnReport:
-    """Greatest capacity reproducing every target, when one exists.
-
-    The max-min system must be consistent and its solved vector must assign
-    1 to the full criteria set; the capacity is then the solved vector
-    extended by 0 on the empty set.
-    """
-    sys = build_maxmin_system(ts)
-    e = potential_greatest(sys)
-    produced = maxmin_apply(sys, e.values)
-    consistent = produced == sys.rhs
-    boundary_ok = e.values[-1] == 1.0
-    notes: tuple[str, ...] = ()
-    if not consistent:
-        notes += _row_mismatches(produced, sys.rhs)
-    if not boundary_ok:
-        notes += (
-            f"solved vector assigns {e.values[-1]!r} to the full set; some target"
-            " lies below its object's smallest coordinate",
-        )
-    if not (consistent and boundary_ok):
-        return LearnReport(LearnMode.GREATEST, None, consistent, boundary_ok, None, None, None, notes)
-    mu = Capacity(ts.n, ts.scale, (0.0,) + e.values)
-    return LearnReport(
-        LearnMode.GREATEST, None, True, True, None, mu, _residuals(mu, ts)
-    )
-
-
-def learn_lowest(ts: TrainingSet) -> LearnReport:
-    """Lowest capacity reproducing every target (dual of learn_greatest)."""
-    sys = build_minmax_system(ts)
-    f = potential_lowest(sys)
-    produced = minmax_apply(sys, f.values)
-    consistent = produced == sys.rhs
-    boundary_ok = f.values[0] == 0.0
-    notes: tuple[str, ...] = ()
-    if not consistent:
-        notes += _row_mismatches(produced, sys.rhs)
-    if not boundary_ok:
-        notes += (
-            f"solved vector assigns {f.values[0]!r} to the empty set; some target"
-            " exceeds its object's largest coordinate",
-        )
-    if not (consistent and boundary_ok):
-        return LearnReport(LearnMode.LOWEST, None, consistent, boundary_ok, None, None, None, notes)
-    mu = Capacity(ts.n, ts.scale, f.values + (1.0,))
-    return LearnReport(
-        LearnMode.LOWEST, None, True, True, None, mu, _residuals(mu, ts)
-    )
-
-
-def learn_qmax(ts: TrainingSet, q: int) -> LearnReport:
-    """q-maxitive capacity reproducing every target, when one exists.
-
-    Uses the cardinality-restricted max-min system; besides consistency,
-    some subset of size exactly q must be solved at 1.
-    """
-    _check_q(q, ts.n)
-    sys = build_maxmin_system(ts, q)
-    e = potential_greatest(sys)
-    produced = maxmin_apply(sys, e.values)
-    consistent = produced == sys.rhs
-    witness = _best_witness(e, q)
-    boundary_ok = witness is not None and witness[1] == 1.0
-    notes: tuple[str, ...] = ()
-    if not consistent:
-        notes += _row_mismatches(produced, sys.rhs)
-    if not boundary_ok and witness is not None:
-        notes += (
-            f"no size-{q} subset is solved at 1; best is"
-            f" {subset_label(witness[0])} = {witness[1]!r}",
-        )
-    if not (consistent and boundary_ok):
-        return LearnReport(LearnMode.QMAX, q, consistent, boundary_ok, None, None, None, notes)
-    mu = qmax_capacity_from_solution(e.as_dict(), ts.n, q, ts.scale)
-    residuals = _residuals(mu, ts, partial(sugeno_qmax_unchecked, q=q))
-    return LearnReport(LearnMode.QMAX, q, True, True, None, mu, residuals)
-
-
-def learn_qmin(ts: TrainingSet, q: int) -> LearnReport:
-    """q-minitive capacity reproducing every target (dual of learn_qmax).
-
-    Some subset of size exactly n - q must be solved at 0.
-    """
-    _check_q(q, ts.n)
-    sys = build_minmax_system(ts, q)
-    f = potential_lowest(sys)
-    produced = minmax_apply(sys, f.values)
-    consistent = produced == sys.rhs
-    layer = [
-        (mask, v) for mask, v in zip(f.labels, f.values) if cardinality(mask) == ts.n - q
-    ]
-    best = min(layer, key=lambda pair: pair[1]) if layer else None
-    boundary_ok = best is not None and best[1] == 0.0
-    notes: tuple[str, ...] = ()
-    if not consistent:
-        notes += _row_mismatches(produced, sys.rhs)
-    if not boundary_ok and best is not None:
-        notes += (
-            f"no size-{ts.n - q} subset is solved at 0; best is"
-            f" {subset_label(best[0])} = {best[1]!r}",
-        )
-    if not (consistent and boundary_ok):
-        return LearnReport(LearnMode.QMIN, q, consistent, boundary_ok, None, None, None, notes)
-    mu = qmin_capacity_from_solution(f.as_dict(), ts.n, q, ts.scale)
-    residuals = _residuals(mu, ts, partial(sugeno_qmin_unchecked, q=q))
-    return LearnReport(LearnMode.QMIN, q, True, True, None, mu, residuals)
-
-
 def _approx_scale(ts: TrainingSet) -> Scale:
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     return Scale.unit_interval(ts.scale.tol)
 
 
-def learn_qmax_approx(ts: TrainingSet, q: int) -> LearnReport:
-    """Greatest q-maxitive capacity within the minimal achievable error.
-
-    Works on possibly inconsistent restricted systems: the Chebyshev
-    distance is the exact minimal learning error over q-maxitive
-    capacities, and the capacity built from the greatest approximate
-    solution attains it.  Requires a size-q subset solved at 1 in that
-    approximate solution; otherwise only the distance is reported.
-    """
-    _check_q(q, ts.n)
-    sys = build_maxmin_system(ts, q)
-    report = chebyshev_distance(sys)
-    eta = greatest_approx_solution(sys, report.distance)
-    consistent = report.distance == 0.0
-    witness = _best_witness(eta, q)
-    boundary_ok = witness is not None and witness[1] == 1.0
-    if not boundary_ok:
-        notes = ()
-        if witness is not None:
-            notes = (
-                f"no size-{q} subset reaches 1 in the approximate solution; best is"
-                f" {subset_label(witness[0])} = {witness[1]!r}",
-            )
-        return LearnReport(
-            LearnMode.QMAX_APPROX, q, consistent, False, report.distance, None, None, notes
-        )
-    mu = qmax_capacity_from_solution(eta.as_dict(), ts.n, q, _approx_scale(ts))
-    residuals = _residuals(mu, ts, partial(sugeno_qmax_unchecked, q=q))
-    return LearnReport(
-        LearnMode.QMAX_APPROX, q, consistent, True, report.distance, mu, residuals
-    )
-
-
-def learn_qmin_approx(ts: TrainingSet, q: int) -> LearnReport:
-    """Lowest q-minitive capacity within the minimal achievable error (dual)."""
-    _check_q(q, ts.n)
-    sys = build_minmax_system(ts, q)
-    report = chebyshev_distance(sys)
-    nu = lowest_approx_solution(sys, report.distance)
-    consistent = report.distance == 0.0
-    layer = [
-        (mask, v) for mask, v in zip(nu.labels, nu.values) if cardinality(mask) == ts.n - q
-    ]
-    best = min(layer, key=lambda pair: pair[1]) if layer else None
-    boundary_ok = best is not None and best[1] == 0.0
-    if not boundary_ok:
-        notes = ()
-        if best is not None:
-            notes = (
-                f"no size-{ts.n - q} subset reaches 0 in the approximate solution; best is"
-                f" {subset_label(best[0])} = {best[1]!r}",
-            )
-        return LearnReport(
-            LearnMode.QMIN_APPROX, q, consistent, False, report.distance, None, None, notes
-        )
-    mu = qmin_capacity_from_solution(nu.as_dict(), ts.n, q, _approx_scale(ts))
-    residuals = _residuals(mu, ts, partial(sugeno_qmin_unchecked, q=q))
-    return LearnReport(
-        LearnMode.QMIN_APPROX, q, consistent, True, report.distance, mu, residuals
-    )
-
-
 def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport:
-    """Dispatch a learning run; q is required exactly for the q-modes."""
-    if mode in (LearnMode.GREATEST, LearnMode.LOWEST):
-        if q is not None:
-            raise DomainError(f"mode {mode.value} does not take q")
-        return learn_greatest(ts) if mode is LearnMode.GREATEST else learn_lowest(ts)
-    if q is None:
+    """One learning run; q is required exactly for the q-modes.
+
+    GREATEST (LOWEST) is the exact max-min (min-max) run over every subset,
+    which is QMAX (QMIN) at q = n, reported with q None.  An exact mode
+    solves the system; it needs consistency, and a subset of the boundary
+    layer (size q, resp. n - q) solved at the order's top (1, resp. 0),
+    whose extension is then the greatest q-maxitive (lowest q-minitive)
+    capacity reproducing every target.  An approximate mode solves the
+    system relaxed by its Chebyshev distance, the exact minimal learning
+    error, and needs only the boundary condition.  The capacity is built
+    from the solved layer; failed conditions leave witnesses in the notes.
+    """
+    kind, approx, note = _MODES[mode]
+    whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
+    if whole and q is not None:
+        raise DomainError(f"mode {mode.value} does not take q")
+    if not whole and q is None:
         raise DomainError(f"mode {mode.value} requires q")
-    return {
-        LearnMode.QMAX: learn_qmax,
-        LearnMode.QMIN: learn_qmin,
-        LearnMode.QMAX_APPROX: learn_qmax_approx,
-        LearnMode.QMIN_APPROX: learn_qmin_approx,
-    }[mode](ts, q)
+    layer_q = ts.n if whole else _check_q(q, ts.n)
+    order = kind.order
+    sys = build_system(ts, kind, layer_q)
+    if approx:
+        distance = chebyshev_distance(sys).distance
+        solution = approx_solution(sys, distance)
+    else:
+        distance = None
+        solution = potential_solution(sys)
+    produced = apply_system(sys, solution.values)
+    consistent = distance == 0.0 if approx else produced == sys.rhs
+    size = order.layer(ts.n, layer_q)
+    layer = [(m, v) for m, v in zip(solution.labels, solution.values) if cardinality(m) == size]
+    best, value = order.join(layer, key=itemgetter(1))
+    boundary_ok = value == order.top
+    notes = () if approx or consistent else _row_mismatches(produced, sys.rhs)
+    if not boundary_ok:
+        notes += (note.format(size=size, label=subset_label(best), value=value),)
+    if not boundary_ok or not (approx or consistent):
+        return LearnReport(mode, q, consistent, boundary_ok, distance, None, None, notes)
+    scale = _approx_scale(ts) if approx else ts.scale
+    mu = capacity_from_solution(solution.as_dict(), ts.n, layer_q, scale, kind)
+    return LearnReport(
+        mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced)
+    )

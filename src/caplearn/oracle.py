@@ -14,15 +14,15 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .capacity import Capacity, is_q_maxitive, is_q_minitive
+from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
-from .learning import TrainingSet
+from .learning import LearnMode, TrainingSet, learn
 from .relational import (
     RelationalSystem,
     SolutionVector,
-    SystemKind,
     apply_system,
-    greatest_vector_for_rhs,
-    lowest_vector_for_rhs,
+    potential_solution,
+    vector_for_rhs,
 )
 from .scale import Scale
 from .subsets import check_criteria_count, drop_one_bit
@@ -126,17 +126,9 @@ def enumerate_solutions(sys: RelationalSystem, spec: GridSpec) -> Iterator[Solut
 
 
 def _consistent_for_rhs(sys: RelationalSystem, rhs: tuple[float, ...]) -> bool:
-    # Inline re-solve against a candidate rhs; candidates come from the grid
-    # and need not be members of the system's declared scale.
-    if sys.kind is SystemKind.MAX_MIN:
-        e = greatest_vector_for_rhs(sys, rhs)
-        return tuple(
-            max(min(a, x) for a, x in zip(row, e)) for row in sys.matrix
-        ) == rhs
-    f = lowest_vector_for_rhs(sys, rhs)
-    return tuple(
-        min(max(a, x) for a, x in zip(row, f)) for row in sys.matrix
-    ) == rhs
+    # Re-solve against a candidate rhs; candidates come from the grid and
+    # need not be members of the system's declared scale.
+    return apply_system(sys, vector_for_rhs(sys, rhs)) == rhs
 
 
 def grid_chebyshev(sys: RelationalSystem, spec: GridSpec) -> float:
@@ -174,3 +166,80 @@ def min_learning_error(ts: TrainingSet, spec: GridSpec) -> tuple[float, Capacity
             best_err, best_mu = err, mu
     assert best_mu is not None  # the grid always admits at least one capacity
     return best_err, best_mu
+
+
+def grid_levels(step: float) -> tuple[float, ...]:
+    """Evenly spaced levels 0, 1/k, ..., 1 with k = round(1 / step)."""
+    if not 0.0 < step <= 1.0:
+        raise DomainError(f"grid step must be in (0, 1], got {step}")
+    count = round(1.0 / step)
+    return tuple(i / count for i in range(count + 1))
+
+
+def system_checks(
+    sys: RelationalSystem, levels: tuple[float, ...], step: float, budget: int
+) -> list[dict]:
+    """The distance formula against a grid search over right-hand sides on
+    ``levels`` (grid spacing ``step``), the potential solution against every
+    enumerated solution, and zero distance against consistency."""
+    formula = chebyshev_distance(sys).distance
+    grid = grid_chebyshev(sys, GridSpec(levels, 1, budget=budget))
+    tol = sys.scale.tol
+    checks = [
+        {
+            "check": "chebyshev distance formula vs grid search",
+            "formula": formula,
+            "grid": grid,
+            "ok": grid >= formula - tol and abs(formula - grid) <= step + tol,
+        }
+    ]
+    # solution candidates only need the system's own values plus the bounds;
+    # a finer grid multiplies the search without new lattice behavior
+    enum_levels = tuple(
+        sorted({0.0, 1.0} | {v for row in sys.matrix for v in row} | set(sys.rhs))
+    )
+    enum_spec = GridSpec(enum_levels, 1, budget=budget)
+    extremal = potential_solution(sys).values
+    le = sys.kind.order.le
+    ok = all(
+        all(map(le, sol.values, extremal)) for sol in enumerate_solutions(sys, enum_spec)
+    )
+    if sys.kind.order.dual:
+        name = "every enumerated solution above the lowest vector"
+    else:
+        name = "every enumerated solution below the greatest vector"
+    checks.append({"check": name, "ok": ok})
+    solves = apply_system(sys, extremal) == sys.rhs
+    checks.append(
+        {
+            "check": "distance is zero exactly on consistent systems",
+            "ok": (formula == 0.0) == solves,
+        }
+    )
+    return checks
+
+
+def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
+    """The minimal ``mode`` ("qmax" or "qmin") learning error, as the
+    approximate learner reports it, against an exhaustive capacity search."""
+    learner = learn(ts, LearnMode(mode + "_approx"), q)
+    formula = learner.distance
+    # capacity values beyond the data's own levels cannot improve the fit,
+    # so the exhaustive search enumerates over exactly those
+    levels = tuple(
+        sorted({0.0, 1.0} | {v for item in ts.items for v in item.x} | set(ts.targets()))
+    )
+    spec = GridSpec(levels, ts.n, q_mode=mode, q=q, budget=budget)
+    err, _ = min_learning_error(ts, spec)
+    tol = ts.scale.tol
+    resolution = max(b - a for a, b in zip(levels, levels[1:]))
+    ok = err >= formula - tol
+    if learner.boundary_ok:
+        # the formula is attainable, so the grid optimum lands within one gap
+        ok = ok and err <= formula + resolution + tol
+    return {
+        "check": f"minimal {mode} learning error vs exhaustive grid search",
+        "formula": formula,
+        "grid": err,
+        "ok": ok,
+    }

@@ -11,17 +11,13 @@ Column labels are opaque here; the learning module attaches subset masks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from .errors import DomainError
 from .scale import Scale
-
-
-class SystemKind(Enum):
-    MAX_MIN = "maxmin"
-    MIN_MAX = "minmax"
 
 
 def godel_imp(x: float, y: float) -> float:
@@ -32,6 +28,53 @@ def godel_imp(x: float, y: float) -> float:
 def eps_prod(x: float, y: float) -> float:
     """Epsilon product: y when x < y, else 0.  Dual tool for min-max systems."""
     return y if x < y else 0.0
+
+
+@dataclass(frozen=True)
+class Order:
+    """The lattice order a system kind solves in.
+
+    A max-min system reads [0, 1] as given; its min-max dual reads it upside
+    down, so every routine is written once over this descriptor.  ``le`` is
+    the order, ``join``/``meet`` its max/min, ``top``/``bottom`` its ends and
+    ``residuum`` the Godel implication in it (the epsilon product when read
+    upside down).  ``sign`` is +1.0 or -1.0: the direction in which a
+    relaxed right-hand side moves, and the exact negation that maps the
+    min-max side onto the max-min one.  The dual side indexes subsets by
+    their complements: a min-max column is labeled by the set outside which
+    it takes its max.
+    """
+
+    le: Callable[[float, float], bool]
+    join: Callable[..., float]
+    meet: Callable[..., float]
+    top: float
+    bottom: float
+    residuum: Callable[[float, float], float]
+    sign: float
+
+    @property
+    def dual(self) -> bool:
+        return self.sign < 0.0
+
+    def layer(self, n: int, q: int) -> int:
+        """Cardinality of the boundary layer: q, or n - q on the dual side."""
+        return n - q if self.dual else q
+
+
+class SystemKind(Enum):
+    MAX_MIN = "maxmin"
+    MIN_MAX = "minmax"
+
+    @property
+    def order(self) -> Order:
+        return _ORDERS[self]
+
+
+_ORDERS = {
+    SystemKind.MAX_MIN: Order(operator.le, max, min, 1.0, 0.0, godel_imp, 1.0),
+    SystemKind.MIN_MAX: Order(operator.ge, min, max, 0.0, 1.0, eps_prod, -1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -106,65 +149,33 @@ def _vector(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
     return vec
 
 
-def _require_kind(sys: RelationalSystem, kind: SystemKind, op: str) -> None:
-    if sys.kind is not kind:
-        raise DomainError(f"{op} expects a {kind.value} system, got {sys.kind.value}")
-
-
-def maxmin_apply(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
-    """Row-wise max of min(entry, v)."""
-    _require_kind(sys, SystemKind.MAX_MIN, "maxmin_apply")
-    vec = _vector(sys, v)
-    return tuple(max(min(a, x) for a, x in zip(row, vec)) for row in sys.matrix)
-
-
-def minmax_apply(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
-    """Row-wise min of max(entry, v)."""
-    _require_kind(sys, SystemKind.MIN_MAX, "minmax_apply")
-    vec = _vector(sys, v)
-    return tuple(min(max(a, x) for a, x in zip(row, vec)) for row in sys.matrix)
-
-
 def apply_system(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
-    if sys.kind is SystemKind.MAX_MIN:
-        return maxmin_apply(sys, v)
-    return minmax_apply(sys, v)
+    """Row-wise join of meet(entry, v): max of min for max-min, min of max for min-max."""
+    order = sys.kind.order
+    vec = _vector(sys, v)
+    return tuple(order.join(map(order.meet, row, vec)) for row in sys.matrix)
 
 
-def greatest_vector_for_rhs(sys: RelationalSystem, rhs: Sequence[float]) -> tuple[float, ...]:
-    """Column-wise min of godel_imp(entry, rhs) against an arbitrary rhs.
+def vector_for_rhs(sys: RelationalSystem, rhs: Sequence[float]) -> tuple[float, ...]:
+    """Column-wise meet of residuum(entry, rhs) against an arbitrary rhs.
 
-    Used both for the potential greatest solution (rhs = the system's own)
-    and for approximate solving, where the relaxed rhs may be off-scale.
+    Used both for the potential extremal solution (rhs = the system's own)
+    and by the oracle, whose candidate right-hand sides may be off-scale.
     """
+    order = sys.kind.order
     return tuple(
-        min(godel_imp(sys.matrix[k][j], rhs[k]) for k in range(sys.n_rows))
-        for j in range(sys.n_cols)
+        order.meet(map(order.residuum, column, rhs)) for column in zip(*sys.matrix)
     )
 
 
-def lowest_vector_for_rhs(sys: RelationalSystem, rhs: Sequence[float]) -> tuple[float, ...]:
-    """Column-wise max of eps_prod(entry, rhs) against an arbitrary rhs."""
-    return tuple(
-        max(eps_prod(sys.matrix[k][j], rhs[k]) for k in range(sys.n_rows))
-        for j in range(sys.n_cols)
-    )
-
-
-def potential_greatest(sys: RelationalSystem) -> SolutionVector:
-    """Sanchez's candidate: greatest solution whenever the system is consistent.
+def potential_solution(sys: RelationalSystem) -> SolutionVector:
+    """Sanchez's candidate: the greatest (max-min) or lowest (min-max)
+    solution whenever the system is consistent.
 
     Computed for inconsistent systems as well; consumers decide what the
     vector means in that case.
     """
-    _require_kind(sys, SystemKind.MAX_MIN, "potential_greatest")
-    return SolutionVector(sys.column_labels, greatest_vector_for_rhs(sys, sys.rhs))
-
-
-def potential_lowest(sys: RelationalSystem) -> SolutionVector:
-    """Dual candidate: lowest solution whenever the min-max system is consistent."""
-    _require_kind(sys, SystemKind.MIN_MAX, "potential_lowest")
-    return SolutionVector(sys.column_labels, lowest_vector_for_rhs(sys, sys.rhs))
+    return SolutionVector(sys.column_labels, vector_for_rhs(sys, sys.rhs))
 
 
 def is_consistent(sys: RelationalSystem) -> bool:
@@ -174,8 +185,4 @@ def is_consistent(sys: RelationalSystem) -> bool:
     of inputs, so float error cannot arise and a tolerance would only mask
     genuine inconsistency.
     """
-    if sys.kind is SystemKind.MAX_MIN:
-        e = greatest_vector_for_rhs(sys, sys.rhs)
-        return maxmin_apply(sys, e) == sys.rhs
-    f = lowest_vector_for_rhs(sys, sys.rhs)
-    return minmax_apply(sys, f) == sys.rhs
+    return apply_system(sys, potential_solution(sys).values) == sys.rhs

@@ -21,7 +21,8 @@ from typing import Sequence
 
 from .capacity import Capacity, _check_q, is_q_maxitive, is_q_minitive
 from .errors import DomainError
-from .subsets import complement, full_mask
+from .relational import SystemKind
+from .subsets import full_mask
 
 
 def _require_object(x: Sequence[float], mu: Capacity) -> tuple[float, ...]:
@@ -33,68 +34,74 @@ def _require_object(x: Sequence[float], mu: Capacity) -> tuple[float, ...]:
     return coords
 
 
-def _min_table(coords: tuple[float, ...]) -> list[float]:
-    """mins[A] = min of coordinates in A; the empty min is 1 (lattice top)."""
+def _subset_table(coords: tuple[float, ...], op, empty: float) -> list[float]:
+    """table[A] = op over the coordinates in A; the empty set holds ``empty``."""
     size = 1 << len(coords)
-    mins = [1.0] * size
+    table = [empty] * size
     for mask in range(1, size):
         low = mask & -mask
         rest = mask ^ low
         v = coords[low.bit_length() - 1]
-        mins[mask] = v if rest == 0 else min(v, mins[rest])
-    return mins
+        table[mask] = v if rest == 0 else op(v, table[rest])
+    return table
 
 
-def _max_table(coords: tuple[float, ...]) -> list[float]:
-    """maxs[A] = max of coordinates in A; the empty max is 0 (lattice bottom)."""
-    size = 1 << len(coords)
-    maxs = [0.0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        v = coords[low.bit_length() - 1]
-        maxs[mask] = v if rest == 0 else max(v, maxs[rest])
-    return maxs
+def _full(mu: Capacity, x: Sequence[float], kind: SystemKind) -> float:
+    """join over subsets A of meet(the object's A-term, mu(A)).
+
+    The A-term is the min of x inside A (max-min form) or the max of x
+    outside A (min-max form); reading the table of maxima reversed visits
+    the complements.  A zero result is reported as mu's value on the empty
+    set, whichever zero the terms held.
+    """
+    order = kind.order
+    table = _subset_table(_require_object(x, mu), order.meet, order.top)
+    if order.dual:
+        table.reverse()
+    return order.join(map(order.meet, table, mu.values)) or mu.values[0]
 
 
 def sugeno_maxmin(mu: Capacity, x: Sequence[float]) -> float:
     """max over subsets A of min(min of x inside A, mu(A))."""
-    coords = _require_object(x, mu)
-    mins = _min_table(coords)
-    return max(min(mins[mask], mu.values[mask]) for mask in range(1 << mu.n))
+    return _full(mu, x, SystemKind.MAX_MIN)
 
 
 def sugeno_minmax(mu: Capacity, x: Sequence[float]) -> float:
     """min over subsets A of max(max of x outside A, mu(A)); equals sugeno_maxmin."""
+    return _full(mu, x, SystemKind.MIN_MAX)
+
+
+def _reduced(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind) -> float:
+    """The form of ``kind`` over the subsets a q-bounded capacity keeps.
+
+    Max-min: nonempty subsets of cardinality <= q; min-max: proper subsets
+    of cardinality >= n - q, enumerated by their nonempty complements of
+    size <= q.  Visits C(n, <=q) subsets instead of 2^n; a zero result is
+    reported as mu's value on the empty set, as in the full forms.
+    """
+    _check_q(q, mu.n)
     coords = _require_object(x, mu)
-    maxs = _max_table(coords)
-    n = mu.n
-    return min(
-        max(maxs[complement(mask, n)], mu.values[mask]) for mask in range(1 << n)
-    )
+    order = kind.order
+    join, meet = order.join, order.meet
+    flip = full_mask(mu.n) if order.dual else 0
+    best = order.bottom
+    for size in range(1, q + 1):
+        for combo in combinations(range(mu.n), size):
+            mask = flip
+            for i in combo:
+                mask ^= 1 << i
+            term = meet(meet(coords[i] for i in combo), mu.values[mask])
+            best = join(best, term)
+    return best or mu.values[0]
 
 
 def sugeno_qmax_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
     """Reduced max-min form over nonempty subsets of cardinality <= q.
 
-    Visits only the bounded-cardinality subsets, which is the point of the
-    reduction: sum of C(n, c) terms instead of 2^n.  Skips the
-    q-maxitivity check; on a capacity that is not q-maxitive the result is
-    well-defined but need not equal the full integral.
+    Skips the q-maxitivity check; on a capacity that is not q-maxitive the
+    result is well-defined but need not equal the full integral.
     """
-    _check_q(q, mu.n)
-    coords = _require_object(x, mu)
-    best = 0.0
-    for size in range(1, q + 1):
-        for combo in combinations(range(mu.n), size):
-            inner = min(coords[i] for i in combo)
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            term = min(inner, mu.values[mask])
-            if term > best:
-                best = term
-    return best
+    return _reduced(mu, x, q, SystemKind.MAX_MIN)
 
 
 def sugeno_qmax(mu: Capacity, x: Sequence[float], q: int) -> float:
@@ -105,25 +112,8 @@ def sugeno_qmax(mu: Capacity, x: Sequence[float], q: int) -> float:
 
 
 def sugeno_qmin_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
-    """Reduced min-max form over proper subsets of cardinality >= n - q.
-
-    Enumerates by nonempty complement of size <= q, mirroring the max-min
-    reduction's cost.
-    """
-    _check_q(q, mu.n)
-    coords = _require_object(x, mu)
-    full = full_mask(mu.n)
-    best = 1.0
-    for size in range(1, q + 1):
-        for combo in combinations(range(mu.n), size):
-            outer = max(coords[i] for i in combo)
-            mask = full
-            for i in combo:
-                mask ^= 1 << i
-            term = max(outer, mu.values[mask])
-            if term < best:
-                best = term
-    return best
+    """Reduced min-max form over proper subsets of cardinality >= n - q."""
+    return _reduced(mu, x, q, SystemKind.MIN_MAX)
 
 
 def sugeno_qmin(mu: Capacity, x: Sequence[float], q: int) -> float:

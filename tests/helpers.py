@@ -20,12 +20,9 @@ from caplearn import (
     Scale,
     SystemKind,
     TrainingSet,
-    cross_gap_maxmin,
-    cross_gap_minmax,
     sugeno_maxmin,
 )
 from caplearn.capacity import _check_q
-from caplearn.chebyshev import _pos
 from caplearn.subsets import (
     add_one_bit,
     cardinality,
@@ -84,6 +81,24 @@ def random_system(
     )
     rhs = tuple(rng.choice(levels) for _ in range(n_rows))
     return RelationalSystem(kind, matrix, rhs, tuple(range(n_cols)), Scale.unit_interval())
+
+
+def _pos(x: float) -> float:
+    return x if x > 0.0 else 0.0
+
+
+def cross_gap_maxmin(target_i: float, entry_l: float, target_l: float) -> float:
+    """How far row l's equation can push target i upward, for max-min systems.
+
+    Half the gap between the two targets, capped by row l's overshoot above
+    its own target (an entry below target l exerts no pressure).
+    """
+    return min(_pos(target_i - target_l) / 2.0, _pos(entry_l - target_l))
+
+
+def cross_gap_minmax(target_i: float, entry_l: float, target_l: float) -> float:
+    """Dual cross term: downward pressure on target i in a min-max system."""
+    return min(_pos(target_l - target_i) / 2.0, _pos(target_l - entry_l))
 
 
 def chebyshev_distance_reference(sys: RelationalSystem) -> DistanceReport:
@@ -166,36 +181,44 @@ def min_over_large_supersets_reference(values, n: int, q: int) -> list[float]:
     return out
 
 
-def qmax_capacity_from_solution_reference(solved, n: int, q: int, scale: Scale) -> Capacity:
+def build_system_reference(ts: TrainingSet, kind: SystemKind, q: int | None = None):
+    if kind is SystemKind.MAX_MIN:
+        return build_maxmin_system_reference(ts, q)
+    return build_minmax_system_reference(ts, q)
+
+
+def extend_layer_reference(values, n: int, q: int, kind: SystemKind) -> list[float]:
+    if kind is SystemKind.MAX_MIN:
+        return max_over_small_subsets_reference(values, n, q)
+    return min_over_large_supersets_reference(values, n, q)
+
+
+def capacity_from_solution_reference(
+    solved, n: int, q: int, scale: Scale, kind: SystemKind
+) -> Capacity:
+    """The q-maxitive table with 0 on every unsolved set, or the q-minitive
+    one with 0 there and 1 on the full set, extended by the recursions."""
     table = [0.0] * (1 << n)
+    if kind is SystemKind.MIN_MAX:
+        table[-1] = 1.0
     for mask, v in solved.items():
         table[mask] = v
-    return Capacity(n, scale, tuple(max_over_small_subsets_reference(table, n, q)))
+    return Capacity(n, scale, tuple(extend_layer_reference(table, n, q, kind)))
 
 
-def qmin_capacity_from_solution_reference(solved, n: int, q: int, scale: Scale) -> Capacity:
-    table = [0.0] * (1 << n)
-    table[-1] = 1.0
-    for mask, v in solved.items():
-        table[mask] = v
-    return Capacity(n, scale, tuple(min_over_large_supersets_reference(table, n, q)))
-
-
-def residuals_reference(mu: Capacity, ts: TrainingSet, *_reduced) -> tuple[float, ...]:
-    """Full max-min integral minus target, whatever reduced form is offered."""
+def residuals_reference(mu: Capacity, ts: TrainingSet, *_produced) -> tuple[float, ...]:
+    """Full max-min integral minus target, whatever system product is offered."""
     return tuple(sugeno_maxmin(mu, item.x) - item.alpha for item in ts.items)
 
 
 @contextmanager
 def reference_learning():
-    """Run caplearn's learners on the reference builds, extensions and
+    """Run caplearn's learner on the reference builds, extensions and
     residuals above, so whole reports can be compared with the fast path."""
     with mock.patch.multiple(
         caplearn.learning,
-        build_maxmin_system=build_maxmin_system_reference,
-        build_minmax_system=build_minmax_system_reference,
-        qmax_capacity_from_solution=qmax_capacity_from_solution_reference,
-        qmin_capacity_from_solution=qmin_capacity_from_solution_reference,
+        build_system=build_system_reference,
+        capacity_from_solution=capacity_from_solution_reference,
         _residuals=residuals_reference,
     ):
         yield

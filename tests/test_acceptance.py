@@ -13,11 +13,12 @@ import pytest
 
 from caplearn import (
     GridSpec,
+    LearnMode,
     RelationalSystem,
     SystemKind,
     TrainingSet,
-    build_maxmin_system,
-    build_minmax_system,
+    apply_system,
+    build_system,
     chebyshev_distance,
     enumerate_capacities,
     enumerate_solutions,
@@ -25,21 +26,14 @@ from caplearn import (
     is_consistent,
     is_q_maxitive,
     is_q_minitive,
-    learn_greatest,
-    learn_lowest,
-    learn_qmax_approx,
-    learn_qmin_approx,
-    maxmin_apply,
+    learn,
     min_learning_error,
-    minmax_apply,
-    potential_greatest,
-    potential_lowest,
+    potential_solution,
     sugeno_maxmin,
     sugeno_minmax,
-    sugeno_qmax_unchecked,
-    sugeno_qmin_unchecked,
 )
 from caplearn.subsets import add_one_bit, full_mask
+from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 from helpers import (
     CHAIN21,
@@ -81,7 +75,7 @@ def criterion(name: str, budget: float):
 def test_criterion_1_reference_dataset_exact():
     with criterion("1 reference dataset reproduced exactly", 1.0):
         ts = reference_training_set()
-        sys_ = build_maxmin_system(ts, 3)
+        sys_ = build_system(ts, SystemKind.MAX_MIN, 3)
         order = by_cardinality(sys_.column_labels)
         reordered = [
             [row[sys_.column_labels.index(m)] for m in order] for row in sys_.matrix
@@ -91,11 +85,11 @@ def test_criterion_1_reference_dataset_exact():
             [0.5, 0.25, 0.3, 0.25, 0.3, 0.25, 0.25],
             [0.4, 0.7, 0.35, 0.4, 0.35, 0.35, 0.35],
         ]
-        e = potential_greatest(sys_)
+        e = potential_solution(sys_)
         assert [e.value_of(m) for m in order] == [0.3, 0.4, 0.2, 1.0, 1.0, 1.0, 1.0]
         assert is_consistent(sys_)
         assert e.value_of(full_mask(3)) == 1.0
-        report = learn_greatest(ts)
+        report = learn(ts, LearnMode.GREATEST)
         mu_e = report.capacity
         assert mu_e.values == MU_E_VALUES
         for item in ts.items:
@@ -135,22 +129,22 @@ def test_criterion_3_extremal_solutions_dominate_grid():
             base = random_system(rng, SystemKind.MAX_MIN, n_rows, n_cols, FIVE_LEVELS)
             seed_vec = tuple(rng.choice(FIVE_LEVELS) for _ in range(n_cols))
             sys_ = RelationalSystem(
-                SystemKind.MAX_MIN, base.matrix, maxmin_apply(base, seed_vec),
+                SystemKind.MAX_MIN, base.matrix, apply_system(base, seed_vec),
                 base.column_labels, base.scale,
             )
-            e = potential_greatest(sys_)
-            assert maxmin_apply(sys_, e.values) == sys_.rhs
+            e = potential_solution(sys_)
+            assert apply_system(sys_, e.values) == sys_.rhs
             for sol in enumerate_solutions(sys_, spec):
                 assert all(v <= ev for v, ev in zip(sol.values, e.values))
 
             base = random_system(rng, SystemKind.MIN_MAX, n_rows, n_cols, FIVE_LEVELS)
             seed_vec = tuple(rng.choice(FIVE_LEVELS) for _ in range(n_cols))
             dual = RelationalSystem(
-                SystemKind.MIN_MAX, base.matrix, minmax_apply(base, seed_vec),
+                SystemKind.MIN_MAX, base.matrix, apply_system(base, seed_vec),
                 base.column_labels, base.scale,
             )
-            f = potential_lowest(dual)
-            assert minmax_apply(dual, f.values) == dual.rhs
+            f = potential_solution(dual)
+            assert apply_system(dual, f.values) == dual.rhs
             for sol in enumerate_solutions(dual, spec):
                 assert all(v >= fv for v, fv in zip(sol.values, f.values))
 
@@ -161,8 +155,8 @@ def test_criterion_4_round_trip_sandwich():
         for _ in range(200):
             n = rng.randint(1, 4)
             ts, mu = representable_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            hi = learn_greatest(ts)
-            lo = learn_lowest(ts)
+            hi = learn(ts, LearnMode.GREATEST)
+            lo = learn(ts, LearnMode.LOWEST)
             assert hi.capacity is not None and lo.capacity is not None
             assert capacity_leq(lo.capacity, mu) and capacity_leq(mu, hi.capacity)
             assert hi.residuals == (0.0,) * len(ts.items)
@@ -195,7 +189,7 @@ def test_criterion_6_approx_residuals_attain_distance():
             q = rng.randint(1, n)
             ts = random_training_set(rng, n, rng.randint(2, 5), GRID)
             if checked_max < 100:
-                hi = learn_qmax_approx(ts, q)
+                hi = learn(ts, LearnMode.QMAX_APPROX, q)
                 if hi.capacity is not None:
                     assert max(abs(r) for r in hi.residuals) == pytest.approx(
                         hi.distance, abs=TOL
@@ -203,7 +197,7 @@ def test_criterion_6_approx_residuals_attain_distance():
                     checked_max += 1
                     inconsistent_max += hi.distance > 0.0
             if checked_min < 100:
-                lo = learn_qmin_approx(ts, q)
+                lo = learn(ts, LearnMode.QMIN_APPROX, q)
                 if lo.capacity is not None:
                     assert max(abs(r) for r in lo.residuals) == pytest.approx(
                         lo.distance, abs=TOL
@@ -235,8 +229,8 @@ def test_criterion_7_approx_capacities_extremal_on_grid():
                     for _ in range(rng.randint(2, 4))
                 ],
             )
-            hi = learn_qmax_approx(ts, 1)
-            lo = learn_qmin_approx(ts, 1)
+            hi = learn(ts, LearnMode.QMAX_APPROX, 1)
+            lo = learn(ts, LearnMode.QMIN_APPROX, 1)
             if hi.capacity is None or lo.capacity is None:
                 continue
 
@@ -271,8 +265,8 @@ def test_criterion_8_monotone_vectors_and_closed_forms():
         for _ in range(500):
             n = rng.randint(2, 4)
             ts = random_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            e = potential_greatest(build_maxmin_system(ts)).as_dict()
-            f = potential_lowest(build_minmax_system(ts)).as_dict()
+            e = potential_solution(build_system(ts, SystemKind.MAX_MIN)).as_dict()
+            f = potential_solution(build_system(ts, SystemKind.MIN_MAX)).as_dict()
             for mask in range(1, 1 << n):
                 for sup in add_one_bit(mask, n):
                     assert e[mask] <= e[sup]
@@ -291,11 +285,11 @@ def test_criterion_9_distance_monotone_in_cardinality_bound():
             n = rng.randint(2, 4)
             ts = random_training_set(rng, n, rng.randint(2, 5), GRID)
             deltas = [
-                chebyshev_distance(build_maxmin_system(ts, q)).distance
+                chebyshev_distance(build_system(ts, SystemKind.MAX_MIN, q)).distance
                 for q in range(1, n + 1)
             ]
             nablas = [
-                chebyshev_distance(build_minmax_system(ts, q)).distance
+                chebyshev_distance(build_system(ts, SystemKind.MIN_MAX, q)).distance
                 for q in range(1, n + 1)
             ]
             for small, large in zip(deltas, deltas[1:]):
@@ -310,7 +304,7 @@ def test_criterion_10_distance_scales_to_large_N():
         # distinct unit-interval values leave few tied targets for the sweep
         levels = [rng.random() for _ in range(1000)]
         ts = random_training_set(rng, 10, 800, levels)
-        for sys_ in (build_maxmin_system(ts, 3), build_minmax_system(ts, 3)):
+        for sys_ in (build_system(ts, kind, 3) for kind in SystemKind):
             assert sys_.n_cols == 175
             report = chebyshev_distance(sys_)
             assert report.distance == max(report.per_row) > 0.0
@@ -320,8 +314,8 @@ def test_criterion_11_qmode_learning_scales_to_n18():
     with criterion("11 approximate q-mode learning at n=18, q=2, N=50", 5.0):
         rng = random.Random(211)
         ts = random_training_set(rng, 18, 50, CHAIN21.levels)
-        hi = learn_qmax_approx(ts, 2)
-        lo = learn_qmin_approx(ts, 2)
+        hi = learn(ts, LearnMode.QMAX_APPROX, 2)
+        lo = learn(ts, LearnMode.QMIN_APPROX, 2)
         for report, in_class in ((hi, is_q_maxitive), (lo, is_q_minitive)):
             assert report.distance > 0.0
             assert len(report.capacity.values) == 1 << 18

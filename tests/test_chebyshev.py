@@ -9,25 +9,20 @@ from caplearn import (
     Scale,
     SystemKind,
     TrainingSet,
-    build_maxmin_system,
-    build_minmax_system,
+    apply_system,
+    approx_solution,
+    build_system,
     chebyshev_distance,
-    cross_gap_maxmin,
-    cross_gap_minmax,
-    greatest_approx_solution,
     is_consistent,
-    lower_bound_rhs,
-    lowest_approx_solution,
-    maxmin_apply,
-    minmax_apply,
-    potential_greatest,
-    potential_lowest,
-    upper_bound_rhs,
+    potential_solution,
+    relaxed_rhs,
 )
 
 from helpers import (
     CHAIN21,
     chebyshev_distance_reference,
+    cross_gap_maxmin,
+    cross_gap_minmax,
     random_system,
     reference_training_set,
 )
@@ -69,8 +64,8 @@ def learning_systems(draw):
         st.lists(st.tuples(st.tuples(*[value] * n), value), min_size=1, max_size=10)
     )
     ts = TrainingSet.from_pairs(n, UNIT, pairs)
-    build = draw(st.sampled_from([build_maxmin_system, build_minmax_system]))
-    return build(ts, draw(st.integers(1, n)))
+    kind = draw(st.sampled_from(SystemKind))
+    return build_system(ts, kind, draw(st.integers(1, n)))
 
 
 def one_row(kind, entries, b):
@@ -97,8 +92,8 @@ class TestCrossTerms:
 class TestDistance:
     def test_consistent_reference_systems_have_zero_distance(self):
         ts = reference_training_set()
-        assert chebyshev_distance(build_maxmin_system(ts)).distance == 0.0
-        assert chebyshev_distance(build_minmax_system(ts)).distance == 0.0
+        assert chebyshev_distance(build_system(ts, SystemKind.MAX_MIN)).distance == 0.0
+        assert chebyshev_distance(build_system(ts, SystemKind.MIN_MAX)).distance == 0.0
 
     def test_single_cell_shortfall(self):
         report = chebyshev_distance(one_row(SystemKind.MAX_MIN, [0.5], 0.8))
@@ -169,19 +164,19 @@ class TestSweepMatchesClosedForm:
 class TestBoundVectors:
     def test_zero_distance_keeps_rhs(self):
         rhs = (0.2, 0.3, 0.4)
-        assert upper_bound_rhs(rhs, 0.0) == rhs
-        assert lower_bound_rhs(rhs, 0.0) == rhs
+        assert relaxed_rhs(rhs, 0.0, SystemKind.MAX_MIN) == rhs
+        assert relaxed_rhs(rhs, 0.0, SystemKind.MIN_MAX) == rhs
 
     def test_clamping(self):
-        assert upper_bound_rhs((0.9,), 0.3) == (1.0,)
-        assert lower_bound_rhs((0.1,), 0.3) == (0.0,)
+        assert relaxed_rhs((0.9,), 0.3, SystemKind.MAX_MIN) == (1.0,)
+        assert relaxed_rhs((0.1,), 0.3, SystemKind.MIN_MAX) == (0.0,)
 
     def test_plain_shift(self):
-        assert upper_bound_rhs((0.2, 0.5), 0.1) == (
+        assert relaxed_rhs((0.2, 0.5), 0.1, SystemKind.MAX_MIN) == (
             pytest.approx(0.3, abs=1e-12),
             pytest.approx(0.6, abs=1e-12),
         )
-        assert lower_bound_rhs((0.5, 0.8), 0.2) == (
+        assert relaxed_rhs((0.5, 0.8), 0.2, SystemKind.MIN_MAX) == (
             pytest.approx(0.3, abs=1e-12),
             pytest.approx(0.6, abs=1e-12),
         )
@@ -190,21 +185,16 @@ class TestBoundVectors:
 class TestApproxSolutions:
     def test_consistent_system_recovers_exact_solution(self):
         ts = reference_training_set()
-        sys_ = build_maxmin_system(ts)
-        assert greatest_approx_solution(sys_).values == potential_greatest(sys_).values
-        dual = build_minmax_system(ts)
-        assert lowest_approx_solution(dual).values == potential_lowest(dual).values
+        sys_ = build_system(ts, SystemKind.MAX_MIN)
+        assert approx_solution(sys_).values == potential_solution(sys_).values
+        dual = build_system(ts, SystemKind.MIN_MAX)
+        assert approx_solution(dual).values == potential_solution(dual).values
 
     def test_single_cell_examples(self):
         sys_ = one_row(SystemKind.MAX_MIN, [0.5], 0.8)
-        assert greatest_approx_solution(sys_).values == (1.0,)
+        assert approx_solution(sys_).values == (1.0,)
         dual = one_row(SystemKind.MIN_MAX, [0.5], 0.2)
-        assert lowest_approx_solution(dual).values == (0.0,)
-
-    def test_kind_checked(self):
-        sys_ = one_row(SystemKind.MAX_MIN, [0.5], 0.8)
-        with pytest.raises(Exception):
-            lowest_approx_solution(sys_)
+        assert approx_solution(dual).values == (0.0,)
 
     def test_residual_norm_equals_distance(self):
         # the defining quality of the Chebyshev approximation
@@ -213,12 +203,8 @@ class TestApproxSolutions:
             kind = rng.choice([SystemKind.MAX_MIN, SystemKind.MIN_MAX])
             sys_ = random_system(rng, kind, rng.randint(1, 4), rng.randint(1, 5), CHAIN21.levels)
             report = chebyshev_distance(sys_)
-            if kind is SystemKind.MAX_MIN:
-                sol = greatest_approx_solution(sys_, report.distance)
-                out = maxmin_apply(sys_, sol.values)
-            else:
-                sol = lowest_approx_solution(sys_, report.distance)
-                out = minmax_apply(sys_, sol.values)
+            sol = approx_solution(sys_, report.distance)
+            out = apply_system(sys_, sol.values)
             residual = max(abs(a - b) for a, b in zip(out, sys_.rhs))
             assert residual == pytest.approx(report.distance, abs=1e-9)
 
@@ -226,8 +212,8 @@ class TestApproxSolutions:
         rng = random.Random(44)
         for _ in range(60):
             sys_ = random_system(rng, SystemKind.MAX_MIN, 3, 4, CHAIN21.levels)
-            eta = greatest_approx_solution(sys_)
-            reached = maxmin_apply(sys_, eta.values)
+            eta = approx_solution(sys_)
+            reached = apply_system(sys_, eta.values)
             again = RelationalSystem(
                 SystemKind.MAX_MIN, sys_.matrix, reached, sys_.column_labels, UNIT
             )

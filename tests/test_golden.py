@@ -3,9 +3,10 @@
 The inputs live in ``tests/golden``: the paper's three-criteria set (as
 chain JSON and as CSV), consistent and noisy sets on the 21-level chain and
 on [0, 1], a non-symmetric chain, an n = 1 and an N = 1 set, a tiny set for
-the oracle, one system of each kind and three capacity files.  None holds a
-negative zero.  ``golden/expected.json`` stores each command's exit code and
-canonical stdout.  After a deliberate output change, rewrite it with
+the oracle, a consistent and an inconsistent system of each kind and three
+capacity files.  None holds a negative zero.  ``golden/expected.json``
+stores each command's exit code and canonical stdout.  After a deliberate
+output change, rewrite it with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -96,6 +97,10 @@ def _cases() -> dict[str, list[str]]:
                                      "--grid-step", "0.25"],
             "oracle system minmax": ["oracle", "--data", "system_minmax.json",
                                      "--grid-step", "0.25"],
+            "oracle consistent maxmin": ["oracle", "--data", "consistent_maxmin.json",
+                                         "--grid-step", "0.25"],
+            "oracle consistent minmax": ["oracle", "--data", "consistent_minmax.json",
+                                         "--grid-step", "0.25"],
             "oracle budget": ["oracle", "--data", "paper.json", "--q", "3", "--budget", "10"],
         }
     )

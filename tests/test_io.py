@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from caplearn import FormatError, Scale, SystemKind, learn_greatest
+from caplearn import FormatError, LearnMode, Scale, SystemKind, build_system, learn
 from caplearn.io import (
     capacity_from_json,
     capacity_to_json,
@@ -79,9 +79,7 @@ class TestCapacityJson:
 
 class TestSystemJson:
     def test_round_trip(self, tmp_path, ref_ts):
-        from caplearn import build_maxmin_system
-
-        sys_ = build_maxmin_system(ref_ts, 2)
+        sys_ = build_system(ref_ts, SystemKind.MAX_MIN, 2)
         path = tmp_path / "sys.json"
         save_system(sys_, path)
         back = load_system(path)
@@ -179,7 +177,7 @@ class TestTrainingData:
 
 class TestReportJson:
     def test_success_report_shape(self, ref_ts):
-        payload = report_to_json(learn_greatest(ref_ts))
+        payload = report_to_json(learn(ref_ts, LearnMode.GREATEST))
         assert payload["mode"] == "greatest"
         assert payload["consistent"] is True
         assert payload["capacity"]["values"] == list(MU_E_VALUES)
@@ -188,9 +186,7 @@ class TestReportJson:
 
     def test_failure_report_shape(self):
         ts = training_set_from_csv_text("x1,x2,alpha\n0.5,0.6,0.7\n")
-        from caplearn import learn_lowest
-
-        payload = report_to_json(learn_lowest(ts))
+        payload = report_to_json(learn(ts, LearnMode.LOWEST))
         assert payload["capacity"] is None
         assert payload["boundary_ok"] is False
         assert payload["notes"]

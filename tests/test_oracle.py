@@ -7,12 +7,13 @@ from caplearn import (
     BudgetError,
     DomainError,
     GridSpec,
-    learn_greatest,
-    learn_qmax,
-    learn_qmin,
+    LearnMode,
+    RelationalSystem,
     Scale,
     SystemKind,
-    build_maxmin_system,
+    TrainingSet,
+    apply_system,
+    build_system,
     chebyshev_distance,
     enumerate_capacities,
     enumerate_solutions,
@@ -20,13 +21,10 @@ from caplearn import (
     is_capacity,
     is_q_maxitive,
     is_q_minitive,
-    maxmin_apply,
+    learn,
     min_learning_error,
-    potential_greatest,
-    potential_lowest,
+    potential_solution,
     sugeno_maxmin,
-    RelationalSystem,
-    TrainingSet,
 )
 
 from helpers import (
@@ -99,11 +97,11 @@ class TestEnumerateSolutions:
         rng = random.Random(61)
         for _ in range(30):
             sys_ = random_system(rng, SystemKind.MAX_MIN, 2, 3, FIVE_LEVELS)
-            rhs = maxmin_apply(sys_, tuple(rng.choice(FIVE_LEVELS) for _ in range(3)))
+            rhs = apply_system(sys_, tuple(rng.choice(FIVE_LEVELS) for _ in range(3)))
             sys_ = RelationalSystem(
                 SystemKind.MAX_MIN, sys_.matrix, rhs, sys_.column_labels, sys_.scale
             )
-            e = potential_greatest(sys_)
+            e = potential_solution(sys_)
             sols = list(enumerate_solutions(sys_, GridSpec(FIVE_LEVELS, 1)))
             assert any(s.values == e.values for s in sols)
             assert all(
@@ -121,7 +119,7 @@ class TestEnumerateSolutions:
             sys_ = RelationalSystem(
                 SystemKind.MIN_MAX, sys_.matrix, rhs, sys_.column_labels, sys_.scale
             )
-            f = potential_lowest(sys_)
+            f = potential_solution(sys_)
             sols = list(enumerate_solutions(sys_, GridSpec(FIVE_LEVELS, 1)))
             assert any(s.values == f.values for s in sols)
             assert all(
@@ -144,7 +142,7 @@ class TestEnumerateSolutions:
 class TestGridChebyshev:
     def test_consistent_rhs_gives_zero(self):
         ts = reference_training_set()
-        sys_ = build_maxmin_system(ts)
+        sys_ = build_system(ts, SystemKind.MAX_MIN)
         levels = tuple(i / 20 for i in range(21))
         assert grid_chebyshev(sys_, GridSpec(levels, 1)) == 0.0
 
@@ -184,8 +182,6 @@ class TestMinLearningError:
     def test_error_brackets_formula_distance(self):
         # the exhaustive error never beats the formula; it matches it to one
         # grid step whenever the approximate-solution hypothesis holds
-        from caplearn import learn_qmax_approx
-
         rng = random.Random(66)
         levels = FIVE_LEVELS
         bracketed = 0
@@ -198,10 +194,10 @@ class TestMinLearningError:
                     for _ in range(3)
                 ],
             )
-            formula = chebyshev_distance(build_maxmin_system(ts, 1)).distance
+            formula = chebyshev_distance(build_system(ts, SystemKind.MAX_MIN, 1)).distance
             err, _ = min_learning_error(ts, GridSpec(levels, 2, q_mode="qmax", q=1))
             assert err >= formula - 1e-9
-            if learn_qmax_approx(ts, 1).boundary_ok:
+            if learn(ts, LearnMode.QMAX_APPROX, 1).boundary_ok:
                 assert err <= formula + 0.25 + 1e-9  # one grid step on this grid
                 bracketed += 1
         assert bracketed >= 3
@@ -228,7 +224,7 @@ class TestRepresentabilityNecessity:
                 break
             ts = random_training_set(rng, 2, rng.randint(2, 4), FIVE_LEVELS)
             q = rng.randint(1, 2)
-            if learn_qmax(ts, q).capacity is not None:
+            if learn(ts, LearnMode.QMAX, q).capacity is not None:
                 continue
             candidates = tuple(sorted({0.0, 1.0} | set(ts.targets())))
             spec = GridSpec(candidates, 2, q_mode="qmax", q=q)
@@ -247,7 +243,7 @@ class TestRepresentabilityNecessity:
                 break
             ts = random_training_set(rng, 2, rng.randint(2, 4), FIVE_LEVELS)
             q = rng.randint(1, 2)
-            if learn_qmin(ts, q).capacity is not None:
+            if learn(ts, LearnMode.QMIN, q).capacity is not None:
                 continue
             candidates = tuple(sorted({0.0, 1.0} | set(ts.targets())))
             spec = GridSpec(candidates, 2, q_mode="qmin", q=q)
@@ -266,7 +262,7 @@ class TestRepresentabilityNecessity:
                 break
             n = rng.choice((2, 3))
             ts = random_training_set(rng, n, rng.randint(2, 4), FIVE_LEVELS)
-            if learn_greatest(ts).capacity is not None:
+            if learn(ts, LearnMode.GREATEST).capacity is not None:
                 continue
             candidates = tuple(sorted({0.0, 1.0} | set(ts.targets())))
             for mu in enumerate_capacities(GridSpec(candidates, n)):

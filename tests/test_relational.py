@@ -9,16 +9,12 @@ from caplearn import (
     RelationalSystem,
     Scale,
     SystemKind,
-    build_maxmin_system,
-    build_minmax_system,
-    eps_prod,
-    godel_imp,
+    apply_system,
+    build_system,
     is_consistent,
-    maxmin_apply,
-    minmax_apply,
-    potential_greatest,
-    potential_lowest,
+    potential_solution,
 )
+from caplearn.relational import eps_prod, godel_imp
 
 from helpers import FIVE_LEVELS, by_cardinality, random_system, reference_training_set
 
@@ -60,73 +56,64 @@ class TestConnectives:
 class TestApply:
     def test_maxmin_identity_column(self):
         sys_ = one_row(SystemKind.MAX_MIN, [1.0], 0.4)
-        assert maxmin_apply(sys_, (0.4,)) == (0.4,)
+        assert apply_system(sys_, (0.4,)) == (0.4,)
 
     def test_minmax_identity_column(self):
         sys_ = one_row(SystemKind.MIN_MAX, [0.0], 0.4)
-        assert minmax_apply(sys_, (0.4,)) == (0.4,)
+        assert apply_system(sys_, (0.4,)) == (0.4,)
 
     def test_reference_system_maps_solution_to_targets(self):
         ts = reference_training_set()
-        sys_ = build_maxmin_system(ts)
-        e = potential_greatest(sys_)
-        assert maxmin_apply(sys_, e.values) == (0.2, 0.3, 0.4)
-        dual = build_minmax_system(ts)
-        f = potential_lowest(dual)
-        assert minmax_apply(dual, f.values) == (0.2, 0.3, 0.4)
+        sys_ = build_system(ts, SystemKind.MAX_MIN)
+        e = potential_solution(sys_)
+        assert apply_system(sys_, e.values) == (0.2, 0.3, 0.4)
+        dual = build_system(ts, SystemKind.MIN_MAX)
+        f = potential_solution(dual)
+        assert apply_system(dual, f.values) == (0.2, 0.3, 0.4)
 
     def test_absorbing_vectors(self):
         rng = random.Random(31)
         for _ in range(30):
             sys_ = random_system(rng, SystemKind.MAX_MIN, 3, 4, FIVE_LEVELS)
-            assert maxmin_apply(sys_, (0.0,) * 4) == (0.0,) * 3
+            assert apply_system(sys_, (0.0,) * 4) == (0.0,) * 3
             dual = random_system(rng, SystemKind.MIN_MAX, 3, 4, FIVE_LEVELS)
-            assert minmax_apply(dual, (1.0,) * 4) == (1.0,) * 3
+            assert apply_system(dual, (1.0,) * 4) == (1.0,) * 3
 
     def test_kind_and_dimension_checked(self):
         sys_ = one_row(SystemKind.MAX_MIN, [0.5, 0.5], 0.4)
         with pytest.raises(DomainError):
-            minmax_apply(sys_, (0.1, 0.2))
-        with pytest.raises(DomainError):
-            maxmin_apply(sys_, (0.1,))
+            apply_system(sys_, (0.1,))
 
 
 class TestPotentialVectors:
     def test_reference_greatest_solution(self):
         ts = reference_training_set()
-        e = potential_greatest(build_maxmin_system(ts))
+        e = potential_solution(build_system(ts, SystemKind.MAX_MIN))
         ordered = [e.value_of(m) for m in by_cardinality(e.labels)]
         assert ordered == [0.3, 0.4, 0.2, 1.0, 1.0, 1.0, 1.0]
 
     def test_reference_lowest_solution(self):
         ts = reference_training_set()
-        f = potential_lowest(build_minmax_system(ts))
+        f = potential_solution(build_system(ts, SystemKind.MIN_MAX))
         ordered = [f.value_of(m) for m in by_cardinality(f.labels)]
         assert ordered == [0.0, 0.0, 0.0, 0.0, 0.4, 0.3, 0.2]
 
     def test_single_equation_branches(self):
-        assert potential_greatest(one_row(SystemKind.MAX_MIN, [0.3], 0.7)).values == (1.0,)
-        assert potential_greatest(
+        assert potential_solution(one_row(SystemKind.MAX_MIN, [0.3], 0.7)).values == (1.0,)
+        assert potential_solution(
             one_row(SystemKind.MAX_MIN, [0.9, 0.4], 0.5)
         ).values == (0.5, 1.0)
-        assert potential_lowest(one_row(SystemKind.MIN_MAX, [0.7], 0.3)).values == (0.0,)
-        assert potential_lowest(
+        assert potential_solution(one_row(SystemKind.MIN_MAX, [0.7], 0.3)).values == (0.0,)
+        assert potential_solution(
             one_row(SystemKind.MIN_MAX, [0.2, 0.9], 0.5)
         ).values == (0.5, 0.0)
-
-    def test_kind_checked(self):
-        sys_ = one_row(SystemKind.MIN_MAX, [0.5], 0.4)
-        with pytest.raises(DomainError):
-            potential_greatest(sys_)
-        with pytest.raises(DomainError):
-            potential_lowest(one_row(SystemKind.MAX_MIN, [0.5], 0.4))
 
     def test_matrix_growth_never_raises_greatest_solution(self):
         # the solved vector depends antitonely on matrix entries
         rng = random.Random(32)
         for _ in range(50):
             sys_ = random_system(rng, SystemKind.MAX_MIN, 3, 4, FIVE_LEVELS)
-            e = potential_greatest(sys_).values
+            e = potential_solution(sys_).values
             k = rng.randrange(3)
             j = rng.randrange(4)
             bumped = [list(row) for row in sys_.matrix]
@@ -138,14 +125,14 @@ class TestPotentialVectors:
                 sys_.column_labels,
                 sys_.scale,
             )
-            e_up = potential_greatest(sys_up).values
+            e_up = potential_solution(sys_up).values
             assert all(b <= a for a, b in zip(e, e_up))
 
     def test_matrix_growth_never_raises_lowest_solution(self):
         rng = random.Random(33)
         for _ in range(50):
             sys_ = random_system(rng, SystemKind.MIN_MAX, 3, 4, FIVE_LEVELS)
-            f = potential_lowest(sys_).values
+            f = potential_solution(sys_).values
             k = rng.randrange(3)
             j = rng.randrange(4)
             bumped = [list(row) for row in sys_.matrix]
@@ -157,15 +144,15 @@ class TestPotentialVectors:
                 sys_.column_labels,
                 sys_.scale,
             )
-            f_up = potential_lowest(sys_up).values
+            f_up = potential_solution(sys_up).values
             assert all(b <= a for a, b in zip(f, f_up))
 
 
 class TestConsistency:
     def test_reference_system_is_consistent(self):
         ts = reference_training_set()
-        assert is_consistent(build_maxmin_system(ts))
-        assert is_consistent(build_minmax_system(ts))
+        assert is_consistent(build_system(ts, SystemKind.MAX_MIN))
+        assert is_consistent(build_system(ts, SystemKind.MIN_MAX))
 
     def test_unreachable_target(self):
         assert not is_consistent(one_row(SystemKind.MAX_MIN, [0.5], 0.8))
@@ -177,19 +164,14 @@ class TestConsistency:
             kind = rng.choice([SystemKind.MAX_MIN, SystemKind.MIN_MAX])
             sys_ = random_system(rng, kind, rng.randint(1, 3), rng.randint(1, 4), FIVE_LEVELS)
             v = tuple(rng.choice(FIVE_LEVELS) for _ in range(sys_.n_cols))
-            apply_ = maxmin_apply if kind is SystemKind.MAX_MIN else minmax_apply
-            produced = apply_(sys_, v)
+            produced = apply_system(sys_, v)
             consistent_sys = RelationalSystem(
                 kind, sys_.matrix, produced, sys_.column_labels, sys_.scale
             )
             assert is_consistent(consistent_sys)
             # and the extremal vector reproduces the rhs exactly
-            if kind is SystemKind.MAX_MIN:
-                e = potential_greatest(consistent_sys)
-                assert maxmin_apply(consistent_sys, e.values) == produced
-            else:
-                f = potential_lowest(consistent_sys)
-                assert minmax_apply(consistent_sys, f.values) == produced
+            e = potential_solution(consistent_sys)
+            assert apply_system(consistent_sys, e.values) == produced
 
 
 class TestConstruction:

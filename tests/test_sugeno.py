@@ -1,21 +1,24 @@
+import json
 import random
 
 import pytest
 
 from caplearn import (
+    Capacity,
     DomainError,
+    LearnMode,
     Scale,
     is_q_maxitive,
     is_q_minitive,
-    learn_qmax,
-    learn_qmin,
+    learn,
     sugeno_maxmin,
     sugeno_minmax,
     sugeno_qmax,
-    sugeno_qmax_unchecked,
     sugeno_qmin,
-    sugeno_qmin_unchecked,
 )
+from caplearn.cli import main
+from caplearn.io import save_capacity
+from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 from helpers import (
     CHAIN21,
@@ -88,6 +91,33 @@ class TestBasicProperties:
             assert sugeno_maxmin(mu, x) <= sugeno_maxmin(mu, y)
 
 
+class TestSignedZero:
+    """Every form reports a zero result as mu's value on the empty set,
+    whichever zero the object's coordinates hold."""
+
+    @pytest.mark.parametrize("empty", [0.0, -0.0])
+    def test_forms_agree_by_repr(self, empty):
+        mu = Capacity(1, UNIT, (empty, 1.0))
+        x = (-0.0,)
+        forms = [
+            sugeno_maxmin(mu, x),
+            sugeno_minmax(mu, x),
+            sugeno_qmax(mu, x, 1),
+            sugeno_qmin(mu, x, 1),
+            sugeno_qmax_unchecked(mu, x, 1),
+            sugeno_qmin_unchecked(mu, x, 1),
+        ]
+        assert [repr(v) for v in forms] == [repr(empty)] * len(forms)
+
+    @pytest.mark.parametrize("empty", [0.0, -0.0])
+    def test_eval_prints_one_zero(self, empty, tmp_path, capsys):
+        path = tmp_path / "mu.json"
+        save_capacity(Capacity(1, UNIT, (empty, 1.0)), path)
+        assert main(["eval", "--capacity", str(path), "--object=-0.0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [repr(payload[k]) for k in ("maxmin", "minmax", "value")] == [repr(empty)] * 3
+
+
 class TestReducedForms:
     def test_q_equal_n_is_the_full_formula(self):
         rng = random.Random(26)
@@ -109,14 +139,14 @@ class TestReducedForms:
             n = rng.randint(2, 4)
             q = rng.randint(1, n)
             ts = random_training_set(rng, n, rng.randint(1, 4), FIVE_LEVELS)
-            report = learn_qmax(ts, q)
+            report = learn(ts, LearnMode.QMAX, q)
             if report.capacity is None:
                 continue
             mu = report.capacity
             for _ in range(5):
                 x = random_object(rng, n, FIVE_LEVELS)
                 assert sugeno_qmax(mu, x, q) == sugeno_maxmin(mu, x)
-            dual = learn_qmin(ts, q)
+            dual = learn(ts, LearnMode.QMIN, q)
             if dual.capacity is not None:
                 for _ in range(5):
                     x = random_object(rng, n, FIVE_LEVELS)

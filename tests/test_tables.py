@@ -21,20 +21,17 @@ from caplearn import (
     SystemKind,
     TrainingDatum,
     TrainingSet,
-    build_maxmin_system,
-    build_minmax_system,
+    build_system,
     learn,
-    sugeno_qmin_unchecked,
 )
-from caplearn.capacity import max_over_small_subsets, min_over_large_supersets
+from caplearn.capacity import extend_layer
 from caplearn.subsets import masks_of_sizes, subset_label
+from caplearn.sugeno import sugeno_qmin_unchecked
 
 from helpers import (
     CHAIN21,
-    build_maxmin_system_reference,
-    build_minmax_system_reference,
-    max_over_small_subsets_reference,
-    min_over_large_supersets_reference,
+    build_system_reference,
+    extend_layer_reference,
     reference_learning,
 )
 
@@ -91,12 +88,9 @@ EDGE_CASES = [
 class TestSystemsMatchReference:
     @staticmethod
     def check(ts, q):
-        for fast, slow in (
-            (build_maxmin_system, build_maxmin_system_reference),
-            (build_minmax_system, build_minmax_system_reference),
-        ):
-            assert repr(fast(ts, q)) == repr(slow(ts, q))
-            assert repr(fast(ts)) == repr(slow(ts))
+        for kind in SystemKind:
+            assert repr(build_system(ts, kind, q)) == repr(build_system_reference(ts, kind, q))
+            assert repr(build_system(ts, kind)) == repr(build_system_reference(ts, kind))
 
     @given(training_sets_with_q())
     def test_random_training_sets(self, ts_q):
@@ -113,12 +107,10 @@ class TestExtensionMatchesReference:
     @example(([-0.0, 0.0, -0.0, 0.0, 0.0, 1.0, -0.0, 0.0], 3, 1))
     def test_sweeps_match_covering_recursions(self, case):
         values, n, q = case
-        assert repr(max_over_small_subsets(values, n, q)) == repr(
-            max_over_small_subsets_reference(values, n, q)
-        )
-        assert repr(min_over_large_supersets(values, n, q)) == repr(
-            min_over_large_supersets_reference(values, n, q)
-        )
+        for kind in SystemKind:
+            assert repr(extend_layer(values, n, q, kind)) == repr(
+                extend_layer_reference(values, n, q, kind)
+            )
 
     def test_small_layers_are_found_without_a_scan(self):
         assert masks_of_sizes(4, (2,)) == [3, 5, 6, 9, 10, 12]
@@ -149,12 +141,12 @@ class TestLearnReportsMatchReference:
         self.check(ts, q)
 
     def test_reduced_residual_keeps_the_sign_of_zero(self):
-        # the reduced min-max form returns the coordinate -0.0 here, where
-        # the full max-min integral returns mu's 0.0 on the empty set
+        # the reduced min-max form's term is the coordinate -0.0 here; like
+        # the full max-min integral, it reports mu's 0.0 on the empty set
         ts = ts_of(1, [((-0.0,), 0.0)])
         for mode in (LearnMode.QMIN, LearnMode.QMIN_APPROX):
             report = learn(ts, mode, 1)
-            assert repr(sugeno_qmin_unchecked(report.capacity, (-0.0,), 1)) == "-0.0"
+            assert repr(sugeno_qmin_unchecked(report.capacity, (-0.0,), 1)) == "0.0"
             assert repr(report.residuals) == "(0.0,)"
         self.check(ts, 1)
 
