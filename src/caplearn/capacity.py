@@ -5,7 +5,8 @@ structural predicates (axioms, q-maxitivity, q-minitivity, conjugation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import DomainError
@@ -26,29 +27,37 @@ from .subsets import (
 class Capacity:
     """A set function on 2^C stored as a table indexed by subset mask.
 
-    Construction validates the shape and scale membership of every entry;
-    the capacity axioms (boundary values and monotonicity) are diagnosed
-    separately by :func:`capacity_violations` so that suspect tables can be
-    inspected rather than rejected outright.
+    Construction validates the shape and scale membership of every entry
+    (a bool or a string is not a member; ints become floats after the
+    check); the capacity axioms (boundary values and monotonicity) are
+    diagnosed separately by :func:`capacity_violations` so that suspect
+    tables can be inspected rather than rejected outright.
+
+    The q-checks remember their answer per (q, order) in ``_q_extension``,
+    which takes no part in ``==``, ``hash`` or ``repr``; the table is
+    immutable, so one sweep per q and order settles it.
     """
 
     n: int
     scale: Scale
     values: tuple[float, ...]
+    _q_extension: dict[tuple[int, SystemKind], bool] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         check_criteria_count(self.n)
         size = 1 << self.n
-        if len(self.values) != size:
+        values = tuple(self.values)
+        if len(values) != size:
             raise DomainError(
-                f"capacity on {self.n} criteria needs {size} values, got {len(self.values)}"
+                f"capacity on {self.n} criteria needs {size} values, got {len(values)}"
             )
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        if self.scale.contains_all(self.values):
-            return
-        # some value is off-scale: find the first one and name its subset
-        for mask, v in enumerate(self.values):
-            self.scale.require(v, f"value of {subset_label(mask)}")
+        if not self.scale.contains_all(values):
+            # some value is off-scale: find the first one and name its subset
+            for mask, v in enumerate(values):
+                self.scale.require(v, f"value of {subset_label(mask)}")
+        object.__setattr__(self, "values", tuple(map(float, values)))
 
     def __getitem__(self, mask: int) -> float:
         return self.values[check_mask(mask, self.n)]
@@ -74,13 +83,26 @@ def capacity_violations(
     Monotonicity is checked on covering pairs (A, A + {i}) only, which is
     sufficient and keeps the scan at n * 2^(n-1) comparisons.  Every
     violation is reported, not just the first, so callers can show a full
-    diagnostic.
+    diagnostic.  A clean table is proved clean in bulk (one membership
+    pass, then one comparison map per bit slice); only a table with some
+    violation is scanned pair by pair to list them.
     """
     check_criteria_count(n)
     size = 1 << n
     out: list[str] = []
     if len(values) != size:
         return [f"expected {size} values for n={n}, got {len(values)}"]
+    if (
+        (scale is None or scale.contains_all(values))
+        and values[0] == 0.0
+        and values[size - 1] == 1.0
+        and not any(
+            any(map(operator.gt, values[lo], values[hi]))
+            for bit in range(n)
+            for lo, hi in _bit_slices(n, bit)
+        )
+    ):
+        return out
     if scale is not None:
         for mask, v in enumerate(values):
             if not scale.contains(v):
@@ -166,8 +188,17 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
 
 
 def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
+    """Whether mu is its own extension from layer q in the order of ``kind``.
+
+    The sweep runs once per capacity, q and order; later calls read the
+    answer that sweep left in ``mu._q_extension``.
+    """
     _check_q(q, mu.n)
-    return extend_layer(mu.values, mu.n, q, kind) == list(mu.values)
+    key = (q, kind)
+    if key not in mu._q_extension:
+        table = extend_layer(mu.values, mu.n, q, kind)
+        mu._q_extension[key] = table == list(mu.values)
+    return mu._q_extension[key]
 
 
 def is_q_maxitive(mu: Capacity, q: int) -> bool:

@@ -4,12 +4,21 @@ All writers emit a canonical form (two-space indented JSON, subsets in
 ascending mask order, floats in shortest round-trip notation), so saving a
 loaded file reproduces it byte for byte.  Readers validate scale membership
 at ingestion and reject off-scale values rather than rounding them.
+
+The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
+The standard encoder runs in pure Python once it indents, so ``_dumps``
+writes each list of exact ints and finite floats itself, as ``repr``
+pieces joined with the line break and indentation the encoder would put
+between them (``repr`` is the encoder's own notation for both types).  A
+list holding anything else (a bool, None, a NaN or an infinity, a
+container) and every other value go through ``json.dumps``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
 
@@ -17,11 +26,39 @@ from .capacity import Capacity
 from .errors import FormatError
 from .learning import LearnReport, TrainingSet
 from .relational import RelationalSystem, SystemKind
-from .scale import DEFAULT_TOLERANCE, Scale, ScaleKind
+from .scale import _NUMBER_TYPES, DEFAULT_TOLERANCE, Scale, ScaleKind
+
+_NON_FINITE = frozenset(("inf", "-inf", "nan"))
 
 
 def _dumps(payload: Any) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return _encode(payload, "\n") + "\n"
+
+
+def _encode(obj: Any, newline: str) -> str:
+    """``json.dumps(obj, indent=2)``, each line break followed by ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        pieces = _number_pieces(obj) or [_encode(v, inner) for v in obj]
+        # one join, not a chain of +, so the 2^n-entry text is copied once
+        return "".join(("[", inner, ("," + inner).join(pieces), newline, "]"))
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        items = [_quote(k) + ": " + _encode(v, inner) for k, v in obj.items()]
+        return "".join(("{", inner, ("," + inner).join(items), newline, "}"))
+    if isinstance(obj, (list, tuple, dict)):
+        # empty, or a dict whose keys the encoder converts
+        return json.dumps(obj, indent=2).replace("\n", newline)
+    # a scalar has no line break to indent
+    pieces = _number_pieces((obj,))
+    return pieces[0] if pieces else json.dumps(obj)
+
+
+def _number_pieces(items: list | tuple) -> list[str] | None:
+    """``repr`` of every item if all are exact ints or finite floats, else None."""
+    if not set(map(type, items)) <= _NUMBER_TYPES:
+        return None
+    pieces = list(map(repr, items))
+    return pieces if _NON_FINITE.isdisjoint(pieces) else None
 
 
 def _read_json(path: str | Path) -> Any:
@@ -101,11 +138,11 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
     if not isinstance(values, list):
         raise FormatError("capacity field 'values' must be an array")
     try:
-        return Capacity(
-            obj["n"],
-            scale,
-            tuple(_number(v, f"value {i}") for i, v in enumerate(values)),
-        )
+        if not set(map(type, values)) <= _NUMBER_TYPES:
+            # some entry is not a number: name the first one
+            for i, v in enumerate(values):
+                _number(v, f"value {i}")
+        return Capacity(obj["n"], scale, tuple(map(float, values)))
     except FormatError:
         raise
     except Exception as exc:

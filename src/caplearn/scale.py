@@ -15,6 +15,7 @@ from typing import Iterable
 from .errors import DomainError
 
 DEFAULT_TOLERANCE = 1e-9
+_NUMBER_TYPES = frozenset((int, float))
 
 
 class ScaleKind(Enum):
@@ -80,16 +81,28 @@ class Scale:
         return cls.finite_chain((i / steps for i in range(steps + 1)), tol)
 
     def contains(self, value: float) -> bool:
+        """True iff ``value`` is a number (an int or a float, not a bool) on
+        the scale; ``True == 1.0`` would otherwise pass for a member."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
         if self.kind is ScaleKind.UNIT_INTERVAL:
-            return isinstance(value, (int, float)) and 0.0 <= value <= 1.0
+            return 0.0 <= value <= 1.0
         return value in self._level_index
 
     def contains_all(self, values: Iterable[float]) -> bool:
-        """Same answer as ``all(map(self.contains, values))``; on a chain it
-        probes the level table directly, without a method call per value."""
+        """Same answer as ``all(map(self.contains, values))``.
+
+        When every value has the exact type int or float, the test runs in
+        bulk: two comparison passes on the unit interval (both false on
+        NaN), one set of distinct values against the level table on a
+        chain.  Any other type (bools included) takes the per-value loop.
+        """
+        vs = tuple(values)
+        if not set(map(type, vs)) <= _NUMBER_TYPES:
+            return all(map(self.contains, vs))
         if self.kind is ScaleKind.UNIT_INTERVAL:
-            return all(map(self.contains, values))
-        return all(map(self._level_index.__contains__, values))
+            return all(map((0.0).__le__, vs)) and all(map((1.0).__ge__, vs))
+        return set(vs) <= self._level_index.keys()
 
     def require(self, value: float, what: str = "value") -> float:
         if not self.contains(value):

@@ -10,8 +10,10 @@ per object at n = 18 in CPython 3.11 on one Xeon core.  The reduced forms
 visit the C(n, <=q) bounded subsets instead, about 0.3 ms per object at
 n = 18, q = 2, but still read a full 2^n capacity table, and construction
 caps n at ``MAX_CRITERIA`` = 24.  ``sugeno_qmax`` and ``sugeno_qmin`` also
-check q-maxitivity (q-minitivity) on every call, a sweep of n * 2^(n-1)
-steps; the ``_unchecked`` forms skip it.
+check q-maxitivity (q-minitivity), a sweep of n * 2^(n-1) steps that runs
+once per capacity, q and order: the capacity keeps the answer, so scoring
+many objects against one capacity sweeps once, and a capacity that fails
+raises on every call.  The ``_unchecked`` forms skip the check.
 """
 
 from __future__ import annotations

@@ -26,10 +26,12 @@ from caplearn.capacity import _check_q
 from caplearn.subsets import (
     add_one_bit,
     cardinality,
+    check_criteria_count,
     complement,
     drop_one_bit,
     full_mask,
     members,
+    subset_label,
 )
 
 CHAIN21 = Scale.uniform_chain(20)
@@ -298,6 +300,32 @@ def brute_force_conjugate(mu: Capacity) -> tuple[float, ...]:
 
     n = mu.n
     return tuple(iota(mu.scale, mu.values[complement(mask, n)]) for mask in range(1 << n))
+
+
+def capacity_violations_reference(values, n: int, scale: Scale | None = None) -> list[str]:
+    """``capacity_violations`` as one scan: each entry, then each covering pair."""
+    check_criteria_count(n)
+    size = 1 << n
+    out: list[str] = []
+    if len(values) != size:
+        return [f"expected {size} values for n={n}, got {len(values)}"]
+    if scale is not None:
+        for mask, v in enumerate(values):
+            if not scale.contains(v):
+                out.append(f"value({subset_label(mask)}) = {v!r} is not on the scale")
+    if values[0] != 0.0:
+        out.append(f"value of the empty set must be 0, got {values[0]!r}")
+    top = size - 1
+    if values[top] != 1.0:
+        out.append(f"value of the full set must be 1, got {values[top]!r}")
+    for mask in range(size):
+        for bigger in add_one_bit(mask, n):
+            if values[mask] > values[bigger]:
+                out.append(
+                    f"monotonicity violated: value({subset_label(mask)}) = {values[mask]!r}"
+                    f" > value({subset_label(bigger)}) = {values[bigger]!r}"
+                )
+    return out
 
 
 def exhaustive_capacity_check(values, n) -> bool:

@@ -1,7 +1,11 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import caplearn.capacity
 from caplearn import (
     Capacity,
     DomainError,
@@ -11,14 +15,20 @@ from caplearn import (
     is_capacity,
     is_q_maxitive,
     is_q_minitive,
+    SystemKind,
+    sugeno_qmax,
+    sugeno_qmin,
 )
+from caplearn.sugeno import sugeno_qmax_unchecked
 
 from helpers import (
     CHAIN21,
     FIVE_LEVELS,
+    MU_E_VALUES,
     brute_force_conjugate,
     brute_q_maxitive,
     brute_q_minitive,
+    capacity_violations_reference,
     exhaustive_capacity_check,
     random_capacity,
 )
@@ -34,6 +44,20 @@ class TestConstruction:
     def test_off_scale_value_rejected(self):
         with pytest.raises(DomainError):
             Capacity(2, CHAIN21, (0.0, 0.21, 0.5, 1.0))
+
+    @pytest.mark.parametrize("scale", [UNIT, CHAIN21], ids=["unit", "chain"])
+    @pytest.mark.parametrize("bad", [True, False, "0.5", "1", None])
+    def test_non_number_rejected_naming_the_subset(self, scale, bad):
+        with pytest.raises(DomainError, match=r"value of \{1\} "):
+            Capacity(1, scale, (0.0, bad))
+        with pytest.raises(DomainError, match=r"value of \{\} "):
+            Capacity(1, scale, (bad, 1.0))
+
+    def test_ints_become_floats(self):
+        for scale in (UNIT, CHAIN21):
+            mu = Capacity(2, scale, [0, 0.5, 0, 1])
+            assert mu.values == (0.0, 0.5, 0.0, 1.0)
+            assert all(type(v) is float for v in mu.values)
 
     def test_getitem_by_mask(self, mu_e):
         assert mu_e[0b011] == 1.0
@@ -101,6 +125,139 @@ class TestIsCapacity:
             n = rng.randint(1, 4)
             values = tuple(rng.choice(FIVE_LEVELS) for _ in range(1 << n))
             assert is_capacity(values, n) == exhaustive_capacity_check(values, n)
+
+
+TABLE_POOL = (0.0, -0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 0.21, 1.5, -0.1, float("nan"))
+
+
+@st.composite
+def candidate_tables(draw):
+    """(n, table, scale): random tables with ties, -0.0, NaN and off-scale
+    values, half of them closed under max over one-smaller subsets first,
+    then perhaps changed at one subset, so that clean tables and tables
+    with a single violation come up as well."""
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    values = draw(st.lists(st.sampled_from(TABLE_POOL), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        for mask in range(1, size):
+            below = [values[mask ^ (1 << i)] for i in range(n) if mask >> i & 1]
+            values[mask] = max([values[mask]] + below)
+        values[0] = draw(st.sampled_from((0.0, -0.0, 0.25)))
+        values[-1] = draw(st.sampled_from((1.0, 1.0, 0.75)))
+        if draw(st.booleans()):
+            values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(TABLE_POOL))
+    table = tuple(values) if draw(st.booleans()) else values
+    return n, table, draw(st.sampled_from((None, UNIT, CHAIN21)))
+
+
+class TestViolationsMatchTheScan:
+    @given(candidate_tables())
+    def test_random_tables(self, case):
+        n, values, scale = case
+        assert capacity_violations(values, n, scale) == capacity_violations_reference(
+            values, n, scale
+        )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_single_violation_on_each_bit(self, n):
+        # off-scale values with no scale given: only the pair across `bit`
+        # breaks monotonicity
+        for bit in range(n):
+            for mask, value in ((1 << bit, -0.5), (((1 << n) - 1) ^ (1 << bit), 1.5)):
+                values = [m.bit_count() / n for m in range(1 << n)]
+                values[mask] = value
+                found = capacity_violations(values, n)
+                assert found == capacity_violations_reference(values, n)
+                assert any(m.startswith("monotonicity") for m in found)
+
+    def test_wrong_length(self):
+        assert capacity_violations((0.0, 1.0, 1.0), 2) == capacity_violations_reference(
+            (0.0, 1.0, 1.0), 2
+        )
+
+
+class TestQCheckMemo:
+    """Each capacity runs the q-check sweep once per q and order."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        real = caplearn.capacity.extend_layer
+
+        def counted(values, n, q, kind):
+            calls.append((q, kind))
+            return real(values, n, q, kind)
+
+        monkeypatch.setattr(caplearn.capacity, "extend_layer", counted)
+        return calls
+
+    def test_six_scores_sweep_once(self, sweeps):
+        mu = Capacity(3, CHAIN21, MU_E_VALUES)
+        objects = [(0.15, 0.2, 0.3), (0.5, 0.25, 0.3), (0.4, 0.7, 0.35)] * 2
+        values = [sugeno_qmax(mu, x, 2) for x in objects]
+        assert sweeps == [(2, SystemKind.MAX_MIN)]
+        assert values == [sugeno_qmax_unchecked(mu, x, 2) for x in objects]
+
+    def test_each_order_sweeps_once(self, sweeps, mu_e):
+        for _ in range(3):
+            is_q_maxitive(mu_e, 2)
+            is_q_minitive(mu_e, 2)
+        assert len(sweeps) == 2
+        is_q_maxitive(mu_e, 1)
+        assert len(sweeps) == 3
+
+    def test_orders_answer_apart(self):
+        # {1,2} is the max of its singletons, but the empty set is not the
+        # min of them: 1-maxitive, not 1-minitive, asked in either order
+        values = (0.0, 1.0, 0.5, 1.0)
+        mu = Capacity(2, UNIT, values)
+        assert is_q_maxitive(mu, 1) and not is_q_minitive(mu, 1)
+        mu = Capacity(2, UNIT, values)
+        assert not is_q_minitive(mu, 1) and is_q_maxitive(mu, 1)
+
+    def test_memo_agrees_with_fresh_capacities(self):
+        rng = random.Random(19)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            mu = random_capacity(rng, n, FIVE_LEVELS)
+            calls = [(rng.choice((is_q_maxitive, is_q_minitive)), rng.randint(1, n))
+                     for _ in range(6)]
+            for check, q in calls:
+                assert check(mu, q) == check(Capacity(n, mu.scale, mu.values), q)
+
+    def test_failed_check_raises_every_time(self, mu_e):
+        x = (0.5, 0.25, 0.3)
+        for _ in range(3):
+            with pytest.raises(DomainError, match="not 1-maxitive"):
+                sugeno_qmax(mu_e, x, 1)
+            with pytest.raises(DomainError, match="not 1-minitive"):
+                sugeno_qmin(mu_e, x, 1)
+
+    def test_q_still_checked_after_a_valid_call(self, mu_e):
+        sugeno_qmax(mu_e, (0.5, 0.25, 0.3), 2)
+        for q in (0, 4):
+            with pytest.raises(DomainError, match="q must be"):
+                is_q_maxitive(mu_e, q)
+            with pytest.raises(DomainError, match="q must be"):
+                sugeno_qmax(mu_e, (0.5, 0.25, 0.3), q)
+
+    def test_memo_is_not_part_of_the_value(self, mu_e):
+        checked = Capacity(3, CHAIN21, MU_E_VALUES)
+        is_q_maxitive(checked, 2)
+        is_q_minitive(checked, 1)
+        assert checked == mu_e
+        assert hash(checked) == hash(mu_e)
+        assert repr(checked) == repr(mu_e)
+
+    def test_replace_starts_a_fresh_memo(self):
+        maxitive = (0.0, 0.5, 0.0, 0.5)
+        other = (0.0, 0.5, 0.0, 1.0)
+        mu = Capacity(2, UNIT, maxitive)
+        assert is_q_maxitive(mu, 1)
+        changed = dataclasses.replace(mu, values=other)
+        assert not is_q_maxitive(changed, 1)
+        assert is_q_maxitive(dataclasses.replace(changed, values=maxitive), 1)
 
 
 class TestQMaxitive:

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caplearn import FormatError, LearnMode, Scale, SystemKind, build_system, learn
 from caplearn.io import (
+    _dumps,
     capacity_from_json,
     capacity_to_json,
     load_capacity,
@@ -75,6 +78,69 @@ class TestCapacityJson:
         doc = {"n": 1, "scale": {"kind": "unit_interval"}, "values": [0.0, "x"]}
         with pytest.raises(FormatError):
             capacity_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [True, False, "0.5", None, [0.5]])
+    @pytest.mark.parametrize("k", [0, 1, 5, 7])
+    def test_non_number_named_by_index(self, bad, k):
+        values = [0.0, 0.3, 0.4, 1.0, 0.2, 1.0, 1.0, 1.0]
+        values[k] = bad
+        doc = {"n": 3, "scale": scale_to_json(CHAIN21), "values": values}
+        with pytest.raises(FormatError, match=rf"^value {k}: expected a number, got "):
+            capacity_from_json(doc)
+
+    def test_int_entries_load_as_floats(self):
+        doc = {"n": 2, "scale": scale_to_json(UNIT), "values": [0, 0.5, 0, 1]}
+        mu = capacity_from_json(doc)
+        assert mu.values == (0.0, 0.5, 0.0, 1.0)
+        assert all(type(v) is float for v in mu.values)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, float("inf"), float("-inf"), float("nan")])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", 'a "quoted"\nline', "\u00e9\u4e2d\U0001f600"])
+)
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+JSON_KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+
+
+def json_documents():
+    return st.recursive(
+        JSON_SCALARS | st.lists(NUMBERS) | st.lists(NUMBERS | JSON_SCALARS),
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+        | st.dictionaries(JSON_KEYS, children, max_size=3),
+        max_leaves=20,
+    )
+
+
+class TestCanonicalWriter:
+    @given(json_documents())
+    def test_same_text_as_the_standard_encoder(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [],
+            {},
+            {"a": [], "b": {}},
+            [-0.0, 5e-324, 1e16, 1e-7, 1, 0, -3],
+            [0.5, float("nan")],
+            [0.5, float("inf")],
+            [1.0, True],
+            [0.0, None],
+            {"x": [[0.5, 1.0], [2, 3.5]], "y": {"z": [0.25]}},
+            {1: [0.5], "k": [0.5, 1.0]},
+        ],
+    )
+    def test_edge_documents(self, doc):
+        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 class TestSystemJson:

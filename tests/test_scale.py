@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from caplearn import DomainError, Scale, ScaleKind, iota
+from caplearn import DomainError, Scale, ScaleKind, TrainingSet, iota
 
 from helpers import CHAIN21
 
@@ -61,13 +61,34 @@ class TestMembership:
     @given(
         st.sampled_from([CHAIN21, Scale.unit_interval()]),
         st.lists(
-            st.sampled_from(CHAIN21.levels + (-0.0, 1, 0.151, 1.5, -0.1, float("nan")))
-            | st.floats(),
+            st.sampled_from(
+                CHAIN21.levels
+                + (-0.0, 0, 1, 2, -1, 0.151, 1.5, -0.1, float("nan"), True, False)
+                + ("0.5", "1", None)
+            )
+            | st.floats()
+            | st.integers(),
             max_size=6,
         ),
     )
     def test_contains_all_is_contains_on_every_value(self, sc, values):
         assert sc.contains_all(values) == all(map(sc.contains, values))
+        assert sc.contains_all(iter(values)) == sc.contains_all(values)
+
+    @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
+    def test_bools_and_non_numbers_are_not_members(self, sc):
+        for value in (True, False, "0.5", "1", None, [0.5]):
+            assert not sc.contains(value)
+            assert not sc.contains_all([0.0, value, 1.0])
+        assert sc.contains(0) and sc.contains(1)
+        assert sc.contains_all([0, 1.0, 1])
+
+    @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
+    def test_training_set_rejects_a_bool(self, sc):
+        with pytest.raises(DomainError, match="item 0, coordinate x1"):
+            TrainingSet.from_pairs(2, sc, [((True, 0.5), 0.5)])
+        with pytest.raises(DomainError, match="item 0, target"):
+            TrainingSet.from_pairs(2, sc, [((1.0, 0.5), False)])
 
     def test_require_raises_with_context(self):
         with pytest.raises(DomainError, match="coordinate"):
