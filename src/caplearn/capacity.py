@@ -17,7 +17,6 @@ from .subsets import (
     check_mask,
     complement,
     add_one_bit,
-    full_mask,
     masks_of_sizes,
     subset_label,
 )
@@ -61,10 +60,6 @@ class Capacity:
 
     def __getitem__(self, mask: int) -> float:
         return self.values[check_mask(mask, self.n)]
-
-    @property
-    def full(self) -> int:
-        return full_mask(self.n)
 
 
 def conjugate(mu: Capacity) -> Capacity:

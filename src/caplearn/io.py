@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any
@@ -142,7 +143,7 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
             # some entry is not a number: name the first one
             for i, v in enumerate(values):
                 _number(v, f"value {i}")
-        return Capacity(obj["n"], scale, tuple(map(float, values)))
+        return Capacity(obj["n"], scale, values)
     except FormatError:
         raise
     except Exception as exc:
@@ -297,8 +298,8 @@ def load_training_set(
 ) -> TrainingSet:
     """Load a training set from a .csv file or a JSON document.
 
-    ``tol`` overrides the scale tolerance; a CSV file without an explicit
-    ``scale`` is read on the unit interval with that tolerance.  A JSON
+    ``tol`` overrides the scale tolerance; a CSV file is read on ``scale``,
+    by default the unit interval, with that tolerance.  A JSON
     document declares its own scale; a given ``scale`` must be that one
     (its tolerance applies unless ``tol`` is given).
     """
@@ -309,7 +310,9 @@ def load_training_set(
         except OSError as exc:
             raise FormatError(f"cannot read {path}: {exc}") from exc
         if scale is None:
-            scale = Scale.unit_interval(DEFAULT_TOLERANCE if tol is None else tol)
+            scale = Scale.unit_interval()
+        if tol is not None:
+            scale = replace(scale, tol=tol)
         return training_set_from_csv_text(text, scale, source=str(path))
     if scale is None:
         return training_set_from_json(_read_json(p), tol)

@@ -114,14 +114,6 @@ class Scale:
             return "the unit interval [0, 1]"
         return f"the {len(self.levels)}-level chain"
 
-    def negate(self, value: float) -> float:
-        """Order-reversing negation; involutive on finite chains by position."""
-        return iota(self, value)
-
-    def is_close(self, a: float, b: float) -> bool:
-        """Tolerance comparison for derived (off-lattice) quantities."""
-        return abs(a - b) <= self.tol
-
 
 def iota(scale: Scale, value: float) -> float:
     """Reverse a value on its scale: level i of l maps to level l-i+1, or 1 - v.

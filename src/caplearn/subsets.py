@@ -79,16 +79,6 @@ def masks_of_sizes(n: int, sizes: Iterable[int]) -> list[int]:
     )
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of ``mask`` (including 0 and itself), ascending."""
-    sub = 0
-    while True:
-        yield sub
-        if sub == mask:
-            return
-        sub = (sub - mask) & mask
-
-
 def drop_one_bit(mask: int) -> Iterator[int]:
     """Submasks obtained by removing exactly one member."""
     m = mask

@@ -208,9 +208,40 @@ def capacity_from_solution_reference(
     return Capacity(n, scale, tuple(extend_layer_reference(table, n, q, kind)))
 
 
+def _subset_table(coords: tuple[float, ...], op, empty: float) -> list[float]:
+    """table[A] = op over the coordinates in A; the empty set holds ``empty``."""
+    size = 1 << len(coords)
+    table = [empty] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        v = coords[low.bit_length() - 1]
+        table[mask] = v if rest == 0 else op(v, table[rest])
+    return table
+
+
+def sugeno_table_reference(mu: Capacity, x, kind: SystemKind) -> float:
+    """The full integral by its definition: join over all 2^n subsets A of
+    meet(the object's A-term, mu(A)), from a 2^n table per object.
+
+    The A-term is the min of x inside A (max-min form) or the max of x
+    outside A (min-max form); reading the table of maxima reversed visits
+    the complements.  A zero result is reported as mu's value on the empty
+    set, whichever zero the terms held.  Defined on any table, where the
+    library's sorted form needs a capacity.
+    """
+    order = kind.order
+    table = _subset_table(tuple(x), order.meet, order.top)
+    if order.dual:
+        table.reverse()
+    return order.join(map(order.meet, table, mu.values)) or mu.values[0]
+
+
 def residuals_reference(mu: Capacity, ts: TrainingSet, *_produced) -> tuple[float, ...]:
     """Full max-min integral minus target, whatever system product is offered."""
-    return tuple(sugeno_maxmin(mu, item.x) - item.alpha for item in ts.items)
+    return tuple(
+        sugeno_table_reference(mu, item.x, SystemKind.MAX_MIN) - item.alpha for item in ts.items
+    )
 
 
 @contextmanager

@@ -23,6 +23,7 @@ from caplearn import (
     enumerate_capacities,
     enumerate_solutions,
     grid_chebyshev,
+    is_capacity,
     is_consistent,
     is_q_maxitive,
     is_q_minitive,
@@ -31,8 +32,10 @@ from caplearn import (
     potential_solution,
     sugeno_maxmin,
     sugeno_minmax,
+    sugeno_qmax,
 )
-from caplearn.subsets import add_one_bit, full_mask
+from caplearn.learning import capacity_from_solution
+from caplearn.subsets import add_one_bit, full_mask, masks_of_sizes
 from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 from helpers import (
@@ -323,3 +326,21 @@ def test_criterion_11_qmode_learning_scales_to_n18():
             assert max(abs(r) for r in report.residuals) == pytest.approx(
                 report.distance, abs=TOL
             )
+
+
+def test_criterion_12_full_integral_scales_to_n16():
+    with criterion("12 full integral at n=16 on 500 objects, against the 2-maxitive form", 5.0):
+        rng = random.Random(212)
+        levels = CHAIN21.levels
+        # singletons anywhere on the chain, each pair at least its two
+        # members, one pair at 1 so the extension reaches 1 on the full set
+        solved = {1 << i: rng.choice(levels) for i in range(16)}
+        for mask in masks_of_sizes(16, (2,)):
+            floor = max(solved[mask & -mask], solved[mask & (mask - 1)])
+            solved[mask] = rng.choice([v for v in levels if v >= floor])
+        solved[0b11] = 1.0
+        mu = capacity_from_solution(solved, 16, 2, CHAIN21, SystemKind.MAX_MIN)
+        assert is_capacity(mu.values, 16, CHAIN21)
+        for _ in range(500):
+            x = random_object(rng, 16, levels)
+            assert sugeno_maxmin(mu, x) == sugeno_minmax(mu, x) == sugeno_qmax(mu, x, 2)

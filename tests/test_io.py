@@ -211,6 +211,9 @@ class TestTrainingData:
         assert load_training_set(csv_path, tol=0.01).scale.tol == 0.01
         assert load_training_set(json_path, tol=0.01).scale.tol == 0.01
         assert load_training_set(csv_path).scale.tol == UNIT.tol
+        assert load_training_set(csv_path, scale=CHAIN21, tol=1e-3).scale == (
+            Scale.uniform_chain(20, 1e-3)
+        )
 
     def test_json_scale_must_match_the_requested_one(self, tmp_path):
         json_path = tmp_path / "data.json"

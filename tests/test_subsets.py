@@ -12,7 +12,6 @@ from caplearn.subsets import (
     mask_of,
     members,
     subset_label,
-    submasks,
 )
 
 
@@ -31,11 +30,6 @@ def test_complement_and_cardinality():
     assert complement(0b011, 3) == 0b100
     assert cardinality(0b1011) == 3
     assert full_mask(3) == 0b111
-
-
-def test_submasks_ascending_and_complete():
-    subs = list(submasks(0b101))
-    assert subs == [0b000, 0b001, 0b100, 0b101]
 
 
 def test_drop_and_add_one_bit():

@@ -2,12 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from caplearn import (
     Capacity,
     DomainError,
     LearnMode,
     Scale,
+    SystemKind,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -18,6 +21,7 @@ from caplearn import (
 )
 from caplearn.cli import main
 from caplearn.io import save_capacity
+from caplearn.subsets import drop_one_bit
 from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 from helpers import (
@@ -27,9 +31,42 @@ from helpers import (
     random_capacity,
     random_object,
     random_training_set,
+    sugeno_table_reference,
 )
 
 UNIT = Scale.unit_interval()
+
+# (scale, pool) pairs; the pools hold -0.0 beside 0.0 so zeros tie often
+POOLS = st.one_of(
+    st.tuples(st.just(CHAIN21), st.just(CHAIN21.levels + (-0.0,))),
+    st.tuples(st.just(UNIT), st.just(FIVE_LEVELS + (-0.0,))),
+    st.tuples(
+        st.just(UNIT),
+        st.lists(
+            st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1.0),
+            min_size=1,
+            max_size=4,
+        ).map(tuple),
+    ),
+)
+
+
+@st.composite
+def capacities_and_objects(draw):
+    """A monotone, normalised capacity (each value raised to the max of its
+    covered ones) and a tie-heavy object: coordinates from at most three
+    pool values."""
+    scale, pool = draw(POOLS)
+    n = draw(st.integers(1, 6))
+    size = 1 << n
+    values = [draw(st.sampled_from([0.0, -0.0]))] + [0.0] * (size - 1)
+    for mask in range(1, size - 1):
+        raw = draw(st.sampled_from(pool))
+        values[mask] = max([raw] + [values[sub] for sub in drop_one_bit(mask)])
+    values[-1] = 1.0
+    coords = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    x = tuple(draw(st.sampled_from(coords)) for _ in range(n))
+    return Capacity(n, scale, tuple(values)), x
 
 
 class TestReferenceValues:
@@ -89,6 +126,24 @@ class TestBasicProperties:
             x = random_object(rng, n, FIVE_LEVELS)
             y = tuple(min(v + rng.choice((0.0, 0.25)), 1.0) for v in x)
             assert sugeno_maxmin(mu, x) <= sugeno_maxmin(mu, y)
+
+
+class TestSortedFormMatchesDefinition:
+    """The sorted (chain) forms equal the 2^n-subset definition by ``repr``
+    on capacities, signed zeros included."""
+
+    @given(capacities_and_objects())
+    @example((Capacity(3, UNIT, (-0.0, 0.25, 0.5, 0.5, 0.0, 0.5, 0.75, 1.0)), (0.5,) * 3))
+    @example((Capacity(3, UNIT, (-0.0, 0.25, 0.5, 0.5, 0.0, 0.5, 0.75, 1.0)), (0.0, -0.0, 0.0)))
+    @example((Capacity(2, CHAIN21, (0.0, -0.0, 0.0, 1.0)), (-0.0, -0.0)))
+    def test_forms_equal_the_table_reference(self, case):
+        mu, x = case
+        assert repr(sugeno_maxmin(mu, x)) == repr(
+            sugeno_table_reference(mu, x, SystemKind.MAX_MIN)
+        )
+        assert repr(sugeno_minmax(mu, x)) == repr(
+            sugeno_table_reference(mu, x, SystemKind.MIN_MAX)
+        )
 
 
 class TestSignedZero:
