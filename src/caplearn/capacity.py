@@ -145,41 +145,35 @@ def _bit_slices(n: int, bit: int) -> list[tuple[slice, slice]]:
     ]
 
 
-def _max_over_small_subsets(values: Sequence[float], n: int, q: int) -> list[float]:
-    """Table of max{values[Y] : Y subset of X, |Y| <= q}, for every X.
-
-    Entries at cardinality <= q hold values[X] itself; a larger X takes the
-    max over its size-q subsets (the only ones that reach it through the
-    covering chain).  Computed by one sweep over the bits, high to low,
-    seeded with the size-q layer: n * 2^(n-1) binary maxes, each taking the
-    neighbour without the bit as first operand, which reproduces the tie
-    choices (the sign of a zero) of the covering recursion.
-    """
-    out = [-math.inf] * (1 << n)
-    for mask in masks_of_sizes(n, (q,)):
-        out[mask] = values[mask]
+def _subset_max_sweep(out: list, n: int) -> list:
+    """``out`` made in place max{out[Y] : Y subset of X}: n * 2^(n-1) binary
+    maxes, bits high to low, a tie keeping the smaller set's value."""
     for bit in reversed(range(n)):
         for lo, hi in _bit_slices(n, bit):
             # max(a, b), inlined: b only when strictly greater
             out[hi] = [b if b > a else a for a, b in zip(out[lo], out[hi])]
-    for mask in masks_of_sizes(n, range(q)):
-        out[mask] = values[mask]
     return out
 
 
 def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> list[float]:
     """Extend a table from its boundary layer, in the order of ``kind``.
 
-    Max-min: max{values[Y] : Y subset of X, |Y| <= q}, the q-maxitive
-    extension.  Min-max: min{values[Y] : Y superset of X, |Y| >= n - q},
-    the q-minitive one.  The min-max side is the max-min sweep on the table
-    read by complements (reversed) and negated, both exact, so the signs of
-    zeros come out as the dual covering recursion gives them.
+    Max-min, the q-maxitive extension: values[X] up to cardinality q, and
+    above it the max over the size-q subsets, by one sweep seeded with that
+    layer whose ties (the sign of a zero) go as in the covering recursion.
+    Min-max, the q-minitive one: the same on the table read by complements
+    (reversed) and negated, both exact, so zeros keep the dual's signs.
     """
-    if not kind.order.dual:
-        return _max_over_small_subsets(values, n, q)
-    flipped = _max_over_small_subsets([-v for v in reversed(values)], n, q)
-    return [-v for v in reversed(flipped)]
+    dual = kind.order.dual
+    if dual:
+        values = [-v for v in reversed(values)]
+    out = [-math.inf] * (1 << n)
+    for mask in masks_of_sizes(n, (q,)):
+        out[mask] = values[mask]
+    _subset_max_sweep(out, n)
+    for mask in masks_of_sizes(n, range(q)):
+        out[mask] = values[mask]
+    return [-v for v in reversed(out)] if dual else out
 
 
 def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:

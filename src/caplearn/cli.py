@@ -12,6 +12,7 @@ but the requested property does not hold), 3 enumeration budget refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Any
 
@@ -47,6 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+# parsing leaves the parser as it found it, so one per process serves every main()
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="caplearn",

@@ -250,12 +250,14 @@ def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
     for k, item in enumerate(items):
         if not isinstance(item, dict) or "x" not in item or "alpha" not in item:
             raise FormatError(f"item {k} must be an object with 'x' and 'alpha'")
-        if not isinstance(item["x"], list):
+        x = item["x"]
+        if not isinstance(x, list):
             raise FormatError(f"item {k}: 'x' must be an array")
-        coords = tuple(
-            _number(v, f"item {k}, coordinate x{i + 1}") for i, v in enumerate(item["x"])
-        )
-        pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
+        if not set(map(type, x)) <= _NUMBER_TYPES:
+            # some coordinate is not a number: name the first one
+            for i, v in enumerate(x):
+                _number(v, f"item {k}, coordinate x{i + 1}")
+        pairs.append((tuple(map(float, x)), _number(item["alpha"], f"item {k}, alpha")))
     try:
         return TrainingSet.from_pairs(obj["n"], scale, pairs)
     except Exception as exc:

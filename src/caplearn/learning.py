@@ -1,13 +1,13 @@
 """Learning capacities from training data.
 
-A training set of (object, target) pairs induces two relational systems:
-a max-min system whose columns hold per-subset minima of each object, and a
-min-max system built from complement maxima.  Solving them produces the
-greatest and lowest capacities that reproduce every target, when any
-capacity does; restricting columns by cardinality learns q-maxitive and
-q-minitive capacities; and when the restricted systems are inconsistent,
-the Chebyshev machinery yields the best approximating capacities together
-with the exact minimal error.
+A training set of (object, target) pairs induces a max-min system, whose
+columns hold per-subset minima of each object, and a min-max system built
+from complement maxima.  Their potential solutions over every subset give
+the greatest and lowest capacities that reproduce every target, when any
+does, found without building the system in O(N * n log n + n * 2^n).
+Restricting columns by cardinality learns q-maxitive and q-minitive
+capacities; when those systems are inconsistent, the Chebyshev machinery
+yields the best approximating capacities with the exact minimal error.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from enum import Enum
 from operator import itemgetter
 from typing import Sequence
 
-from .capacity import Capacity, _check_q, extend_layer
+from .capacity import Capacity, _check_q, _subset_max_sweep, extend_layer
 from .chebyshev import approx_solution, chebyshev_distance
 from .errors import DomainError
 from .relational import RelationalSystem, SystemKind, apply_system, potential_solution
 from .scale import Scale
 from .subsets import cardinality, check_criteria_count, full_mask, masks_of_sizes, subset_label
+from .sugeno import _chain
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,40 @@ def capacity_from_solution(
     return Capacity(n, scale, tuple(extend_layer(seed, n, q, kind)))
 
 
+def _extremal_table(ts: TrainingSet, kind: SystemKind) -> tuple[list[float], tuple[float, ...]]:
+    """The whole system's potential solution as a full table (the order's
+    bottom at the boundary set) and each row's product, without the system.
+
+    Row k is written once, at {i : le(x_ki, alpha_k)}, as its rank by target
+    in the order, lower k ahead among equals as in the residuated product;
+    a subset-max sweep (read by complements for max-min) gives each set its
+    best row.  Products are the chain form on the monotone table; a zero
+    keeps the sign of the first zero term in column order.
+    """
+    n, order = ts.n, kind.order
+    alphas = ts.targets()
+    # Max-min: the value at A is min{alpha_k : x_ki > alpha_k on A}, 1 when
+    # no row qualifies, so row k reaches every A inside the complement of
+    # its mask.  Min-max: max{alpha_k : x_ki < alpha_k off B}, 0 when none,
+    # so row k reaches every B that contains its mask.  Rank 0 is no row.
+    rising = sorted(range(len(alphas)), key=alphas.__getitem__, reverse=order.dual)[::-1]
+    best = [0] * (1 << n)
+    for rank, k in enumerate(rising, 1):
+        best[sum(1 << i for i, v in enumerate(ts.items[k].x) if order.le(v, alphas[k]))] = rank
+    levels = [order.top] + [alphas[k] for k in rising]
+    table = [levels[r] for r in _subset_max_sweep(best, n)]
+    if not order.dual:
+        table.reverse()
+    table[full_mask(n) if order.dual else 0] = order.bottom
+    # A zero product: max-min terms are then all zero and the first column,
+    # {1}, decides; the first zero min-max term is at the set of nonzero
+    # coordinates, whose max outside is the first zero coordinate.
+    return table, tuple(
+        _chain(table, x, order) or (x[x.index(0.0)] if order.dual else min(x[0], table[1]))
+        for x in (item.x for item in ts.items)
+    )
+
+
 def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tuple[float, ...]:
     """Integral minus target per item, from the system product.
 
@@ -256,24 +291,18 @@ def _row_mismatches(produced, rhs) -> tuple[str, ...]:
     )
 
 
-def _approx_scale(ts: TrainingSet) -> Scale:
-    # Relaxed right-hand sides involve additions and halvings, so learned
-    # values may leave a finite chain; results live on the unit interval.
-    return Scale.unit_interval(ts.scale.tol)
-
-
 def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport:
     """One learning run; q is required exactly for the q-modes.
 
     GREATEST (LOWEST) is the exact max-min (min-max) run over every subset,
-    which is QMAX (QMIN) at q = n, reported with q None.  An exact mode
-    solves the system; it needs consistency, and a subset of the boundary
-    layer (size q, resp. n - q) solved at the order's top (1, resp. 0),
-    whose extension is then the greatest q-maxitive (lowest q-minitive)
-    capacity reproducing every target.  An approximate mode solves the
-    system relaxed by its Chebyshev distance, the exact minimal learning
-    error, and needs only the boundary condition.  The capacity is built
-    from the solved layer; failed conditions leave witnesses in the notes.
+    QMAX (QMIN) at q = n reported with q None, solved by
+    :func:`_extremal_table` without building the system.  An exact mode
+    needs consistency and a subset of the boundary layer (size q, resp.
+    n - q) solved at the order's top (1, resp. 0), whose extension is then
+    the greatest q-maxitive (lowest q-minitive) capacity reproducing every
+    target.  An approximate mode solves the system relaxed by its Chebyshev
+    distance, the exact minimal learning error, and needs only the boundary
+    condition.  Failed conditions leave witnesses in the notes.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -283,26 +312,30 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
         raise DomainError(f"mode {mode.value} requires q")
     layer_q = ts.n if whole else _check_q(q, ts.n)
     order = kind.order
-    sys = build_system(ts, kind, layer_q)
-    if approx:
-        distance = chebyshev_distance(sys).distance
-        solution = approx_solution(sys, distance)
-    else:
-        distance = None
-        solution = potential_solution(sys)
-    produced = apply_system(sys, solution.values)
-    consistent = distance == 0.0 if approx else produced == sys.rhs
     size = order.layer(ts.n, layer_q)
-    layer = [(m, v) for m, v in zip(solution.labels, solution.values) if cardinality(m) == size]
+    distance = None
+    if whole:
+        table, produced = _extremal_table(ts, kind)
+        layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
+    else:
+        sys = build_system(ts, kind, layer_q)
+        distance = chebyshev_distance(sys).distance if approx else None
+        solution = approx_solution(sys, distance) if approx else potential_solution(sys)
+        produced = apply_system(sys, solution.values)
+        layer = [(m, v) for m, v in zip(solution.labels, solution) if cardinality(m) == size]
     best, value = order.join(layer, key=itemgetter(1))
+    consistent = distance == 0.0 if approx else produced == ts.targets()
     boundary_ok = value == order.top
-    notes = () if approx or consistent else _row_mismatches(produced, sys.rhs)
+    notes = () if approx or consistent else _row_mismatches(produced, ts.targets())
     if not boundary_ok:
         notes += (note.format(size=size, label=subset_label(best), value=value),)
     if not boundary_ok or not (approx or consistent):
         return LearnReport(mode, q, consistent, boundary_ok, distance, None, None, notes)
-    scale = _approx_scale(ts) if approx else ts.scale
-    mu = capacity_from_solution(solution.as_dict(), ts.n, layer_q, scale, kind)
-    return LearnReport(
-        mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced)
-    )
+    # Relaxed right-hand sides involve additions and halvings, so learned
+    # values may leave a finite chain; results live on the unit interval.
+    scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale
+    if whole:
+        mu = Capacity(ts.n, scale, table)
+    else:
+        mu = capacity_from_solution(solution.as_dict(), ts.n, layer_q, scale, kind)
+    return LearnReport(mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced))

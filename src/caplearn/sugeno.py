@@ -9,7 +9,8 @@ The full forms read the chain of level sets: one sort, then n table reads,
 O(n log n) per object (about 30 us at n = 18 in CPython 3.11 on one Xeon
 core).  They equal the definition over all 2^n subsets only when ``mu`` is
 a capacity (normalised and monotone); ``Capacity`` does not enforce that,
-and ``caplearn eval`` refuses a table that is not one.  The reduced forms
+and ``caplearn eval`` refuses a table that is not one.  Every form reports
+a zero result as mu's value on the empty set.  The reduced forms
 visit the C(n, <=q) bounded subsets, about 0.3 ms per object at n = 18,
 q = 2.  ``sugeno_qmax`` and ``sugeno_qmin`` also check q-maxitivity
 (q-minitivity), an n * 2^(n-1) sweep whose answer the capacity keeps per q
@@ -24,7 +25,7 @@ from typing import Sequence
 
 from .capacity import Capacity, _check_q, is_q_maxitive, is_q_minitive
 from .errors import DomainError
-from .relational import SystemKind
+from .relational import Order, SystemKind
 from .subsets import full_mask
 
 
@@ -37,33 +38,30 @@ def _require_object(x: Sequence[float], mu: Capacity) -> tuple[float, ...]:
     return coords
 
 
-def _full(mu: Capacity, x: Sequence[float], kind: SystemKind) -> float:
-    """join over the chain of level sets of meet(coordinate, mu(level set)).
+def _chain(values: Sequence[float], coords: Sequence[float], order: Order) -> float:
+    """join over the chain of level sets of meet(coordinate, values[level set]).
 
-    Max-min ranks the criteria by descending coordinate and reads mu on each
-    prefix; min-max ranks them ascending and reads mu on the complement of
-    each prefix.  Equals the join over all 2^n subsets when mu is a
-    capacity.  A zero result is reported as mu's value on the empty set,
-    whichever zero the terms held.
+    Max-min ranks the criteria by descending coordinate and reads the table
+    on each prefix; min-max ranks them ascending and reads it on the
+    complement of each prefix.  Equals the join over all 2^n subsets, up to
+    the sign of a zero, when the table is monotone.
     """
-    coords = _require_object(x, mu)
-    order = kind.order
-    mask = full_mask(mu.n) if order.dual else 0
+    mask = full_mask(len(coords)) if order.dual else 0
     terms = []
-    for i in sorted(range(mu.n), key=coords.__getitem__, reverse=not order.dual):
+    for i in sorted(range(len(coords)), key=coords.__getitem__, reverse=not order.dual):
         mask ^= 1 << i
-        terms.append(order.meet(coords[i], mu.values[mask]))
-    return order.join(terms) or mu.values[0]
+        terms.append(order.meet(coords[i], values[mask]))
+    return order.join(terms)
 
 
 def sugeno_maxmin(mu: Capacity, x: Sequence[float]) -> float:
-    """max over subsets A of min(min of x inside A, mu(A))."""
-    return _full(mu, x, SystemKind.MAX_MIN)
+    """max over subsets A of min(min of x inside A, mu(A)), by the chain form."""
+    return _chain(mu.values, _require_object(x, mu), SystemKind.MAX_MIN.order) or mu.values[0]
 
 
 def sugeno_minmax(mu: Capacity, x: Sequence[float]) -> float:
     """min over subsets A of max(max of x outside A, mu(A)); equals sugeno_maxmin."""
-    return _full(mu, x, SystemKind.MIN_MAX)
+    return _chain(mu.values, _require_object(x, mu), SystemKind.MIN_MAX.order) or mu.values[0]
 
 
 def _reduced(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind) -> float:
@@ -71,8 +69,7 @@ def _reduced(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind) -> floa
 
     Max-min: nonempty subsets of cardinality <= q; min-max: proper subsets
     of cardinality >= n - q, enumerated by their nonempty complements of
-    size <= q.  Visits C(n, <=q) subsets; a zero result is reported as
-    mu's value on the empty set, as in the full forms.
+    size <= q.  Visits C(n, <=q) subsets.
     """
     _check_q(q, mu.n)
     coords = _require_object(x, mu)

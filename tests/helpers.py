@@ -20,6 +20,8 @@ from caplearn import (
     Scale,
     SystemKind,
     TrainingSet,
+    apply_system,
+    potential_solution,
     sugeno_maxmin,
 )
 from caplearn.capacity import _check_q
@@ -244,13 +246,28 @@ def residuals_reference(mu: Capacity, ts: TrainingSet, *_produced) -> tuple[floa
     )
 
 
+def extremal_table_reference(ts: TrainingSet, kind: SystemKind):
+    """The whole system of ``kind`` built cell by cell, solved by the
+    residuated product and applied column by column, in O(N·2^n): the full
+    table (the order's bottom at the boundary set) and each row's product,
+    which ``learning._extremal_table`` must reproduce by ``repr``."""
+    sys_ = build_system_reference(ts, kind)
+    solution = potential_solution(sys_)
+    table = [kind.order.bottom] * (1 << ts.n)
+    for mask, v in zip(solution.labels, solution.values):
+        table[mask] = v
+    return table, apply_system(sys_, solution.values)
+
+
 @contextmanager
 def reference_learning():
-    """Run caplearn's learner on the reference builds, extensions and
-    residuals above, so whole reports can be compared with the fast path."""
+    """Run caplearn's learner on the reference builds, solutions, extensions
+    and residuals above, so whole reports can be compared with the fast
+    path."""
     with mock.patch.multiple(
         caplearn.learning,
         build_system=build_system_reference,
+        _extremal_table=extremal_table_reference,
         capacity_from_solution=capacity_from_solution_reference,
         _residuals=residuals_reference,
     ):

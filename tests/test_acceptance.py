@@ -344,3 +344,18 @@ def test_criterion_12_full_integral_scales_to_n16():
         for _ in range(500):
             x = random_object(rng, 16, levels)
             assert sugeno_maxmin(mu, x) == sugeno_minmax(mu, x) == sugeno_qmax(mu, x, 2)
+
+
+def test_criterion_13_extremal_learning_scales_to_n14():
+    rng = random.Random(213)
+    mu = random_capacity(rng, 14, CHAIN21.levels, CHAIN21)
+    objects = [random_object(rng, 14, CHAIN21.levels) for _ in range(200)]
+    ts = TrainingSet.from_pairs(14, CHAIN21, [(x, sugeno_maxmin(mu, x)) for x in objects])
+    with criterion("13 greatest and lowest capacities at n=14, N=200", 1.0):
+        hi = learn(ts, LearnMode.GREATEST)
+        lo = learn(ts, LearnMode.LOWEST)
+        for report in (hi, lo):
+            assert report.consistent and report.boundary_ok
+            assert report.residuals == (0.0,) * 200
+            assert [sugeno_maxmin(report.capacity, x) for x in objects] == list(ts.targets())
+        assert capacity_leq(lo.capacity, mu) and capacity_leq(mu, hi.capacity)

@@ -239,6 +239,27 @@ class TestTrainingData:
         with pytest.raises(FormatError):
             training_set_from_json(doc)
 
+    @pytest.mark.parametrize("bad", [True, "0.5", None, [0.5]])
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_non_number_coordinate_named(self, bad, i):
+        x = [0.5, 0.25, 1.0]
+        x[i] = bad
+        doc = {
+            "n": 3,
+            "scale": scale_to_json(UNIT),
+            "items": [{"x": [0.5, 0.5, 0.5], "alpha": 0.5}, {"x": x, "alpha": 0.5}],
+        }
+        with pytest.raises(
+            FormatError, match=rf"^item 1, coordinate x{i + 1}: expected a number, got "
+        ):
+            training_set_from_json(doc)
+
+    def test_int_coordinates_load_as_floats(self):
+        doc = {"n": 2, "scale": scale_to_json(UNIT), "items": [{"x": [0, 1], "alpha": 1}]}
+        item = training_set_from_json(doc).items[0]
+        assert item.x == (0.0, 1.0) and item.alpha == 1.0
+        assert all(type(v) is float for v in item.x + (item.alpha,))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_training_set(tmp_path / "nope.json")

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from caplearn import (
     DomainError,
@@ -8,6 +10,7 @@ from caplearn import (
     Scale,
     SystemKind,
     TrainingSet,
+    apply_system,
     build_system,
     capacity_violations,
     chebyshev_distance,
@@ -17,7 +20,7 @@ from caplearn import (
     potential_solution,
     validate_data,
 )
-from caplearn.learning import capacity_from_solution
+from caplearn.learning import _extremal_table, capacity_from_solution
 from caplearn.scale import ScaleKind
 from caplearn.subsets import cardinality, add_one_bit, full_mask, mask_of
 
@@ -160,6 +163,77 @@ class TestIndexSets:
             assert closed_form_greatest(ts) == e.as_dict()
             f = potential_solution(build_system(ts, SystemKind.MIN_MAX))
             assert closed_form_lowest(ts) == f.as_dict()
+
+
+# pools of a few values, so that ties between targets, between 0.0 and
+# -0.0, and between whole objects are frequent
+extremal_pools = st.one_of(
+    st.lists(st.sampled_from([-0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=4),
+    st.just(FIVE_LEVELS + (-0.0,)),
+    st.just(CHAIN21.levels + (-0.0,)),
+)
+
+
+@st.composite
+def extremal_training_sets(draw):
+    value = st.sampled_from(draw(extremal_pools))
+    n = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.tuples(*[value] * n), value), min_size=1, max_size=8))
+    # repeat some objects, with the same or another target
+    for _ in range(draw(st.integers(0, 2))):
+        pairs.append((draw(st.sampled_from(pairs))[0], draw(value)))
+    return TrainingSet.from_pairs(n, UNIT, pairs)
+
+
+def ts_of(n, pairs):
+    return TrainingSet.from_pairs(n, UNIT, pairs)
+
+
+class TestExtremalTable:
+    """The whole-mode solution by one subset sweep, against the system route
+    (build, residuated product, apply) and the blocking-set closed forms,
+    by ``repr`` so that the sign of every zero agrees."""
+
+    @staticmethod
+    def check(ts):
+        closed = {SystemKind.MAX_MIN: closed_form_greatest, SystemKind.MIN_MAX: closed_form_lowest}
+        for kind in SystemKind:
+            table, produced = _extremal_table(ts, kind)
+            sys_ = build_system(ts, kind)
+            solution = potential_solution(sys_)
+            assert repr([table[m] for m in solution.labels]) == repr(list(solution.values))
+            assert repr(produced) == repr(apply_system(sys_, solution.values))
+            boundary = 0 if kind is SystemKind.MAX_MIN else full_mask(ts.n)
+            assert repr(table[boundary]) == repr(kind.order.bottom)
+            assert repr({m: table[m] for m in closed[kind](ts)}) == repr(closed[kind](ts))
+
+    @given(extremal_training_sets())
+    # n = 1, N = 1, and tied zero targets of both signs
+    @example(ts_of(1, [((0.5,), 0.5)]))
+    @example(ts_of(1, [((-0.0,), 0.0)]))
+    @example(ts_of(3, [((0.0, -0.0, 0.5), -0.0)]))
+    @example(ts_of(2, [((0.5, 1.0), 0.0), ((0.5, 1.0), -0.0), ((0.0, -0.0), 0.5)]))
+    def test_matches_the_system_route(self, ts):
+        self.check(ts)
+
+    @pytest.mark.parametrize(
+        "kind, pairs, expected",
+        [
+            # every coordinate above its target, so every row blocks every
+            # nonempty set: the first of the tied least targets wins
+            (SystemKind.MAX_MIN, [((0.5, 1.0, 0.75), 0.0), ((1.0, 0.5, 0.5), -0.0)], "0.0"),
+            (SystemKind.MAX_MIN, [((1.0, 0.5, 0.5), -0.0), ((0.5, 1.0, 0.75), 0.0)], "-0.0"),
+            # every coordinate below its target, so every row blocks every
+            # proper set: the greatest target wins
+            (SystemKind.MIN_MAX, [((0.0, -0.0, 0.25), 0.5), ((0.25, 0.0, 0.5), 1.0)], "1.0"),
+        ],
+    )
+    def test_every_row_blocks_every_subset(self, kind, pairs, expected):
+        ts = ts_of(3, pairs)
+        self.check(ts)
+        table, _ = _extremal_table(ts, kind)
+        boundary = 0 if kind is SystemKind.MAX_MIN else 7
+        assert [repr(v) for m, v in enumerate(table) if m != boundary] == [expected] * 7
 
 
 class TestLearnGreatestLowest:
