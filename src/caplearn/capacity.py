@@ -155,34 +155,60 @@ def _subset_max_sweep(out: list, n: int) -> list:
     return out
 
 
+def _layer_max(f: Sequence[float], m: int, q: int) -> list:
+    """out[A] = max of f over the size-q subsets of A on m bits, -inf when A
+    has none; a tie keeps the value found without bit 0, then bit 1, as
+    the seeded sweep does.
+
+    Masks without bit 0 are the same problem on the even entries; a mask
+    with it takes the better of that and the size-(q-1) problem on the odd
+    entries.  That costs about q * 2^m merges, so while 3q <= m it beats
+    the sweep's m * 2^(m-1) steps, which take the node otherwise.
+    """
+    size = 1 << m
+    if q == 0:
+        return [f[0]] * size
+    if 3 * q > m:
+        out = [-math.inf] * size
+        for mask in masks_of_sizes(m, (q,)):
+            out[mask] = f[mask]
+        return _subset_max_sweep(out, m)
+    a = _layer_max(f[0::2], m - 1, q)
+    b = _layer_max(f[1::2], m - 1, q - 1)
+    out = a + a
+    out[0::2] = a
+    # max(a, b), inlined: b only when strictly greater
+    out[1::2] = [y if y > x else x for x, y in zip(a, b)]
+    return out
+
+
 def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> list[float]:
     """Extend a table from its boundary layer, in the order of ``kind``.
 
     Max-min, the q-maxitive extension: values[X] up to cardinality q, and
-    above it the max over the size-q subsets, by one sweep seeded with that
-    layer whose ties (the sign of a zero) go as in the covering recursion.
-    Min-max, the q-minitive one: the same on the table read by complements
-    (reversed) and negated, both exact, so zeros keep the dual's signs.
+    above it the max over the size-q subsets, by :func:`_layer_max` in
+    about q * 2^n steps for small q (n * 2^(n-1) at most), with ties (the
+    sign of a zero) as in the covering recursion.  Min-max, the q-minitive
+    one: the same on the table read by complements (reversed) and negated,
+    both exact, so zeros keep the dual's signs.
     """
-    dual = kind.order.dual
-    if dual:
+    if kind.order.dual:
         values = [-v for v in reversed(values)]
-    out = [-math.inf] * (1 << n)
-    for mask in masks_of_sizes(n, (q,)):
-        out[mask] = values[mask]
-    _subset_max_sweep(out, n)
+    out = _layer_max(values, n, q)
     for mask in masks_of_sizes(n, range(q)):
         out[mask] = values[mask]
-    return [-v for v in reversed(out)] if dual else out
+    return [-v for v in reversed(out)] if kind.order.dual else out
 
 
 def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
     """Whether mu is its own extension from layer q in the order of ``kind``.
 
-    The sweep runs once per capacity, q and order; later calls read the
-    answer that sweep left in ``mu._q_extension``.
+    Every table is its own extension from layer n.  Below it, the extension
+    runs once per capacity, q and order; later calls read the answer it
+    left in ``mu._q_extension``.
     """
-    _check_q(q, mu.n)
+    if _check_q(q, mu.n) == mu.n:
+        return True
     key = (q, kind)
     if key not in mu._q_extension:
         table = extend_layer(mu.values, mu.n, q, kind)

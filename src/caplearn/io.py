@@ -69,14 +69,21 @@ def _read_json(path: str | Path) -> Any:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # malformed text, or an integer literal past the digit limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(
+            f"{where}: expected a number in float range, got an integer of"
+            f" {len(str(abs(value)))} digits"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -253,11 +260,16 @@ def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
         x = item["x"]
         if not isinstance(x, list):
             raise FormatError(f"item {k}: 'x' must be an array")
-        if not set(map(type, x)) <= _NUMBER_TYPES:
-            # some coordinate is not a number: name the first one
-            for i, v in enumerate(x):
-                _number(v, f"item {k}, coordinate x{i + 1}")
-        pairs.append((tuple(map(float, x)), _number(item["alpha"], f"item {k}, alpha")))
+        try:
+            coords = tuple(map(float, x)) if set(map(type, x)) <= _NUMBER_TYPES else None
+        except OverflowError:
+            coords = None
+        if coords is None:
+            # some coordinate is not a number or too large a one: name the first
+            coords = tuple(
+                _number(v, f"item {k}, coordinate x{i + 1}") for i, v in enumerate(x)
+            )
+        pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
     try:
         return TrainingSet.from_pairs(obj["n"], scale, pairs)
     except Exception as exc:

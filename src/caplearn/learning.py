@@ -295,12 +295,12 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     """One learning run; q is required exactly for the q-modes.
 
     GREATEST (LOWEST) is the exact max-min (min-max) run over every subset,
-    QMAX (QMIN) at q = n reported with q None, solved by
-    :func:`_extremal_table` without building the system.  An exact mode
-    needs consistency and a subset of the boundary layer (size q, resp.
-    n - q) solved at the order's top (1, resp. 0), whose extension is then
-    the greatest q-maxitive (lowest q-minitive) capacity reproducing every
-    target.  An approximate mode solves the system relaxed by its Chebyshev
+    QMAX (QMIN) at q = n reported with q None.  Both, and QMAX (QMIN) at
+    q = n itself, are solved by :func:`_extremal_table` without building
+    the system.  An exact mode needs consistency and a subset of the
+    boundary layer (size q, resp. n - q) solved at the order's top (1,
+    resp. 0), whose extension is then the greatest q-maxitive (lowest
+    q-minitive) capacity reproducing every target.  An approximate mode solves the system relaxed by its Chebyshev
     distance, the exact minimal learning error, and needs only the boundary
     condition.  Failed conditions leave witnesses in the notes.
     """
@@ -311,10 +311,11 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     if not whole and q is None:
         raise DomainError(f"mode {mode.value} requires q")
     layer_q = ts.n if whole else _check_q(q, ts.n)
+    extremal = not approx and layer_q == ts.n
     order = kind.order
     size = order.layer(ts.n, layer_q)
     distance = None
-    if whole:
+    if extremal:
         table, produced = _extremal_table(ts, kind)
         layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
     else:
@@ -334,7 +335,7 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale
-    if whole:
+    if extremal:
         mu = Capacity(ts.n, scale, table)
     else:
         mu = capacity_from_solution(solution.as_dict(), ts.n, layer_q, scale, kind)

@@ -13,9 +13,11 @@ and ``caplearn eval`` refuses a table that is not one.  Every form reports
 a zero result as mu's value on the empty set.  The reduced forms
 visit the C(n, <=q) bounded subsets, about 0.3 ms per object at n = 18,
 q = 2.  ``sugeno_qmax`` and ``sugeno_qmin`` also check q-maxitivity
-(q-minitivity), an n * 2^(n-1) sweep whose answer the capacity keeps per q
-and order, so scoring many objects sweeps once; a capacity that fails
-raises on every call.  The ``_unchecked`` forms skip the check.
+(q-minitivity) by re-extending the table from layer q, about q * 2^n
+steps for small q and never more than n * 2^(n-1), free at q = n; the
+capacity keeps the answer per q and order, so scoring many objects checks
+once, and a capacity that fails raises on every call.  The ``_unchecked``
+forms skip the check.
 """
 
 from __future__ import annotations

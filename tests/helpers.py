@@ -8,6 +8,7 @@ are used to cross-check the solver, not to reuse it.
 
 from __future__ import annotations
 
+import math
 import random
 from contextlib import contextmanager
 from unittest import mock
@@ -24,7 +25,7 @@ from caplearn import (
     potential_solution,
     sugeno_maxmin,
 )
-from caplearn.capacity import _check_q
+from caplearn.capacity import _check_q, _subset_max_sweep
 from caplearn.subsets import (
     add_one_bit,
     cardinality,
@@ -32,6 +33,7 @@ from caplearn.subsets import (
     complement,
     drop_one_bit,
     full_mask,
+    masks_of_sizes,
     members,
     subset_label,
 )
@@ -195,6 +197,22 @@ def extend_layer_reference(values, n: int, q: int, kind: SystemKind) -> list[flo
     if kind is SystemKind.MAX_MIN:
         return max_over_small_subsets_reference(values, n, q)
     return min_over_large_supersets_reference(values, n, q)
+
+
+def extend_layer_sweep_reference(values, n: int, q: int, kind: SystemKind) -> list[float]:
+    """The extension as one subset-max sweep over all n bits, seeded with
+    the size-q layer and -inf elsewhere, in n·2^(n−1) steps whatever q is;
+    ``capacity.extend_layer`` must reproduce it by ``repr``."""
+    dual = kind.order.dual
+    if dual:
+        values = [-v for v in reversed(values)]
+    out = [-math.inf] * (1 << n)
+    for mask in masks_of_sizes(n, (q,)):
+        out[mask] = values[mask]
+    _subset_max_sweep(out, n)
+    for mask in masks_of_sizes(n, range(q)):
+        out[mask] = values[mask]
+    return [-v for v in reversed(out)] if dual else out
 
 
 def capacity_from_solution_reference(

@@ -207,6 +207,16 @@ class TestQCheckMemo:
         is_q_maxitive(mu_e, 1)
         assert len(sweeps) == 3
 
+    def test_q_equal_n_needs_no_sweep(self, sweeps):
+        # every table is n-maxitive and n-minitive, a capacity or not
+        for values in (MU_E_VALUES, (0.0, 0.5, 0.0, 0.25, 1.0, 0.0, 0.5, 1.0)):
+            mu = Capacity(3, UNIT, values)
+            assert is_q_maxitive(mu, 3) and is_q_minitive(mu, 3)
+            assert sugeno_qmax(mu, (0.5, 0.25, 0.3), 3) == sugeno_qmax_unchecked(
+                mu, (0.5, 0.25, 0.3), 3
+            )
+        assert sweeps == []
+
     def test_orders_answer_apart(self):
         # {1,2} is the max of its singletons, but the empty set is not the
         # min of them: 1-maxitive, not 1-minitive, asked in either order

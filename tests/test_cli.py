@@ -100,6 +100,23 @@ class TestLearn:
         assert code == 1
         assert "header" in err
 
+    @pytest.mark.parametrize(
+        "item, named",
+        [
+            ({"x": [0.5, 10**400], "alpha": 0.5}, "item 0, coordinate x2"),
+            ({"x": [0.5, 0.5], "alpha": 10**400}, "item 0, alpha"),
+        ],
+    )
+    def test_huge_integer_is_input_error(self, capsys, tmp_path, item, named):
+        path = tmp_path / "big.json"
+        path.write_text(
+            json.dumps({"n": 2, "scale": {"kind": "unit_interval"}, "items": [item]})
+        )
+        code, out, err = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"caplearn: {named}: expected a number in float range")
+
     def test_table_format(self, capsys, data_csv):
         code, out, _ = run(
             capsys, "learn", "--data", data_csv, "--mode", "greatest",

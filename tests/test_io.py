@@ -254,6 +254,38 @@ class TestTrainingData:
         ):
             training_set_from_json(doc)
 
+    @pytest.mark.parametrize("i", [0, 2])
+    def test_huge_integer_coordinate_named(self, i):
+        x = [0.5, 0.25, 1.0]
+        x[i] = 10**400
+        doc = {"n": 3, "scale": scale_to_json(UNIT), "items": [{"x": x, "alpha": 0.5}]}
+        with pytest.raises(
+            FormatError,
+            match=rf"^item 0, coordinate x{i + 1}: expected a number in float range,"
+            " got an integer of 401 digits$",
+        ):
+            training_set_from_json(doc)
+
+    def test_huge_integer_target_named(self):
+        doc = {
+            "n": 2,
+            "scale": scale_to_json(UNIT),
+            "items": [{"x": [0.5, 0.5], "alpha": 0.5}, {"x": [0.5, 1.0], "alpha": -(10**400)}],
+        }
+        with pytest.raises(
+            FormatError, match=r"^item 1, alpha: expected a number in float range, got an"
+        ):
+            training_set_from_json(doc)
+
+    def test_integer_past_the_digit_limit_is_a_format_error(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text(
+            '{"n": 1, "scale": {"kind": "unit_interval"},'
+            ' "items": [{"x": [1%s], "alpha": 0.5}]}' % ("0" * 5000)
+        )
+        with pytest.raises(FormatError, match="is not valid JSON"):
+            load_training_set(path)
+
     def test_int_coordinates_load_as_floats(self):
         doc = {"n": 2, "scale": scale_to_json(UNIT), "items": [{"x": [0, 1], "alpha": 1}]}
         item = training_set_from_json(doc).items[0]

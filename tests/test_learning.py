@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import caplearn.learning
 from caplearn import (
     DomainError,
     LearnMode,
@@ -35,6 +36,7 @@ from helpers import (
     closed_form_lowest,
     index_sets,
     random_training_set,
+    reference_learning,
     representable_training_set,
 )
 
@@ -332,6 +334,30 @@ class TestLearnQ:
             lo = learn(ts, LearnMode.LOWEST).capacity.values
             assert learn(ts, LearnMode.QMAX, 3).capacity.values == hi
             assert learn(ts, LearnMode.QMIN, 3).capacity.values == lo
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            (((0.15, 0.2, 0.3), 0.2), ((0.5, 0.25, 0.3), 0.3), ((0.4, 0.7, 0.35), 0.4)),
+            (((0.15, 0.2, 0.3), 0.2), ((0.5, 0.25, 0.3), 0.15), ((0.4, 0.7, 0.35), 0.4)),
+            (((0.5, 0.6, 0.7), 0.3), ((0.1, -0.0, 0.2), 0.0)),
+            (((0.1, 0.2, 0.3), 0.8), ((0.0, 0.0, 0.0), -0.0)),
+        ],
+        ids=["consistent", "inconsistent", "target-below-min", "target-above-max"],
+    )
+    def test_q_equal_n_solves_without_the_system(self, monkeypatch, pairs):
+        ts = TrainingSet.from_pairs(3, UNIT, pairs)
+        with reference_learning():
+            with_system = {mode: learn(ts, mode, 3) for mode in (LearnMode.QMAX, LearnMode.QMIN)}
+
+        def refused(*_):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr(caplearn.learning, "build_system", refused)
+        for mode, report in with_system.items():
+            fast = learn(ts, mode, 3)
+            assert fast.mode is mode and fast.q == 3
+            assert repr(fast) == repr(report)
 
     def test_learned_q_capacities_hold_their_property(self):
         rng = random.Random(58)

@@ -7,11 +7,13 @@ between 0.0 and -0.0 are frequent; the chain pool adds exact level values.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import caplearn.capacity
 from caplearn import (
     Capacity,
     DomainError,
@@ -24,7 +26,7 @@ from caplearn import (
     build_system,
     learn,
 )
-from caplearn.capacity import extend_layer
+from caplearn.capacity import _subset_max_sweep, extend_layer
 from caplearn.subsets import masks_of_sizes, subset_label
 from caplearn.sugeno import sugeno_qmin_unchecked
 
@@ -32,6 +34,7 @@ from helpers import (
     CHAIN21,
     build_system_reference,
     extend_layer_reference,
+    extend_layer_sweep_reference,
     reference_learning,
 )
 
@@ -116,6 +119,55 @@ class TestExtensionMatchesReference:
         assert masks_of_sizes(4, (2,)) == [3, 5, 6, 9, 10, 12]
         assert masks_of_sizes(3, range(0, 4)) == list(range(8))
         assert masks_of_sizes(3, ()) == []
+
+
+@st.composite
+def wide_tables(draw):
+    """(n, values): n up to 10, values from a small pool with ±0.0, drawn by
+    a seeded generator so that a 2^10 table costs one draw."""
+    _, pool = draw(pools)
+    n = draw(st.integers(1, 10))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return n, [rng.choice(pool) for _ in range(1 << n)]
+
+
+class TestLayerRecursionMatchesSweep:
+    """``extend_layer`` splits on the lowest criterion while 3q <= m bits
+    remain and sweeps below that; the whole-table sweep is its reference."""
+
+    # (n, q, bit counts of the nodes that sweep): the top node sweeps; the
+    # top node recurses, its (2, 1) node sweeps and its (2, 0) node
+    # broadcasts; the recursion sweeps at depths 1 and 4
+    BRANCHES = [(5, 2, [5]), (1, 1, [1]), (3, 1, [2]), (6, 2, [5, 2])]
+
+    @settings(deadline=None)
+    @given(wide_tables())
+    @example((3, [-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0]))
+    @example((6, [(-0.0, 0.0, 0.5)[m % 3] for m in range(64)]))
+    @example((10, [(0.0, -0.0)[m.bit_count() % 2] for m in range(1024)]))
+    def test_every_q_and_order(self, case):
+        n, values = case
+        for q in range(1, n + 1):
+            for kind in SystemKind:
+                assert repr(extend_layer(values, n, q, kind)) == repr(
+                    extend_layer_sweep_reference(values, n, q, kind)
+                )
+
+    @pytest.mark.parametrize("n, q, swept", BRANCHES)
+    def test_dispatch_branches(self, monkeypatch, n, q, swept):
+        calls = []
+
+        def counted(out, m):
+            calls.append(m)
+            return _subset_max_sweep(out, m)
+
+        monkeypatch.setattr(caplearn.capacity, "_subset_max_sweep", counted)
+        values = [(0.0, -0.0, 0.5)[m % 3] for m in range(1 << n)]
+        for kind in SystemKind:
+            calls.clear()
+            got = extend_layer(values, n, q, kind)
+            assert calls == swept
+            assert repr(got) == repr(extend_layer_sweep_reference(values, n, q, kind))
 
 
 class TestLearnReportsMatchReference:
