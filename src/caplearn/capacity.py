@@ -122,7 +122,7 @@ def is_capacity(values: Sequence[float], n: int, scale: Scale | None = None) -> 
 
 
 def _check_q(q: int, n: int) -> int:
-    if not isinstance(q, int) or not 1 <= q <= n:
+    if isinstance(q, bool) or not isinstance(q, int) or not 1 <= q <= n:
         raise DomainError(f"q must be an integer in 1..{n}, got {q!r}")
     return q
 
@@ -195,8 +195,11 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
     if kind.order.dual:
         values = [-v for v in reversed(values)]
     out = _layer_max(values, n, q)
-    for mask in masks_of_sizes(n, range(q)):
-        out[mask] = values[mask]
+    # sizes below q keep their values: copy whichever side has fewer masks
+    low = 2 * sum(map(math.comb, [n] * q, range(q))) <= 1 << n
+    source, out = (values, out) if low else (out, list(values))
+    for mask in masks_of_sizes(n, range(q) if low else range(q, n + 1)):
+        out[mask] = source[mask]
     return [-v for v in reversed(out)] if kind.order.dual else out
 
 

@@ -26,6 +26,7 @@ from .io import (
     report_to_json,
     save_capacity,
     system_from_json,
+    training_set_from_json,
     _read_json,
 )
 from .learning import LearnMode, build_system, learn, validate_data
@@ -92,7 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     oracle_p = sub.add_parser("oracle", help="compare formulas against brute force")
     oracle_p.add_argument("--data", required=True, help="training file or system JSON")
-    oracle_p.add_argument("--type", choices=["maxmin", "minmax"], default="maxmin")
     oracle_p.add_argument("--mode", choices=["qmax", "qmin"], default="qmax")
     oracle_p.add_argument("--q", type=int)
     oracle_p.add_argument("--grid-step", type=float, default=0.05)
@@ -239,6 +239,7 @@ def _load_system_or_training(args):
         doc = _read_json(args.data)
         if isinstance(doc, dict) and "matrix" in doc:
             return system_from_json(doc, args.tolerance), None
+        return None, training_set_from_json(doc, args.tolerance)
     return None, load_training_set(args.data, tol=args.tolerance)
 
 

@@ -65,7 +65,7 @@ def _number_pieces(items: list | tuple) -> list[str] | None:
 def _read_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -139,7 +139,7 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
     for field in ("n", "scale", "values"):
         if field not in obj:
             raise FormatError(f"capacity is missing the '{field}' field")
-    if not isinstance(obj["n"], int):
+    if type(obj["n"]) is not int:  # JSON true/false are not counts
         raise FormatError(f"capacity field 'n' must be an integer, got {obj['n']!r}")
     scale = scale_from_json(obj["scale"], tol)
     values = obj["values"]
@@ -247,7 +247,7 @@ def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
     for field in ("n", "scale", "items"):
         if field not in obj:
             raise FormatError(f"training set is missing the '{field}' field")
-    if not isinstance(obj["n"], int):
+    if type(obj["n"]) is not int:  # JSON true/false are not counts
         raise FormatError(f"training set field 'n' must be an integer, got {obj['n']!r}")
     scale = scale_from_json(obj["scale"], tol)
     items = obj["items"]
@@ -321,7 +321,7 @@ def load_training_set(
     if p.suffix.lower() == ".csv":
         try:
             text = p.read_text()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise FormatError(f"cannot read {path}: {exc}") from exc
         if scale is None:
             scale = Scale.unit_interval()

@@ -2,27 +2,29 @@
 
 A training set of (object, target) pairs induces a max-min system, whose
 columns hold per-subset minima of each object, and a min-max system built
-from complement maxima.  Their potential solutions over every subset give
-the greatest and lowest capacities that reproduce every target, when any
-does, found without building the system in O(N * n log n + n * 2^n).
-Restricting columns by cardinality learns q-maxitive and q-minitive
-capacities; when those systems are inconsistent, the Chebyshev machinery
-yields the best approximating capacities with the exact minimal error.
+from complement maxima.  Sanchez's residuated solution of either on the
+subsets up to cardinality q, extended from its boundary layer, is the
+greatest q-maxitive (lowest q-minitive) capacity reproducing every target
+when any does (q = n: the greatest and lowest capacities); ``learn`` finds
+it without the system, one AND of N-bit row words per subset.  Against
+targets relaxed by the Chebyshev distance, it gives the best approximating
+capacities with the exact minimal error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter
-from typing import Sequence
+from itertools import combinations
+from operator import and_, itemgetter
+from typing import Any, Iterable, Sequence
 
-from .capacity import Capacity, _check_q, _subset_max_sweep, extend_layer
-from .chebyshev import approx_solution, chebyshev_distance
+from .capacity import Capacity, _check_q, extend_layer
+from .chebyshev import chebyshev_distance, relaxed_rhs
 from .errors import DomainError
-from .relational import RelationalSystem, SystemKind, apply_system, potential_solution
+from .relational import RelationalSystem, SystemKind
 from .scale import Scale
-from .subsets import cardinality, check_criteria_count, full_mask, masks_of_sizes, subset_label
+from .subsets import check_criteria_count, full_mask, masks_of_sizes, subset_label
 from .sugeno import _chain
 
 
@@ -117,23 +119,21 @@ def validate_data(ts: TrainingSet) -> list[DataViolation]:
     return out
 
 
-def _subset_columns(ts: TrainingSet, masks: list[int], op) -> dict[int, Sequence[float]]:
-    """columns[A][k] = op over object k's coordinates in A, for A in ``masks``.
+def _low_bit_fold(base: Sequence, masks: Iterable[int], op) -> dict[int, Any]:
+    """out[A] = op(base[i], out[A minus i]) for A in ``masks``, i being A's
+    lowest criterion, and base[i] on a singleton: one op per set.
 
     ``masks`` must be ascending and closed under dropping the lowest bit.
-    Each column is op(coordinate column of A's lowest criterion, column of
-    the rest), one map over the items, so a build costs O(N * m) for m
-    columns.  The lowest criterion comes first, which keeps the tie choice
-    of a left-to-right op over A's members (the sign of a zero).
+    The lowest criterion comes first, which keeps the tie choice of a
+    left-to-right op over A's members (the sign of a zero).
     """
-    coords = list(zip(*(item.x for item in ts.items)))
-    columns: dict[int, Sequence[float]] = {}
+    out: dict[int, Any] = {}
     for mask in masks:
         low = mask & -mask
         rest = mask ^ low
-        first = coords[low.bit_length() - 1]
-        columns[mask] = list(map(op, first, columns[rest])) if rest else first
-    return columns
+        first = base[low.bit_length() - 1]
+        out[mask] = op(first, out[rest]) if rest else first
+    return out
 
 
 def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> RelationalSystem:
@@ -148,7 +148,9 @@ def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> Rel
     q = ts.n if q is None else _check_q(q, ts.n)
     order = kind.order
     masks = masks_of_sizes(ts.n, range(1, q + 1))
-    columns = _subset_columns(ts, masks, order.meet)
+    # one map over the items per column: O(N * m) for m columns
+    coords = list(zip(*(item.x for item in ts.items)))
+    columns = _low_bit_fold(coords, masks, lambda a, b: list(map(order.meet, a, b)))
     labels = masks
     if order.dual:
         # ascending masks are descending complements
@@ -218,58 +220,54 @@ _MODES = {
 }
 
 
-def capacity_from_solution(
-    solved: dict[int, float], n: int, q: int, scale: Scale, kind: SystemKind
-) -> Capacity:
-    """Extend a solved layer to a q-maxitive (max-min) or q-minitive capacity.
+def _solve(
+    ts: TrainingSet, kind: SystemKind, q: int, rhs: Sequence[float], bound: Sequence[float]
+) -> list[float]:
+    """The residuated solution of the system of ``kind`` on the layers up to
+    q against ``rhs``, as a table with the order's bottom off those layers.
 
-    Max-min keeps the solved values on nonempty subsets of cardinality <= q
-    and fills larger subsets with the max over their contained small
-    subsets.  Min-max keeps them on proper subsets of cardinality >= n - q
-    and fills smaller subsets with the min over their covering large ones.
-    The boundary set (empty, resp. full) holds the order's bottom.  A
-    capacity needs a boundary-layer subset solved at the order's top.
-    """
-    check_criteria_count(n)
-    _check_q(q, n)
-    seed = [kind.order.bottom] * (1 << n)
-    for mask, v in solved.items():
-        seed[mask] = v
-    return Capacity(n, scale, tuple(extend_layer(seed, n, q, kind)))
-
-
-def _extremal_table(ts: TrainingSet, kind: SystemKind) -> tuple[list[float], tuple[float, ...]]:
-    """The whole system's potential solution as a full table (the order's
-    bottom at the boundary set) and each row's product, without the system.
-
-    Row k is written once, at {i : le(x_ki, alpha_k)}, as its rank by target
-    in the order, lower k ahead among equals as in the residuated product;
-    a subset-max sweep (read by complements for max-min) gives each set its
-    best row.  Products are the chain form on the monotone table; a zero
-    keeps the sign of the first zero term in column order.
+    A row blocks a set when its coordinates in the set's column (inside A
+    for max-min, outside B for min-max) all lie strictly beyond its bound;
+    the value is the meet of the blocking rows' rhs, the top when none.
+    Ranked by rhs in the order, lower k ahead among equals as the meet picks
+    them, a set's blocking rows are the AND of its members' row words.
     """
     n, order = ts.n, kind.order
-    alphas = ts.targets()
-    # Max-min: the value at A is min{alpha_k : x_ki > alpha_k on A}, 1 when
-    # no row qualifies, so row k reaches every A inside the complement of
-    # its mask.  Min-max: max{alpha_k : x_ki < alpha_k off B}, 0 when none,
-    # so row k reaches every B that contains its mask.  Rank 0 is no row.
-    rising = sorted(range(len(alphas)), key=alphas.__getitem__, reverse=order.dual)[::-1]
-    best = [0] * (1 << n)
-    for rank, k in enumerate(rising, 1):
-        best[sum(1 << i for i, v in enumerate(ts.items[k].x) if order.le(v, alphas[k]))] = rank
-    levels = [order.top] + [alphas[k] for k in rising]
-    table = [levels[r] for r in _subset_max_sweep(best, n)]
-    if not order.dual:
-        table.reverse()
-    table[full_mask(n) if order.dual else 0] = order.bottom
-    # A zero product: max-min terms are then all zero and the first column,
-    # {1}, decides; the first zero min-max term is at the set of nonzero
-    # coordinates, whose max outside is the first zero coordinate.
-    return table, tuple(
-        _chain(table, x, order) or (x[x.index(0.0)] if order.dual else min(x[0], table[1]))
-        for x in (item.x for item in ts.items)
-    )
+    rising = sorted(range(len(rhs)), key=rhs.__getitem__, reverse=order.dual)[::-1]
+    levels = [order.top] + [rhs[k] for k in rising]
+    blocked = [
+        sum(1 << r for r, k in enumerate(rising) if not order.le(ts.items[k].x[i], bound[k]))
+        for i in range(n)
+    ]
+    masks = range(1, 1 << n) if q == n else masks_of_sizes(n, range(1, q + 1))
+    table = [order.bottom] * (1 << n)
+    flip = full_mask(n) if order.dual else 0  # min-max sets are complements
+    for mask, word in _low_bit_fold(blocked, masks, and_).items():
+        table[mask ^ flip] = levels[word.bit_length()]
+    return table
+
+
+def _products(
+    ts: TrainingSet, kind: SystemKind, q: int, table: Sequence[float]
+) -> tuple[float, ...]:
+    """Each row's system product, by the sorted form on the extended table.
+
+    A zero takes the sign of the first zero term in column order.  Max-min:
+    column {1}.  Min-max: the numerically largest set C of zero coordinates,
+    |C| <= q, whose complement is solved at 0, so |C| = min(q, zeros); the
+    term is x at C's lowest criterion.
+    """
+    order = kind.order
+
+    def zero(x: tuple[float, ...]) -> float:
+        if not order.dual:
+            return min(x[0], table[1])
+        zeros = [i for i in reversed(range(ts.n)) if x[i] == 0.0]
+        for c in combinations(zeros, min(q, len(zeros))):
+            if table[full_mask(ts.n) ^ sum(1 << i for i in c)] == 0.0:
+                return x[c[-1]]
+
+    return tuple(_chain(table, item.x, order) or zero(item.x) for item in ts.items)
 
 
 def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tuple[float, ...]:
@@ -283,26 +281,19 @@ def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tupl
     return tuple((p or zero) - item.alpha for p, item in zip(produced, ts.items))
 
 
-def _row_mismatches(produced, rhs) -> tuple[str, ...]:
-    return tuple(
-        f"equation {k}: system yields {got!r} for target {want!r}"
-        for k, (got, want) in enumerate(zip(produced, rhs))
-        if got != want
-    )
-
-
 def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport:
     """One learning run; q is required exactly for the q-modes.
 
-    GREATEST (LOWEST) is the exact max-min (min-max) run over every subset,
-    QMAX (QMIN) at q = n reported with q None.  Both, and QMAX (QMIN) at
-    q = n itself, are solved by :func:`_extremal_table` without building
-    the system.  An exact mode needs consistency and a subset of the
+    GREATEST (LOWEST) is QMAX (QMIN) at q = n, reported with q None.  Every
+    mode solves its system on the layers up to q by :func:`_solve`, extends
+    the solution from the boundary layer when q < n, and scores each row by
+    the sorted form.  An exact mode needs consistency and a subset of the
     boundary layer (size q, resp. n - q) solved at the order's top (1,
-    resp. 0), whose extension is then the greatest q-maxitive (lowest
-    q-minitive) capacity reproducing every target.  An approximate mode solves the system relaxed by its Chebyshev
-    distance, the exact minimal learning error, and needs only the boundary
-    condition.  Failed conditions leave witnesses in the notes.
+    resp. 0); the extension is then the greatest q-maxitive (lowest
+    q-minitive) capacity reproducing every target.  An approximate mode
+    builds the system only for its Chebyshev distance, the exact minimal
+    learning error, solves against the targets relaxed by it, and needs
+    only the boundary condition.  Failed conditions leave notes.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -311,23 +302,29 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     if not whole and q is None:
         raise DomainError(f"mode {mode.value} requires q")
     layer_q = ts.n if whole else _check_q(q, ts.n)
-    extremal = not approx and layer_q == ts.n
     order = kind.order
     size = order.layer(ts.n, layer_q)
+    targets = rhs = bound = ts.targets()
     distance = None
-    if extremal:
-        table, produced = _extremal_table(ts, kind)
-        layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
-    else:
-        sys = build_system(ts, kind, layer_q)
-        distance = chebyshev_distance(sys).distance if approx else None
-        solution = approx_solution(sys, distance) if approx else potential_solution(sys)
-        produced = apply_system(sys, solution.values)
-        layer = [(m, v) for m, v in zip(solution.labels, solution) if cardinality(m) == size]
+    if approx:
+        distance = chebyshev_distance(build_system(ts, kind, layer_q)).distance
+        if distance:
+            # the optimum sits where entries tie with the relaxed rhs, so
+            # blocking is judged with the tolerance toward the order's top
+            rhs = relaxed_rhs(targets, distance, kind)
+            bound = tuple(r + order.sign * ts.scale.tol for r in rhs)
+    table = _solve(ts, kind, layer_q, rhs, bound)
+    layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
     best, value = order.join(layer, key=itemgetter(1))
-    consistent = distance == 0.0 if approx else produced == ts.targets()
+    if layer_q < ts.n:
+        table = extend_layer(table, ts.n, layer_q, kind)
+    produced = _products(ts, kind, layer_q, table)
+    consistent = distance == 0.0 if approx else produced == targets
     boundary_ok = value == order.top
-    notes = () if approx or consistent else _row_mismatches(produced, ts.targets())
+    notes = () if approx or consistent else tuple(
+        f"equation {k}: system yields {got!r} for target {want!r}"
+        for k, (got, want) in enumerate(zip(produced, targets)) if got != want
+    )
     if not boundary_ok:
         notes += (note.format(size=size, label=subset_label(best), value=value),)
     if not boundary_ok or not (approx or consistent):
@@ -335,8 +332,5 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale
-    if extremal:
-        mu = Capacity(ts.n, scale, table)
-    else:
-        mu = capacity_from_solution(solution.as_dict(), ts.n, layer_q, scale, kind)
+    mu = Capacity(ts.n, scale, table)
     return LearnReport(mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced))

@@ -7,6 +7,9 @@ potential greatest (resp. lowest) solution, and the system is consistent
 exactly when that vector reproduces the right-hand side.
 
 Column labels are opaque here; the learning module attaches subset masks.
+``learn`` finds the same solutions without building a system (see
+``learning._solve``); these routines serve the Chebyshev distance, the
+oracle and library callers.
 """
 
 from __future__ import annotations
@@ -128,12 +131,6 @@ class SolutionVector:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):
             raise DomainError("labels and values must have the same length")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
 
     def value_of(self, label: Hashable) -> float:
         return self.values[self.labels.index(label)]

@@ -18,7 +18,7 @@ MAX_CRITERIA = 24
 
 
 def check_criteria_count(n: int) -> int:
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise DomainError(f"criteria count must be a positive integer, got {n!r}")
     if n > MAX_CRITERIA:
         raise DomainError(f"criteria count {n} exceeds the supported cap of {MAX_CRITERIA}")

@@ -2,8 +2,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# a longer search for the reference comparisons, where rare signed-zero ties
+# hide: pytest --hypothesis-profile=thorough
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 from helpers import (  # noqa: E402
     CHAIN21,

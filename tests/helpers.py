@@ -22,10 +22,9 @@ from caplearn import (
     SystemKind,
     TrainingSet,
     apply_system,
-    potential_solution,
     sugeno_maxmin,
 )
-from caplearn.capacity import _check_q, _subset_max_sweep
+from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
 from caplearn.subsets import (
     add_one_bit,
     cardinality,
@@ -37,6 +36,7 @@ from caplearn.subsets import (
     members,
     subset_label,
 )
+from caplearn.sugeno import _chain
 
 CHAIN21 = Scale.uniform_chain(20)
 FIVE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -215,6 +215,16 @@ def extend_layer_sweep_reference(values, n: int, q: int, kind: SystemKind) -> li
     return [-v for v in reversed(out)] if dual else out
 
 
+def capacity_from_solution(solved, n: int, q: int, scale: Scale, kind: SystemKind) -> Capacity:
+    """A solved layer extended to a q-maxitive (max-min) or q-minitive
+    capacity by ``capacity.extend_layer``: the order's bottom on the
+    boundary set and on every unsolved set before the extension."""
+    seed = [kind.order.bottom] * (1 << n)
+    for mask, v in solved.items():
+        seed[mask] = v
+    return Capacity(n, scale, tuple(extend_layer(seed, n, q, kind)))
+
+
 def capacity_from_solution_reference(
     solved, n: int, q: int, scale: Scale, kind: SystemKind
 ) -> Capacity:
@@ -264,29 +274,67 @@ def residuals_reference(mu: Capacity, ts: TrainingSet, *_produced) -> tuple[floa
     )
 
 
-def extremal_table_reference(ts: TrainingSet, kind: SystemKind):
-    """The whole system of ``kind`` built cell by cell, solved by the
-    residuated product and applied column by column, in O(N·2^n): the full
-    table (the order's bottom at the boundary set) and each row's product,
-    which ``learning._extremal_table`` must reproduce by ``repr``."""
-    sys_ = build_system_reference(ts, kind)
-    solution = potential_solution(sys_)
-    table = [kind.order.bottom] * (1 << ts.n)
-    for mask, v in zip(solution.labels, solution.values):
-        table[mask] = v
-    return table, apply_system(sys_, solution.values)
+def solve_reference(ts: TrainingSet, kind: SystemKind, q: int, rhs, bound) -> list[float]:
+    """The system of ``kind`` on the layers up to q built cell by cell and
+    solved column by column by the residuated product against ``rhs``: the
+    meet over rows of the order's top where the entry lies within bound_k,
+    rhs_k where it lies beyond.  The table holds the order's bottom on every
+    set without a column; ``learning._solve`` must reproduce it by ``repr``."""
+    sys_ = build_system_reference(ts, kind, q)
+    order = kind.order
+    table = [order.bottom] * (1 << ts.n)
+    for mask, column in zip(sys_.column_labels, zip(*sys_.matrix)):
+        table[mask] = order.meet(
+            order.top if order.le(a, b) else r for a, r, b in zip(column, rhs, bound)
+        )
+    return table
+
+
+def products_reference(ts: TrainingSet, kind: SystemKind, q: int, table) -> tuple[float, ...]:
+    """The system of ``kind`` on the layers up to q, built cell by cell and
+    applied to the table's values on its columns, column by column."""
+    sys_ = build_system_reference(ts, kind, q)
+    return apply_system(sys_, [table[mask] for mask in sys_.column_labels])
+
+
+def extremal_table_sweep(ts: TrainingSet, kind: SystemKind):
+    """The whole system's potential solution as a full table (the order's
+    bottom at the boundary set) and each row's product, without the system.
+
+    Row k is written once, at {i : le(x_ki, alpha_k)}, as its rank by target
+    in the order, lower k ahead among equals as in the residuated product;
+    a subset-max sweep (read by complements for max-min) gives each set its
+    best row.  Products are the chain form on the monotone table; a zero
+    keeps the sign of the first zero term in column order.
+    """
+    n, order = ts.n, kind.order
+    alphas = ts.targets()
+    rising = sorted(range(len(alphas)), key=alphas.__getitem__, reverse=order.dual)[::-1]
+    best = [0] * (1 << n)
+    for rank, k in enumerate(rising, 1):
+        best[sum(1 << i for i, v in enumerate(ts.items[k].x) if order.le(v, alphas[k]))] = rank
+    levels = [order.top] + [alphas[k] for k in rising]
+    table = [levels[r] for r in _subset_max_sweep(best, n)]
+    if not order.dual:
+        table.reverse()
+    table[full_mask(n) if order.dual else 0] = order.bottom
+    return table, tuple(
+        _chain(table, x, order) or (x[x.index(0.0)] if order.dual else min(x[0], table[1]))
+        for x in (item.x for item in ts.items)
+    )
 
 
 @contextmanager
 def reference_learning():
-    """Run caplearn's learner on the reference builds, solutions, extensions
-    and residuals above, so whole reports can be compared with the fast
-    path."""
+    """Run caplearn's learner on the reference builds, solutions, products,
+    extensions and residuals above, so whole reports can be compared with
+    the fast path."""
     with mock.patch.multiple(
         caplearn.learning,
         build_system=build_system_reference,
-        _extremal_table=extremal_table_reference,
-        capacity_from_solution=capacity_from_solution_reference,
+        _solve=solve_reference,
+        _products=products_reference,
+        extend_layer=extend_layer_reference,
         _residuals=residuals_reference,
     ):
         yield
@@ -340,10 +388,12 @@ def representable_training_set(rng: random.Random, n: int, size: int, levels):
 
 def closed_form_greatest(ts: TrainingSet) -> dict[int, float]:
     """Greatest solution per blocking sets: min target over items whose
-    in-subset minimum overshoots, 1 when none does."""
+    in-subset minimum overshoots, 1 when none does.  Items are taken in
+    ascending order, as the residuated product takes its rows, so a tie
+    between 0.0 and -0.0 keeps the first (a frozenset iterates by hash)."""
     j_map, _ = index_sets(ts)
     return {
-        mask: min((ts.items[k].alpha for k in ks), default=1.0)
+        mask: min((ts.items[k].alpha for k in sorted(ks)), default=1.0)
         for mask, ks in j_map.items()
     }
 
@@ -351,7 +401,7 @@ def closed_form_greatest(ts: TrainingSet) -> dict[int, float]:
 def closed_form_lowest(ts: TrainingSet) -> dict[int, float]:
     _, k_map = index_sets(ts)
     return {
-        mask: max((ts.items[k].alpha for k in ks), default=0.0)
+        mask: max((ts.items[k].alpha for k in sorted(ks)), default=0.0)
         for mask, ks in k_map.items()
     }
 

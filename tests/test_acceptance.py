@@ -34,7 +34,6 @@ from caplearn import (
     sugeno_minmax,
     sugeno_qmax,
 )
-from caplearn.learning import capacity_from_solution
 from caplearn.subsets import add_one_bit, full_mask, masks_of_sizes
 from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
@@ -43,6 +42,7 @@ from helpers import (
     FIVE_LEVELS,
     MU_E_VALUES,
     by_cardinality,
+    capacity_from_solution,
     capacity_leq,
     closed_form_greatest,
     closed_form_lowest,

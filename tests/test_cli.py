@@ -125,6 +125,24 @@ class TestLearn:
         assert code == 0
         assert "consistent: True" in out
 
+    @pytest.mark.parametrize("name", ["train.json", "train.csv"])
+    def test_non_utf8_file_is_input_error(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe" + REFERENCE_CSV.encode("utf-16-le"))
+        code, out, err = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"caplearn: cannot read {path}: ")
+
+    def test_bool_criteria_count_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "train.json"
+        doc = {"n": True, "scale": {"kind": "unit_interval"}, "items": [{"x": [0.5], "alpha": 0.5}]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
+        assert code == 1
+        assert out == ""
+        assert "field 'n' must be an integer, got True" in err
+
 
 class TestEval:
     def test_reference_object(self, capsys, mu_e_path):
@@ -167,6 +185,14 @@ class TestEval:
         assert code == 1
         assert "empty set" in err
 
+    def test_non_utf8_capacity_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "mu.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "eval", "--capacity", str(path), "--object", "0.5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"caplearn: cannot read {path}: ")
+
     def test_exactly_one_input_required(self, capsys, mu_e_path, data_csv):
         code, _, err = run(capsys, "eval", "--capacity", mu_e_path)
         assert code == 1
@@ -203,6 +229,15 @@ class TestCheck:
         assert payload["is_capacity"] is False
         assert payload["violations"]
 
+    def test_bool_criteria_count_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "mu.json"
+        doc = {"n": True, "scale": {"kind": "unit_interval"}, "values": [0, 1]}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--capacity", str(path))
+        assert code == 1
+        assert out == ""
+        assert "field 'n' must be an integer, got True" in err
+
     def test_unparseable_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{not json")
@@ -230,6 +265,20 @@ class TestDistance:
         code, out, _ = run(capsys, "distance", "--data", str(path))
         assert code == 0
         assert json.loads(out)["distance"] == pytest.approx(0.3, abs=1e-12)
+
+    def test_training_json_is_read_once(self, capsys, tmp_path, monkeypatch):
+        import caplearn.io
+
+        path = tmp_path / "train.json"
+        save_training_set(reference_training_set(), path)
+        reads = []
+        read_text = caplearn.io.Path.read_text
+        monkeypatch.setattr(
+            caplearn.io.Path, "read_text", lambda p: reads.append(p) or read_text(p)
+        )
+        code, _, _ = run(capsys, "distance", "--data", str(path), "--q", "2")
+        assert code == 0
+        assert reads == [path]
 
     def test_chain_scale_warns_about_embedding(self, capsys, tmp_path):
         ts = reference_training_set()
@@ -286,6 +335,14 @@ class TestUsageErrors:
     def test_unknown_mode_is_input_error(self, capsys, data_csv):
         code, _, err = run(capsys, "learn", "--data", data_csv, "--mode", "best")
         assert code == 1
+
+    def test_oracle_takes_no_type_flag(self, capsys, tmp_path):
+        # the oracle's system kind follows --mode; --type was never read
+        path = tmp_path / "tiny.csv"
+        path.write_text("x1,x2,alpha\n0.25,0.5,0.5\n")
+        code, out, err = run(capsys, "oracle", "--data", str(path), "--type", "minmax")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --type minmax" in err
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "learn", "--mode", "greatest")

@@ -296,6 +296,23 @@ class TestTrainingData:
         with pytest.raises(FormatError):
             load_training_set(tmp_path / "nope.json")
 
+    def test_non_utf8_files_are_format_errors(self, tmp_path):
+        for name, load in (("train.json", load_training_set), ("train.csv", load_training_set),
+                           ("mu.json", load_capacity)):
+            path = tmp_path / name
+            path.write_bytes(b"\xff\xfex1,alpha\n")
+            with pytest.raises(FormatError, match="cannot read"):
+                load(path)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, "1"])
+def test_criteria_count_must_be_an_integer(n):
+    scale = scale_to_json(UNIT)
+    with pytest.raises(FormatError, match="field 'n' must be an integer"):
+        capacity_from_json({"n": n, "scale": scale, "values": [0, 1]})
+    with pytest.raises(FormatError, match="field 'n' must be an integer"):
+        training_set_from_json({"n": n, "scale": scale, "items": [{"x": [0.5], "alpha": 0.5}]})
+
 
 class TestReportJson:
     def test_success_report_shape(self, ref_ts):

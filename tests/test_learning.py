@@ -21,7 +21,9 @@ from caplearn import (
     potential_solution,
     validate_data,
 )
-from caplearn.learning import _extremal_table, capacity_from_solution
+from caplearn.capacity import extend_layer
+from caplearn.chebyshev import relaxed_rhs
+from caplearn.learning import _products, _solve
 from caplearn.scale import ScaleKind
 from caplearn.subsets import cardinality, add_one_bit, full_mask, mask_of
 
@@ -31,13 +33,18 @@ from helpers import (
     MU_E_VALUES,
     MU_F_VALUES,
     by_cardinality,
+    capacity_from_solution,
+    capacity_from_solution_reference,
     capacity_leq,
     closed_form_greatest,
     closed_form_lowest,
+    extremal_table_sweep,
     index_sets,
+    products_reference,
     random_training_set,
     reference_learning,
     representable_training_set,
+    solve_reference,
 )
 
 UNIT = Scale.unit_interval()
@@ -191,32 +198,59 @@ def ts_of(n, pairs):
     return TrainingSet.from_pairs(n, UNIT, pairs)
 
 
+# relaxations of the targets: a distance and a tolerance, or none (exact)
+relaxations = st.none() | st.tuples(
+    st.sampled_from([0.125, 0.25, 1 / 3]), st.sampled_from([1e-9, 0.25])
+)
+
+
 class TestExtremalTable:
-    """The whole-mode solution by one subset sweep, against the system route
-    (build, residuated product, apply) and the blocking-set closed forms,
-    by ``repr`` so that the sign of every zero agrees."""
+    """The one residuated solve (``_solve``) and the products on its
+    extension (``_products``), at every q, for both kinds, against exact and
+    relaxed targets, compared with the system route (cell-by-cell build,
+    residuated product, apply) by ``repr``, so the sign of every zero
+    agrees; at q = n also with the subset sweep and the blocking-set closed
+    forms."""
 
     @staticmethod
-    def check(ts):
+    def check(ts, relax=None):
         closed = {SystemKind.MAX_MIN: closed_form_greatest, SystemKind.MIN_MAX: closed_form_lowest}
+        n, targets = ts.n, ts.targets()
         for kind in SystemKind:
-            table, produced = _extremal_table(ts, kind)
-            sys_ = build_system(ts, kind)
-            solution = potential_solution(sys_)
-            assert repr([table[m] for m in solution.labels]) == repr(list(solution.values))
-            assert repr(produced) == repr(apply_system(sys_, solution.values))
-            boundary = 0 if kind is SystemKind.MAX_MIN else full_mask(ts.n)
-            assert repr(table[boundary]) == repr(kind.order.bottom)
-            assert repr({m: table[m] for m in closed[kind](ts)}) == repr(closed[kind](ts))
+            rhs = bound = targets
+            if relax is not None:
+                distance, tol = relax
+                rhs = relaxed_rhs(targets, distance, kind)
+                bound = tuple(r + kind.order.sign * tol for r in rhs)
+            for q in range(1, n + 1):
+                table = _solve(ts, kind, q, rhs, bound)
+                assert repr(table) == repr(solve_reference(ts, kind, q, rhs, bound))
+                if q < n:
+                    table = extend_layer(table, n, q, kind)
+                produced = _products(ts, kind, q, table)
+                assert repr(produced) == repr(products_reference(ts, kind, q, table))
+            if relax is None:
+                assert repr((table, produced)) == repr(extremal_table_sweep(ts, kind))
+                assert repr({m: table[m] for m in closed[kind](ts)}) == repr(closed[kind](ts))
 
-    @given(extremal_training_sets())
+    @given(extremal_training_sets(), relaxations)
     # n = 1, N = 1, and tied zero targets of both signs
-    @example(ts_of(1, [((0.5,), 0.5)]))
-    @example(ts_of(1, [((-0.0,), 0.0)]))
-    @example(ts_of(3, [((0.0, -0.0, 0.5), -0.0)]))
-    @example(ts_of(2, [((0.5, 1.0), 0.0), ((0.5, 1.0), -0.0), ((0.0, -0.0), 0.5)]))
-    def test_matches_the_system_route(self, ts):
-        self.check(ts)
+    @example(ts_of(1, [((0.5,), 0.5)]), None)
+    @example(ts_of(1, [((-0.0,), 0.0)]), None)
+    @example(ts_of(3, [((0.0, -0.0, 0.5), -0.0)]), None)
+    @example(ts_of(2, [((0.5, 1.0), 0.0), ((0.5, 1.0), -0.0), ((0.0, -0.0), 0.5)]), None)
+    # at q = 1 the first zero min-max column is {1} (outside {2}), whose
+    # term is x2 = -0.0, not the first zero coordinate
+    @example(ts_of(2, [((0.0, -0.0), 0.0)]), None)
+    # tied targets 0.0 and -0.0 on items 3 and 8, whose blocking set the
+    # closed form once took in hash order
+    @example(
+        ts_of(5, [((0.0,) * 4 + (0.25 if k in (3, 8) else 0.0,), -0.0 if k == 8 else 0.0)
+                  for k in range(9)]),
+        None,
+    )
+    def test_matches_the_system_route(self, ts, relax):
+        self.check(ts, relax)
 
     @pytest.mark.parametrize(
         "kind, pairs, expected",
@@ -233,7 +267,7 @@ class TestExtremalTable:
     def test_every_row_blocks_every_subset(self, kind, pairs, expected):
         ts = ts_of(3, pairs)
         self.check(ts)
-        table, _ = _extremal_table(ts, kind)
+        table = _solve(ts, kind, 3, ts.targets(), ts.targets())
         boundary = 0 if kind is SystemKind.MAX_MIN else 7
         assert [repr(v) for m, v in enumerate(table) if m != boundary] == [expected] * 7
 
@@ -346,17 +380,22 @@ class TestLearnQ:
         ids=["consistent", "inconsistent", "target-below-min", "target-above-max"],
     )
     def test_q_equal_n_solves_without_the_system(self, monkeypatch, pairs):
+        # every exact mode at every q solves without the system, and reports
+        # what the system route reports
         ts = TrainingSet.from_pairs(3, UNIT, pairs)
+        runs = [(LearnMode.GREATEST, None), (LearnMode.LOWEST, None)] + [
+            (mode, q) for mode in (LearnMode.QMAX, LearnMode.QMIN) for q in (1, 2, 3)
+        ]
         with reference_learning():
-            with_system = {mode: learn(ts, mode, 3) for mode in (LearnMode.QMAX, LearnMode.QMIN)}
+            with_system = {run: learn(ts, *run) for run in runs}
 
         def refused(*_):
             raise AssertionError("the system was built")
 
         monkeypatch.setattr(caplearn.learning, "build_system", refused)
-        for mode, report in with_system.items():
-            fast = learn(ts, mode, 3)
-            assert fast.mode is mode and fast.q == 3
+        for (mode, q), report in with_system.items():
+            fast = learn(ts, mode, q)
+            assert fast.mode is mode and fast.q == q
             assert repr(fast) == repr(report)
 
     def test_learned_q_capacities_hold_their_property(self):
@@ -382,9 +421,10 @@ class TestLearnQ:
         assert seen >= 60
 
     def test_template_matches_reference_construction(self, ref_ts, mu_e):
-        e = potential_solution(build_system(ref_ts, SystemKind.MAX_MIN, 2))
-        mu = capacity_from_solution(e.as_dict(), 3, 2, ref_ts.scale, SystemKind.MAX_MIN)
-        assert mu.values == mu_e.values
+        e = potential_solution(build_system(ref_ts, SystemKind.MAX_MIN, 2)).as_dict()
+        for build in (capacity_from_solution, capacity_from_solution_reference):
+            assert build(e, 3, 2, ref_ts.scale, SystemKind.MAX_MIN).values == mu_e.values
+        assert learn(ref_ts, LearnMode.QMAX, 2).capacity.values == mu_e.values
 
 
 class TestLearnApprox:
@@ -471,6 +511,11 @@ class TestDispatch:
     def test_q_rejected_for_plain_modes(self, ref_ts):
         with pytest.raises(DomainError):
             learn(ref_ts, LearnMode.GREATEST, 2)
+
+    @pytest.mark.parametrize("mode", [LearnMode.QMAX, LearnMode.QMIN_APPROX])
+    def test_bool_q_rejected(self, ref_ts, mode):
+        with pytest.raises(DomainError, match="got True"):
+            learn(ref_ts, mode, True)
 
     def test_dispatch_reaches_all_modes(self, ref_ts):
         assert learn(ref_ts, LearnMode.GREATEST).mode is LearnMode.GREATEST

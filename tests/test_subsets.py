@@ -45,6 +45,9 @@ def test_criteria_count_bounds():
         check_criteria_count(0)
     with pytest.raises(DomainError):
         check_criteria_count(MAX_CRITERIA + 1)
+    # a bool is an int to isinstance, but not a count
+    with pytest.raises(DomainError, match="got True"):
+        check_criteria_count(True)
 
 
 def test_mask_of_range_checked():
