@@ -5,12 +5,12 @@ its right-hand side that restores consistency.  It has a closed form: a
 max over rows of a min over columns of per-cell terms, where each term
 combines the row's own shortfall with cross-row corrections capped at half
 the gap between targets.  Evaluated literally, every cell scans every row,
-O(m·N²) for N rows and m columns; ``chebyshev_distance`` evaluates the same
-closed form by a per-column sweep over the rows in target order, in
-O(N log N + m·N), with bit-identical results.  Min-max systems run the same
-sweep on their exact negation.  Relaxing the right-hand side by the
-distance and re-solving yields the greatest (max-min) or lowest (min-max)
-approximate solution.
+O(m·N²) for N rows and m columns; ``_maxmin_per_row`` ranks the rows by
+target once, puts each column in that order and sweeps it, O(N log N + m·N)
+with the same floats.  It reads a system's columns (``chebyshev_distance``,
+negated for min-max) or subset columns with no system (``learning._distance``).
+Re-solving against the right-hand side relaxed by the distance yields the
+greatest (max-min) or lowest (min-max) approximate solution.
 
 Finite-chain systems are embedded in [0, 1] by their numeric values; the
 halving in the cross terms can land between chain levels, so results are
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter, neg, pos
 from typing import Iterable, Sequence
 
 from .relational import RelationalSystem, SolutionVector, SystemKind, potential_solution
@@ -45,20 +46,16 @@ def chebyshev_distance(sys: RelationalSystem) -> DistanceReport:
     (``_maxmin_per_row``): O(N log N + m·N) for N rows and m columns instead
     of the literal O(m·N²), with the same floats bit for bit.
     """
-    if sys.kind.order.dual:
-        # Each min-max term is the max-min term of the negated system:
-        # negation is exact and (-t) - (-b) is bit for bit b - t.
-        rhs = tuple(-b for b in sys.rhs)
-        columns = (tuple(-a for a in column) for column in zip(*sys.matrix))
-    else:
-        rhs = sys.rhs
-        columns = zip(*sys.matrix)
-    per_row = _maxmin_per_row(columns, rhs)
+    # Each min-max term is the max-min term of the negated system:
+    # negation is exact and (-t) - (-b) is bit for bit b - t.
+    flip = neg if sys.kind.order.dual else pos
+    columns = (tuple(map(flip, column)) for column in zip(*sys.matrix))
+    per_row = _maxmin_per_row(columns, tuple(map(flip, sys.rhs)))
     return DistanceReport(max(per_row), per_row)
 
 
 def _maxmin_per_row(
-    columns: Iterable[Sequence[float]], rhs: tuple[float, ...]
+    columns: Iterable[Sequence[float]], rhs: Sequence[float]
 ) -> tuple[float, ...]:
     """Per-row contributions of a max-min system, one column at a time.
 
@@ -71,16 +68,20 @@ def _maxmin_per_row(
     max.  Every row still queued is dominated by the ramp of the front row,
     which has the lowest target, so g(t) = max(saturated, (t - b_front)/2).
     A queued row tied with t has a zero ramp, so ties need no special case.
+    Each column is put in target order by one C-level pass, then swept.
     """
     order = sorted(range(len(rhs)), key=rhs.__getitem__)
-    per_row = [math.inf] * len(rhs)
+    # itemgetter of one index returns the item, not a 1-tuple
+    ranked = itemgetter(*order) if len(order) > 1 else lambda seq: (seq[order[0]],)
+    targets = ranked(rhs)
+    best = [math.inf] * len(rhs)
     for column in columns:
+        entries = ranked(column)
         front, saturated = 0, 0.0
-        for below, i in enumerate(order):
-            t = rhs[i]
+        for below, t in enumerate(targets):
             while front < below:
-                b = rhs[order[front]]
-                cap = column[order[front]] - b
+                b = targets[front]
+                cap = entries[front] - b
                 if cap > 0.0:
                     # the closed form's own expression, so ties round alike
                     if (t - b) / 2.0 < cap:
@@ -90,14 +91,15 @@ def _maxmin_per_row(
                 front += 1
             worst = saturated
             if front < below:
-                ramp = (t - rhs[order[front]]) / 2.0
+                ramp = (t - targets[front]) / 2.0
                 if ramp > worst:
                     worst = ramp
-            shortfall = t - column[i]
+            shortfall = t - entries[below]
             cell = shortfall if shortfall > worst else worst
-            if cell < per_row[i]:
-                per_row[i] = cell
-    return tuple(per_row)
+            if cell < best[below]:
+                best[below] = cell
+    # back to row order
+    return tuple(cell for _, cell in sorted(zip(order, best)))
 
 
 def relaxed_rhs(

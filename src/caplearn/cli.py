@@ -86,14 +86,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     dist_p = sub.add_parser("distance", help="Chebyshev distance of the induced system")
     dist_p.add_argument("--data", required=True, help="training file or system JSON")
-    dist_p.add_argument("--type", choices=["maxmin", "minmax"], default="maxmin")
+    dist_p.add_argument("--type", choices=["maxmin", "minmax"], help="default maxmin")
     dist_p.add_argument("--q", type=int)
     dist_p.add_argument("--out")
     _common_flags(dist_p)
 
     oracle_p = sub.add_parser("oracle", help="compare formulas against brute force")
     oracle_p.add_argument("--data", required=True, help="training file or system JSON")
-    oracle_p.add_argument("--mode", choices=["qmax", "qmin"], default="qmax")
+    oracle_p.add_argument("--mode", choices=["qmax", "qmin"], help="default qmax")
     oracle_p.add_argument("--q", type=int)
     oracle_p.add_argument("--grid-step", type=float, default=0.05)
     oracle_p.add_argument("--budget", type=int, default=10_000_000)
@@ -233,20 +233,24 @@ def _cmd_check(args) -> int:
     return EXIT_OK if not problems else EXIT_CONDITION
 
 
-def _load_system_or_training(args):
-    """(system, None) for a system JSON, else (None, the training set)."""
+def _load_system_or_training(args, kind_flag: str):
+    """(system, None) for a system JSON, else (None, the training set); a
+    system fixes its kind and columns, so it refuses ``kind_flag`` and --q."""
     if not str(args.data).lower().endswith(".csv"):
         doc = _read_json(args.data)
         if isinstance(doc, dict) and "matrix" in doc:
+            flags = " and ".join(f"--{f}" for f in (kind_flag, "q") if getattr(args, f) is not None)
+            if flags:
+                raise DomainError(f"a system JSON fixes its kind and columns; {flags} cannot apply")
             return system_from_json(doc, args.tolerance), None
         return None, training_set_from_json(doc, args.tolerance)
     return None, load_training_set(args.data, tol=args.tolerance)
 
 
 def _cmd_distance(args) -> int:
-    sys_, ts = _load_system_or_training(args)
+    sys_, ts = _load_system_or_training(args, "type")
     if sys_ is None:
-        sys_ = build_system(ts, SystemKind(args.type), args.q)
+        sys_ = build_system(ts, SystemKind(args.type or "maxmin"), args.q)
     report = chebyshev_distance(sys_)
     payload: dict[str, Any] = {
         "kind": sys_.kind.value,
@@ -270,14 +274,15 @@ def _cmd_distance(args) -> int:
 
 def _cmd_oracle(args) -> int:
     levels = grid_levels(args.grid_step)
-    sys_, ts = _load_system_or_training(args)
+    sys_, ts = _load_system_or_training(args, "mode")
     if sys_ is not None:
         checks = system_checks(sys_, levels, args.grid_step, args.budget)
     else:
         q = args.q if args.q is not None else ts.n
-        kind = SystemKind.MAX_MIN if args.mode == "qmax" else SystemKind.MIN_MAX
+        mode = args.mode or "qmax"
+        kind = SystemKind.MAX_MIN if mode == "qmax" else SystemKind.MIN_MAX
         checks = system_checks(build_system(ts, kind, q), levels, args.grid_step, args.budget)
-        checks.append(learning_check(ts, q, args.mode, args.budget))
+        checks.append(learning_check(ts, q, mode, args.budget))
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format, args.out)
     return EXIT_OK if ok else EXIT_CONDITION

@@ -7,17 +7,17 @@ at ingestion and reject off-scale values rather than rounding them.
 
 The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
 The standard encoder runs in pure Python once it indents, so ``_dumps``
-writes each list of exact ints and finite floats itself, as ``repr``
-pieces joined with the line break and indentation the encoder would put
-between them (``repr`` is the encoder's own notation for both types).  A
-list holding anything else (a bool, None, a NaN or an infinity, a
-container) and every other value go through ``json.dumps``.
+indents the containers itself and hands each list of scalars (exact ints,
+floats, strings, bools, None) to the C encoder, unindented, with the line
+break and indentation as its item separator; the C encoder writes every
+item as the indenting one does, NaN and Infinity included.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -29,7 +29,7 @@ from .learning import LearnReport, TrainingSet
 from .relational import RelationalSystem, SystemKind
 from .scale import _NUMBER_TYPES, DEFAULT_TOLERANCE, Scale, ScaleKind
 
-_NON_FINITE = frozenset(("inf", "-inf", "nan"))
+_SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
 
 
 def _dumps(payload: Any) -> str:
@@ -40,9 +40,12 @@ def _encode(obj: Any, newline: str) -> str:
     """``json.dumps(obj, indent=2)``, each line break followed by ``newline``."""
     inner = newline + "  "
     if isinstance(obj, (list, tuple)) and obj:
-        pieces = _number_pieces(obj) or [_encode(v, inner) for v in obj]
-        # one join, not a chain of +, so the 2^n-entry text is copied once
-        return "".join(("[", inner, ("," + inner).join(pieces), newline, "]"))
+        if set(map(type, obj)) <= _SCALAR_TYPES:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join([_encode(v, inner) for v in obj])
+        # one join, not a chain of +, so the 2^n-entry body is copied once here
+        return "".join(("[", inner, body, newline, "]"))
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         items = [_quote(k) + ": " + _encode(v, inner) for k, v in obj.items()]
         return "".join(("{", inner, ("," + inner).join(items), newline, "}"))
@@ -50,16 +53,9 @@ def _encode(obj: Any, newline: str) -> str:
         # empty, or a dict whose keys the encoder converts
         return json.dumps(obj, indent=2).replace("\n", newline)
     # a scalar has no line break to indent
-    pieces = _number_pieces((obj,))
-    return pieces[0] if pieces else json.dumps(obj)
-
-
-def _number_pieces(items: list | tuple) -> list[str] | None:
-    """``repr`` of every item if all are exact ints or finite floats, else None."""
-    if not set(map(type, items)) <= _NUMBER_TYPES:
-        return None
-    pieces = list(map(repr, items))
-    return pieces if _NON_FINITE.isdisjoint(pieces) else None
+    if type(obj) is int or type(obj) is float and math.isfinite(obj):
+        return repr(obj)
+    return _quote(obj) if type(obj) is str else json.dumps(obj)
 
 
 def _read_json(path: str | Path) -> Any:

@@ -7,8 +7,8 @@ subsets up to cardinality q, extended from its boundary layer, is the
 greatest q-maxitive (lowest q-minitive) capacity reproducing every target
 when any does (q = n: the greatest and lowest capacities); ``learn`` finds
 it without the system, one AND of N-bit row words per subset.  Against
-targets relaxed by the Chebyshev distance, it gives the best approximating
-capacities with the exact minimal error.
+targets relaxed by the Chebyshev distance, swept from the subset columns,
+it gives the best approximating capacities with the exact minimal error.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from operator import and_, itemgetter
+from operator import and_, itemgetter, neg, pos
 from typing import Any, Iterable, Sequence
 
 from .capacity import Capacity, _check_q, extend_layer
-from .chebyshev import chebyshev_distance, relaxed_rhs
+# chebyshev_distance is unused here; the benchmark tracer looks it up here (ROADMAP item 4)
+from .chebyshev import _maxmin_per_row, chebyshev_distance, relaxed_rhs
 from .errors import DomainError
 from .relational import RelationalSystem, SystemKind
 from .scale import Scale
@@ -160,6 +161,20 @@ def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> Rel
     return RelationalSystem(kind, matrix, ts.targets(), tuple(labels), ts.scale)
 
 
+def _distance(ts: TrainingSet, kind: SystemKind, q: int) -> float:
+    """``chebyshev_distance(build_system(ts, kind, q)).distance`` bit for bit,
+    from the subset columns alone.  Min-max: the min of the negated
+    coordinates inside A is the negated max that the column at A's
+    complement holds, as min(-a, -b) keeps the argument max(a, b) keeps."""
+    flip = neg if kind.order.dual else pos
+    coords = [tuple(map(flip, column)) for column in zip(*(item.x for item in ts.items))]
+    masks = masks_of_sizes(ts.n, range(1, q + 1))
+    columns = _low_bit_fold(coords, masks, lambda a, b: list(map(min, a, b))).values()
+    # ascending sets are descending complements
+    columns = reversed(columns) if kind.order.dual else columns
+    return max(_maxmin_per_row(columns, tuple(map(flip, ts.targets()))))
+
+
 class LearnMode(Enum):
     GREATEST = "greatest"
     LOWEST = "lowest"
@@ -291,9 +306,9 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     boundary layer (size q, resp. n - q) solved at the order's top (1,
     resp. 0); the extension is then the greatest q-maxitive (lowest
     q-minitive) capacity reproducing every target.  An approximate mode
-    builds the system only for its Chebyshev distance, the exact minimal
-    learning error, solves against the targets relaxed by it, and needs
-    only the boundary condition.  Failed conditions leave notes.
+    sweeps its Chebyshev distance, the exact minimal learning error, from
+    the subset columns, solves against the targets relaxed by it, and
+    needs only the boundary condition.  Failed conditions leave notes.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -307,7 +322,7 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     targets = rhs = bound = ts.targets()
     distance = None
     if approx:
-        distance = chebyshev_distance(build_system(ts, kind, layer_q)).distance
+        distance = _distance(ts, kind, layer_q)
         if distance:
             # the optimum sits where entries tie with the relaxed rhs, so
             # blocking is judged with the tolerance toward the order's top

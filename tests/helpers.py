@@ -22,6 +22,7 @@ from caplearn import (
     SystemKind,
     TrainingSet,
     apply_system,
+    chebyshev_distance,
     sugeno_maxmin,
 )
 from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
@@ -324,14 +325,20 @@ def extremal_table_sweep(ts: TrainingSet, kind: SystemKind):
     )
 
 
+def distance_reference(ts: TrainingSet, kind: SystemKind, q: int) -> float:
+    """The Chebyshev distance of the system of ``kind`` on the layers up to
+    q, built cell by cell; ``learning._distance`` must reproduce it by ``repr``."""
+    return chebyshev_distance(build_system_reference(ts, kind, q)).distance
+
+
 @contextmanager
 def reference_learning():
-    """Run caplearn's learner on the reference builds, solutions, products,
-    extensions and residuals above, so whole reports can be compared with
-    the fast path."""
+    """Run caplearn's learner on the reference distances, solutions,
+    products, extensions and residuals above, so whole reports can be
+    compared with the fast path."""
     with mock.patch.multiple(
         caplearn.learning,
-        build_system=build_system_reference,
+        _distance=distance_reference,
         _solve=solve_reference,
         _products=products_reference,
         extend_layer=extend_layer_reference,

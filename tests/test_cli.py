@@ -193,6 +193,15 @@ class TestEval:
         assert out == ""
         assert err.startswith(f"caplearn: cannot read {path}: ")
 
+    @pytest.mark.parametrize(
+        "obj, named",
+        [("0.5,1.5,0.2", "x2 1.5"), ("nan,0.5,0.2", "x1 nan"), ("0.2,0.5,-0.5", "x3 -0.5")],
+    )
+    def test_off_scale_object_is_input_error(self, capsys, mu_e_path, obj, named):
+        code, out, err = run(capsys, "eval", "--capacity", mu_e_path, "--object", obj)
+        assert (code, out) == (1, "")
+        assert err == f"caplearn: coordinate {named} is not a member of the unit interval [0, 1]\n"
+
     def test_exactly_one_input_required(self, capsys, mu_e_path, data_csv):
         code, _, err = run(capsys, "eval", "--capacity", mu_e_path)
         assert code == 1
@@ -265,6 +274,35 @@ class TestDistance:
         code, out, _ = run(capsys, "distance", "--data", str(path))
         assert code == 0
         assert json.loads(out)["distance"] == pytest.approx(0.3, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "command, flags, named",
+        [
+            ("distance", ["--type", "minmax"], "--type"),
+            ("distance", ["--q", "1"], "--q"),
+            ("distance", ["--type", "maxmin", "--q", "1"], "--type and --q"),
+            ("oracle", ["--mode", "qmin"], "--mode"),
+            ("oracle", ["--mode", "qmax", "--q", "1"], "--mode and --q"),
+        ],
+    )
+    def test_system_json_refuses_kind_and_q(self, capsys, tmp_path, command, flags, named):
+        # a system fixes its kind and columns, so the flags that pick them
+        # from training data are errors, not ignored
+        from caplearn import RelationalSystem, SystemKind
+
+        sys_ = RelationalSystem(SystemKind.MAX_MIN, ((0.5,),), (0.8,), (0,), UNIT)
+        path = tmp_path / "sys.json"
+        save_system(sys_, path)
+        code, out, err = run(capsys, command, "--data", str(path), *flags)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"caplearn: a system JSON fixes its kind and columns; {named} cannot apply\n"
+        )
+
+    def test_training_data_defaults_to_maxmin(self, capsys, data_csv):
+        code, out, _ = run(capsys, "distance", "--data", data_csv)
+        assert code == 0
+        assert json.loads(out)["kind"] == "maxmin"
 
     def test_training_json_is_read_once(self, capsys, tmp_path, monkeypatch):
         import caplearn.io

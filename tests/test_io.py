@@ -137,6 +137,12 @@ class TestCanonicalWriter:
             [0.0, None],
             {"x": [[0.5, 1.0], [2, 3.5]], "y": {"z": [0.25]}},
             {1: [0.5], "k": [0.5, 1.0]},
+            # flat lists of scalars that are not numbers go through the C encoder
+            [True, False, True],
+            [None, None],
+            ["a", "\u00e9\n", '"q"', ""],
+            {"mixed": ["x", 1, -0.0, False, None, float("-inf")]},
+            "\u00e9",
         ],
     )
     def test_edge_documents(self, doc):

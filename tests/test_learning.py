@@ -23,7 +23,8 @@ from caplearn import (
 )
 from caplearn.capacity import extend_layer
 from caplearn.chebyshev import relaxed_rhs
-from caplearn.learning import _products, _solve
+from caplearn.learning import _distance, _products, _solve
+from caplearn.relational import RelationalSystem
 from caplearn.scale import ScaleKind
 from caplearn.subsets import cardinality, add_one_bit, full_mask, mask_of
 
@@ -38,6 +39,7 @@ from helpers import (
     capacity_leq,
     closed_form_greatest,
     closed_form_lowest,
+    distance_reference,
     extremal_table_sweep,
     index_sets,
     products_reference,
@@ -184,8 +186,8 @@ extremal_pools = st.one_of(
 
 
 @st.composite
-def extremal_training_sets(draw):
-    value = st.sampled_from(draw(extremal_pools))
+def extremal_training_sets(draw, pools=extremal_pools):
+    value = st.sampled_from(draw(pools))
     n = draw(st.integers(1, 5))
     pairs = draw(st.lists(st.tuples(st.tuples(*[value] * n), value), min_size=1, max_size=8))
     # repeat some objects, with the same or another target
@@ -270,6 +272,27 @@ class TestExtremalTable:
         table = _solve(ts, kind, 3, ts.targets(), ts.targets())
         boundary = 0 if kind is SystemKind.MAX_MIN else 7
         assert [repr(v) for m, v in enumerate(table) if m != boundary] == [expected] * 7
+
+
+class TestDistance:
+    """``_distance``, swept from the subset columns, against the Chebyshev
+    distance of the system built cell by cell, by ``repr``, for both kinds
+    and every q."""
+
+    @given(extremal_training_sets(extremal_pools | st.just((0, 1, 0.0, 1.0, 0.5, -0.0))))
+    # n = 1, N = 1, tied targets, and signed zeros
+    @example(ts_of(1, [((0.5,), 0.25)]))
+    @example(ts_of(3, [((0.5, 1.0, 0.0), 0.5), ((1.0, 0.0, 0.5), 0.5), ((0.0, -0.0, 1.0), 0.5)]))
+    @example(ts_of(2, [((0.0, -0.0), 0.5), ((0.5, 1.0), -0.0), ((1.0, 0.5), 0.0)]))
+    # exact ints tied with floats: every column keeps the type of the entry
+    # the system's column holds, and the columns come in the system's order
+    @example(ts_of(2, [((1, 1.0), 0), ((1.0, 1), 0.5)]))
+    @example(ts_of(4, [((1.0, 0, 0, 0.0), 1), ((1.0, 0.0, 0, 1), 0.0),
+                       ((1.0, 1.0, 1, 0.0), 1), ((1, 1.0, 1, 1.0), 0)]))
+    def test_matches_the_system_route(self, ts):
+        for kind in SystemKind:
+            for q in range(1, ts.n + 1):
+                assert repr(_distance(ts, kind, q)) == repr(distance_reference(ts, kind, q))
 
 
 class TestLearnGreatestLowest:
@@ -380,11 +403,12 @@ class TestLearnQ:
         ids=["consistent", "inconsistent", "target-below-min", "target-above-max"],
     )
     def test_q_equal_n_solves_without_the_system(self, monkeypatch, pairs):
-        # every exact mode at every q solves without the system, and reports
-        # what the system route reports
+        # every mode at every q learns without building a system, and
+        # reports what the system route reports
         ts = TrainingSet.from_pairs(3, UNIT, pairs)
+        q_modes = (LearnMode.QMAX, LearnMode.QMIN, LearnMode.QMAX_APPROX, LearnMode.QMIN_APPROX)
         runs = [(LearnMode.GREATEST, None), (LearnMode.LOWEST, None)] + [
-            (mode, q) for mode in (LearnMode.QMAX, LearnMode.QMIN) for q in (1, 2, 3)
+            (mode, q) for mode in q_modes for q in (1, 2, 3)
         ]
         with reference_learning():
             with_system = {run: learn(ts, *run) for run in runs}
@@ -393,6 +417,7 @@ class TestLearnQ:
             raise AssertionError("the system was built")
 
         monkeypatch.setattr(caplearn.learning, "build_system", refused)
+        monkeypatch.setattr(RelationalSystem, "__post_init__", refused)
         for (mode, q), report in with_system.items():
             fast = learn(ts, mode, q)
             assert fast.mode is mode and fast.q == q

@@ -232,6 +232,24 @@ class TestValidation:
         with pytest.raises(DomainError):
             sugeno_maxmin(mu_e, (0.21, 0.25, 0.3))
 
+    @pytest.mark.parametrize(
+        "scale, x, named",
+        [
+            (CHAIN21, (0.2, 0.25, 0.21), "coordinate x3 0.21"),
+            (UNIT, (0.2, 1.5, 0.3), "coordinate x2 1.5"),
+            (CHAIN21, (0.25, True, 0.3), "coordinate x2 True"),
+            (UNIT, (0.25, True, 0.3), "coordinate x2 True"),
+            (CHAIN21, (float("nan"), 0.25, 0.3), "coordinate x1 nan"),
+            (UNIT, (float("nan"), 0.25, 0.3), "coordinate x1 nan"),
+        ],
+    )
+    def test_first_bad_coordinate_is_named(self, mu_e, scale, x, named):
+        mu = Capacity(3, scale, mu_e.values)
+        for form in (sugeno_maxmin, sugeno_minmax):
+            with pytest.raises(DomainError) as err:
+                form(mu, x)
+            assert str(err.value) == f"{named} is not a member of {scale.describe()}"
+
     def test_q_out_of_range(self, mu_e):
         with pytest.raises(DomainError):
             sugeno_qmax_unchecked(mu_e, (0.15, 0.2, 0.3), 0)
