@@ -5,12 +5,12 @@ its right-hand side that restores consistency.  It has a closed form: a
 max over rows of a min over columns of per-cell terms, where each term
 combines the row's own shortfall with cross-row corrections capped at half
 the gap between targets.  Evaluated literally, every cell scans every row,
-O(m·N²) for N rows and m columns; ``_maxmin_per_row`` ranks the rows by
-target once, puts each column in that order and sweeps it, O(N log N + m·N)
-with the same floats.  It reads a system's columns (``chebyshev_distance``,
-negated for min-max) or subset columns with no system (``learning._distance``).
-Re-solving against the right-hand side relaxed by the distance yields the
-greatest (max-min) or lowest (min-max) approximate solution.
+O(m·N²) for N rows and m columns; ``_maxmin_per_row`` sweeps the rows in
+target order, each column advancing its queue only when visited, at most
+O(N log N + m·N) with the same floats.  It reads a system's columns
+(``chebyshev_distance``, negated for min-max) or subset columns with no
+system (``learning._distance``, stopping rows that cannot raise the max).
+Re-solving against the relaxed targets gives the approximate solutions.
 
 Finite-chain systems are embedded in [0, 1] by their numeric values; the
 halving in the cross terms can land between chain levels, so results are
@@ -42,64 +42,78 @@ def chebyshev_distance(sys: RelationalSystem) -> DistanceReport:
     shortfall and the worst cross-row term; the row's contribution is the
     best (smallest) column, and the distance is the worst row.
 
-    Evaluated by one sweep per column over the rows in target order
-    (``_maxmin_per_row``): O(N log N + m·N) for N rows and m columns instead
-    of the literal O(m·N²), with the same floats bit for bit.
+    Evaluated by one sweep over the rows in target order, each resolved
+    (``_maxmin_per_row``): at most O(N log N + m·N) for N rows and m columns
+    instead of the literal O(m·N²), with the same floats bit for bit.
     """
     # Each min-max term is the max-min term of the negated system:
     # negation is exact and (-t) - (-b) is bit for bit b - t.
     flip = neg if sys.kind.order.dual else pos
-    columns = (tuple(map(flip, column)) for column in zip(*sys.matrix))
-    per_row = _maxmin_per_row(columns, tuple(map(flip, sys.rhs)))
+    # negated row by row, so that the floats a row of the sweep reads lie
+    # together in memory
+    rows = [tuple(map(flip, row)) for row in sys.matrix]
+    per_row = _maxmin_per_row(zip(*rows), tuple(map(flip, sys.rhs)))
     return DistanceReport(max(per_row), per_row)
 
 
 def _maxmin_per_row(
-    columns: Iterable[Sequence[float]], rhs: Sequence[float]
+    columns: Iterable[Sequence[float]], rhs: Sequence[float], cut: bool = False
 ) -> tuple[float, ...]:
-    """Per-row contributions of a max-min system, one column at a time.
+    """Per-row contributions of a max-min system, row by row in target order.
 
     In a column with entries a_l, the worst cross term of a row with target
     t is g(t) = max over rows l with b_l < t of min((t - b_l)/2, c_l), where
-    c_l = pos(a_l - b_l).  Sweeping the rows in target order, the rows before
-    the current one form a queue sorted by target.  A row whose ramp
-    (t - b_l)/2 has reached its cap c_l is saturated and stays so as t
-    grows; it leaves the front of the queue and its cap joins a running
-    max.  Every row still queued is dominated by the ramp of the front row,
-    which has the lowest target, so g(t) = max(saturated, (t - b_front)/2).
-    A queued row tied with t has a zero ramp, so ties need no special case.
-    Each column is put in target order by one C-level pass, then swept.
+    c_l = pos(a_l - b_l).  The rows passed form a queue sorted by target; a
+    row whose ramp (t - b_l)/2 has reached its cap c_l stays saturated as t
+    grows, leaving the front for a running max of caps, and the front ramp
+    dominates the rest.  Each column advances its (front, saturated) only
+    when a row visits it, O(N) per column.  A row skips the columns whose
+    shortfall t - a exceeds its best cell; with ``cut`` it stops at the first
+    cell at most the max of the rows done, whose column leads the next row,
+    and only the max of the result is exact.  Ties keep the ``repr`` of a
+    min over columns in the fed order and of ``max`` over items: a skip or
+    cut at an equal value needs a later index, a replacement an earlier one.
     """
     order = sorted(range(len(rhs)), key=rhs.__getitem__)
     # itemgetter of one index returns the item, not a 1-tuple
     ranked = itemgetter(*order) if len(order) > 1 else lambda seq: (seq[order[0]],)
     targets = ranked(rhs)
-    best = [math.inf] * len(rhs)
-    for column in columns:
-        entries = ranked(column)
-        front, saturated = 0, 0.0
-        for below, t in enumerate(targets):
+    cols = list(map(ranked, columns))
+    fronts, sats, visit = [0] * len(cols), [0.0] * len(cols), list(range(len(cols)))
+    per_row, top, top_k = [0.0] * len(rhs), -math.inf, -1
+    for below, (t, k) in enumerate(zip(targets, order)):
+        best, best_j = math.inf, 0  # best_j is read only once best is finite
+        for at, j in enumerate(visit):
+            entries = cols[j]
+            shortfall = t - entries[below]
+            if shortfall > best or (shortfall == best and j > best_j):
+                continue
+            front, saturated = fronts[j], sats[j]
             while front < below:
                 b = targets[front]
                 cap = entries[front] - b
                 if cap > 0.0:
                     # the closed form's own expression, so ties round alike
-                    if (t - b) / 2.0 < cap:
+                    ramp = (t - b) / 2.0
+                    if ramp < cap:
+                        worst = ramp if ramp > saturated else saturated
                         break
-                    if cap > saturated:
-                        saturated = cap
+                    saturated = cap if cap > saturated else saturated
                 front += 1
-            worst = saturated
-            if front < below:
-                ramp = (t - targets[front]) / 2.0
-                if ramp > worst:
-                    worst = ramp
-            shortfall = t - entries[below]
+            else:
+                worst = saturated
+            fronts[j], sats[j] = front, saturated
             cell = shortfall if shortfall > worst else worst
-            if cell < best[below]:
-                best[below] = cell
-    # back to row order
-    return tuple(cell for _, cell in sorted(zip(order, best)))
+            if cell < best or (cell == best and j < best_j):
+                best, best_j = cell, j
+            if cut and (cell < top or (cell == top and k > top_k)):
+                visit.insert(0, visit.pop(at))
+                break
+        # a cut row's best is at most its cut cell, so it leaves the max alone
+        if best > top or (best == top and k < top_k):
+            top, top_k = best, k
+        per_row[k] = best
+    return tuple(per_row)
 
 
 def relaxed_rhs(

@@ -163,16 +163,17 @@ def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> Rel
 
 def _distance(ts: TrainingSet, kind: SystemKind, q: int) -> float:
     """``chebyshev_distance(build_system(ts, kind, q)).distance`` bit for bit,
-    from the subset columns alone.  Min-max: the min of the negated
-    coordinates inside A is the negated max that the column at A's
-    complement holds, as min(-a, -b) keeps the argument max(a, b) keeps."""
+    from the subset columns alone, folded by an inlined ``min`` (same ties)
+    and swept with the cut.  Min-max: the min of the negated coordinates
+    inside A is the negated max that the column at A's complement holds, as
+    min(-a, -b) keeps the argument max(a, b) keeps."""
     flip = neg if kind.order.dual else pos
     coords = [tuple(map(flip, column)) for column in zip(*(item.x for item in ts.items))]
     masks = masks_of_sizes(ts.n, range(1, q + 1))
-    columns = _low_bit_fold(coords, masks, lambda a, b: list(map(min, a, b))).values()
+    fold = _low_bit_fold(coords, masks, lambda a, b: [y if y < x else x for x, y in zip(a, b)])
     # ascending sets are descending complements
-    columns = reversed(columns) if kind.order.dual else columns
-    return max(_maxmin_per_row(columns, tuple(map(flip, ts.targets()))))
+    columns = reversed(fold.values()) if kind.order.dual else fold.values()
+    return max(_maxmin_per_row(columns, tuple(map(flip, ts.targets())), cut=True))
 
 
 class LearnMode(Enum):
@@ -308,7 +309,8 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     q-minitive) capacity reproducing every target.  An approximate mode
     sweeps its Chebyshev distance, the exact minimal learning error, from
     the subset columns, solves against the targets relaxed by it, and
-    needs only the boundary condition.  Failed conditions leave notes.
+    needs only the boundary condition; when that fails it returns before
+    the extension.  Failed conditions leave notes.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -331,19 +333,20 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     table = _solve(ts, kind, layer_q, rhs, bound)
     layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
     best, value = order.join(layer, key=itemgetter(1))
+    boundary_ok = value == order.top
+    notes = () if boundary_ok else (note.format(size=size, label=subset_label(best), value=value),)
+    if approx and not boundary_ok:  # no capacity: no extension, no products
+        return LearnReport(mode, q, distance == 0.0, False, distance, None, None, notes)
     if layer_q < ts.n:
         table = extend_layer(table, ts.n, layer_q, kind)
     produced = _products(ts, kind, layer_q, table)
     consistent = distance == 0.0 if approx else produced == targets
-    boundary_ok = value == order.top
-    notes = () if approx or consistent else tuple(
+    misfits = () if approx or consistent else tuple(
         f"equation {k}: system yields {got!r} for target {want!r}"
         for k, (got, want) in enumerate(zip(produced, targets)) if got != want
     )
-    if not boundary_ok:
-        notes += (note.format(size=size, label=subset_label(best), value=value),)
     if not boundary_ok or not (approx or consistent):
-        return LearnReport(mode, q, consistent, boundary_ok, distance, None, None, notes)
+        return LearnReport(mode, q, consistent, boundary_ok, distance, None, None, misfits + notes)
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
+from operator import itemgetter, neg, pos
 from unittest import mock
 
 import caplearn.learning
@@ -22,7 +23,6 @@ from caplearn import (
     SystemKind,
     TrainingSet,
     apply_system,
-    chebyshev_distance,
     sugeno_maxmin,
 )
 from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
@@ -325,10 +325,54 @@ def extremal_table_sweep(ts: TrainingSet, kind: SystemKind):
     )
 
 
+def maxmin_per_row_reference(columns, rhs) -> tuple[float, ...]:
+    """Per-row contributions of a max-min system, one column at a time, in
+    O(N log N + m·N): every row's exact minimum over every column.
+
+    Each column is put in target order and swept once; rows before the
+    current one form a queue sorted by target, whose saturated front rows
+    (ramp (t - b)/2 at their cap a - b) leave it for a running max.  A row
+    keeps the first column in the fed order that attains its minimum.
+    ``chebyshev._maxmin_per_row`` must reproduce it by ``repr``: every entry
+    without its cut, their max with it.
+    """
+    order = sorted(range(len(rhs)), key=rhs.__getitem__)
+    ranked = itemgetter(*order) if len(order) > 1 else lambda seq: (seq[order[0]],)
+    targets = ranked(rhs)
+    best = [math.inf] * len(rhs)
+    for column in columns:
+        entries = ranked(column)
+        front, saturated = 0, 0.0
+        for below, t in enumerate(targets):
+            while front < below:
+                b = targets[front]
+                cap = entries[front] - b
+                if cap > 0.0:
+                    if (t - b) / 2.0 < cap:
+                        break
+                    if cap > saturated:
+                        saturated = cap
+                front += 1
+            worst = saturated
+            if front < below:
+                ramp = (t - targets[front]) / 2.0
+                if ramp > worst:
+                    worst = ramp
+            shortfall = t - entries[below]
+            cell = shortfall if shortfall > worst else worst
+            if cell < best[below]:
+                best[below] = cell
+    return tuple(cell for _, cell in sorted(zip(order, best)))
+
+
 def distance_reference(ts: TrainingSet, kind: SystemKind, q: int) -> float:
     """The Chebyshev distance of the system of ``kind`` on the layers up to
-    q, built cell by cell; ``learning._distance`` must reproduce it by ``repr``."""
-    return chebyshev_distance(build_system_reference(ts, kind, q)).distance
+    q, built cell by cell and swept column by column; min-max negated into
+    max-min.  ``learning._distance`` must reproduce it by ``repr``."""
+    sys_ = build_system_reference(ts, kind, q)
+    flip = neg if kind.order.dual else pos
+    columns = (tuple(map(flip, column)) for column in zip(*sys_.matrix))
+    return max(maxmin_per_row_reference(columns, tuple(map(flip, sys_.rhs))))
 
 
 @contextmanager

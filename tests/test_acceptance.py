@@ -359,3 +359,19 @@ def test_criterion_13_extremal_learning_scales_to_n14():
             assert report.residuals == (0.0,) * 200
             assert [sugeno_maxmin(report.capacity, x) for x in objects] == list(ts.targets())
         assert capacity_leq(lo.capacity, mu) and capacity_leq(mu, hi.capacity)
+
+
+def test_criterion_14_approximate_q_modes_scale_to_N2000():
+    rng = random.Random(214)
+    levels = [rng.random() for _ in range(1000)]
+    ts = random_training_set(rng, 12, 2000, levels)
+    with criterion("14 approximate q-modes at n=12, q=3, N=2000 (298 columns)", 3.0):
+        hi = learn(ts, LearnMode.QMAX_APPROX, 3)
+        lo = learn(ts, LearnMode.QMIN_APPROX, 3)
+    for report, kind in ((hi, SystemKind.MAX_MIN), (lo, SystemKind.MIN_MAX)):
+        # the distance of the cut sweep is the max of every row resolved
+        exact = chebyshev_distance(build_system(ts, kind, 3))
+        assert repr(report.distance) == repr(exact.distance)
+        assert report.distance > 0.0
+        # random levels leave no boundary set at the top: no capacity
+        assert not report.boundary_ok and report.capacity is None and report.notes

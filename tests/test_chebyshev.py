@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from caplearn import (
@@ -17,12 +17,14 @@ from caplearn import (
     potential_solution,
     relaxed_rhs,
 )
+from caplearn.chebyshev import _maxmin_per_row
 
 from helpers import (
     CHAIN21,
     chebyshev_distance_reference,
     cross_gap_maxmin,
     cross_gap_minmax,
+    maxmin_per_row_reference,
     random_system,
     reference_training_set,
 )
@@ -159,6 +161,81 @@ class TestSweepMatchesClosedForm:
             kind, ((0.0, -0.0), (-0.0, 0.5), (1.0, 0.0)), (-0.0, 0.0, 0.5), (0, 1), UNIT
         )
         self.check(sys_)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Columns in item order and a right-hand side, from small pools so that
+    cells tie often: exact ints beside floats, signed zeros, all targets
+    tied, and a column equal to the targets, which makes every cell of that
+    column 0.0 and the distance 0.0.
+
+    The sweep is plain arithmetic, so one pool leaves [0, 1]: there an int
+    cell ties a float one only at 1, which only the greatest target reaches,
+    and the tie rules at the cut would go untested."""
+    pool = draw(
+        value_pools
+        | st.just((0, 1, 0.0, 1.0, 0.5, -0.0))
+        | st.just((0, 1, 2, 0.0, 1.0, 2.0, 0.5, -0.0, -1, -1.0))
+    )
+    value = st.sampled_from(pool)
+    n_rows = draw(st.integers(1, 8))
+    rhs = draw(st.lists(value, min_size=n_rows, max_size=n_rows))
+    if draw(st.booleans()):
+        rhs = [rhs[0]] * n_rows
+    column = st.lists(value, min_size=n_rows, max_size=n_rows).map(tuple)
+    columns = draw(st.lists(column, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), tuple(rhs))
+    return columns, tuple(rhs)
+
+
+class CountingFloat(float):
+    """A float whose subtractions from it are counted: in the sweep, one per
+    step of a column's queue (``entries[front] - b``)."""
+
+    steps = 0
+
+    def __sub__(self, other):
+        CountingFloat.steps += 1
+        return float(self) - other
+
+
+class TestRowMajorSweep:
+    """``_maxmin_per_row`` against the column-major reference, by ``repr``:
+    every row without the cut, their max with it."""
+
+    @given(sweep_inputs())
+    # N = 1, one column, signed zeros, all targets tied
+    @example(([(0.5,)], (0.25,)))
+    @example(([(0.0, -0.0, 1.0)], (0.5, 0.5, 0.5)))
+    @example(([(0.0, -0.0), (-0.0, 0.5)], (-0.0, 0.0)))
+    # int/float ties: a row cut at the running max although its item comes
+    # first, and a column skipped at the row's best although it comes first
+    @example(([(0.0, 0, -1.0), (-1.0, 2, -1.0)], (-1.0, 2, 1)))
+    @example(([(2.0, 0, 0.0), (2, 1.0, 0)], (1.0, 1.0, 1)))
+    def test_matches_the_column_major_reference(self, case):
+        columns, rhs = case
+        reference = maxmin_per_row_reference(columns, rhs)
+        assert repr(_maxmin_per_row(columns, rhs)) == repr(reference)
+        assert repr(max(_maxmin_per_row(columns, rhs, cut=True))) == repr(max(reference))
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_consistent_columns_give_zero(self, cut):
+        rhs = (0.5, 1, 0.0, 0.25)
+        columns = [(1.0, 0, 0.5, 0.0), rhs, (0.0, 1.0, 0, 1)]
+        assert repr(max(_maxmin_per_row(columns, rhs, cut=cut))) == "0.0"
+
+    @pytest.mark.parametrize("cut", [False, True])
+    def test_queue_state_is_kept_between_visits(self, cut):
+        # every row visits the one column, whose queue is popped row by row;
+        # a state read afresh at each visit would take about N²/2 steps
+        n_rows = 200
+        rhs = tuple(k / n_rows for k in range(n_rows))
+        column = tuple(CountingFloat(b) for b in rhs)
+        CountingFloat.steps = 0
+        assert max(_maxmin_per_row([column], rhs, cut=cut)) == 0.0
+        assert CountingFloat.steps <= 2 * n_rows
 
 
 class TestBoundVectors:

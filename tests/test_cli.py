@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import caplearn.learning
 from caplearn import Capacity, Scale
 from caplearn.cli import main
 from caplearn.io import save_capacity, save_system, save_training_set
@@ -70,6 +71,20 @@ class TestLearn:
         report = json.loads(out)
         assert report["consistent"] is True
         assert report["boundary_ok"] is False
+        assert any("{2} = 0.4" in note for note in report["notes"])
+
+    def test_approx_boundary_failure_skips_the_extension(self, capsys, data_csv, monkeypatch):
+        def refused(*_):
+            raise AssertionError("the table was extended or scored")
+
+        monkeypatch.setattr(caplearn.learning, "extend_layer", refused)
+        monkeypatch.setattr(caplearn.learning, "_products", refused)
+        code, out, _ = run(
+            capsys, "learn", "--data", data_csv, "--mode", "qmax", "--q", "1", "--approx"
+        )
+        assert code == 2
+        report = json.loads(out)
+        assert report["boundary_ok"] is False and report["capacity"] is None
         assert any("{2} = 0.4" in note for note in report["notes"])
 
     def test_contradictory_rows_fail_consistency(self, capsys, tmp_path):

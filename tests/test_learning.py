@@ -289,6 +289,8 @@ class TestDistance:
     @example(ts_of(2, [((1, 1.0), 0), ((1.0, 1), 0.5)]))
     @example(ts_of(4, [((1.0, 0, 0, 0.0), 1), ((1.0, 0.0, 0, 1), 0.0),
                        ((1.0, 1.0, 1, 0.0), 1), ((1, 1.0, 1, 1.0), 0)]))
+    # the distance itself an exact int at q = 2 (1) and a float at q = 1 (1.0)
+    @example(ts_of(2, [((0, 1), 0), ((1, 1.0), 0)]))
     def test_matches_the_system_route(self, ts):
         for kind in SystemKind:
             for q in range(1, ts.n + 1):
@@ -509,6 +511,31 @@ class TestLearnApprox:
                 assert max(abs(r) for r in lo.residuals) == pytest.approx(lo.distance, abs=1e-9)
                 assert is_q_minitive(lo.capacity, q)
         assert checked >= 60
+
+
+    def test_failed_boundary_returns_before_the_extension(self, monkeypatch):
+        # an approximate mode whose boundary layer misses the top returns no
+        # capacity, so it neither extends the table nor scores the rows
+        rng = random.Random(61)
+        cases = []
+        for _ in range(200):
+            n = rng.randint(2, 4)
+            q = rng.randint(1, n)
+            ts = random_training_set(rng, n, rng.randint(2, 5), FIVE_LEVELS)
+            for mode in (LearnMode.QMAX_APPROX, LearnMode.QMIN_APPROX):
+                with reference_learning():
+                    report = learn(ts, mode, q)
+                if not report.boundary_ok:
+                    cases.append((ts, mode, q, report))
+        assert {mode for _, mode, _, _ in cases} == {LearnMode.QMAX_APPROX, LearnMode.QMIN_APPROX}
+
+        def refused(*_):
+            raise AssertionError("the table was extended or scored")
+
+        monkeypatch.setattr(caplearn.learning, "extend_layer", refused)
+        monkeypatch.setattr(caplearn.learning, "_products", refused)
+        for ts, mode, q, report in cases:
+            assert repr(learn(ts, mode, q)) == repr(report)
 
 
 class TestSolvedVectorStructure:
