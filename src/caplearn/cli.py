@@ -20,6 +20,7 @@ from .capacity import capacity_violations, is_q_maxitive, is_q_minitive
 from .chebyshev import chebyshev_distance, relaxed_rhs
 from .errors import BudgetError, CaplearnError, DomainError
 from .io import (
+    CanonicalText,
     dumps_json,
     load_capacity,
     load_training_set,
@@ -169,11 +170,17 @@ def _cmd_learn(args) -> int:
     data_problems = validate_data(ts)
     if data_problems:
         payload["data_warnings"] = [v.message for v in data_problems]
+    # the capacity file and a JSON report share one encoding of the 2^n values
+    text = None
+    if report.capacity is not None and args.capacity:
+        text = CanonicalText(dumps_json(payload["capacity"]))
+        if args.format == "json":
+            payload["capacity"] = text
     _emit(payload, args.format, args.out)
     if report.capacity is None:
         return EXIT_CONDITION
     if args.capacity:
-        save_capacity(report.capacity, args.capacity)
+        save_capacity(report.capacity, args.capacity, text=text)
     return EXIT_OK
 
 

@@ -11,6 +11,14 @@ indents the containers itself and hands each list of scalars (exact ints,
 floats, strings, bools, None) to the C encoder, unindented, with the line
 break and indentation as its item separator; the C encoder writes every
 item as the indenting one does, NaN and Infinity included.
+
+A document's canonical text can stand in for the document inside a larger
+payload, as a ``CanonicalText``; ``caplearn learn`` encodes its capacity
+once that way, for the capacity file and for the report.  The writer embeds
+it with one ``str.replace("\n", newline)``, which is exact: the text breaks
+lines only between tokens, because the encoder escapes every control
+character inside a string, so ``_encode(doc, "\n" + pad)`` is
+``_encode(doc, "\n")`` with ``pad`` after each line break.
 """
 
 from __future__ import annotations
@@ -30,6 +38,10 @@ from .relational import RelationalSystem, SystemKind
 from .scale import _NUMBER_TYPES, DEFAULT_TOLERANCE, Scale, ScaleKind
 
 _SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
+
+
+class CanonicalText(str):
+    """``dumps_json(doc)``, which the writers embed as ``doc`` at its depth."""
 
 
 def _dumps(payload: Any) -> str:
@@ -52,6 +64,9 @@ def _encode(obj: Any, newline: str) -> str:
     if isinstance(obj, (list, tuple, dict)):
         # empty, or a dict whose keys the encoder converts
         return json.dumps(obj, indent=2).replace("\n", newline)
+    if type(obj) is CanonicalText:
+        # without its final line break; see the module docstring
+        return obj[:-1].replace("\n", newline)
     # a scalar has no line break to indent
     if type(obj) is int or type(obj) is float and math.isfinite(obj):
         return repr(obj)
@@ -153,8 +168,9 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
         raise FormatError(f"invalid capacity: {exc}") from exc
 
 
-def save_capacity(mu: Capacity, path: str | Path) -> None:
-    Path(path).write_text(_dumps(capacity_to_json(mu)))
+def save_capacity(mu: Capacity, path: str | Path, text: str | None = None) -> None:
+    """``text``, if given, is ``dumps_json(capacity_to_json(mu))`` already made."""
+    Path(path).write_text(_dumps(capacity_to_json(mu)) if text is None else text)
 
 
 def load_capacity(path: str | Path, tol: float | None = None) -> Capacity:

@@ -20,7 +20,7 @@ from operator import and_, itemgetter, neg, pos
 from typing import Any, Iterable, Sequence
 
 from .capacity import Capacity, _check_q, extend_layer
-# chebyshev_distance is unused here; the benchmark tracer looks it up here (ROADMAP item 4)
+# chebyshev_distance is unused here; the benchmark tracer looks it up here (ROADMAP item 1)
 from .chebyshev import _maxmin_per_row, chebyshev_distance, relaxed_rhs
 from .errors import DomainError
 from .relational import RelationalSystem, SystemKind

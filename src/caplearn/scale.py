@@ -46,8 +46,8 @@ class Scale:
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tol, (int, float)) or math.isnan(self.tol) or self.tol < 0:
-            raise DomainError(f"tolerance must be a nonnegative real, got {self.tol!r}")
+        if not isinstance(self.tol, (int, float)) or not math.isfinite(self.tol) or self.tol < 0:
+            raise DomainError(f"tolerance must be a finite nonnegative real, got {self.tol!r}")
         if self.kind is ScaleKind.UNIT_INTERVAL:
             if self.levels is not None:
                 raise DomainError("unit-interval scale does not take levels")

@@ -2,12 +2,21 @@ import json
 
 import pytest
 
+import caplearn.io
 import caplearn.learning
-from caplearn import Capacity, Scale
-from caplearn.cli import main
-from caplearn.io import save_capacity, save_system, save_training_set
+from caplearn import Capacity, LearnMode, Scale, learn, validate_data
+from caplearn.cli import _table_lines, main
+from caplearn.io import (
+    dumps_json,
+    load_training_set,
+    report_to_json,
+    save_capacity,
+    save_system,
+    save_training_set,
+)
 
 from helpers import MU_E_VALUES, MU_F_VALUES, reference_training_set
+from test_golden import DATASETS, GOLDEN, LEARN_MODES
 
 REFERENCE_CSV = """x1,x2,x3,alpha
 0.15,0.2,0.3,0.2
@@ -157,6 +166,67 @@ class TestLearn:
         assert code == 1
         assert out == ""
         assert "field 'n' must be an integer, got True" in err
+
+
+class TestLearnFiles:
+    """``learn --capacity F --out R`` writes what the library renders."""
+
+    @staticmethod
+    def learn_argv(data, q, mode, takes_q, approx, cap_path, out_path, fmt):
+        argv = ["learn", "--data", str(GOLDEN / data), "--mode", mode]
+        argv += ["--q", str(q)] if takes_q else []
+        argv += ["--approx"] if approx else []
+        return argv + ["--capacity", str(cap_path), "--out", str(out_path), "--format", fmt]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("mode, takes_q, approx", LEARN_MODES)
+    @pytest.mark.parametrize("data, q", DATASETS)
+    def test_files_match_the_library_rendering(
+        self, tmp_path, data, q, mode, takes_q, approx, fmt
+    ):
+        cap_path, out_path = tmp_path / "cap.json", tmp_path / "report"
+        code = main(self.learn_argv(data, q, mode, takes_q, approx, cap_path, out_path, fmt))
+
+        ts = load_training_set(GOLDEN / data)
+        if takes_q:
+            report = learn(ts, LearnMode(mode + ("_approx" if approx else "")), q)
+        else:
+            report = learn(ts, LearnMode(mode))
+        payload = report_to_json(report)
+        problems = validate_data(ts)
+        if problems:
+            payload["data_warnings"] = [v.message for v in problems]
+        if fmt == "json":
+            rendering = dumps_json(payload)
+        else:
+            rendering = "\n".join(_table_lines(payload)) + "\n"
+        assert out_path.read_text() == rendering
+        if report.capacity is None:
+            assert code == 2 and not cap_path.exists()
+        else:
+            save_capacity(report.capacity, tmp_path / "ref.json")
+            assert code == 0
+            assert cap_path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+    def test_values_are_encoded_once(self, tmp_path, monkeypatch):
+        argv = self.learn_argv(
+            "chain_noisy.json", 3, "qmax", True, True,
+            tmp_path / "cap.json", tmp_path / "report.json", "json",
+        )
+        ts = load_training_set(GOLDEN / "chain_noisy.json")
+        values = list(learn(ts, LearnMode.QMAX_APPROX, 3).capacity.values)
+        encode = caplearn.io._encode
+        calls = []
+
+        def counted(obj, newline):
+            if type(obj) is list and obj == values:
+                calls.append(newline)
+            return encode(obj, newline)
+
+        monkeypatch.setattr(caplearn.io, "_encode", counted)
+        assert main(argv) == 0
+        assert json.loads((tmp_path / "cap.json").read_text())["values"] == values
+        assert len(calls) == 1
 
 
 class TestEval:
@@ -396,6 +466,24 @@ class TestUsageErrors:
         code, out, err = run(capsys, "oracle", "--data", str(path), "--type", "minmax")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --type minmax" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--data", "unit_noisy.csv", "--mode", "qmax", "--q", "2", "--approx"],
+            ["eval", "--capacity", "mu_paper.json", "--object", "0.5,0.25,0.3"],
+            ["check", "--capacity", "mu_paper.json"],
+            ["distance", "--data", "unit_noisy.csv"],
+            ["distance", "--data", "system_maxmin.json"],
+            ["oracle", "--data", "tiny.json", "--grid-step", "0.25"],
+        ],
+    )
+    def test_infinite_tolerance_is_input_error(self, capsys, argv):
+        argv = [str(GOLDEN / a) if prev in ("--data", "--capacity") else a
+                for prev, a in zip([None] + argv, argv)]
+        code, out, err = run(capsys, *argv, "--tolerance", "inf")
+        assert (code, out) == (1, "")
+        assert "tolerance must be a finite nonnegative real, got inf" in err
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "learn", "--mode", "greatest")

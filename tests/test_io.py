@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from caplearn import FormatError, LearnMode, Scale, SystemKind, build_system, learn
 from caplearn.io import (
+    CanonicalText,
     _dumps,
     capacity_from_json,
     capacity_to_json,
@@ -119,10 +120,19 @@ def json_documents():
     )
 
 
+def assert_embeds(doc):
+    """A document's canonical text, embedded in a list and in a dict, gives
+    the text of the document nested there."""
+    text = CanonicalText(_dumps(doc))
+    assert _dumps([0.5, text, []]) == json.dumps([0.5, doc, []], indent=2) + "\n"
+    assert _dumps({"a": {"b": text}}) == json.dumps({"a": {"b": doc}}, indent=2) + "\n"
+
+
 class TestCanonicalWriter:
     @given(json_documents())
     def test_same_text_as_the_standard_encoder(self, doc):
         assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert_embeds(doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -143,10 +153,14 @@ class TestCanonicalWriter:
             ["a", "\u00e9\n", '"q"', ""],
             {"mixed": ["x", 1, -0.0, False, None, float("-inf")]},
             "\u00e9",
+            # line breaks inside strings are escaped, so re-indenting skips them
+            ["\n", "\\n", "\u2028", [], {}, float("nan"), -0.0, 0.0],
+            {"s": "a\nb", "\n": ["\\n", {"\u2028": [-0.0, 0.0, float("nan")]}], "e": {}},
         ],
     )
     def test_edge_documents(self, doc):
         assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert_embeds(doc)
 
 
 class TestSystemJson:

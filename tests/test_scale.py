@@ -39,8 +39,9 @@ class TestConstruction:
             Scale.finite_chain(levels)
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            Scale.unit_interval(tol=-1e-3)
+        for tol in (-1e-3, float("inf")):
+            with pytest.raises(DomainError):
+                Scale.unit_interval(tol=tol)
 
     def test_unit_interval_takes_no_levels(self):
         with pytest.raises(DomainError):
