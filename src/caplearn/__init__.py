@@ -15,7 +15,7 @@ from .capacity import (
     is_q_maxitive,
     is_q_minitive,
 )
-from .chebyshev import DistanceReport, approx_solution, chebyshev_distance, relaxed_rhs
+from .chebyshev import DistanceReport, chebyshev_distance, relaxed_rhs
 from .errors import BudgetError, CaplearnError, DomainError, FormatError
 from .learning import (
     DataViolation,
@@ -34,14 +34,7 @@ from .oracle import (
     grid_chebyshev,
     min_learning_error,
 )
-from .relational import (
-    RelationalSystem,
-    SolutionVector,
-    SystemKind,
-    apply_system,
-    is_consistent,
-    potential_solution,
-)
+from .relational import RelationalSystem, SystemKind, apply_system, potential_solution
 from .scale import Scale, ScaleKind, iota
 from .sugeno import sugeno_maxmin, sugeno_minmax, sugeno_qmax, sugeno_qmin
 
@@ -61,12 +54,10 @@ __all__ = [
     "RelationalSystem",
     "Scale",
     "ScaleKind",
-    "SolutionVector",
     "SystemKind",
     "TrainingDatum",
     "TrainingSet",
     "apply_system",
-    "approx_solution",
     "build_system",
     "capacity_violations",
     "chebyshev_distance",
@@ -76,7 +67,6 @@ __all__ = [
     "grid_chebyshev",
     "iota",
     "is_capacity",
-    "is_consistent",
     "is_q_maxitive",
     "is_q_minitive",
     "learn",

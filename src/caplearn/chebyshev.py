@@ -10,7 +10,8 @@ target order, each column advancing its queue only when visited, at most
 O(N log N + m·N) with the same floats.  It reads a system's columns
 (``chebyshev_distance``, negated for min-max) or subset columns with no
 system (``learning._distance``, stopping rows that cannot raise the max).
-Re-solving against the relaxed targets gives the approximate solutions.
+``learn`` re-solves against the targets relaxed by the distance
+(``relaxed_rhs``) for the approximate capacities.
 
 Finite-chain systems are embedded in [0, 1] by their numeric values; the
 halving in the cross terms can land between chain levels, so results are
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from operator import itemgetter, neg, pos
 from typing import Iterable, Sequence
 
-from .relational import RelationalSystem, SolutionVector, SystemKind, potential_solution
+from .relational import RelationalSystem, SystemKind
 
 
 @dataclass(frozen=True)
@@ -125,31 +126,3 @@ def relaxed_rhs(
     step = order.sign * distance
     return tuple(order.meet(b + step, order.top) for b in rhs)
 
-
-def approx_solution(sys: RelationalSystem, distance: float | None = None) -> SolutionVector:
-    """Greatest (max-min) or lowest (min-max) approximate solution.
-
-    Solves against the relaxed right-hand side; applying the system to the
-    result lands within the Chebyshev distance of the original rhs, and
-    exactly on it when the system is consistent.  ``distance`` may be
-    passed to reuse an already computed value.
-
-    The optimum is attained where matrix entries tie with the relaxed rhs,
-    so those comparisons use the scale tolerance, toward the order's top
-    (1 for max-min, 0 for min-max): the float sum rhs + d can land a few
-    ulps on either side of the tie and the strict branch would then forfeit
-    the optimality guarantee.  A zero distance skips the relaxation
-    entirely and reproduces the exact solved vector.
-    """
-    d = chebyshev_distance(sys).distance if distance is None else distance
-    if d == 0.0:
-        return potential_solution(sys)
-    order = sys.kind.order
-    relaxed = relaxed_rhs(sys.rhs, d, sys.kind)
-    slack = order.sign * sys.scale.tol
-    le, top = order.le, order.top
-    values = tuple(
-        order.meet(top if le(a, r + slack) else r for a, r in zip(column, relaxed))
-        for column in zip(*sys.matrix)
-    )
-    return SolutionVector(sys.column_labels, values)

@@ -266,7 +266,7 @@ def _cmd_distance(args) -> int:
         "bounded_rhs": list(relaxed_rhs(sys_.rhs, report.distance, sys_.kind)),
         "consistent": report.distance == 0.0,
         "columns": [
-            subset_label(lbl) if isinstance(lbl, int) else str(lbl)
+            subset_label(lbl) if isinstance(lbl, int) and lbl >= 0 else str(lbl)
             for lbl in sys_.column_labels
         ],
     }
@@ -280,7 +280,7 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    levels = grid_levels(args.grid_step)
+    levels = grid_levels(args.grid_step, args.budget)
     sys_, ts = _load_system_or_training(args, "mode")
     if sys_ is not None:
         checks = system_checks(sys_, levels, args.grid_step, args.budget)

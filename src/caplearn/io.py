@@ -1,12 +1,13 @@
-"""File formats: capacity and system JSON, training CSV/JSON, report JSON.
+"""File formats: readers for capacity JSON, system JSON and training CSV or
+JSON; writers for capacity JSON and learn reports.
 
-All writers emit a canonical form (two-space indented JSON, subsets in
+Writers emit a canonical form (two-space indented JSON, subsets in
 ascending mask order, floats in shortest round-trip notation), so saving a
-loaded file reproduces it byte for byte.  Readers validate scale membership
-at ingestion and reject off-scale values rather than rounding them.
+loaded capacity reproduces it byte for byte.  Readers validate scale
+membership at ingestion and reject off-scale values rather than rounding.
 
 The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
-The standard encoder runs in pure Python once it indents, so ``_dumps``
+The standard encoder runs in pure Python once it indents, so ``dumps_json``
 indents the containers itself and hands each list of scalars (exact ints,
 floats, strings, bools, None) to the C encoder, unindented, with the line
 break and indentation as its item separator; the C encoder writes every
@@ -44,7 +45,8 @@ class CanonicalText(str):
     """``dumps_json(doc)``, which the writers embed as ``doc`` at its depth."""
 
 
-def _dumps(payload: Any) -> str:
+def dumps_json(payload: Any) -> str:
+    """Canonical JSON text used by every writer and by the CLI."""
     return _encode(payload, "\n") + "\n"
 
 
@@ -170,7 +172,7 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
 
 def save_capacity(mu: Capacity, path: str | Path, text: str | None = None) -> None:
     """``text``, if given, is ``dumps_json(capacity_to_json(mu))`` already made."""
-    Path(path).write_text(_dumps(capacity_to_json(mu)) if text is None else text)
+    Path(path).write_text(dumps_json(capacity_to_json(mu)) if text is None else text)
 
 
 def load_capacity(path: str | Path, tol: float | None = None) -> Capacity:
@@ -179,16 +181,6 @@ def load_capacity(path: str | Path, tol: float | None = None) -> Capacity:
 
 # ---------------------------------------------------------------------------
 # relational systems
-
-
-def system_to_json(sys: RelationalSystem) -> dict:
-    return {
-        "kind": sys.kind.value,
-        "matrix": [list(row) for row in sys.matrix],
-        "rhs": list(sys.rhs),
-        "column_labels": list(sys.column_labels),
-        "scale": scale_to_json(sys.scale),
-    }
 
 
 def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
@@ -233,24 +225,8 @@ def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
         raise FormatError(f"invalid system: {exc}") from exc
 
 
-def save_system(sys: RelationalSystem, path: str | Path) -> None:
-    Path(path).write_text(_dumps(system_to_json(sys)))
-
-
-def load_system(path: str | Path, tol: float | None = None) -> RelationalSystem:
-    return system_from_json(_read_json(path), tol)
-
-
 # ---------------------------------------------------------------------------
 # training data
-
-
-def training_set_to_json(ts: TrainingSet) -> dict:
-    return {
-        "n": ts.n,
-        "scale": scale_to_json(ts.scale),
-        "items": [{"x": list(item.x), "alpha": item.alpha} for item in ts.items],
-    }
 
 
 def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
@@ -350,10 +326,6 @@ def load_training_set(
     return ts
 
 
-def save_training_set(ts: TrainingSet, path: str | Path) -> None:
-    Path(path).write_text(_dumps(training_set_to_json(ts)))
-
-
 # ---------------------------------------------------------------------------
 # learn reports
 
@@ -369,8 +341,3 @@ def report_to_json(report: LearnReport) -> dict:
         "residuals": list(report.residuals) if report.residuals is not None else None,
         "notes": list(report.notes),
     }
-
-
-def dumps_json(payload: Any) -> str:
-    """Canonical JSON text used by every writer and by the CLI."""
-    return _dumps(payload)

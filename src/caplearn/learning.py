@@ -137,43 +137,42 @@ def _low_bit_fold(base: Sequence, masks: Iterable[int], op) -> dict[int, Any]:
     return out
 
 
-def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> RelationalSystem:
-    """The system of ``kind`` over the columns of the layers up to q (default n).
-
-    Max-min: nonempty subsets of cardinality <= q; column (k, A) holds the
-    minimum of object k inside A.  Min-max: proper subsets of cardinality
-    >= n - q; column (k, A) holds the maximum of object k outside A,
-    computed per complement.  The right-hand side is the target vector and
-    columns follow ascending label order.
-    """
-    q = ts.n if q is None else _check_q(q, ts.n)
-    order = kind.order
-    masks = masks_of_sizes(ts.n, range(1, q + 1))
-    # one map over the items per column: O(N * m) for m columns
-    coords = list(zip(*(item.x for item in ts.items)))
-    columns = _low_bit_fold(coords, masks, lambda a, b: list(map(order.meet, a, b)))
-    labels = masks
-    if order.dual:
-        # ascending masks are descending complements
-        masks = masks[::-1]
-        labels = [full_mask(ts.n) ^ mask for mask in masks]
-    matrix = tuple(zip(*(columns[mask] for mask in masks)))
-    return RelationalSystem(kind, matrix, ts.targets(), tuple(labels), ts.scale)
-
-
-def _distance(ts: TrainingSet, kind: SystemKind, q: int) -> float:
-    """``chebyshev_distance(build_system(ts, kind, q)).distance`` bit for bit,
-    from the subset columns alone, folded by an inlined ``min`` (same ties)
-    and swept with the cut.  Min-max: the min of the negated coordinates
-    inside A is the negated max that the column at A's complement holds, as
-    min(-a, -b) keeps the argument max(a, b) keeps."""
+def _columns(ts: TrainingSet, kind: SystemKind, q: int) -> Iterable[Sequence[float]]:
+    """The system's columns on the layers up to q, min-max ones negated, by
+    an inlined ``min``: min(-a, -b) keeps the argument that max(a, b) keeps,
+    so even a zero keeps the system's sign."""
     flip = neg if kind.order.dual else pos
     coords = [tuple(map(flip, column)) for column in zip(*(item.x for item in ts.items))]
     masks = masks_of_sizes(ts.n, range(1, q + 1))
     fold = _low_bit_fold(coords, masks, lambda a, b: [y if y < x else x for x, y in zip(a, b)])
     # ascending sets are descending complements
-    columns = reversed(fold.values()) if kind.order.dual else fold.values()
-    return max(_maxmin_per_row(columns, tuple(map(flip, ts.targets())), cut=True))
+    return reversed(fold.values()) if kind.order.dual else fold.values()
+
+
+def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> RelationalSystem:
+    """The system of ``kind`` over the columns of the layers up to q (default n).
+
+    Max-min: nonempty subsets of cardinality <= q; column (k, A) holds the
+    minimum of object k inside A.  Min-max: proper subsets of cardinality
+    >= n - q; column (k, A) holds the maximum of object k outside A.  The
+    right-hand side is the target vector and columns follow ascending label
+    order.
+    """
+    q = ts.n if q is None else _check_q(q, ts.n)
+    columns = _columns(ts, kind, q)
+    labels = masks_of_sizes(ts.n, range(1, q + 1))
+    if kind.order.dual:
+        columns = ([-v for v in column] for column in columns)
+        labels = [full_mask(ts.n) ^ mask for mask in reversed(labels)]
+    matrix = tuple(zip(*columns))
+    return RelationalSystem(kind, matrix, ts.targets(), tuple(labels), ts.scale)
+
+
+def _distance(ts: TrainingSet, kind: SystemKind, q: int) -> float:
+    """``chebyshev_distance(build_system(ts, kind, q)).distance`` bit for bit,
+    from the subset columns swept with the cut."""
+    flip = neg if kind.order.dual else pos
+    return max(_maxmin_per_row(_columns(ts, kind, q), tuple(map(flip, ts.targets())), cut=True))
 
 
 class LearnMode(Enum):

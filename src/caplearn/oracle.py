@@ -17,13 +17,7 @@ from .capacity import Capacity, is_q_maxitive, is_q_minitive
 from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
 from .learning import LearnMode, TrainingSet, learn
-from .relational import (
-    RelationalSystem,
-    SolutionVector,
-    apply_system,
-    potential_solution,
-    vector_for_rhs,
-)
+from .relational import RelationalSystem, apply_system, potential_solution, vector_for_rhs
 from .scale import Scale
 from .subsets import check_criteria_count, drop_one_bit
 from .sugeno import sugeno_maxmin
@@ -117,12 +111,12 @@ def enumerate_capacities(spec: GridSpec) -> Iterator[Capacity]:
     yield from rec(1)
 
 
-def enumerate_solutions(sys: RelationalSystem, spec: GridSpec) -> Iterator[SolutionVector]:
-    """Every vector over the grid that solves the system exactly."""
+def enumerate_solutions(sys: RelationalSystem, spec: GridSpec) -> Iterator[tuple[float, ...]]:
+    """Every vector over the grid, in column order, that solves the system exactly."""
     _guard(len(spec.levels) ** sys.n_cols, spec.budget, "solution enumeration")
     for combo in itertools.product(spec.levels, repeat=sys.n_cols):
         if apply_system(sys, combo) == sys.rhs:
-            yield SolutionVector(sys.column_labels, combo)
+            yield combo
 
 
 def _consistent_for_rhs(sys: RelationalSystem, rhs: tuple[float, ...]) -> bool:
@@ -168,10 +162,14 @@ def min_learning_error(ts: TrainingSet, spec: GridSpec) -> tuple[float, Capacity
     return best_err, best_mu
 
 
-def grid_levels(step: float) -> tuple[float, ...]:
-    """Evenly spaced levels 0, 1/k, ..., 1 with k = round(1 / step)."""
+def grid_levels(step: float, budget: int) -> tuple[float, ...]:
+    """Evenly spaced levels 0, 1/k, ..., 1 with k = round(1 / step), refused
+    before ``round`` when 1 / step exceeds the budget, as a search would be."""
     if not 0.0 < step <= 1.0:
         raise DomainError(f"grid step must be in (0, 1], got {step}")
+    if budget < 1:
+        raise DomainError("budget must be positive")
+    _guard(1.0 / step, budget, f"a grid of step {step}")
     count = round(1.0 / step)
     return tuple(i / count for i in range(count + 1))
 
@@ -199,11 +197,9 @@ def system_checks(
         sorted({0.0, 1.0} | {v for row in sys.matrix for v in row} | set(sys.rhs))
     )
     enum_spec = GridSpec(enum_levels, 1, budget=budget)
-    extremal = potential_solution(sys).values
+    extremal = potential_solution(sys)
     le = sys.kind.order.le
-    ok = all(
-        all(map(le, sol.values, extremal)) for sol in enumerate_solutions(sys, enum_spec)
-    )
+    ok = all(all(map(le, sol, extremal)) for sol in enumerate_solutions(sys, enum_spec))
     if sys.kind.order.dual:
         name = "every enumerated solution above the lowest vector"
     else:

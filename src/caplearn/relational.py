@@ -6,10 +6,10 @@ dual.  Solving follows Sanchez: the residuated products below yield a
 potential greatest (resp. lowest) solution, and the system is consistent
 exactly when that vector reproduces the right-hand side.
 
-Column labels are opaque here; the learning module attaches subset masks.
-``learn`` finds the same solutions without building a system (see
-``learning._solve``); these routines serve the Chebyshev distance, the
-oracle and library callers.
+Vectors are plain tuples in column order; column labels are opaque here,
+and the learning module attaches subset masks.  ``learn`` finds the same
+solutions without building a system (see ``learning._solve``); these
+routines serve the ``distance`` and ``oracle`` commands.
 """
 
 from __future__ import annotations
@@ -121,24 +121,6 @@ class RelationalSystem:
         return len(self.column_labels)
 
 
-@dataclass(frozen=True)
-class SolutionVector:
-    """A candidate solution aligned with a system's columns."""
-
-    labels: tuple[Hashable, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.values):
-            raise DomainError("labels and values must have the same length")
-
-    def value_of(self, label: Hashable) -> float:
-        return self.values[self.labels.index(label)]
-
-    def as_dict(self) -> dict[Hashable, float]:
-        return dict(zip(self.labels, self.values))
-
-
 def _vector(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
     vec = tuple(v)
     if len(vec) != sys.n_cols:
@@ -165,21 +147,10 @@ def vector_for_rhs(sys: RelationalSystem, rhs: Sequence[float]) -> tuple[float, 
     )
 
 
-def potential_solution(sys: RelationalSystem) -> SolutionVector:
+def potential_solution(sys: RelationalSystem) -> tuple[float, ...]:
     """Sanchez's candidate: the greatest (max-min) or lowest (min-max)
-    solution whenever the system is consistent.
-
-    Computed for inconsistent systems as well; consumers decide what the
-    vector means in that case.
+    solution whenever the system is consistent, which holds exactly when
+    applying the system to it gives back the rhs (every value compared is
+    an input or a selection of inputs, so equality is exact).
     """
-    return SolutionVector(sys.column_labels, vector_for_rhs(sys, sys.rhs))
-
-
-def is_consistent(sys: RelationalSystem) -> bool:
-    """Exact test: the potential extremal solution must reproduce the rhs.
-
-    Equality is exact on purpose; every compared value is a max/min/selection
-    of inputs, so float error cannot arise and a tolerance would only mask
-    genuine inconsistency.
-    """
-    return apply_system(sys, potential_solution(sys).values) == sys.rhs
+    return vector_for_rhs(sys, sys.rhs)

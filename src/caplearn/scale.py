@@ -8,6 +8,7 @@ positional reversal on a finite chain, ``1 - v`` on the unit interval.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -16,6 +17,7 @@ from .errors import DomainError
 
 DEFAULT_TOLERANCE = 1e-9
 _NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
 
 
 class ScaleKind(Enum):
@@ -46,8 +48,10 @@ class Scale:
     )
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tol, (int, float)) or not math.isfinite(self.tol) or self.tol < 0:
-            raise DomainError(f"tolerance must be a finite nonnegative real, got {self.tol!r}")
+        tol = self.tol
+        # compared, never converted: float() of an int past float range overflows
+        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= _FLOAT_MAX:
+            raise DomainError(f"tolerance must be a finite nonnegative real, got {tol!r}")
         if self.kind is ScaleKind.UNIT_INTERVAL:
             if self.levels is not None:
                 raise DomainError("unit-interval scale does not take levels")

@@ -30,13 +30,9 @@ def full_mask(n: int) -> int:
 
 
 def check_mask(mask: int, n: int) -> int:
-    if not isinstance(mask, int) or not 0 <= mask < (1 << n):
+    if isinstance(mask, bool) or not isinstance(mask, int) or not 0 <= mask < (1 << n):
         raise DomainError(f"subset mask {mask!r} out of range for n={n}")
     return mask
-
-
-def cardinality(mask: int) -> int:
-    return mask.bit_count()
 
 
 def complement(mask: int, n: int) -> int:
@@ -53,15 +49,6 @@ def members(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def mask_of(criteria: Iterable[int], n: int) -> int:
-    mask = 0
-    for i in criteria:
-        if not 1 <= i <= n:
-            raise DomainError(f"criterion {i} out of range 1..{n}")
-        mask |= 1 << (i - 1)
-    return mask
 
 
 def subset_label(mask: int) -> str:

@@ -12,6 +12,7 @@ import math
 import random
 from contextlib import contextmanager
 from operator import itemgetter, neg, pos
+from pathlib import Path
 from unittest import mock
 
 import caplearn.learning
@@ -23,12 +24,15 @@ from caplearn import (
     SystemKind,
     TrainingSet,
     apply_system,
+    chebyshev_distance,
+    potential_solution,
+    relaxed_rhs,
     sugeno_maxmin,
 )
 from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
+from caplearn.io import dumps_json, scale_to_json
 from caplearn.subsets import (
     add_one_bit,
-    cardinality,
     check_criteria_count,
     complement,
     drop_one_bit,
@@ -62,7 +66,72 @@ def reference_training_set(scale: Scale = CHAIN21) -> TrainingSet:
 
 def by_cardinality(labels):
     """The display order used for matrices: size first, then mask."""
-    return sorted(labels, key=lambda mask: (cardinality(mask), mask))
+    return sorted(labels, key=lambda mask: (mask.bit_count(), mask))
+
+
+def is_consistent(sys_: RelationalSystem) -> bool:
+    """Exact test: the potential extremal solution reproduces the rhs."""
+    return apply_system(sys_, potential_solution(sys_)) == sys_.rhs
+
+
+def solution_by_label(sys_: RelationalSystem) -> dict:
+    """The potential extremal solution keyed by column label."""
+    return dict(zip(sys_.column_labels, potential_solution(sys_)))
+
+
+def approx_solution(sys_: RelationalSystem, distance: float | None = None) -> tuple[float, ...]:
+    """Greatest (max-min) or lowest (min-max) approximate solution, in
+    column order: the reference for ``learn``'s relaxed solve.
+
+    Solves against the relaxed right-hand side; applying the system to the
+    result lands within the Chebyshev distance of the original rhs, and
+    exactly on it when the system is consistent.  ``distance`` may be
+    passed to reuse an already computed value.
+
+    The optimum is attained where matrix entries tie with the relaxed rhs,
+    so those comparisons use the scale tolerance, toward the order's top
+    (1 for max-min, 0 for min-max): the float sum rhs + d can land a few
+    ulps on either side of the tie and the strict branch would then forfeit
+    the optimality guarantee.  A zero distance skips the relaxation
+    entirely and reproduces the exact solved vector.
+    """
+    d = chebyshev_distance(sys_).distance if distance is None else distance
+    if d == 0.0:
+        return potential_solution(sys_)
+    order = sys_.kind.order
+    relaxed = relaxed_rhs(sys_.rhs, d, sys_.kind)
+    slack = order.sign * sys_.scale.tol
+    le, top = order.le, order.top
+    return tuple(
+        order.meet(top if le(a, r + slack) else r for a, r in zip(column, relaxed))
+        for column in zip(*sys_.matrix)
+    )
+
+
+# Writers for system and training files; only test fixtures write these.
+
+
+def save_system(sys_: RelationalSystem, path) -> None:
+    doc = {
+        "kind": sys_.kind.value,
+        "matrix": [list(row) for row in sys_.matrix],
+        "rhs": list(sys_.rhs),
+        "column_labels": list(sys_.column_labels),
+        "scale": scale_to_json(sys_.scale),
+    }
+    Path(path).write_text(dumps_json(doc))
+
+
+def training_set_to_json(ts: TrainingSet) -> dict:
+    return {
+        "n": ts.n,
+        "scale": scale_to_json(ts.scale),
+        "items": [{"x": list(item.x), "alpha": item.alpha} for item in ts.items],
+    }
+
+
+def save_training_set(ts: TrainingSet, path) -> None:
+    Path(path).write_text(dumps_json(training_set_to_json(ts)))
 
 
 def random_capacity(rng: random.Random, n: int, levels, scale: Scale | None = None) -> Capacity:
@@ -143,7 +212,7 @@ def chebyshev_distance_reference(sys: RelationalSystem) -> DistanceReport:
 def build_maxmin_system_reference(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
     """The max-min system with every cell taken as a min over members()."""
     q = ts.n if q is None else _check_q(q, ts.n)
-    labels = tuple(mask for mask in range(1, 1 << ts.n) if cardinality(mask) <= q)
+    labels = tuple(mask for mask in range(1, 1 << ts.n) if mask.bit_count() <= q)
     matrix = tuple(
         tuple(min(item.x[i - 1] for i in members(mask)) for mask in labels)
         for item in ts.items
@@ -154,7 +223,7 @@ def build_maxmin_system_reference(ts: TrainingSet, q: int | None = None) -> Rela
 def build_minmax_system_reference(ts: TrainingSet, q: int | None = None) -> RelationalSystem:
     """The min-max system with every cell a max over the complement's members()."""
     q = ts.n if q is None else _check_q(q, ts.n)
-    labels = tuple(mask for mask in range(full_mask(ts.n)) if cardinality(mask) >= ts.n - q)
+    labels = tuple(mask for mask in range(full_mask(ts.n)) if mask.bit_count() >= ts.n - q)
     matrix = tuple(
         tuple(
             max(item.x[i - 1] for i in members(complement(mask, ts.n))) for mask in labels
@@ -169,7 +238,7 @@ def max_over_small_subsets_reference(values, n: int, q: int) -> list[float]:
     its one-smaller subsets, in ascending order of the dropped bit."""
     out = [0.0] * (1 << n)
     for mask in range(1 << n):
-        if cardinality(mask) <= q:
+        if mask.bit_count() <= q:
             out[mask] = values[mask]
         else:
             out[mask] = max(out[sub] for sub in drop_one_bit(mask))
@@ -180,8 +249,8 @@ def min_over_large_supersets_reference(values, n: int, q: int) -> list[float]:
     """Covering recursion, dual: min over the one-larger supersets."""
     out = [0.0] * (1 << n)
     low = n - q
-    for mask in sorted(range(1 << n), key=cardinality, reverse=True):
-        if cardinality(mask) >= low:
+    for mask in sorted(range(1 << n), key=int.bit_count, reverse=True):
+        if mask.bit_count() >= low:
             out[mask] = values[mask]
         else:
             out[mask] = min(out[sup] for sup in add_one_bit(mask, n))
@@ -510,12 +579,12 @@ def exhaustive_capacity_check(values, n) -> bool:
 def brute_q_maxitive(mu: Capacity, q: int) -> bool:
     """Literal definition: max over all strictly contained small subsets."""
     for mask in range(1 << mu.n):
-        if cardinality(mask) <= q:
+        if mask.bit_count() <= q:
             continue
         best = max(
             mu.values[sub]
             for sub in range(1 << mu.n)
-            if sub != mask and sub & mask == sub and cardinality(sub) <= q
+            if sub != mask and sub & mask == sub and sub.bit_count() <= q
         )
         if mu.values[mask] != best:
             return False
@@ -525,12 +594,12 @@ def brute_q_maxitive(mu: Capacity, q: int) -> bool:
 def brute_q_minitive(mu: Capacity, q: int) -> bool:
     full = full_mask(mu.n)
     for mask in range(1 << mu.n):
-        if cardinality(mask) >= mu.n - q:
+        if mask.bit_count() >= mu.n - q:
             continue
         best = min(
             mu.values[sup]
             for sup in range(1 << mu.n)
-            if sup != mask and sup & mask == mask and cardinality(sup) >= mu.n - q
+            if sup != mask and sup & mask == mask and sup.bit_count() >= mu.n - q
         )
         if mu.values[mask] != best:
             return False

@@ -24,7 +24,6 @@ from caplearn import (
     enumerate_solutions,
     grid_chebyshev,
     is_capacity,
-    is_consistent,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -46,12 +45,14 @@ from helpers import (
     capacity_leq,
     closed_form_greatest,
     closed_form_lowest,
+    is_consistent,
     random_capacity,
     random_object,
     random_system,
     random_training_set,
     reference_training_set,
     representable_training_set,
+    solution_by_label,
 )
 
 TOL = 1e-9
@@ -88,10 +89,10 @@ def test_criterion_1_reference_dataset_exact():
             [0.5, 0.25, 0.3, 0.25, 0.3, 0.25, 0.25],
             [0.4, 0.7, 0.35, 0.4, 0.35, 0.35, 0.35],
         ]
-        e = potential_solution(sys_)
-        assert [e.value_of(m) for m in order] == [0.3, 0.4, 0.2, 1.0, 1.0, 1.0, 1.0]
+        e = solution_by_label(sys_)
+        assert [e[m] for m in order] == [0.3, 0.4, 0.2, 1.0, 1.0, 1.0, 1.0]
         assert is_consistent(sys_)
-        assert e.value_of(full_mask(3)) == 1.0
+        assert e[full_mask(3)] == 1.0
         report = learn(ts, LearnMode.GREATEST)
         mu_e = report.capacity
         assert mu_e.values == MU_E_VALUES
@@ -136,9 +137,9 @@ def test_criterion_3_extremal_solutions_dominate_grid():
                 base.column_labels, base.scale,
             )
             e = potential_solution(sys_)
-            assert apply_system(sys_, e.values) == sys_.rhs
+            assert apply_system(sys_, e) == sys_.rhs
             for sol in enumerate_solutions(sys_, spec):
-                assert all(v <= ev for v, ev in zip(sol.values, e.values))
+                assert all(v <= ev for v, ev in zip(sol, e))
 
             base = random_system(rng, SystemKind.MIN_MAX, n_rows, n_cols, FIVE_LEVELS)
             seed_vec = tuple(rng.choice(FIVE_LEVELS) for _ in range(n_cols))
@@ -147,9 +148,9 @@ def test_criterion_3_extremal_solutions_dominate_grid():
                 base.column_labels, base.scale,
             )
             f = potential_solution(dual)
-            assert apply_system(dual, f.values) == dual.rhs
+            assert apply_system(dual, f) == dual.rhs
             for sol in enumerate_solutions(dual, spec):
-                assert all(v >= fv for v, fv in zip(sol.values, f.values))
+                assert all(v >= fv for v, fv in zip(sol, f))
 
 
 def test_criterion_4_round_trip_sandwich():
@@ -268,8 +269,8 @@ def test_criterion_8_monotone_vectors_and_closed_forms():
         for _ in range(500):
             n = rng.randint(2, 4)
             ts = random_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            e = potential_solution(build_system(ts, SystemKind.MAX_MIN)).as_dict()
-            f = potential_solution(build_system(ts, SystemKind.MIN_MAX)).as_dict()
+            e = solution_by_label(build_system(ts, SystemKind.MAX_MIN))
+            f = solution_by_label(build_system(ts, SystemKind.MIN_MAX))
             for mask in range(1, 1 << n):
                 for sup in add_one_bit(mask, n):
                     assert e[mask] <= e[sup]

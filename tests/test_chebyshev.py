@@ -10,10 +10,8 @@ from caplearn import (
     SystemKind,
     TrainingSet,
     apply_system,
-    approx_solution,
     build_system,
     chebyshev_distance,
-    is_consistent,
     potential_solution,
     relaxed_rhs,
 )
@@ -21,9 +19,11 @@ from caplearn.chebyshev import _maxmin_per_row
 
 from helpers import (
     CHAIN21,
+    approx_solution,
     chebyshev_distance_reference,
     cross_gap_maxmin,
     cross_gap_minmax,
+    is_consistent,
     maxmin_per_row_reference,
     random_system,
     reference_training_set,
@@ -263,15 +263,15 @@ class TestApproxSolutions:
     def test_consistent_system_recovers_exact_solution(self):
         ts = reference_training_set()
         sys_ = build_system(ts, SystemKind.MAX_MIN)
-        assert approx_solution(sys_).values == potential_solution(sys_).values
+        assert approx_solution(sys_) == potential_solution(sys_)
         dual = build_system(ts, SystemKind.MIN_MAX)
-        assert approx_solution(dual).values == potential_solution(dual).values
+        assert approx_solution(dual) == potential_solution(dual)
 
     def test_single_cell_examples(self):
         sys_ = one_row(SystemKind.MAX_MIN, [0.5], 0.8)
-        assert approx_solution(sys_).values == (1.0,)
+        assert approx_solution(sys_) == (1.0,)
         dual = one_row(SystemKind.MIN_MAX, [0.5], 0.2)
-        assert approx_solution(dual).values == (0.0,)
+        assert approx_solution(dual) == (0.0,)
 
     def test_residual_norm_equals_distance(self):
         # the defining quality of the Chebyshev approximation
@@ -281,7 +281,7 @@ class TestApproxSolutions:
             sys_ = random_system(rng, kind, rng.randint(1, 4), rng.randint(1, 5), CHAIN21.levels)
             report = chebyshev_distance(sys_)
             sol = approx_solution(sys_, report.distance)
-            out = apply_system(sys_, sol.values)
+            out = apply_system(sys_, sol)
             residual = max(abs(a - b) for a, b in zip(out, sys_.rhs))
             assert residual == pytest.approx(report.distance, abs=1e-9)
 
@@ -290,7 +290,7 @@ class TestApproxSolutions:
         for _ in range(60):
             sys_ = random_system(rng, SystemKind.MAX_MIN, 3, 4, CHAIN21.levels)
             eta = approx_solution(sys_)
-            reached = apply_system(sys_, eta.values)
+            reached = apply_system(sys_, eta)
             again = RelationalSystem(
                 SystemKind.MAX_MIN, sys_.matrix, reached, sys_.column_labels, UNIT
             )

@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -6,16 +10,15 @@ import caplearn.io
 import caplearn.learning
 from caplearn import Capacity, LearnMode, Scale, learn, validate_data
 from caplearn.cli import _table_lines, main
-from caplearn.io import (
-    dumps_json,
-    load_training_set,
-    report_to_json,
-    save_capacity,
+from caplearn.io import dumps_json, load_training_set, report_to_json, save_capacity
+
+from helpers import (
+    MU_E_VALUES,
+    MU_F_VALUES,
+    reference_training_set,
     save_system,
     save_training_set,
 )
-
-from helpers import MU_E_VALUES, MU_F_VALUES, reference_training_set
 from test_golden import DATASETS, GOLDEN, LEARN_MODES
 
 REFERENCE_CSV = """x1,x2,x3,alpha
@@ -403,6 +406,20 @@ class TestDistance:
         assert code == 0
         assert reads == [path]
 
+    def test_negative_int_label_is_not_a_subset(self, tmp_path):
+        # subset_label(-1) never returns: run in a child capped in memory and time
+        doc = {"kind": "maxmin", "matrix": [[0.5, 0.2]], "rhs": [0.3], "column_labels": [1, -1]}
+        (tmp_path / "sys.json").write_text(json.dumps(doc))
+        cap = 1 << 29
+        child = subprocess.run(
+            [sys.executable, "-m", "caplearn.cli", "distance", "--data", "sys.json"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["columns"] == ["{1}", "-1"]
+
     def test_chain_scale_warns_about_embedding(self, capsys, tmp_path):
         ts = reference_training_set()
         path = tmp_path / "train.json"
@@ -447,11 +464,15 @@ class TestOracle:
         ts = reference_training_set()
         path = tmp_path / "train.json"
         save_training_set(ts, path)
-        code, _, err = run(
-            capsys, "oracle", "--data", str(path), "--q", "3", "--budget", "10",
-        )
-        assert code == 3
-        assert "budget" in err
+        # a grid finer than the budget (1 / step is 20 by default) is refused before
+        # its levels are built, and before round(1 / 5e-324) overflows
+        for flags in (["--budget", "10"], ["--budget", "30"], ["--grid-step", "5e-324"],
+                      ["--grid-step", "0.001", "--budget", "100"]):
+            code, _, err = run(capsys, "oracle", "--data", str(path), "--q", "3", *flags)
+            assert code == 3
+            assert "budget" in err
+        code, _, err = run(capsys, "oracle", "--data", str(path), "--q", "3", "--budget", "0")
+        assert (code, err) == (1, "caplearn: budget must be positive\n")
 
 
 class TestUsageErrors:

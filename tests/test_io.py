@@ -7,25 +7,28 @@ from hypothesis import strategies as st
 from caplearn import FormatError, LearnMode, Scale, SystemKind, build_system, learn
 from caplearn.io import (
     CanonicalText,
-    _dumps,
     capacity_from_json,
     capacity_to_json,
+    dumps_json,
     load_capacity,
-    load_system,
     load_training_set,
     report_to_json,
     save_capacity,
-    save_system,
-    save_training_set,
     scale_from_json,
     scale_to_json,
     system_from_json,
     training_set_from_csv_text,
     training_set_from_json,
-    training_set_to_json,
 )
 
-from helpers import CHAIN21, MU_E_VALUES, reference_training_set
+from helpers import (
+    CHAIN21,
+    MU_E_VALUES,
+    reference_training_set,
+    save_system,
+    save_training_set,
+    training_set_to_json,
+)
 
 UNIT = Scale.unit_interval()
 
@@ -123,15 +126,15 @@ def json_documents():
 def assert_embeds(doc):
     """A document's canonical text, embedded in a list and in a dict, gives
     the text of the document nested there."""
-    text = CanonicalText(_dumps(doc))
-    assert _dumps([0.5, text, []]) == json.dumps([0.5, doc, []], indent=2) + "\n"
-    assert _dumps({"a": {"b": text}}) == json.dumps({"a": {"b": doc}}, indent=2) + "\n"
+    text = CanonicalText(dumps_json(doc))
+    assert dumps_json([0.5, text, []]) == json.dumps([0.5, doc, []], indent=2) + "\n"
+    assert dumps_json({"a": {"b": text}}) == json.dumps({"a": {"b": doc}}, indent=2) + "\n"
 
 
 class TestCanonicalWriter:
     @given(json_documents())
     def test_same_text_as_the_standard_encoder(self, doc):
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
         assert_embeds(doc)
 
     @pytest.mark.parametrize(
@@ -159,7 +162,7 @@ class TestCanonicalWriter:
         ],
     )
     def test_edge_documents(self, doc):
-        assert _dumps(doc) == json.dumps(doc, indent=2) + "\n"
+        assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
         assert_embeds(doc)
 
 
@@ -168,7 +171,7 @@ class TestSystemJson:
         sys_ = build_system(ref_ts, SystemKind.MAX_MIN, 2)
         path = tmp_path / "sys.json"
         save_system(sys_, path)
-        back = load_system(path)
+        back = system_from_json(json.loads(path.read_text()))
         assert back.matrix == sys_.matrix
         assert back.rhs == sys_.rhs
         assert back.column_labels == sys_.column_labels

@@ -18,7 +18,6 @@ from caplearn import (
     is_q_maxitive,
     is_q_minitive,
     learn,
-    potential_solution,
     validate_data,
 )
 from caplearn.capacity import extend_layer
@@ -26,10 +25,11 @@ from caplearn.chebyshev import relaxed_rhs
 from caplearn.learning import _distance, _products, _solve
 from caplearn.relational import RelationalSystem
 from caplearn.scale import ScaleKind
-from caplearn.subsets import cardinality, add_one_bit, full_mask, mask_of
+from caplearn.subsets import add_one_bit, full_mask
 
 from helpers import (
     CHAIN21,
+    approx_solution,
     FIVE_LEVELS,
     MU_E_VALUES,
     MU_F_VALUES,
@@ -46,6 +46,7 @@ from helpers import (
     random_training_set,
     reference_learning,
     representable_training_set,
+    solution_by_label,
     solve_reference,
 )
 
@@ -127,12 +128,12 @@ class TestSystemConstruction:
         sys_ = build_system(ref_ts, SystemKind.MIN_MAX, 3)
         empty = sys_.column_labels.index(0)
         assert [row[empty] for row in sys_.matrix] == [0.3, 0.5, 0.7]
-        pair23 = sys_.column_labels.index(mask_of([2, 3], 3))
+        pair23 = sys_.column_labels.index(0b110)
         assert [row[pair23] for row in sys_.matrix] == [0.15, 0.5, 0.4]
 
     def test_minmax_q1_keeps_only_largest_proper_subsets(self, ref_ts):
         sys_ = build_system(ref_ts, SystemKind.MIN_MAX, 1)
-        assert all(cardinality(m) == 2 for m in sys_.column_labels)
+        assert all(m.bit_count() == 2 for m in sys_.column_labels)
         assert len(sys_.column_labels) == 3
 
     def test_q_range_checked(self, ref_ts):
@@ -157,12 +158,12 @@ class TestIndexSets:
         for _ in range(60):
             n = rng.randint(2, 4)
             ts = random_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            e = potential_solution(build_system(ts, SystemKind.MAX_MIN)).as_dict()
-            f = potential_solution(build_system(ts, SystemKind.MIN_MAX)).as_dict()
+            e = solution_by_label(build_system(ts, SystemKind.MAX_MIN))
+            f = solution_by_label(build_system(ts, SystemKind.MIN_MAX))
             for q in range(1, n + 1):
-                e_q = potential_solution(build_system(ts, SystemKind.MAX_MIN, q)).as_dict()
+                e_q = solution_by_label(build_system(ts, SystemKind.MAX_MIN, q))
                 assert all(e[mask] == v for mask, v in e_q.items())
-                f_q = potential_solution(build_system(ts, SystemKind.MIN_MAX, q)).as_dict()
+                f_q = solution_by_label(build_system(ts, SystemKind.MIN_MAX, q))
                 assert all(f[mask] == v for mask, v in f_q.items())
 
     def test_closed_forms_match_solver(self):
@@ -170,10 +171,10 @@ class TestIndexSets:
         for _ in range(100):
             n = rng.randint(1, 4)
             ts = random_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            e = potential_solution(build_system(ts, SystemKind.MAX_MIN))
-            assert closed_form_greatest(ts) == e.as_dict()
-            f = potential_solution(build_system(ts, SystemKind.MIN_MAX))
-            assert closed_form_lowest(ts) == f.as_dict()
+            e = solution_by_label(build_system(ts, SystemKind.MAX_MIN))
+            assert closed_form_greatest(ts) == e
+            f = solution_by_label(build_system(ts, SystemKind.MIN_MAX))
+            assert closed_form_lowest(ts) == f
 
 
 # pools of a few values, so that ties between targets, between 0.0 and
@@ -352,12 +353,12 @@ class TestLearnGreatestLowest:
         for _ in range(120):
             n = rng.randint(1, 4)
             ts = random_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            e = potential_solution(build_system(ts, SystemKind.MAX_MIN))
-            f = potential_solution(build_system(ts, SystemKind.MIN_MAX))
-            assert (e.value_of(full_mask(n)) == 1.0) == all(
+            e = solution_by_label(build_system(ts, SystemKind.MAX_MIN))
+            f = solution_by_label(build_system(ts, SystemKind.MIN_MAX))
+            assert (e[full_mask(n)] == 1.0) == all(
                 min(it.x) <= it.alpha for it in ts.items
             )
-            assert (f.value_of(0) == 0.0) == all(
+            assert (f[0] == 0.0) == all(
                 it.alpha <= max(it.x) for it in ts.items
             )
 
@@ -448,7 +449,7 @@ class TestLearnQ:
         assert seen >= 60
 
     def test_template_matches_reference_construction(self, ref_ts, mu_e):
-        e = potential_solution(build_system(ref_ts, SystemKind.MAX_MIN, 2)).as_dict()
+        e = solution_by_label(build_system(ref_ts, SystemKind.MAX_MIN, 2))
         for build in (capacity_from_solution, capacity_from_solution_reference):
             assert build(e, 3, 2, ref_ts.scale, SystemKind.MAX_MIN).values == mu_e.values
         assert learn(ref_ts, LearnMode.QMAX, 2).capacity.values == mu_e.values
@@ -505,11 +506,16 @@ class TestLearnApprox:
             if hi.capacity is not None:
                 assert max(abs(r) for r in hi.residuals) == pytest.approx(hi.distance, abs=1e-9)
                 assert is_q_maxitive(hi.capacity, q)
+                # the solved layers are the system's approximate solution
+                sys_ = build_system(ts, SystemKind.MAX_MIN, q)
+                assert tuple(hi.capacity[m] for m in sys_.column_labels) == approx_solution(sys_)
                 checked += 1
             lo = learn(ts, LearnMode.QMIN_APPROX, q)
             if lo.capacity is not None:
                 assert max(abs(r) for r in lo.residuals) == pytest.approx(lo.distance, abs=1e-9)
                 assert is_q_minitive(lo.capacity, q)
+                sys_ = build_system(ts, SystemKind.MIN_MAX, q)
+                assert tuple(lo.capacity[m] for m in sys_.column_labels) == approx_solution(sys_)
         assert checked >= 60
 
 
@@ -544,11 +550,11 @@ class TestSolvedVectorStructure:
         for _ in range(80):
             n = rng.randint(2, 4)
             ts = random_training_set(rng, n, rng.randint(1, 5), FIVE_LEVELS)
-            e = potential_solution(build_system(ts, SystemKind.MAX_MIN)).as_dict()
+            e = solution_by_label(build_system(ts, SystemKind.MAX_MIN))
             for mask in range(1, 1 << n):
                 for sup in add_one_bit(mask, n):
                     assert e[mask] <= e[sup]
-            f = potential_solution(build_system(ts, SystemKind.MIN_MAX)).as_dict()
+            f = solution_by_label(build_system(ts, SystemKind.MIN_MAX))
             for mask in range(full_mask(n)):
                 for sup in add_one_bit(mask, n):
                     if sup != full_mask(n):

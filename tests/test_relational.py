@@ -11,12 +11,18 @@ from caplearn import (
     SystemKind,
     apply_system,
     build_system,
-    is_consistent,
     potential_solution,
 )
 from caplearn.relational import eps_prod, godel_imp
 
-from helpers import FIVE_LEVELS, by_cardinality, random_system, reference_training_set
+from helpers import (
+    FIVE_LEVELS,
+    by_cardinality,
+    is_consistent,
+    random_system,
+    reference_training_set,
+    solution_by_label,
+)
 
 UNIT = Scale.unit_interval()
 
@@ -66,10 +72,10 @@ class TestApply:
         ts = reference_training_set()
         sys_ = build_system(ts, SystemKind.MAX_MIN)
         e = potential_solution(sys_)
-        assert apply_system(sys_, e.values) == (0.2, 0.3, 0.4)
+        assert apply_system(sys_, e) == (0.2, 0.3, 0.4)
         dual = build_system(ts, SystemKind.MIN_MAX)
         f = potential_solution(dual)
-        assert apply_system(dual, f.values) == (0.2, 0.3, 0.4)
+        assert apply_system(dual, f) == (0.2, 0.3, 0.4)
 
     def test_absorbing_vectors(self):
         rng = random.Random(31)
@@ -88,32 +94,32 @@ class TestApply:
 class TestPotentialVectors:
     def test_reference_greatest_solution(self):
         ts = reference_training_set()
-        e = potential_solution(build_system(ts, SystemKind.MAX_MIN))
-        ordered = [e.value_of(m) for m in by_cardinality(e.labels)]
+        e = solution_by_label(build_system(ts, SystemKind.MAX_MIN))
+        ordered = [e[m] for m in by_cardinality(e)]
         assert ordered == [0.3, 0.4, 0.2, 1.0, 1.0, 1.0, 1.0]
 
     def test_reference_lowest_solution(self):
         ts = reference_training_set()
-        f = potential_solution(build_system(ts, SystemKind.MIN_MAX))
-        ordered = [f.value_of(m) for m in by_cardinality(f.labels)]
+        f = solution_by_label(build_system(ts, SystemKind.MIN_MAX))
+        ordered = [f[m] for m in by_cardinality(f)]
         assert ordered == [0.0, 0.0, 0.0, 0.0, 0.4, 0.3, 0.2]
 
     def test_single_equation_branches(self):
-        assert potential_solution(one_row(SystemKind.MAX_MIN, [0.3], 0.7)).values == (1.0,)
+        assert potential_solution(one_row(SystemKind.MAX_MIN, [0.3], 0.7)) == (1.0,)
         assert potential_solution(
             one_row(SystemKind.MAX_MIN, [0.9, 0.4], 0.5)
-        ).values == (0.5, 1.0)
-        assert potential_solution(one_row(SystemKind.MIN_MAX, [0.7], 0.3)).values == (0.0,)
+        ) == (0.5, 1.0)
+        assert potential_solution(one_row(SystemKind.MIN_MAX, [0.7], 0.3)) == (0.0,)
         assert potential_solution(
             one_row(SystemKind.MIN_MAX, [0.2, 0.9], 0.5)
-        ).values == (0.5, 0.0)
+        ) == (0.5, 0.0)
 
     def test_matrix_growth_never_raises_greatest_solution(self):
         # the solved vector depends antitonely on matrix entries
         rng = random.Random(32)
         for _ in range(50):
             sys_ = random_system(rng, SystemKind.MAX_MIN, 3, 4, FIVE_LEVELS)
-            e = potential_solution(sys_).values
+            e = potential_solution(sys_)
             k = rng.randrange(3)
             j = rng.randrange(4)
             bumped = [list(row) for row in sys_.matrix]
@@ -125,14 +131,14 @@ class TestPotentialVectors:
                 sys_.column_labels,
                 sys_.scale,
             )
-            e_up = potential_solution(sys_up).values
+            e_up = potential_solution(sys_up)
             assert all(b <= a for a, b in zip(e, e_up))
 
     def test_matrix_growth_never_raises_lowest_solution(self):
         rng = random.Random(33)
         for _ in range(50):
             sys_ = random_system(rng, SystemKind.MIN_MAX, 3, 4, FIVE_LEVELS)
-            f = potential_solution(sys_).values
+            f = potential_solution(sys_)
             k = rng.randrange(3)
             j = rng.randrange(4)
             bumped = [list(row) for row in sys_.matrix]
@@ -144,7 +150,7 @@ class TestPotentialVectors:
                 sys_.column_labels,
                 sys_.scale,
             )
-            f_up = potential_solution(sys_up).values
+            f_up = potential_solution(sys_up)
             assert all(b <= a for a, b in zip(f, f_up))
 
 
@@ -171,7 +177,7 @@ class TestConsistency:
             assert is_consistent(consistent_sys)
             # and the extremal vector reproduces the rhs exactly
             e = potential_solution(consistent_sys)
-            assert apply_system(consistent_sys, e.values) == produced
+            assert apply_system(consistent_sys, e) == produced
 
 
 class TestConstruction:

@@ -39,7 +39,8 @@ class TestConstruction:
             Scale.finite_chain(levels)
 
     def test_negative_tolerance_rejected(self):
-        for tol in (-1e-3, float("inf")):
+        # an int past float range, and a bool, which is an int to isinstance
+        for tol in (-1e-3, float("inf"), float("nan"), 10**400, True):
             with pytest.raises(DomainError):
                 Scale.unit_interval(tol=tol)
 

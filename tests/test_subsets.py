@@ -1,15 +1,13 @@
 import pytest
 
-from caplearn import DomainError
+from caplearn import Capacity, DomainError, Scale
 from caplearn.subsets import (
     MAX_CRITERIA,
     add_one_bit,
-    cardinality,
     check_criteria_count,
     complement,
     drop_one_bit,
     full_mask,
-    mask_of,
     members,
     subset_label,
 )
@@ -17,7 +15,7 @@ from caplearn.subsets import (
 
 def test_members_roundtrip():
     for mask in range(1 << 4):
-        assert mask_of(members(mask), 4) == mask
+        assert sum(1 << (i - 1) for i in members(mask)) == mask
 
 
 def test_members_are_one_based():
@@ -26,9 +24,8 @@ def test_members_are_one_based():
     assert subset_label(0) == "{}"
 
 
-def test_complement_and_cardinality():
+def test_complement_and_full_mask():
     assert complement(0b011, 3) == 0b100
-    assert cardinality(0b1011) == 3
     assert full_mask(3) == 0b111
 
 
@@ -50,6 +47,10 @@ def test_criteria_count_bounds():
         check_criteria_count(True)
 
 
-def test_mask_of_range_checked():
-    with pytest.raises(DomainError):
-        mask_of([4], 3)
+def test_mask_range_checked():
+    mu = Capacity(1, Scale.unit_interval(), (0.0, 1.0))
+    assert mu[1] == 1.0
+    # a bool is an int to isinstance, but not a subset
+    for mask in (2, -1, True, False, 1.0):
+        with pytest.raises(DomainError):
+            mu[mask]
