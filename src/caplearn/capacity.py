@@ -52,10 +52,7 @@ class Capacity:
             raise DomainError(
                 f"capacity on {self.n} criteria needs {size} values, got {len(values)}"
             )
-        if not self.scale.contains_all(values):
-            # some value is off-scale: find the first one and name its subset
-            for mask, v in enumerate(values):
-                self.scale.require(v, f"value of {subset_label(mask)}")
+        self.scale.require_all(values, lambda mask: f"value of {subset_label(mask)}")
         object.__setattr__(self, "values", tuple(map(float, values)))
 
     def __getitem__(self, mask: int) -> float:

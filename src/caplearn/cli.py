@@ -23,16 +23,14 @@ from .io import (
     CanonicalText,
     dumps_json,
     load_capacity,
+    load_data,
     load_training_set,
     report_to_json,
     save_capacity,
-    system_from_json,
-    training_set_from_json,
-    _read_json,
 )
 from .learning import LearnMode, build_system, learn, validate_data
-from .oracle import grid_levels, learning_check, system_checks
-from .relational import SystemKind
+from .oracle import grid_levels, system_checks, training_checks
+from .relational import RelationalSystem, SystemKind
 from .scale import ScaleKind
 from .subsets import subset_label
 from .sugeno import sugeno_maxmin, sugeno_minmax
@@ -110,23 +108,19 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _table_lines(payload: Any, prefix: str = "") -> list[str]:
-    lines: list[str] = []
     if isinstance(payload, dict):
-        for key, value in payload.items():
-            if isinstance(value, (dict, list)):
-                lines.append(f"{prefix}{key}:")
-                lines.extend(_table_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{prefix}{key}: {_table_scalar(value)}")
+        marked = [(f"{key}:", value) for key, value in payload.items()]
     elif isinstance(payload, list):
-        for value in payload:
-            if isinstance(value, (dict, list)):
-                lines.append(f"{prefix}-")
-                lines.extend(_table_lines(value, prefix + "  "))
-            else:
-                lines.append(f"{prefix}- {_table_scalar(value)}")
+        marked = [("-", value) for value in payload]
     else:
-        lines.append(f"{prefix}{_table_scalar(payload)}")
+        return [f"{prefix}{_table_scalar(payload)}"]
+    lines: list[str] = []
+    for mark, value in marked:
+        if isinstance(value, (dict, list)):
+            lines.append(f"{prefix}{mark}")
+            lines.extend(_table_lines(value, prefix + "  "))
+        else:
+            lines.append(f"{prefix}{mark} {_table_scalar(value)}")
     return lines
 
 
@@ -240,24 +234,20 @@ def _cmd_check(args) -> int:
     return EXIT_OK if not problems else EXIT_CONDITION
 
 
-def _load_system_or_training(args, kind_flag: str):
-    """(system, None) for a system JSON, else (None, the training set); a
-    system fixes its kind and columns, so it refuses ``kind_flag`` and --q."""
-    if not str(args.data).lower().endswith(".csv"):
-        doc = _read_json(args.data)
-        if isinstance(doc, dict) and "matrix" in doc:
-            flags = " and ".join(f"--{f}" for f in (kind_flag, "q") if getattr(args, f) is not None)
-            if flags:
-                raise DomainError(f"a system JSON fixes its kind and columns; {flags} cannot apply")
-            return system_from_json(doc, args.tolerance), None
-        return None, training_set_from_json(doc, args.tolerance)
-    return None, load_training_set(args.data, tol=args.tolerance)
+def _load_data(args, kind_flag: str):
+    """--data's system or training set; a system refuses ``kind_flag`` and --q."""
+    data = load_data(args.data, args.tolerance)
+    if isinstance(data, RelationalSystem):
+        flags = " and ".join(f"--{f}" for f in (kind_flag, "q") if getattr(args, f) is not None)
+        if flags:
+            raise DomainError(f"a system JSON fixes its kind and columns; {flags} cannot apply")
+    return data
 
 
 def _cmd_distance(args) -> int:
-    sys_, ts = _load_system_or_training(args, "type")
-    if sys_ is None:
-        sys_ = build_system(ts, SystemKind(args.type or "maxmin"), args.q)
+    sys_ = _load_data(args, "type")
+    if not isinstance(sys_, RelationalSystem):
+        sys_ = build_system(sys_, SystemKind(args.type or "maxmin"), args.q)
     report = chebyshev_distance(sys_)
     payload: dict[str, Any] = {
         "kind": sys_.kind.value,
@@ -280,16 +270,13 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    # a refused grid exits before any file is read
     levels = grid_levels(args.grid_step, args.budget)
-    sys_, ts = _load_system_or_training(args, "mode")
-    if sys_ is not None:
-        checks = system_checks(sys_, levels, args.grid_step, args.budget)
+    data = _load_data(args, "mode")
+    if isinstance(data, RelationalSystem):
+        checks = system_checks(data, levels, args.grid_step, args.budget)
     else:
-        q = args.q if args.q is not None else ts.n
-        mode = args.mode or "qmax"
-        kind = SystemKind.MAX_MIN if mode == "qmax" else SystemKind.MIN_MAX
-        checks = system_checks(build_system(ts, kind, q), levels, args.grid_step, args.budget)
-        checks.append(learning_check(ts, q, mode, args.budget))
+        checks = training_checks(data, levels, args.grid_step, args.budget, args.q, args.mode)
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format, args.out)
     return EXIT_OK if ok else EXIT_CONDITION

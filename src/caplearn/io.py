@@ -5,6 +5,9 @@ Writers emit a canonical form (two-space indented JSON, subsets in
 ascending mask order, floats in shortest round-trip notation), so saving a
 loaded capacity reproduces it byte for byte.  Readers validate scale
 membership at ingestion and reject off-scale values rather than rounding.
+A JSON document declares its scale, a training CSV is on the unit
+interval, and ``tol`` is a reader's only override.  ``load_data`` alone
+decides whether a data file holds a system or training data.
 
 The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
 The standard encoder runs in pure Python once it indents, so ``dumps_json``
@@ -30,7 +33,7 @@ import math
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .capacity import Capacity
 from .errors import FormatError
@@ -75,11 +78,15 @@ def _encode(obj: Any, newline: str) -> str:
     return _quote(obj) if type(obj) is str else json.dumps(obj)
 
 
-def _read_json(path: str | Path) -> Any:
+def _read_text(path: str | Path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_json(path: str | Path) -> Any:
+    text = _read_text(path)
     try:
         return json.loads(text)
     except ValueError as exc:
@@ -99,6 +106,16 @@ def _number(value: Any, where: str) -> float:
         ) from None
 
 
+def _numbers(values: list, what: Callable[[int], str]) -> tuple[float, ...]:
+    """``_number`` of each value, the one at index i named ``what(i)``, in bulk."""
+    try:
+        if set(map(type, values)) <= _NUMBER_TYPES:
+            return tuple(map(float, values))
+    except OverflowError:
+        pass
+    return tuple(_number(v, what(i)) for i, v in enumerate(values))
+
+
 # ---------------------------------------------------------------------------
 # scales
 
@@ -108,12 +125,6 @@ def scale_to_json(scale: Scale) -> dict:
         "kind": scale.kind.value,
         "levels": list(scale.levels) if scale.levels is not None else None,
     }
-
-
-def _scale_text(scale: Scale) -> str:
-    if scale.levels is None:
-        return scale.describe()
-    return f"{scale.describe()} {list(scale.levels)}"
 
 
 def scale_from_json(obj: Any, tol: float | None = None) -> Scale:
@@ -208,14 +219,17 @@ def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
         labels = list(range(len(matrix[0]) if matrix else 0))
     if not isinstance(labels, list):
         raise FormatError("system field 'column_labels' must be an array")
+    for j, label in enumerate(labels):
+        if isinstance(label, bool):  # JSON true/false are not subset masks
+            raise FormatError(f"column label {j}: expected a number or a string, got {label!r}")
     try:
         return RelationalSystem(
             kind,
             tuple(
-                tuple(_number(v, f"matrix entry ({k}, {j})") for j, v in enumerate(row))
+                _numbers(row, lambda j: f"matrix entry ({k}, {j})")
                 for k, row in enumerate(matrix)
             ),
-            tuple(_number(v, f"rhs entry {k}") for k, v in enumerate(rhs)),
+            _numbers(rhs, "rhs entry {}".format),
             tuple(labels),
             scale,
         )
@@ -248,15 +262,7 @@ def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
         x = item["x"]
         if not isinstance(x, list):
             raise FormatError(f"item {k}: 'x' must be an array")
-        try:
-            coords = tuple(map(float, x)) if set(map(type, x)) <= _NUMBER_TYPES else None
-        except OverflowError:
-            coords = None
-        if coords is None:
-            # some coordinate is not a number or too large a one: name the first
-            coords = tuple(
-                _number(v, f"item {k}, coordinate x{i + 1}") for i, v in enumerate(x)
-            )
+        coords = _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
         pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
     try:
         return TrainingSet.from_pairs(obj["n"], scale, pairs)
@@ -264,10 +270,8 @@ def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
         raise FormatError(f"invalid training set: {exc}") from exc
 
 
-def training_set_from_csv_text(
-    text: str, scale: Scale | None = None, source: str = "<csv>"
-) -> TrainingSet:
-    """Parse 'x1,...,xn,alpha' rows; the scale defaults to the unit interval."""
+def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
+    """Parse 'x1,...,xn,alpha' rows on the unit interval."""
     rows = list(csv.reader(text.splitlines()))
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
@@ -279,7 +283,6 @@ def training_set_from_csv_text(
         raise FormatError(
             f"{source}: header must be x1,...,xn,alpha; got {','.join(header)}"
         )
-    scale = scale or Scale.unit_interval()
     pairs = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
@@ -290,40 +293,31 @@ def training_set_from_csv_text(
             raise FormatError(f"{source}, row {lineno}: {exc}") from exc
         pairs.append((tuple(values[:n]), values[n]))
     try:
-        return TrainingSet.from_pairs(n, scale, pairs)
+        return TrainingSet.from_pairs(n, Scale.unit_interval(), pairs)
     except Exception as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def load_training_set(
-    path: str | Path, scale: Scale | None = None, tol: float | None = None
-) -> TrainingSet:
+def load_training_set(path: str | Path, tol: float | None = None) -> TrainingSet:
     """Load a training set from a .csv file or a JSON document.
 
-    ``tol`` overrides the scale tolerance; a CSV file is read on ``scale``,
-    by default the unit interval, with that tolerance.  A JSON
-    document declares its own scale; a given ``scale`` must be that one
-    (its tolerance applies unless ``tol`` is given).
+    A CSV file is read on the unit interval; a JSON document declares its
+    own scale.  ``tol``, if given, overrides the tolerance of either.
     """
-    p = Path(path)
-    if p.suffix.lower() == ".csv":
-        try:
-            text = p.read_text()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise FormatError(f"cannot read {path}: {exc}") from exc
-        if scale is None:
-            scale = Scale.unit_interval()
-        if tol is not None:
-            scale = replace(scale, tol=tol)
-        return training_set_from_csv_text(text, scale, source=str(path))
-    if scale is None:
-        return training_set_from_json(_read_json(p), tol)
-    ts = training_set_from_json(_read_json(p), scale.tol if tol is None else tol)
-    if (ts.scale.kind, ts.scale.levels) != (scale.kind, scale.levels):
-        raise FormatError(
-            f"{path} declares {_scale_text(ts.scale)}, not the requested {_scale_text(scale)}"
-        )
-    return ts
+    if Path(path).suffix.lower() != ".csv":
+        return training_set_from_json(_read_json(path), tol)
+    ts = training_set_from_csv_text(_read_text(path), str(path))
+    return ts if tol is None else replace(ts, scale=Scale.unit_interval(tol))
+
+
+def load_data(path: str | Path, tol: float | None = None) -> TrainingSet | RelationalSystem:
+    """A system from a JSON document with a 'matrix' field, else a training set."""
+    if Path(path).suffix.lower() == ".csv":
+        return load_training_set(path, tol)
+    doc = _read_json(path)
+    if isinstance(doc, dict) and "matrix" in doc:
+        return system_from_json(doc, tol)
+    return training_set_from_json(doc, tol)
 
 
 # ---------------------------------------------------------------------------

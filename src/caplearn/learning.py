@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from operator import and_, itemgetter, neg, pos
 from typing import Any, Iterable, Sequence
 
@@ -47,20 +47,19 @@ class TrainingSet:
         check_criteria_count(self.n)
         if not self.items:
             raise DomainError("training set needs at least one item")
-        on_scale = self.scale.contains_all
-        if all(
-            len(item.x) == self.n and on_scale(item.x) for item in self.items
-        ) and on_scale(self.targets()):
+        xs = [item.x for item in self.items]
+        if all(len(x) == self.n for x in xs) and self.scale.contains_all(
+            [*chain.from_iterable(xs), *self.targets()]
+        ):
             return
-        # some item fails: find the first failure and name it
+        # some item fails: name the first failure, item by item
+        names = [f"coordinate x{i + 1}" for i in range(self.n)] + ["target"]
         for k, item in enumerate(self.items):
             if len(item.x) != self.n:
                 raise DomainError(
                     f"item {k}: object has {len(item.x)} coordinates, expected {self.n}"
                 )
-            for i, v in enumerate(item.x):
-                self.scale.require(v, f"item {k}, coordinate x{i + 1}")
-            self.scale.require(item.alpha, f"item {k}, target")
+            self.scale.require_all((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
 
     @classmethod
     def from_pairs(cls, n, scale, pairs) -> TrainingSet:

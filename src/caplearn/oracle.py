@@ -16,8 +16,9 @@ from typing import Iterator
 from .capacity import Capacity, is_q_maxitive, is_q_minitive
 from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
-from .learning import LearnMode, TrainingSet, learn
-from .relational import RelationalSystem, apply_system, potential_solution, vector_for_rhs
+from .learning import LearnMode, TrainingSet, build_system, learn
+from .relational import RelationalSystem, SystemKind, apply_system
+from .relational import potential_solution, vector_for_rhs
 from .scale import Scale
 from .subsets import check_criteria_count, drop_one_bit
 from .sugeno import sugeno_maxmin
@@ -75,12 +76,6 @@ def _guard(estimate: int, budget: int, what: str) -> None:
         )
 
 
-def capacity_count_estimate(spec: GridSpec) -> int:
-    """Upper bound: free choices on every subset except the two boundaries."""
-    free = (1 << spec.n) - 2
-    return len(spec.levels) ** free
-
-
 def enumerate_capacities(spec: GridSpec) -> Iterator[Capacity]:
     """Every monotone boundary-normalized table over the grid, canonically ordered.
 
@@ -89,7 +84,8 @@ def enumerate_capacities(spec: GridSpec) -> Iterator[Capacity]:
     first.  Duplicate-free by construction.  The q constraint, when set,
     filters the stream.
     """
-    _guard(capacity_count_estimate(spec), spec.budget, "capacity enumeration")
+    # at most a free choice on every subset but the two boundaries
+    _guard(len(spec.levels) ** ((1 << spec.n) - 2), spec.budget, "capacity enumeration")
     scale = Scale.unit_interval()
     size = 1 << spec.n
     table = [0.0] * size
@@ -119,12 +115,6 @@ def enumerate_solutions(sys: RelationalSystem, spec: GridSpec) -> Iterator[tuple
             yield combo
 
 
-def _consistent_for_rhs(sys: RelationalSystem, rhs: tuple[float, ...]) -> bool:
-    # Re-solve against a candidate rhs; candidates come from the grid and
-    # need not be members of the system's declared scale.
-    return apply_system(sys, vector_for_rhs(sys, rhs)) == rhs
-
-
 def grid_chebyshev(sys: RelationalSystem, spec: GridSpec) -> float:
     """Smallest max-norm gap between the rhs and a grid-consistent rhs.
 
@@ -139,7 +129,8 @@ def grid_chebyshev(sys: RelationalSystem, spec: GridSpec) -> float:
         key=lambda c: (max(abs(a - b) for a, b in zip(c, sys.rhs)), c),
     )
     for c in candidates:
-        if _consistent_for_rhs(sys, c):
+        # re-solved against c, which need not lie on the system's scale
+        if apply_system(sys, vector_for_rhs(sys, c)) == c:
             return max(abs(a - b) for a, b in zip(c, sys.rhs))
     raise AssertionError("grid contains no consistent rhs; grid must include 0 and 1")
 
@@ -239,3 +230,15 @@ def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
         "grid": err,
         "ok": ok,
     }
+
+
+def training_checks(
+    ts: TrainingSet, levels: tuple[float, ...], step: float, budget: int,
+    q: int | None = None, mode: str | None = None,
+) -> list[dict]:
+    """:func:`system_checks` on the system of ``ts`` for ``mode`` ("qmax" by
+    default, or "qmin") up to q (default n), then :func:`learning_check`."""
+    q, mode = ts.n if q is None else q, mode or "qmax"
+    kind = SystemKind.MAX_MIN if mode == "qmax" else SystemKind.MIN_MAX
+    checks = system_checks(build_system(ts, kind, q), levels, step, budget)
+    return checks + [learning_check(ts, q, mode, budget)]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Callable, Hashable, Sequence
 
 from .errors import DomainError
@@ -100,17 +101,16 @@ class RelationalSystem:
             raise DomainError(
                 f"right-hand side has {len(self.rhs)} entries for {len(self.matrix)} equations"
             )
-        on_scale = self.scale.contains_all
-        if all(len(row) == m and on_scale(row) for row in self.matrix) and on_scale(self.rhs):
+        if all(len(row) == m for row in self.matrix) and self.scale.contains_all(
+            [*chain.from_iterable(self.matrix), *self.rhs]
+        ):
             return
-        # some entry fails: find the first one and name it
+        # some entry fails: name the first one, row by row, then the rhs
         for k, row in enumerate(self.matrix):
             if len(row) != m:
                 raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
-            for j, v in enumerate(row):
-                self.scale.require(v, f"matrix entry ({k}, {j})")
-        for k, v in enumerate(self.rhs):
-            self.scale.require(v, f"right-hand side entry {k}")
+            self.scale.require_all(row, lambda j: f"matrix entry ({k}, {j})")
+        self.scale.require_all(self.rhs, lambda k: f"right-hand side entry {k}")
 
     @property
     def n_rows(self) -> int:
@@ -121,17 +121,12 @@ class RelationalSystem:
         return len(self.column_labels)
 
 
-def _vector(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
-    vec = tuple(v)
-    if len(vec) != sys.n_cols:
-        raise DomainError(f"vector has {len(vec)} entries, system has {sys.n_cols} columns")
-    return vec
-
-
 def apply_system(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]:
     """Row-wise join of meet(entry, v): max of min for max-min, min of max for min-max."""
     order = sys.kind.order
-    vec = _vector(sys, v)
+    vec = tuple(v)
+    if len(vec) != sys.n_cols:
+        raise DomainError(f"vector has {len(vec)} entries, system has {sys.n_cols} columns")
     return tuple(order.join(map(order.meet, row, vec)) for row in sys.matrix)
 
 

@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError
 
@@ -112,6 +112,13 @@ class Scale:
         if not self.contains(value):
             raise DomainError(f"{what} {value!r} is not a member of {self.describe()}")
         return float(value)
+
+    def require_all(self, values: Sequence[float], what: Callable[[int], str]) -> None:
+        """``require`` each value, the one at index i named ``what(i)``: one bulk
+        ``contains_all``, and only when that fails a walk to the first failure."""
+        if not self.contains_all(values):
+            for i, v in enumerate(values):
+                self.require(v, what(i))
 
     def describe(self) -> str:
         if self.kind is ScaleKind.UNIT_INTERVAL:

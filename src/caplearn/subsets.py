@@ -41,6 +41,8 @@ def complement(mask: int, n: int) -> int:
 
 def members(mask: int) -> tuple[int, ...]:
     """1-based criteria indices contained in the subset."""
+    if mask < 0:  # shifting never empties a negative mask
+        raise DomainError(f"subset mask {mask!r} is negative")
     out = []
     i = 1
     while mask:

@@ -35,10 +35,7 @@ def _require_object(x: Sequence[float], mu: Capacity) -> tuple[float, ...]:
     coords = tuple(x)
     if len(coords) != mu.n:
         raise DomainError(f"object has {len(coords)} coordinates, capacity expects {mu.n}")
-    if not mu.scale.contains_all(coords):
-        # name the first bad coordinate
-        for i, v in enumerate(coords):
-            mu.scale.require(v, f"coordinate x{i + 1}")
+    mu.scale.require_all(coords, lambda i: f"coordinate x{i + 1}")
     return coords
 
 

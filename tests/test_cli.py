@@ -420,6 +420,18 @@ class TestDistance:
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout)["columns"] == ["{1}", "-1"]
 
+    @pytest.mark.parametrize("labels, j", [([True, False], 0), ([1, True], 1)])
+    def test_bool_label_is_an_input_error(self, capsys, tmp_path, labels, j):
+        # a JSON bool is neither a subset mask nor a label distinct from 0 and 1
+        doc = {"kind": "maxmin", "matrix": [[0.5, 0.2]], "rhs": [0.3], "column_labels": labels}
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "distance", "--data", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"caplearn: column label {j}: expected a number or a string, got True\n"
+        )
+
     def test_chain_scale_warns_about_embedding(self, capsys, tmp_path):
         ts = reference_training_set()
         path = tmp_path / "train.json"

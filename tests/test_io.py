@@ -234,24 +234,6 @@ class TestTrainingData:
         assert load_training_set(csv_path, tol=0.01).scale.tol == 0.01
         assert load_training_set(json_path, tol=0.01).scale.tol == 0.01
         assert load_training_set(csv_path).scale.tol == UNIT.tol
-        assert load_training_set(csv_path, scale=CHAIN21, tol=1e-3).scale == (
-            Scale.uniform_chain(20, 1e-3)
-        )
-
-    def test_json_scale_must_match_the_requested_one(self, tmp_path):
-        json_path = tmp_path / "data.json"
-        save_training_set(training_set_from_csv_text(REFERENCE_CSV), json_path)
-        with pytest.raises(FormatError) as info:
-            load_training_set(json_path, scale=CHAIN21)
-        assert "the unit interval [0, 1]" in str(info.value)
-        assert "the 21-level chain" in str(info.value)
-        # the same scale is accepted, with its tolerance unless tol is given
-        loose = Scale.unit_interval(0.01)
-        assert load_training_set(json_path, scale=loose).scale == loose
-        assert load_training_set(json_path, scale=loose, tol=0.02).scale.tol == 0.02
-        other_chain = Scale.finite_chain([0.0, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.5, 0.7, 1.0])
-        with pytest.raises(FormatError, match="10-level chain"):
-            load_training_set(json_path, scale=other_chain)
 
     def test_off_chain_training_value_rejected(self):
         doc = {

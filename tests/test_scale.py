@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -95,6 +97,45 @@ class TestMembership:
     def test_require_raises_with_context(self):
         with pytest.raises(DomainError, match="coordinate"):
             CHAIN21.require(0.21, "coordinate x1")
+
+
+UNIT = Scale.unit_interval()
+# members of each scale, ints included, and values that are not: a bool, a
+# string, None, a list and NaN are on neither scale
+MEMBERS = {
+    UNIT: st.floats(0.0, 1.0) | st.sampled_from([0, 1]),
+    CHAIN21: st.sampled_from(CHAIN21.levels + (0, 1)),
+}
+NOT_NUMBERS = (True, False, "0.5", None, [0.5], math.nan)
+OFF_NUMBERS = {
+    UNIT: (1.5, -0.25, -5e-324, 1.0000000000000002, math.inf),
+    CHAIN21: (0.33, 0.151, 1.5, -0.25, math.inf),
+}
+
+
+class TestRequireAll:
+    @given(st.sampled_from([UNIT, CHAIN21]), st.data())
+    def test_names_the_first_failure_in_index_order(self, sc, data):
+        off = st.sampled_from(NOT_NUMBERS + OFF_NUMBERS[sc])
+        values = data.draw(st.lists(MEMBERS[sc], max_size=12))
+        for _ in range(data.draw(st.integers(1, 3))):
+            values.insert(data.draw(st.integers(0, len(values))), data.draw(off))
+        expected = None
+        for i, v in enumerate(values):
+            try:
+                sc.require(v, f"entry {i}")
+            except DomainError as exc:
+                expected = str(exc)
+                break
+        assert expected is not None
+        with pytest.raises(DomainError) as info:
+            sc.require_all(values, "entry {}".format)
+        assert str(info.value) == expected
+
+    @given(st.sampled_from([UNIT, CHAIN21]), st.data())
+    def test_members_raise_nothing(self, sc, data):
+        values = data.draw(st.lists(MEMBERS[sc], max_size=12))
+        assert sc.require_all(values, "entry {}".format) is None
 
 
 class TestNegation:

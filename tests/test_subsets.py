@@ -1,3 +1,8 @@
+import os
+import resource
+import subprocess
+import sys
+
 import pytest
 
 from caplearn import Capacity, DomainError, Scale
@@ -54,3 +59,24 @@ def test_mask_range_checked():
     for mask in (2, -1, True, False, 1.0):
         with pytest.raises(DomainError):
             mu[mask]
+
+
+def test_negative_mask_is_refused():
+    # a negative mask once made members() loop until memory ran out: run the
+    # calls in a child capped in memory and time, so a regression fails here
+    script = (
+        "from caplearn import DomainError\n"
+        "from caplearn.subsets import members, subset_label\n"
+        "for f in (members, subset_label):\n"
+        "    try:\n"
+        "        f(-1)\n"
+        "    except DomainError as exc:\n"
+        "        print(exc)\n"
+    )
+    cap = 1 << 29
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert (child.returncode, child.stdout) == (0, "subset mask -1 is negative\n" * 2), child.stderr
