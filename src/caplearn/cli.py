@@ -29,7 +29,7 @@ from .io import (
     save_capacity,
 )
 from .learning import LearnMode, build_system, learn, validate_data
-from .oracle import grid_levels, system_checks, training_checks
+from .oracle import DEFAULT_BUDGET, grid_levels, system_checks, training_checks
 from .relational import RelationalSystem, SystemKind
 from .scale import ScaleKind
 from .subsets import subset_label
@@ -67,27 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "--approx", action="store_true", help="tolerate inconsistency (qmax/qmin only)"
     )
     learn_p.add_argument("--capacity", help="where to write the learned capacity JSON")
-    learn_p.add_argument("--out", help="where to write the report (default stdout)")
     _common_flags(learn_p)
 
     eval_p = sub.add_parser("eval", help="evaluate the Sugeno integral of objects")
     eval_p.add_argument("--capacity", required=True, help="capacity JSON file")
     eval_p.add_argument("--object", help="comma-separated coordinates, e.g. 0.2,0.5,0.3")
     eval_p.add_argument("--data", help="training file; evaluates every row")
-    eval_p.add_argument("--out")
     _common_flags(eval_p)
 
     check_p = sub.add_parser("check", help="verify capacity axioms and q-properties")
     check_p.add_argument("--capacity", required=True)
     check_p.add_argument("--q", type=int)
-    check_p.add_argument("--out")
     _common_flags(check_p)
 
     dist_p = sub.add_parser("distance", help="Chebyshev distance of the induced system")
     dist_p.add_argument("--data", required=True, help="training file or system JSON")
     dist_p.add_argument("--type", choices=["maxmin", "minmax"], help="default maxmin")
     dist_p.add_argument("--q", type=int)
-    dist_p.add_argument("--out")
     _common_flags(dist_p)
 
     oracle_p = sub.add_parser("oracle", help="compare formulas against brute force")
@@ -95,14 +91,14 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--mode", choices=["qmax", "qmin"], help="default qmax")
     oracle_p.add_argument("--q", type=int)
     oracle_p.add_argument("--grid-step", type=float, default=0.05)
-    oracle_p.add_argument("--budget", type=int, default=10_000_000)
-    oracle_p.add_argument("--out")
+    oracle_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     _common_flags(oracle_p)
 
     return parser
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help="where to write the report (default stdout)")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("--tolerance", type=float, help="override the scale tolerance")
 

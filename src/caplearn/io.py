@@ -299,21 +299,20 @@ def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
 
 
 def load_training_set(path: str | Path, tol: float | None = None) -> TrainingSet:
-    """Load a training set from a .csv file or a JSON document.
-
-    A CSV file is read on the unit interval; a JSON document declares its
-    own scale.  ``tol``, if given, overrides the tolerance of either.
-    """
-    if Path(path).suffix.lower() != ".csv":
-        return training_set_from_json(_read_json(path), tol)
-    ts = training_set_from_csv_text(_read_text(path), str(path))
-    return ts if tol is None else replace(ts, scale=Scale.unit_interval(tol))
+    """:func:`load_data`, refusing a system."""
+    data = load_data(path, tol)
+    if isinstance(data, RelationalSystem):
+        raise FormatError(f"{path} holds a relational system, not training data")
+    return data
 
 
 def load_data(path: str | Path, tol: float | None = None) -> TrainingSet | RelationalSystem:
-    """A system from a JSON document with a 'matrix' field, else a training set."""
+    """A system from a JSON document with a 'matrix' field, else a training
+    set: on the unit interval from a .csv file, on its declared scale from a
+    JSON document.  ``tol``, if given, overrides the tolerance of either."""
     if Path(path).suffix.lower() == ".csv":
-        return load_training_set(path, tol)
+        ts = training_set_from_csv_text(_read_text(path), str(path))
+        return ts if tol is None else replace(ts, scale=Scale.unit_interval(tol))
     doc = _read_json(path)
     if isinstance(doc, dict) and "matrix" in doc:
         return system_from_json(doc, tol)

@@ -3,17 +3,18 @@
 Everything here enumerates: capacities over a finite grid of values,
 solution vectors of a system, consistent right-hand sides, and the minimal
 learning error over constrained capacities.  Searches are bounded by an
-explicit budget and refuse deterministically when the estimate exceeds it;
-iteration order is fixed, so oracle outputs are reproducible.
+explicit budget and refuse deterministically when the estimate exceeds it.
+They walk their candidates lazily, in a fixed order, so oracle outputs are
+reproducible and memory does not grow with the candidate count.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .capacity import Capacity, is_q_maxitive, is_q_minitive
+from .capacity import Capacity, _check_q, _is_q_extension
 from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
 from .learning import LearnMode, TrainingSet, build_system, learn
@@ -24,6 +25,9 @@ from .subsets import check_criteria_count, drop_one_bit
 from .sugeno import sugeno_maxmin
 
 DEFAULT_BUDGET = 10_000_000
+
+# the q constraints by name: the system kind whose extension each must equal
+_Q_KINDS = {"qmax": SystemKind.MAX_MIN, "qmin": SystemKind.MIN_MAX}
 
 
 @dataclass(frozen=True)
@@ -52,19 +56,11 @@ class GridSpec:
         if 0.0 not in self.levels or 1.0 not in self.levels:
             raise DomainError("grid must contain 0 and 1")
         if self.q_mode is not None:
-            if self.q_mode not in ("qmax", "qmin"):
+            if self.q_mode not in _Q_KINDS:
                 raise DomainError(f"unknown constraint {self.q_mode!r}")
-            if self.q is None or not 1 <= self.q <= self.n:
-                raise DomainError(f"constraint {self.q_mode!r} needs q in 1..{self.n}")
+            _check_q(self.q, self.n)
         if self.budget < 1:
             raise DomainError("budget must be positive")
-
-    def constraint_holds(self, mu: Capacity) -> bool:
-        if self.q_mode == "qmax":
-            return is_q_maxitive(mu, self.q)
-        if self.q_mode == "qmin":
-            return is_q_minitive(mu, self.q)
-        return True
 
 
 def _guard(estimate: int, budget: int, what: str) -> None:
@@ -89,12 +85,13 @@ def enumerate_capacities(spec: GridSpec) -> Iterator[Capacity]:
     scale = Scale.unit_interval()
     size = 1 << spec.n
     table = [0.0] * size
+    kind = _Q_KINDS.get(spec.q_mode)
 
     def rec(mask: int) -> Iterator[Capacity]:
         if mask == size - 1:
             table[mask] = 1.0
             mu = Capacity(spec.n, scale, tuple(table))
-            if spec.constraint_holds(mu):
+            if kind is None or _is_q_extension(mu, spec.q, kind):
                 yield mu
             return
         floor = max(table[sub] for sub in drop_one_bit(mask)) if mask else 0.0
@@ -118,20 +115,25 @@ def enumerate_solutions(sys: RelationalSystem, spec: GridSpec) -> Iterator[tuple
 def grid_chebyshev(sys: RelationalSystem, spec: GridSpec) -> float:
     """Smallest max-norm gap between the rhs and a grid-consistent rhs.
 
-    Candidates are scanned in increasing distance from the actual rhs, so
-    the first consistent one is the grid optimum.  The all-zeros (max-min)
-    or all-ones (min-max) candidate is always consistent, so the scan
-    terminates.
+    Walks the distinct row gaps |level - rhs_k| upward and tests, at gap t,
+    each candidate within t but not within the gap before, once, so the
+    first consistent one is the grid optimum.  The all-zeros (max-min) or
+    all-ones (min-max) candidate is always consistent, so the walk ends.
     """
     _guard(len(spec.levels) ** sys.n_rows, spec.budget, "rhs grid search")
-    candidates = sorted(
-        itertools.product(spec.levels, repeat=sys.n_rows),
-        key=lambda c: (max(abs(a - b) for a, b in zip(c, sys.rhs)), c),
-    )
-    for c in candidates:
-        # re-solved against c, which need not lie on the system's scale
-        if apply_system(sys, vector_for_rhs(sys, c)) == c:
-            return max(abs(a - b) for a, b in zip(c, sys.rhs))
+    gaps = [[abs(v - r) for v in spec.levels] for r in sys.rhs]
+    within: list[tuple[float, ...]] = [()] * sys.n_rows  # levels within the gap before
+    for t in sorted(set(itertools.chain.from_iterable(gaps))):
+        at = [tuple(v for v, g in zip(spec.levels, row) if g == t) for row in gaps]
+        upto = [w + a for w, a in zip(within, at)]
+        # split by the first row at exactly t: rows before it stay within the
+        # gap before, rows after it within t
+        for k in range(sys.n_rows):
+            for c in itertools.product(*within[:k], at[k], *upto[k + 1:]):
+                # re-solved against c, which need not lie on the system's scale
+                if apply_system(sys, vector_for_rhs(sys, c)) == c:
+                    return t
+        within = upto
     raise AssertionError("grid contains no consistent rhs; grid must include 0 and 1")
 
 
@@ -165,6 +167,11 @@ def grid_levels(step: float, budget: int) -> tuple[float, ...]:
     return tuple(i / count for i in range(count + 1))
 
 
+def _with_bounds(*values: Iterable[float]) -> tuple[float, ...]:
+    """The given values plus 0 and 1, ascending, each once."""
+    return tuple(sorted({0.0, 1.0}.union(*values)))
+
+
 def system_checks(
     sys: RelationalSystem, levels: tuple[float, ...], step: float, budget: int
 ) -> list[dict]:
@@ -184,10 +191,7 @@ def system_checks(
     ]
     # solution candidates only need the system's own values plus the bounds;
     # a finer grid multiplies the search without new lattice behavior
-    enum_levels = tuple(
-        sorted({0.0, 1.0} | {v for row in sys.matrix for v in row} | set(sys.rhs))
-    )
-    enum_spec = GridSpec(enum_levels, 1, budget=budget)
+    enum_spec = GridSpec(_with_bounds(*sys.matrix, sys.rhs), 1, budget=budget)
     extremal = potential_solution(sys)
     le = sys.kind.order.le
     ok = all(all(map(le, sol, extremal)) for sol in enumerate_solutions(sys, enum_spec))
@@ -213,9 +217,7 @@ def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
     formula = learner.distance
     # capacity values beyond the data's own levels cannot improve the fit,
     # so the exhaustive search enumerates over exactly those
-    levels = tuple(
-        sorted({0.0, 1.0} | {v for item in ts.items for v in item.x} | set(ts.targets()))
-    )
+    levels = _with_bounds(*(item.x for item in ts.items), ts.targets())
     spec = GridSpec(levels, ts.n, q_mode=mode, q=q, budget=budget)
     err, _ = min_learning_error(ts, spec)
     tol = ts.scale.tol
@@ -239,6 +241,5 @@ def training_checks(
     """:func:`system_checks` on the system of ``ts`` for ``mode`` ("qmax" by
     default, or "qmin") up to q (default n), then :func:`learning_check`."""
     q, mode = ts.n if q is None else q, mode or "qmax"
-    kind = SystemKind.MAX_MIN if mode == "qmax" else SystemKind.MIN_MAX
-    checks = system_checks(build_system(ts, kind, q), levels, step, budget)
+    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, step, budget)
     return checks + [learning_check(ts, q, mode, budget)]

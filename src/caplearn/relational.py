@@ -24,29 +24,20 @@ from .errors import DomainError
 from .scale import Scale
 
 
-def godel_imp(x: float, y: float) -> float:
-    """Godel implication: 1 when x <= y, else y.  Residuum of min."""
-    return 1.0 if x <= y else y
-
-
-def eps_prod(x: float, y: float) -> float:
-    """Epsilon product: y when x < y, else 0.  Dual tool for min-max systems."""
-    return y if x < y else 0.0
-
-
 @dataclass(frozen=True)
 class Order:
     """The lattice order a system kind solves in.
 
     A max-min system reads [0, 1] as given; its min-max dual reads it upside
     down, so every routine is written once over this descriptor.  ``le`` is
-    the order, ``join``/``meet`` its max/min, ``top``/``bottom`` its ends and
-    ``residuum`` the Godel implication in it (the epsilon product when read
-    upside down).  ``sign`` is +1.0 or -1.0: the direction in which a
-    relaxed right-hand side moves, and the exact negation that maps the
-    min-max side onto the max-min one.  The dual side indexes subsets by
-    their complements: a min-max column is labeled by the set outside which
-    it takes its max.
+    the order, ``join``/``meet`` its max/min and ``top``/``bottom`` its ends;
+    they fix the residuum, the top where an entry is within the target, else
+    the target: the Godel implication, or read upside down the epsilon
+    product.  ``sign`` is +1.0 or -1.0: the direction in which a relaxed
+    right-hand side moves, and the exact negation that maps the min-max side
+    onto the max-min one.  The dual side indexes subsets by their
+    complements: a min-max column is labeled by the set outside which it
+    takes its max.
     """
 
     le: Callable[[float, float], bool]
@@ -54,7 +45,6 @@ class Order:
     meet: Callable[..., float]
     top: float
     bottom: float
-    residuum: Callable[[float, float], float]
     sign: float
 
     @property
@@ -76,8 +66,8 @@ class SystemKind(Enum):
 
 
 _ORDERS = {
-    SystemKind.MAX_MIN: Order(operator.le, max, min, 1.0, 0.0, godel_imp, 1.0),
-    SystemKind.MIN_MAX: Order(operator.ge, min, max, 0.0, 1.0, eps_prod, -1.0),
+    SystemKind.MAX_MIN: Order(operator.le, max, min, 1.0, 0.0, 1.0),
+    SystemKind.MIN_MAX: Order(operator.ge, min, max, 0.0, 1.0, -1.0),
 }
 
 
@@ -131,14 +121,18 @@ def apply_system(sys: RelationalSystem, v: Sequence[float]) -> tuple[float, ...]
 
 
 def vector_for_rhs(sys: RelationalSystem, rhs: Sequence[float]) -> tuple[float, ...]:
-    """Column-wise meet of residuum(entry, rhs) against an arbitrary rhs.
+    """Column-wise meet of the residuum against an arbitrary rhs: the order's
+    top where an entry is within its row's target, else the target (the
+    Godel implication for max-min, the epsilon product for min-max).
 
     Used both for the potential extremal solution (rhs = the system's own)
     and by the oracle, whose candidate right-hand sides may be off-scale.
     """
     order = sys.kind.order
+    le, top = order.le, order.top
     return tuple(
-        order.meet(map(order.residuum, column, rhs)) for column in zip(*sys.matrix)
+        order.meet([top if le(a, r) else r for a, r in zip(column, rhs)])
+        for column in zip(*sys.matrix)
     )
 
 

@@ -8,6 +8,7 @@ are used to cross-check the solver, not to reuse it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from contextlib import contextmanager
@@ -31,6 +32,8 @@ from caplearn import (
 )
 from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
 from caplearn.io import dumps_json, scale_to_json
+from caplearn.oracle import GridSpec
+from caplearn.relational import vector_for_rhs
 from caplearn.subsets import (
     add_one_bit,
     check_criteria_count,
@@ -175,6 +178,19 @@ def cross_gap_maxmin(target_i: float, entry_l: float, target_l: float) -> float:
 def cross_gap_minmax(target_i: float, entry_l: float, target_l: float) -> float:
     """Dual cross term: downward pressure on target i in a min-max system."""
     return min(_pos(target_l - target_i) / 2.0, _pos(target_l - entry_l))
+
+
+def grid_chebyshev_reference(sys: RelationalSystem, spec: GridSpec) -> float:
+    """``oracle.grid_chebyshev`` by sorting the whole candidate product by its
+    distance from the rhs and testing candidates in that order."""
+    candidates = sorted(
+        itertools.product(spec.levels, repeat=sys.n_rows),
+        key=lambda c: (max(abs(a - b) for a, b in zip(c, sys.rhs)), c),
+    )
+    for c in candidates:
+        if apply_system(sys, vector_for_rhs(sys, c)) == c:
+            return max(abs(a - b) for a, b in zip(c, sys.rhs))
+    raise AssertionError("grid contains no consistent rhs; grid must include 0 and 1")
 
 
 def chebyshev_distance_reference(sys: RelationalSystem) -> DistanceReport:

@@ -486,11 +486,49 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--data", str(path), "--q", "3", "--budget", "0")
         assert (code, err) == (1, "caplearn: budget must be positive\n")
 
+    def test_rhs_grid_search_runs_in_bounded_memory(self, tmp_path):
+        # 21^5 candidate right-hand sides, inside the default budget; sorting
+        # them all once took about 800 MB, so run in a child capped at 512 MiB
+        doc = {
+            "kind": "maxmin",
+            "matrix": [[0.5, 0.2, 0.9], [0.1, 0.7, 0.3], [0.8, 0.4, 0.6],
+                       [0.3, 0.9, 0.2], [0.6, 0.1, 0.5]],
+            "rhs": [0.7, 0.2, 0.55, 0.35, 0.9],
+            "column_labels": [1, 2, 4],
+            "scale": {"kind": "unit_interval"},
+        }
+        (tmp_path / "sys.json").write_text(json.dumps(doc))
+        cap = 1 << 29
+        child = subprocess.run(
+            [sys.executable, "-m", "caplearn.cli", "oracle", "--data", "sys.json",
+             "--grid-step", "0.05"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert child.returncode == 0, child.stderr
+        payload = json.loads(child.stdout)
+        assert payload["ok"] is True
+        assert payload["checks"][0]["grid"] == payload["checks"][0]["formula"]
+
 
 class TestUsageErrors:
     def test_unknown_mode_is_input_error(self, capsys, data_csv):
         code, _, err = run(capsys, "learn", "--data", data_csv, "--mode", "best")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--mode", "greatest"],
+            ["eval", "--capacity", str(GOLDEN / "mu_paper.json")],
+        ],
+    )
+    def test_system_file_is_not_training_data(self, capsys, argv):
+        path = GOLDEN / "system_maxmin.json"
+        code, out, err = run(capsys, *argv, "--data", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"caplearn: {path} holds a relational system, not training data\n"
 
     def test_oracle_takes_no_type_flag(self, capsys, tmp_path):
         # the oracle's system kind follows --mode; --type was never read

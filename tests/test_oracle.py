@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from caplearn import (
     BudgetError,
@@ -29,6 +31,7 @@ from caplearn import (
 
 from helpers import (
     FIVE_LEVELS,
+    grid_chebyshev_reference,
     random_system,
     random_training_set,
     reference_training_set,
@@ -166,6 +169,32 @@ class TestGridChebyshev:
             grid_chebyshev(sys_, GridSpec(FIVE_LEVELS, 1, budget=1000))
 
 
+@st.composite
+def grid_searches(draw):
+    """A small system, entries and rhs off the grid too, and a grid whose
+    candidate product stays under about 700 right-hand sides."""
+    count = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(1, 3 if count > 4 else 4))
+    pool = draw(st.lists(st.sampled_from(FIVE_LEVELS + (-0.0, 0.1, 0.3, 0.6, 0.9)), min_size=1))
+    value = st.sampled_from(pool)
+    n_cols = draw(st.integers(1, 3))
+    sys_ = RelationalSystem(
+        draw(st.sampled_from(SystemKind)),
+        tuple(tuple(draw(value) for _ in range(n_cols)) for _ in range(n_rows)),
+        tuple(draw(value) for _ in range(n_rows)),
+        tuple(range(n_cols)),
+        UNIT,
+    )
+    return sys_, GridSpec(tuple(i / count for i in range(count + 1)), 1)
+
+
+class TestGridChebyshevReference:
+    @given(grid_searches())
+    def test_matches_the_sorted_search(self, case):
+        sys_, spec = case
+        assert repr(grid_chebyshev(sys_, spec)) == repr(grid_chebyshev_reference(sys_, spec))
+
+
 class TestMinLearningError:
     def test_zero_on_representable_data(self):
         # grid holding every learned value, so the greatest capacity witnesses
@@ -281,3 +310,6 @@ class TestGridSpecValidation:
             GridSpec(COARSE, 2, q_mode="qmax")
         with pytest.raises(DomainError):
             GridSpec(COARSE, 2, q_mode="other", q=1)
+        for q in (True, 1.5):
+            with pytest.raises(DomainError, match="q must be an integer"):
+                GridSpec(COARSE, 2, q_mode="qmax", q=q)

@@ -13,7 +13,7 @@ from caplearn import (
     build_system,
     potential_solution,
 )
-from caplearn.relational import eps_prod, godel_imp
+from caplearn.relational import vector_for_rhs
 
 from helpers import (
     FIVE_LEVELS,
@@ -31,6 +31,16 @@ unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 def one_row(kind, entries, b):
     return RelationalSystem(kind, (tuple(entries),), (b,), tuple(range(len(entries))), UNIT)
+
+
+def godel_imp(x, y):
+    """The max-min residuum of one cell x against the target y."""
+    return vector_for_rhs(one_row(SystemKind.MAX_MIN, [x], y), (y,))[0]
+
+
+def eps_prod(x, y):
+    """The min-max residuum of one cell x against the target y."""
+    return vector_for_rhs(one_row(SystemKind.MIN_MAX, [x], y), (y,))[0]
 
 
 class TestConnectives:
