@@ -67,23 +67,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "--approx", action="store_true", help="tolerate inconsistency (qmax/qmin only)"
     )
     learn_p.add_argument("--capacity", help="where to write the learned capacity JSON")
+    learn_p.set_defaults(run=_cmd_learn)
     _common_flags(learn_p)
 
     eval_p = sub.add_parser("eval", help="evaluate the Sugeno integral of objects")
     eval_p.add_argument("--capacity", required=True, help="capacity JSON file")
     eval_p.add_argument("--object", help="comma-separated coordinates, e.g. 0.2,0.5,0.3")
     eval_p.add_argument("--data", help="training file; evaluates every row")
+    eval_p.set_defaults(run=_cmd_eval)
     _common_flags(eval_p)
 
     check_p = sub.add_parser("check", help="verify capacity axioms and q-properties")
     check_p.add_argument("--capacity", required=True)
     check_p.add_argument("--q", type=int)
+    check_p.set_defaults(run=_cmd_check)
     _common_flags(check_p)
 
     dist_p = sub.add_parser("distance", help="Chebyshev distance of the induced system")
     dist_p.add_argument("--data", required=True, help="training file or system JSON")
     dist_p.add_argument("--type", choices=["maxmin", "minmax"], help="default maxmin")
     dist_p.add_argument("--q", type=int)
+    dist_p.set_defaults(run=_cmd_distance)
     _common_flags(dist_p)
 
     oracle_p = sub.add_parser("oracle", help="compare formulas against brute force")
@@ -92,6 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--q", type=int)
     oracle_p.add_argument("--grid-step", type=float, default=0.05)
     oracle_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    oracle_p.set_defaults(run=_cmd_oracle)
     _common_flags(oracle_p)
 
     return parser
@@ -270,26 +275,18 @@ def _cmd_oracle(args) -> int:
     levels = grid_levels(args.grid_step, args.budget)
     data = _load_data(args, "mode")
     if isinstance(data, RelationalSystem):
-        checks = system_checks(data, levels, args.grid_step, args.budget)
+        checks = system_checks(data, levels, args.budget)
     else:
-        checks = training_checks(data, levels, args.grid_step, args.budget, args.q, args.mode)
+        checks = training_checks(data, levels, args.budget, args.q, args.mode)
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format, args.out)
     return EXIT_OK if ok else EXIT_CONDITION
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    handlers = {
-        "learn": _cmd_learn,
-        "eval": _cmd_eval,
-        "check": _cmd_check,
-        "distance": _cmd_distance,
-        "oracle": _cmd_oracle,
-    }
     try:
-        args = parser.parse_args(argv)
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(argv)
+        return args.run(args)
     except BudgetError as exc:
         return _fail(str(exc), EXIT_BUDGET)
     except CaplearnError as exc:

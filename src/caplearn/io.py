@@ -116,6 +116,17 @@ def _numbers(values: list, what: Callable[[int], str]) -> tuple[float, ...]:
     return tuple(_number(v, what(i)) for i, v in enumerate(values))
 
 
+def _document(obj: Any, what: str, fields: tuple[str, ...]) -> None:
+    """Refuse ``obj`` unless it is a JSON object with every field, its 'n' an int."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object")
+    for field in fields:
+        if field not in obj:
+            raise FormatError(f"{what} is missing the '{field}' field")
+    if "n" in fields and type(obj["n"]) is not int:  # JSON true/false are not counts
+        raise FormatError(f"{what} field 'n' must be an integer, got {obj['n']!r}")
+
+
 # ---------------------------------------------------------------------------
 # scales
 
@@ -158,13 +169,7 @@ def capacity_to_json(mu: Capacity) -> dict:
 
 
 def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
-    if not isinstance(obj, dict):
-        raise FormatError("capacity must be a JSON object")
-    for field in ("n", "scale", "values"):
-        if field not in obj:
-            raise FormatError(f"capacity is missing the '{field}' field")
-    if type(obj["n"]) is not int:  # JSON true/false are not counts
-        raise FormatError(f"capacity field 'n' must be an integer, got {obj['n']!r}")
+    _document(obj, "capacity", ("n", "scale", "values"))
     scale = scale_from_json(obj["scale"], tol)
     values = obj["values"]
     if not isinstance(values, list):
@@ -195,11 +200,7 @@ def load_capacity(path: str | Path, tol: float | None = None) -> Capacity:
 
 
 def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
-    if not isinstance(obj, dict):
-        raise FormatError("system must be a JSON object")
-    for field in ("kind", "matrix", "rhs"):
-        if field not in obj:
-            raise FormatError(f"system is missing the '{field}' field")
+    _document(obj, "system", ("kind", "matrix", "rhs"))
     try:
         kind = SystemKind(obj["kind"])
     except ValueError as exc:
@@ -244,13 +245,7 @@ def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
 
 
 def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
-    if not isinstance(obj, dict):
-        raise FormatError("training set must be a JSON object")
-    for field in ("n", "scale", "items"):
-        if field not in obj:
-            raise FormatError(f"training set is missing the '{field}' field")
-    if type(obj["n"]) is not int:  # JSON true/false are not counts
-        raise FormatError(f"training set field 'n' must be an integer, got {obj['n']!r}")
+    _document(obj, "training set", ("n", "scale", "items"))
     scale = scale_from_json(obj["scale"], tol)
     items = obj["items"]
     if not isinstance(items, list):

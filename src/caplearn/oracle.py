@@ -6,6 +6,14 @@ learning error over constrained capacities.  Searches are bounded by an
 explicit budget and refuse deterministically when the estimate exceeds it.
 They walk their candidates lazily, in a fixed order, so oracle outputs are
 reproducible and memory does not grow with the candidate count.
+
+A formula meets the optimum of the grid its search walked by one rule: never
+below the formula, and at most half the largest gap between levels above it
+when the data lies on the grid.  Rounding to the nearest level is monotone,
+so against on-grid values it commutes with every min and max: the rounded
+optimal solution (capacity) is again consistent, on the grid, q-maxitive
+(q-minitive) and normalised, and reaches the rounded optimum.  Off the grid
+no upper bound holds, and only the lower side is checked.
 """
 
 from __future__ import annotations
@@ -172,23 +180,25 @@ def _with_bounds(*values: Iterable[float]) -> tuple[float, ...]:
     return tuple(sorted({0.0, 1.0}.union(*values)))
 
 
-def system_checks(
-    sys: RelationalSystem, levels: tuple[float, ...], step: float, budget: int
-) -> list[dict]:
+def _bracket(check, formula, found, levels, attainable, tol) -> dict:
+    """``found``, the optimum over ``levels``, never below ``formula``, and when
+    ``attainable`` within half the largest gap of ``levels`` above it."""
+    ok = found >= formula - tol
+    if attainable:
+        ok = ok and found <= formula + max(b - a for a, b in zip(levels, levels[1:])) / 2 + tol
+    return {"check": check, "formula": formula, "grid": found, "ok": ok}
+
+
+def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int) -> list[dict]:
     """The distance formula against a grid search over right-hand sides on
-    ``levels`` (grid spacing ``step``), the potential solution against every
-    enumerated solution, and zero distance against consistency."""
+    ``levels``, the potential solution against every enumerated solution,
+    and zero distance against consistency.  With every matrix entry a level,
+    a solution rounded to the levels reaches the optimal rhs rounded."""
     formula = chebyshev_distance(sys).distance
     grid = grid_chebyshev(sys, GridSpec(levels, 1, budget=budget))
-    tol = sys.scale.tol
-    checks = [
-        {
-            "check": "chebyshev distance formula vs grid search",
-            "formula": formula,
-            "grid": grid,
-            "ok": grid >= formula - tol and abs(formula - grid) <= step + tol,
-        }
-    ]
+    on_grid = set(levels).issuperset(itertools.chain.from_iterable(sys.matrix))
+    checks = [_bracket("chebyshev distance formula vs grid search", formula, grid, levels,
+                       on_grid, sys.scale.tol)]
     # solution candidates only need the system's own values plus the bounds;
     # a finer grid multiplies the search without new lattice behavior
     enum_spec = GridSpec(_with_bounds(*sys.matrix, sys.rhs), 1, budget=budget)
@@ -212,34 +222,24 @@ def system_checks(
 
 def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
     """The minimal ``mode`` ("qmax" or "qmin") learning error, as the
-    approximate learner reports it, against an exhaustive capacity search."""
+    approximate learner reports it, against an exhaustive capacity search.
+    Its levels hold every coordinate, so when the boundary holds the optimal
+    capacity rounded to them reaches the optimal integrals rounded."""
     learner = learn(ts, LearnMode(mode + "_approx"), q)
-    formula = learner.distance
     # capacity values beyond the data's own levels cannot improve the fit,
     # so the exhaustive search enumerates over exactly those
     levels = _with_bounds(*(item.x for item in ts.items), ts.targets())
-    spec = GridSpec(levels, ts.n, q_mode=mode, q=q, budget=budget)
-    err, _ = min_learning_error(ts, spec)
-    tol = ts.scale.tol
-    resolution = max(b - a for a, b in zip(levels, levels[1:]))
-    ok = err >= formula - tol
-    if learner.boundary_ok:
-        # the formula is attainable, so the grid optimum lands within one gap
-        ok = ok and err <= formula + resolution + tol
-    return {
-        "check": f"minimal {mode} learning error vs exhaustive grid search",
-        "formula": formula,
-        "grid": err,
-        "ok": ok,
-    }
+    err, _ = min_learning_error(ts, GridSpec(levels, ts.n, q_mode=mode, q=q, budget=budget))
+    return _bracket(f"minimal {mode} learning error vs exhaustive grid search",
+                    learner.distance, err, levels, learner.boundary_ok, ts.scale.tol)
 
 
 def training_checks(
-    ts: TrainingSet, levels: tuple[float, ...], step: float, budget: int,
+    ts: TrainingSet, levels: tuple[float, ...], budget: int,
     q: int | None = None, mode: str | None = None,
 ) -> list[dict]:
     """:func:`system_checks` on the system of ``ts`` for ``mode`` ("qmax" by
     default, or "qmin") up to q (default n), then :func:`learning_check`."""
     q, mode = ts.n if q is None else q, mode or "qmax"
-    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, step, budget)
+    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, budget)
     return checks + [learning_check(ts, q, mode, budget)]

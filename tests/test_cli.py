@@ -460,6 +460,17 @@ class TestOracle:
         assert payload["ok"] is True
         assert len(payload["checks"]) == 3
 
+    def test_off_grid_system_passes(self, capsys, tmp_path):
+        # consistent rhs (0.82, 0.42) lies 0.18 away, but 0.82 is off the
+        # default 1/20 grid, so the grid search may land anywhere above it
+        doc = {"kind": "maxmin", "matrix": [[0.7, 0.82], [0.32, 0.42]],
+               "rhs": [1.0, 0.42], "column_labels": [1, 2]}
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "oracle", "--data", str(path))
+        assert code == 0
+        assert json.loads(out)["ok"] is True
+
     def test_training_data_learning_check(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("x1,x2,alpha\n0.25,0.5,0.5\n0.75,0.25,0.25\n")

@@ -28,6 +28,9 @@ from caplearn import (
     potential_solution,
     sugeno_maxmin,
 )
+from caplearn import oracle
+from caplearn.io import load_data
+from caplearn.oracle import DEFAULT_BUDGET, grid_levels, learning_check, system_checks
 
 from helpers import (
     FIVE_LEVELS,
@@ -36,6 +39,7 @@ from helpers import (
     random_training_set,
     reference_training_set,
 )
+from test_golden import GOLDEN
 
 UNIT = Scale.unit_interval()
 COARSE = (0.0, 0.5, 1.0)
@@ -193,6 +197,58 @@ class TestGridChebyshevReference:
     def test_matches_the_sorted_search(self, case):
         sys_, spec = case
         assert repr(grid_chebyshev(sys_, spec)) == repr(grid_chebyshev_reference(sys_, spec))
+
+
+@st.composite
+def on_grid_systems(draw):
+    """A system with entries on the 1/k grid and its rhs anywhere on [0, 1]."""
+    k = draw(st.sampled_from((2, 4, 5)))
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = st.integers(0, k).map(lambda i: i / k)
+    sys_ = RelationalSystem(
+        draw(st.sampled_from(SystemKind)),
+        tuple(tuple(draw(entry) for _ in range(n_cols)) for _ in range(n_rows)),
+        tuple(draw(st.floats(0.0, 1.0)) for _ in range(n_rows)),
+        tuple(range(n_cols)),
+        UNIT,
+    )
+    return sys_, k
+
+
+class TestOracleBracket:
+    """The grid optimum lies between the formula and half a gap above it
+    when the data is on the grid, and anywhere above it when it is not."""
+
+    @given(on_grid_systems())
+    def test_grid_optimum_within_half_a_gap(self, case):
+        sys_, k = case
+        grid = grid_chebyshev(sys_, GridSpec(tuple(i / k for i in range(k + 1)), 1))
+        excess = grid - chebyshev_distance(sys_).distance
+        assert -1e-9 <= excess <= 1 / (2 * k) + 1e-9
+
+    @pytest.mark.parametrize("gaps, ok", [(0.5, True), (0.6, False)])
+    def test_system_check_holds_on_grid_data_to_half_a_gap(self, monkeypatch, gaps, ok):
+        sys_ = load_data(GOLDEN / "system_maxmin.json")
+        formula = chebyshev_distance(sys_).distance
+        monkeypatch.setattr(oracle, "grid_chebyshev", lambda *_: formula + gaps * 0.25)
+        checks = system_checks(sys_, grid_levels(0.25, DEFAULT_BUDGET), DEFAULT_BUDGET)
+        assert (checks[0]["formula"], checks[0]["ok"]) == (formula, ok)
+
+    def test_system_check_off_the_grid_only_bounds_below(self, monkeypatch):
+        sys_ = load_data(GOLDEN / "system_maxmin.json")
+        levels = grid_levels(0.5, DEFAULT_BUDGET)  # 0.25 and 0.75 lie off it
+        formula = chebyshev_distance(sys_).distance
+        for found, ok in ((formula + 0.5, True), (formula - 0.01, False)):
+            monkeypatch.setattr(oracle, "grid_chebyshev", lambda *_: found)
+            assert system_checks(sys_, levels, DEFAULT_BUDGET)[0]["ok"] is ok
+
+    @pytest.mark.parametrize("gaps, ok", [(0.5, True), (0.6, False)])
+    def test_learning_check_holds_to_half_a_gap(self, monkeypatch, gaps, ok):
+        ts = load_data(GOLDEN / "tiny.json")  # every value on the 0.25 grid
+        formula = learn(ts, LearnMode.QMAX_APPROX, 1).distance
+        monkeypatch.setattr(oracle, "min_learning_error", lambda *_: (formula + gaps * 0.25, None))
+        check = learning_check(ts, 1, "qmax", DEFAULT_BUDGET)
+        assert (check["formula"], check["ok"]) == (formula, ok)
 
 
 class TestMinLearningError:
