@@ -28,7 +28,6 @@ from .learning import (
     validate_data,
 )
 from .oracle import (
-    GridSpec,
     enumerate_capacities,
     enumerate_solutions,
     grid_chebyshev,
@@ -48,7 +47,6 @@ __all__ = [
     "DistanceReport",
     "DomainError",
     "FormatError",
-    "GridSpec",
     "LearnMode",
     "LearnReport",
     "RelationalSystem",

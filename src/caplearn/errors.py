@@ -20,7 +20,13 @@ class FormatError(CaplearnError, ValueError):
 
 
 class BudgetError(CaplearnError, RuntimeError):
-    """A brute-force search would exceed its enumeration budget."""
+    """A brute-force search would exceed its enumeration budget.
+
+    Raised when a search over len(levels) ** exponent candidates, or a grid
+    of 1 / step levels, would exceed ``budget``.  ``estimate`` is a number above
+    ``budget``: the count itself, or a lower bound of it once the exponent
+    passes the budget's bit length.
+    """
 
     def __init__(self, message: str, estimate: int, budget: int):
         super().__init__(message)

@@ -109,8 +109,10 @@ def _number(value: Any, where: str) -> float:
 def _numbers(values: list, what: Callable[[int], str]) -> tuple[float, ...]:
     """``_number`` of each value, the one at index i named ``what(i)``, in bulk."""
     try:
-        if set(map(type, values)) <= _NUMBER_TYPES:
-            return tuple(map(float, values))
+        types = set(map(type, values))
+        if types <= _NUMBER_TYPES:
+            # float() of a float is that float, so an all-float list is copied
+            return tuple(values) if types == {float} else tuple(map(float, values))
     except OverflowError:
         pass
     return tuple(_number(v, what(i)) for i, v in enumerate(values))
@@ -150,9 +152,7 @@ def scale_from_json(obj: Any, tol: float | None = None) -> Scale:
             levels = obj.get("levels")
             if not isinstance(levels, list):
                 raise FormatError("finite chain scale needs a 'levels' array")
-            return Scale.finite_chain(
-                (_number(v, f"scale level {i}") for i, v in enumerate(levels)), tol
-            )
+            return Scale.finite_chain(_numbers(levels, "scale level {}".format), tol)
     except FormatError:
         raise
     except Exception as exc:
@@ -174,14 +174,9 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
     values = obj["values"]
     if not isinstance(values, list):
         raise FormatError("capacity field 'values' must be an array")
+    _numbers(values, "value {}".format)  # off-scale values are named as written
     try:
-        if not set(map(type, values)) <= _NUMBER_TYPES:
-            # some entry is not a number: name the first one
-            for i, v in enumerate(values):
-                _number(v, f"value {i}")
         return Capacity(obj["n"], scale, values)
-    except FormatError:
-        raise
     except Exception as exc:
         raise FormatError(f"invalid capacity: {exc}") from exc
 

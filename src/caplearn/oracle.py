@@ -2,10 +2,12 @@
 
 Everything here enumerates: capacities over a finite grid of values,
 solution vectors of a system, consistent right-hand sides, and the minimal
-learning error over constrained capacities.  Searches are bounded by an
-explicit budget and refuse deterministically when the estimate exceeds it.
-They walk their candidates lazily, in a fixed order, so oracle outputs are
-reproducible and memory does not grow with the candidate count.
+learning error over constrained capacities.  Each search takes the levels
+it walks and a budget, and refuses with ``BudgetError`` when its candidate
+count, len(levels) ** exponent, exceeds the budget, at any size: the count
+is never built past the budget's bit length.  The searches walk their
+candidates lazily, in a fixed order, so oracle outputs are reproducible and
+memory does not grow with the candidate count.
 
 A formula meets the optimum of the grid its search walked by one rule: never
 below the formula, and at most half the largest gap between levels above it
@@ -19,7 +21,6 @@ no upper bound holds, and only the lower side is checked.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .capacity import Capacity, _check_q, _is_q_extension
@@ -34,105 +35,88 @@ from .sugeno import sugeno_maxmin
 
 DEFAULT_BUDGET = 10_000_000
 
-# the q constraints by name: the system kind whose extension each must equal
+# the CLI's --mode names of the q constraints: the system kind of each
 _Q_KINDS = {"qmax": SystemKind.MAX_MIN, "qmin": SystemKind.MIN_MAX}
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Value grid and shape for exhaustive searches.
+def _guard(levels: tuple[float, ...], exponent: int, budget: int, what: str) -> None:
+    """Refuse a search over len(levels) ** exponent candidates above ``budget``.
 
-    ``q_mode`` restricts capacity enumeration to "qmax" (q-maxitive) or
-    "qmin" (q-minitive) tables.  Enumerated capacities are returned on the
-    unit-interval scale so they compose with any [0, 1] data.
+    The levels must ascend strictly from 0 to 1, so there are at least two and
+    any exponent past the budget's bit length is over it: the power is built
+    only up to that exponent (the estimate is then a lower bound above the
+    budget), and the message names the count as a power.
     """
-
-    levels: tuple[float, ...]
-    n: int
-    q_mode: str | None = None
-    q: int | None = None
-    budget: int = DEFAULT_BUDGET
-
-    def __post_init__(self) -> None:
-        check_criteria_count(self.n)
-        if not self.levels:
-            raise DomainError("grid needs at least one level")
-        if any(not 0.0 <= v <= 1.0 for v in self.levels):
-            raise DomainError("grid levels must lie in [0, 1]")
-        if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
-            raise DomainError("grid levels must be strictly increasing")
-        if 0.0 not in self.levels or 1.0 not in self.levels:
-            raise DomainError("grid must contain 0 and 1")
-        if self.q_mode is not None:
-            if self.q_mode not in _Q_KINDS:
-                raise DomainError(f"unknown constraint {self.q_mode!r}")
-            _check_q(self.q, self.n)
-        if self.budget < 1:
-            raise DomainError("budget must be positive")
-
-
-def _guard(estimate: int, budget: int, what: str) -> None:
+    if not (levels and levels[0] == 0.0 and levels[-1] == 1.0
+            and all(a < b for a, b in zip(levels, levels[1:]))):
+        raise DomainError("grid levels must ascend strictly from 0 to 1")
+    if budget < 1:
+        raise DomainError("budget must be positive")
+    estimate = len(levels) ** min(exponent, budget.bit_length())
     if estimate > budget:
-        raise BudgetError(
-            f"{what} would enumerate ~{estimate} candidates, over the budget of {budget}",
-            estimate,
-            budget,
-        )
+        raise BudgetError(f"{what} would enumerate ~{len(levels)}^{exponent} candidates,"
+                          f" over the budget of {budget}", estimate, budget)
 
 
-def enumerate_capacities(spec: GridSpec) -> Iterator[Capacity]:
-    """Every monotone boundary-normalized table over the grid, canonically ordered.
+def enumerate_capacities(
+    n: int, levels: tuple[float, ...], budget: int = DEFAULT_BUDGET,
+    q: int | None = None, kind: SystemKind = SystemKind.MAX_MIN,
+) -> Iterator[Capacity]:
+    """Every monotone boundary-normalized table on n criteria over ``levels``,
+    canonically ordered, that is its own extension from layer q (default n)
+    in the order of ``kind``: q-maxitive for max-min, q-minitive for min-max.
 
     Backtracks over subsets in ascending mask order; each value is chosen at
     or above the values of the covered subsets, which are always assigned
-    first.  Duplicate-free by construction.  The q constraint, when set,
-    filters the stream.
+    first.  Duplicate-free by construction.  Tables are returned on the
+    unit-interval scale so they compose with any [0, 1] data.
     """
+    q = _check_q(n if q is None else q, check_criteria_count(n))
     # at most a free choice on every subset but the two boundaries
-    _guard(len(spec.levels) ** ((1 << spec.n) - 2), spec.budget, "capacity enumeration")
+    _guard(levels, (1 << n) - 2, budget, "capacity enumeration")
     scale = Scale.unit_interval()
-    size = 1 << spec.n
+    size = 1 << n
     table = [0.0] * size
-    kind = _Q_KINDS.get(spec.q_mode)
 
     def rec(mask: int) -> Iterator[Capacity]:
         if mask == size - 1:
             table[mask] = 1.0
-            mu = Capacity(spec.n, scale, tuple(table))
-            if kind is None or _is_q_extension(mu, spec.q, kind):
+            mu = Capacity(n, scale, tuple(table))
+            if _is_q_extension(mu, q, kind):
                 yield mu
             return
         floor = max(table[sub] for sub in drop_one_bit(mask)) if mask else 0.0
-        for v in spec.levels:
+        for v in levels:
             if v < floor:
                 continue
             table[mask] = v
             yield from rec(mask + 1)
 
-    yield from rec(1)
+    return rec(1)
 
 
-def enumerate_solutions(sys: RelationalSystem, spec: GridSpec) -> Iterator[tuple[float, ...]]:
-    """Every vector over the grid, in column order, that solves the system exactly."""
-    _guard(len(spec.levels) ** sys.n_cols, spec.budget, "solution enumeration")
-    for combo in itertools.product(spec.levels, repeat=sys.n_cols):
-        if apply_system(sys, combo) == sys.rhs:
-            yield combo
+def enumerate_solutions(sys: RelationalSystem, levels: tuple[float, ...],
+                        budget: int = DEFAULT_BUDGET) -> Iterator[tuple[float, ...]]:
+    """Every vector over ``levels``, in column order, that solves the system exactly."""
+    _guard(levels, sys.n_cols, budget, "solution enumeration")
+    return (c for c in itertools.product(levels, repeat=sys.n_cols)
+            if apply_system(sys, c) == sys.rhs)
 
 
-def grid_chebyshev(sys: RelationalSystem, spec: GridSpec) -> float:
-    """Smallest max-norm gap between the rhs and a grid-consistent rhs.
+def grid_chebyshev(sys: RelationalSystem, levels: tuple[float, ...],
+                   budget: int = DEFAULT_BUDGET) -> float:
+    """Smallest max-norm gap between the rhs and a consistent rhs on ``levels``.
 
     Walks the distinct row gaps |level - rhs_k| upward and tests, at gap t,
     each candidate within t but not within the gap before, once, so the
     first consistent one is the grid optimum.  The all-zeros (max-min) or
     all-ones (min-max) candidate is always consistent, so the walk ends.
     """
-    _guard(len(spec.levels) ** sys.n_rows, spec.budget, "rhs grid search")
-    gaps = [[abs(v - r) for v in spec.levels] for r in sys.rhs]
+    _guard(levels, sys.n_rows, budget, "rhs grid search")
+    gaps = [[abs(v - r) for v in levels] for r in sys.rhs]
     within: list[tuple[float, ...]] = [()] * sys.n_rows  # levels within the gap before
     for t in sorted(set(itertools.chain.from_iterable(gaps))):
-        at = [tuple(v for v, g in zip(spec.levels, row) if g == t) for row in gaps]
+        at = [tuple(v for v, g in zip(levels, row) if g == t) for row in gaps]
         upto = [w + a for w, a in zip(within, at)]
         # split by the first row at exactly t: rows before it stay within the
         # gap before, rows after it within t
@@ -145,22 +129,22 @@ def grid_chebyshev(sys: RelationalSystem, spec: GridSpec) -> float:
     raise AssertionError("grid contains no consistent rhs; grid must include 0 and 1")
 
 
-def min_learning_error(ts: TrainingSet, spec: GridSpec) -> tuple[float, Capacity]:
-    """Exhaustive minimal worst-case fitting error over constrained capacities.
+def min_learning_error(
+    ts: TrainingSet, levels: tuple[float, ...], budget: int = DEFAULT_BUDGET,
+    q: int | None = None, kind: SystemKind = SystemKind.MAX_MIN,
+) -> tuple[float, Capacity]:
+    """Exhaustive minimal worst-case fitting error over the capacities of
+    :func:`enumerate_capacities` on ``ts.n`` criteria.
 
     Returns the error together with the first capacity attaining it in
     enumeration order.
     """
-    if ts.n != spec.n:
-        raise DomainError(f"training set has n={ts.n}, grid spec has n={spec.n}")
-    best_err: float | None = None
-    best_mu: Capacity | None = None
-    for mu in enumerate_capacities(spec):
-        err = max(abs(sugeno_maxmin(mu, item.x) - item.alpha) for item in ts.items)
-        if best_err is None or err < best_err:
-            best_err, best_mu = err, mu
-    assert best_mu is not None  # the grid always admits at least one capacity
-    return best_err, best_mu
+    def error(mu: Capacity) -> float:
+        return max(abs(sugeno_maxmin(mu, item.x) - item.alpha) for item in ts.items)
+
+    # the grid always admits at least one capacity
+    best = min(enumerate_capacities(ts.n, levels, budget, q, kind), key=error)
+    return error(best), best
 
 
 def grid_levels(step: float, budget: int) -> tuple[float, ...]:
@@ -170,7 +154,9 @@ def grid_levels(step: float, budget: int) -> tuple[float, ...]:
         raise DomainError(f"grid step must be in (0, 1], got {step}")
     if budget < 1:
         raise DomainError("budget must be positive")
-    _guard(1.0 / step, budget, f"a grid of step {step}")
+    if 1.0 / step > budget:
+        raise BudgetError(f"a grid of step {step} would enumerate ~{1.0 / step} candidates,"
+                          f" over the budget of {budget}", 1.0 / step, budget)
     count = round(1.0 / step)
     return tuple(i / count for i in range(count + 1))
 
@@ -195,16 +181,16 @@ def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int)
     and zero distance against consistency.  With every matrix entry a level,
     a solution rounded to the levels reaches the optimal rhs rounded."""
     formula = chebyshev_distance(sys).distance
-    grid = grid_chebyshev(sys, GridSpec(levels, 1, budget=budget))
+    grid = grid_chebyshev(sys, levels, budget)
     on_grid = set(levels).issuperset(itertools.chain.from_iterable(sys.matrix))
     checks = [_bracket("chebyshev distance formula vs grid search", formula, grid, levels,
                        on_grid, sys.scale.tol)]
     # solution candidates only need the system's own values plus the bounds;
     # a finer grid multiplies the search without new lattice behavior
-    enum_spec = GridSpec(_with_bounds(*sys.matrix, sys.rhs), 1, budget=budget)
+    candidates = _with_bounds(*sys.matrix, sys.rhs)
     extremal = potential_solution(sys)
     le = sys.kind.order.le
-    ok = all(all(map(le, sol, extremal)) for sol in enumerate_solutions(sys, enum_spec))
+    ok = all(all(map(le, sol, extremal)) for sol in enumerate_solutions(sys, candidates, budget))
     if sys.kind.order.dual:
         name = "every enumerated solution above the lowest vector"
     else:
@@ -229,7 +215,7 @@ def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
     # capacity values beyond the data's own levels cannot improve the fit,
     # so the exhaustive search enumerates over exactly those
     levels = _with_bounds(*(item.x for item in ts.items), ts.targets())
-    err, _ = min_learning_error(ts, GridSpec(levels, ts.n, q_mode=mode, q=q, budget=budget))
+    err, _ = min_learning_error(ts, levels, budget, q, _Q_KINDS[mode])
     return _bracket(f"minimal {mode} learning error vs exhaustive grid search",
                     learner.distance, err, levels, learner.boundary_ok, ts.scale.tol)
 

@@ -32,7 +32,6 @@ from caplearn import (
 )
 from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
 from caplearn.io import dumps_json, scale_to_json
-from caplearn.oracle import GridSpec
 from caplearn.relational import vector_for_rhs
 from caplearn.subsets import (
     add_one_bit,
@@ -180,11 +179,11 @@ def cross_gap_minmax(target_i: float, entry_l: float, target_l: float) -> float:
     return min(_pos(target_l - target_i) / 2.0, _pos(target_l - entry_l))
 
 
-def grid_chebyshev_reference(sys: RelationalSystem, spec: GridSpec) -> float:
+def grid_chebyshev_reference(sys: RelationalSystem, levels: tuple[float, ...]) -> float:
     """``oracle.grid_chebyshev`` by sorting the whole candidate product by its
     distance from the rhs and testing candidates in that order."""
     candidates = sorted(
-        itertools.product(spec.levels, repeat=sys.n_rows),
+        itertools.product(levels, repeat=sys.n_rows),
         key=lambda c: (max(abs(a - b) for a, b in zip(c, sys.rhs)), c),
     )
     for c in candidates:

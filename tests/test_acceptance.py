@@ -12,7 +12,6 @@ from contextlib import contextmanager
 import pytest
 
 from caplearn import (
-    GridSpec,
     LearnMode,
     RelationalSystem,
     SystemKind,
@@ -126,7 +125,6 @@ def test_criterion_2_formula_equivalence():
 def test_criterion_3_extremal_solutions_dominate_grid():
     with criterion("3 solved vectors are extremal among enumerated solutions", 30.0):
         rng = random.Random(202)
-        spec = GridSpec(FIVE_LEVELS, 1)
         for _ in range(200):
             n_rows, n_cols = rng.randint(1, 3), rng.randint(1, 4)
 
@@ -138,7 +136,7 @@ def test_criterion_3_extremal_solutions_dominate_grid():
             )
             e = potential_solution(sys_)
             assert apply_system(sys_, e) == sys_.rhs
-            for sol in enumerate_solutions(sys_, spec):
+            for sol in enumerate_solutions(sys_, FIVE_LEVELS):
                 assert all(v <= ev for v, ev in zip(sol, e))
 
             base = random_system(rng, SystemKind.MIN_MAX, n_rows, n_cols, FIVE_LEVELS)
@@ -149,7 +147,7 @@ def test_criterion_3_extremal_solutions_dominate_grid():
             )
             f = potential_solution(dual)
             assert apply_system(dual, f) == dual.rhs
-            for sol in enumerate_solutions(dual, spec):
+            for sol in enumerate_solutions(dual, FIVE_LEVELS):
                 assert all(v >= fv for v, fv in zip(sol, f))
 
 
@@ -170,12 +168,11 @@ def test_criterion_4_round_trip_sandwich():
 def test_criterion_5_distance_formula_vs_grid():
     with criterion("5 chebyshev distance formula matches grid search", 60.0):
         rng = random.Random(204)
-        spec = GridSpec(GRID, 1)
         for kind in (SystemKind.MAX_MIN, SystemKind.MIN_MAX):
             for _ in range(100):
                 sys_ = random_system(rng, kind, rng.randint(1, 3), rng.randint(1, 7), GRID)
                 formula = chebyshev_distance(sys_).distance
-                grid = grid_chebyshev(sys_, spec)
+                grid = grid_chebyshev(sys_, GRID)
                 assert grid >= formula - TOL
                 assert abs(formula - grid) <= GRID_STEP
                 assert (formula == 0.0) == is_consistent(sys_)
@@ -216,8 +213,6 @@ def test_criterion_6_approx_residuals_attain_distance():
 def test_criterion_7_approx_capacities_extremal_on_grid():
     with criterion("7 approximate capacities extremal at grid resolution", 120.0):
         rng = random.Random(206)
-        qmax_spec = GridSpec(GRID, 2, q_mode="qmax", q=1)
-        qmin_spec = GridSpec(GRID, 2, q_mode="qmin", q=1)
         checked = 0
         for _ in range(2000):
             if checked >= 25:
@@ -239,25 +234,25 @@ def test_criterion_7_approx_capacities_extremal_on_grid():
                 continue
 
             delta = hi.distance
-            for mu in enumerate_capacities(qmax_spec):
+            for mu in enumerate_capacities(2, GRID, q=1):
                 err = max(
                     abs(sugeno_maxmin(mu, item.x) - item.alpha) for item in ts.items
                 )
                 assert err >= delta - TOL  # nothing on the grid beats the formula
                 if err <= delta + TOL:
                     assert capacity_leq(mu, hi.capacity)
-            best, _ = min_learning_error(ts, qmax_spec)
+            best, _ = min_learning_error(ts, GRID, q=1)
             assert delta - TOL <= best <= delta + GRID_STEP + TOL
 
             nabla = lo.distance
-            for mu in enumerate_capacities(qmin_spec):
+            for mu in enumerate_capacities(2, GRID, q=1, kind=SystemKind.MIN_MAX):
                 err = max(
                     abs(sugeno_maxmin(mu, item.x) - item.alpha) for item in ts.items
                 )
                 assert err >= nabla - TOL
                 if err <= nabla + TOL:
                     assert capacity_leq(lo.capacity, mu)
-            best, _ = min_learning_error(ts, qmin_spec)
+            best, _ = min_learning_error(ts, GRID, q=1, kind=SystemKind.MIN_MAX)
             assert nabla - TOL <= best <= nabla + GRID_STEP + TOL
             checked += 1
         assert checked >= 25

@@ -497,6 +497,30 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--data", str(path), "--q", "3", "--budget", "0")
         assert (code, err) == (1, "caplearn: budget must be positive\n")
 
+    @pytest.mark.parametrize(
+        "name, text, flags, refusal",
+        [
+            # 21^3300 right-hand sides: more digits than int-to-str allows
+            ("rows.csv", "x1,x2,alpha\n" + "0.25,0.5,0.75\n" * 3300, [],
+             "rhs grid search would enumerate ~21^3300 candidates"),
+            # 3^(2^14 - 1) solution vectors over the data's levels 0, 0.5, 1
+            ("wide.json", json.dumps({
+                "n": 14, "scale": {"kind": "unit_interval"},
+                "items": [{"x": [0.5] * 14, "alpha": 0.5}] * 3,
+            }), ["--grid-step", "0.5"], "solution enumeration would enumerate ~3^16383 candidates"),
+        ],
+        ids=["rhs-3300-rows", "solutions-14-criteria"],
+    )
+    def test_oversized_search_refused_at_any_size(self, tmp_path, name, text, flags, refusal):
+        (tmp_path / name).write_text(text)
+        child = subprocess.run(
+            [sys.executable, "-m", "caplearn.cli", "oracle", "--data", name, *flags],
+            cwd=tmp_path, capture_output=True, text=True, timeout=10,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert (child.returncode, child.stdout) == (3, "")
+        assert child.stderr == f"caplearn: {refusal}, over the budget of 10000000\n"
+
     def test_rhs_grid_search_runs_in_bounded_memory(self, tmp_path):
         # 21^5 candidate right-hand sides, inside the default budget; sorting
         # them all once took about 800 MB, so run in a child capped at 512 MiB

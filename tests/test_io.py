@@ -51,6 +51,15 @@ class TestScaleJson:
         with pytest.raises(FormatError):
             scale_from_json({"kind": "ordinal"})
 
+    @pytest.mark.parametrize("bad, message", [
+        (10**400, "expected a number in float range, got an integer of 401 digits"),
+        ("x", "expected a number, got 'x'"),
+    ], ids=["huge", "string"])
+    def test_huge_or_non_number_chain_level_named(self, bad, message):
+        doc = {"kind": "finite_chain", "levels": [0, 0.5, bad, 1]}
+        with pytest.raises(FormatError, match=rf"^scale level 2: {message}$"):
+            scale_from_json(doc)
+
 
 class TestCapacityJson:
     def test_round_trip(self, mu_e):
@@ -270,6 +279,14 @@ class TestTrainingData:
             " got an integer of 401 digits$",
         ):
             training_set_from_json(doc)
+
+    def test_huge_integer_capacity_value_named(self):
+        doc = {"n": 1, "scale": scale_to_json(UNIT), "values": [0, 10**400]}
+        with pytest.raises(
+            FormatError,
+            match=r"^value 1: expected a number in float range, got an integer of 401 digits$",
+        ):
+            capacity_from_json(doc)
 
     def test_huge_integer_target_named(self):
         doc = {

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from caplearn import (
     BudgetError,
     DomainError,
-    GridSpec,
     LearnMode,
     RelationalSystem,
     Scale,
@@ -47,24 +46,24 @@ COARSE = (0.0, 0.5, 1.0)
 
 class TestEnumerateCapacities:
     def test_single_criterion_has_one_capacity(self):
-        caps = list(enumerate_capacities(GridSpec(COARSE, 1)))
+        caps = list(enumerate_capacities(1, COARSE))
         assert len(caps) == 1
         assert caps[0].values == (0.0, 1.0)
 
     def test_two_criteria_binary_levels(self):
-        caps = list(enumerate_capacities(GridSpec((0.0, 1.0), 2)))
+        caps = list(enumerate_capacities(2, (0.0, 1.0)))
         assert len(caps) == 4
 
     def test_two_criteria_three_levels(self):
-        caps = list(enumerate_capacities(GridSpec(COARSE, 2)))
+        caps = list(enumerate_capacities(2, COARSE))
         assert len(caps) == 9
 
     def test_all_yields_are_capacities(self):
-        for spec in (GridSpec(COARSE, 3), GridSpec(FIVE_LEVELS, 2)):
-            caps = list(enumerate_capacities(spec))
+        for n, levels in ((3, COARSE), (2, FIVE_LEVELS)):
+            caps = list(enumerate_capacities(n, levels))
             assert len(caps) == len({c.values for c in caps})  # duplicate-free
             for mu in caps:
-                assert is_capacity(mu.values, spec.n)
+                assert is_capacity(mu.values, n)
 
     def test_matches_product_filter_count(self):
         # independent count: filter raw tables over the grid
@@ -75,27 +74,25 @@ class TestEnumerateCapacities:
                 values = (0.0,) + combo + (1.0,)
                 if is_capacity(values, n):
                     expected += 1
-            got = len(list(enumerate_capacities(GridSpec(levels, n))))
+            got = len(list(enumerate_capacities(n, levels)))
             assert got == expected
 
     def test_q_constraint_filters(self):
-        qmax = list(enumerate_capacities(GridSpec(COARSE, 2, q_mode="qmax", q=1)))
+        qmax = list(enumerate_capacities(2, COARSE, q=1))
         assert len(qmax) == 5  # one of the two singletons must reach 1
         assert all(is_q_maxitive(mu, 1) for mu in qmax)
-        qmin = list(enumerate_capacities(GridSpec(COARSE, 2, q_mode="qmin", q=1)))
+        qmin = list(enumerate_capacities(2, COARSE, q=1, kind=SystemKind.MIN_MAX))
         assert len(qmin) == 5  # dual count: one singleton pinned at 0
         assert all(is_q_minitive(mu, 1) for mu in qmin)
 
     def test_budget_refusal_carries_estimate(self):
-        spec = GridSpec(tuple(i / 20 for i in range(21)), 4, budget=1000)
         with pytest.raises(BudgetError) as err:
-            list(enumerate_capacities(spec))
+            list(enumerate_capacities(4, tuple(i / 20 for i in range(21)), budget=1000))
         assert err.value.estimate > err.value.budget
 
     def test_deterministic_order(self):
-        spec = GridSpec(FIVE_LEVELS, 2)
-        first = [mu.values for mu in enumerate_capacities(spec)]
-        second = [mu.values for mu in enumerate_capacities(spec)]
+        first = [mu.values for mu in enumerate_capacities(2, FIVE_LEVELS)]
+        second = [mu.values for mu in enumerate_capacities(2, FIVE_LEVELS)]
         assert first == second
 
 
@@ -109,7 +106,7 @@ class TestEnumerateSolutions:
                 SystemKind.MAX_MIN, sys_.matrix, rhs, sys_.column_labels, sys_.scale
             )
             e = potential_solution(sys_)
-            sols = list(enumerate_solutions(sys_, GridSpec(FIVE_LEVELS, 1)))
+            sols = list(enumerate_solutions(sys_, FIVE_LEVELS))
             assert e in sols
             assert all(all(v <= ev for v, ev in zip(s, e)) for s in sols)
 
@@ -125,7 +122,7 @@ class TestEnumerateSolutions:
                 SystemKind.MIN_MAX, sys_.matrix, rhs, sys_.column_labels, sys_.scale
             )
             f = potential_solution(sys_)
-            sols = list(enumerate_solutions(sys_, GridSpec(FIVE_LEVELS, 1)))
+            sols = list(enumerate_solutions(sys_, FIVE_LEVELS))
             assert f in sols
             assert all(all(v >= fv for v, fv in zip(s, f)) for s in sols)
 
@@ -133,13 +130,13 @@ class TestEnumerateSolutions:
         sys_ = RelationalSystem(
             SystemKind.MAX_MIN, ((0.5,),), (0.8,), (0,), UNIT
         )
-        assert list(enumerate_solutions(sys_, GridSpec(FIVE_LEVELS, 1))) == []
+        assert list(enumerate_solutions(sys_, FIVE_LEVELS)) == []
 
     def test_budget_guard(self):
         rng = random.Random(63)
         sys_ = random_system(rng, SystemKind.MAX_MIN, 2, 10, FIVE_LEVELS)
         with pytest.raises(BudgetError):
-            list(enumerate_solutions(sys_, GridSpec(FIVE_LEVELS, 1, budget=100)))
+            list(enumerate_solutions(sys_, FIVE_LEVELS, budget=100))
 
 
 class TestGridChebyshev:
@@ -147,22 +144,21 @@ class TestGridChebyshev:
         ts = reference_training_set()
         sys_ = build_system(ts, SystemKind.MAX_MIN)
         levels = tuple(i / 20 for i in range(21))
-        assert grid_chebyshev(sys_, GridSpec(levels, 1)) == 0.0
+        assert grid_chebyshev(sys_, levels) == 0.0
 
     def test_single_cell_example(self):
         sys_ = RelationalSystem(SystemKind.MAX_MIN, ((0.5,),), (0.8,), (0,), UNIT)
         levels = tuple(i / 20 for i in range(21))
-        assert grid_chebyshev(sys_, GridSpec(levels, 1)) == pytest.approx(0.3, abs=1e-12)
+        assert grid_chebyshev(sys_, levels) == pytest.approx(0.3, abs=1e-12)
 
     def test_sandwich_against_formula(self):
         rng = random.Random(64)
         levels = tuple(i / 20 for i in range(21))
-        spec = GridSpec(levels, 1)
         for _ in range(40):
             kind = rng.choice([SystemKind.MAX_MIN, SystemKind.MIN_MAX])
             sys_ = random_system(rng, kind, rng.randint(1, 3), rng.randint(1, 5), levels)
             formula = chebyshev_distance(sys_).distance
-            grid = grid_chebyshev(sys_, spec)
+            grid = grid_chebyshev(sys_, levels)
             assert grid >= formula - 1e-9
             assert abs(grid - formula) <= 0.05 + 1e-12
 
@@ -170,7 +166,7 @@ class TestGridChebyshev:
         rng = random.Random(65)
         sys_ = random_system(rng, SystemKind.MAX_MIN, 8, 2, FIVE_LEVELS)
         with pytest.raises(BudgetError):
-            grid_chebyshev(sys_, GridSpec(FIVE_LEVELS, 1, budget=1000))
+            grid_chebyshev(sys_, FIVE_LEVELS, budget=1000)
 
 
 @st.composite
@@ -189,14 +185,14 @@ def grid_searches(draw):
         tuple(range(n_cols)),
         UNIT,
     )
-    return sys_, GridSpec(tuple(i / count for i in range(count + 1)), 1)
+    return sys_, tuple(i / count for i in range(count + 1))
 
 
 class TestGridChebyshevReference:
     @given(grid_searches())
     def test_matches_the_sorted_search(self, case):
-        sys_, spec = case
-        assert repr(grid_chebyshev(sys_, spec)) == repr(grid_chebyshev_reference(sys_, spec))
+        sys_, levels = case
+        assert repr(grid_chebyshev(sys_, levels)) == repr(grid_chebyshev_reference(sys_, levels))
 
 
 @st.composite
@@ -222,7 +218,7 @@ class TestOracleBracket:
     @given(on_grid_systems())
     def test_grid_optimum_within_half_a_gap(self, case):
         sys_, k = case
-        grid = grid_chebyshev(sys_, GridSpec(tuple(i / k for i in range(k + 1)), 1))
+        grid = grid_chebyshev(sys_, tuple(i / k for i in range(k + 1)))
         excess = grid - chebyshev_distance(sys_).distance
         assert -1e-9 <= excess <= 1 / (2 * k) + 1e-9
 
@@ -256,7 +252,7 @@ class TestMinLearningError:
         # grid holding every learned value, so the greatest capacity witnesses
         ts = reference_training_set()
         levels = (0.0, 0.2, 0.3, 0.4, 1.0)
-        err, mu = min_learning_error(ts, GridSpec(levels, 3, q_mode="qmax", q=2))
+        err, mu = min_learning_error(ts, levels, q=2)
         assert err == 0.0
         assert is_q_maxitive(mu, 2)
 
@@ -276,17 +272,12 @@ class TestMinLearningError:
                 ],
             )
             formula = chebyshev_distance(build_system(ts, SystemKind.MAX_MIN, 1)).distance
-            err, _ = min_learning_error(ts, GridSpec(levels, 2, q_mode="qmax", q=1))
+            err, _ = min_learning_error(ts, levels, q=1)
             assert err >= formula - 1e-9
             if learn(ts, LearnMode.QMAX_APPROX, 1).boundary_ok:
                 assert err <= formula + 0.25 + 1e-9  # one grid step on this grid
                 bracketed += 1
         assert bracketed >= 3
-
-    def test_dimension_mismatch_rejected(self):
-        ts = reference_training_set()
-        with pytest.raises(DomainError):
-            min_learning_error(ts, GridSpec(FIVE_LEVELS, 2))
 
 
 class TestRepresentabilityNecessity:
@@ -308,8 +299,7 @@ class TestRepresentabilityNecessity:
             if learn(ts, LearnMode.QMAX, q).capacity is not None:
                 continue
             candidates = tuple(sorted({0.0, 1.0} | set(ts.targets())))
-            spec = GridSpec(candidates, 2, q_mode="qmax", q=q)
-            for mu in enumerate_capacities(spec):
+            for mu in enumerate_capacities(2, candidates, q=q):
                 assert any(
                     sugeno_maxmin(mu, item.x) != item.alpha for item in ts.items
                 )
@@ -327,8 +317,7 @@ class TestRepresentabilityNecessity:
             if learn(ts, LearnMode.QMIN, q).capacity is not None:
                 continue
             candidates = tuple(sorted({0.0, 1.0} | set(ts.targets())))
-            spec = GridSpec(candidates, 2, q_mode="qmin", q=q)
-            for mu in enumerate_capacities(spec):
+            for mu in enumerate_capacities(2, candidates, q=q, kind=SystemKind.MIN_MAX):
                 assert any(
                     sugeno_maxmin(mu, item.x) != item.alpha for item in ts.items
                 )
@@ -346,7 +335,7 @@ class TestRepresentabilityNecessity:
             if learn(ts, LearnMode.GREATEST).capacity is not None:
                 continue
             candidates = tuple(sorted({0.0, 1.0} | set(ts.targets())))
-            for mu in enumerate_capacities(GridSpec(candidates, n)):
+            for mu in enumerate_capacities(n, candidates):
                 assert any(
                     sugeno_maxmin(mu, item.x) != item.alpha for item in ts.items
                 )
@@ -354,18 +343,54 @@ class TestRepresentabilityNecessity:
         assert failures >= 30
 
 
-class TestGridSpecValidation:
-    def test_levels_must_cover_bounds(self):
-        with pytest.raises(DomainError):
-            GridSpec((0.0, 0.5), 2)
-        with pytest.raises(DomainError):
-            GridSpec((0.5, 1.0), 2)
+ONE_CELL = RelationalSystem(SystemKind.MAX_MIN, ((0.5,),), (0.5,), (0,), UNIT)
+SEARCHES = {
+    "capacities": lambda levels, budget: enumerate_capacities(2, levels, budget),
+    "solutions": lambda levels, budget: enumerate_solutions(ONE_CELL, levels, budget),
+    "rhs": lambda levels, budget: grid_chebyshev(ONE_CELL, levels, budget),
+    "learning": lambda levels, budget: min_learning_error(reference_training_set(), levels, budget),
+}
 
-    def test_constraint_needs_q(self):
-        with pytest.raises(DomainError):
-            GridSpec(COARSE, 2, q_mode="qmax")
-        with pytest.raises(DomainError):
-            GridSpec(COARSE, 2, q_mode="other", q=1)
-        for q in (True, 1.5):
-            with pytest.raises(DomainError, match="q must be an integer"):
-                GridSpec(COARSE, 2, q_mode="qmax", q=q)
+
+class TestSearchValidation:
+    """Every search refuses bad levels and budgets, and every capacity search
+    a q that is not an integer in 1..n, before it walks a candidate."""
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize(
+        "levels",
+        [(0.0, 0.5), (0.5, 1.0), (0.0, 0.5, 0.5, 1.0), (0.0, 0.7, 0.3, 1.0),
+         (-0.5, 0.0, 1.0), (0.0, 1.0, 1.5), (0.0, float("nan"), 1.0), ()],
+        ids=["no-1", "no-0", "repeated", "unsorted", "below-0", "above-1", "nan", "empty"],
+    )
+    def test_levels_must_ascend_from_zero_to_one(self, search, levels):
+        with pytest.raises(DomainError, match="grid levels"):
+            SEARCHES[search](levels, DEFAULT_BUDGET)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_budget_must_be_positive(self, search):
+        with pytest.raises(DomainError, match="budget must be positive"):
+            SEARCHES[search](COARSE, 0)
+
+    @pytest.mark.parametrize("q", [True, 1.5, 0, 4])
+    def test_q_must_be_an_integer_in_range(self, q):
+        with pytest.raises(DomainError, match=r"q must be an integer in 1\.\.3"):
+            enumerate_capacities(3, COARSE, q=q)
+        with pytest.raises(DomainError, match=r"q must be an integer in 1\.\.3"):
+            min_learning_error(reference_training_set(), COARSE, q=q)
+
+    @pytest.mark.parametrize("budget, refused", [(3**6, False), (3**6 - 1, True)])
+    def test_count_at_the_budget_passes(self, budget, refused):
+        # n = 3 leaves 2^3 - 2 = 6 free subsets on three levels
+        if refused:
+            with pytest.raises(BudgetError, match=r"~3\^6 candidates") as err:
+                enumerate_capacities(3, COARSE, budget)
+            assert err.value.estimate == 3**6 > err.value.budget == budget
+        else:
+            assert len(list(enumerate_capacities(3, COARSE, budget))) > 0
+
+    def test_oversized_search_refused_at_once(self):
+        # 3^(2^24 - 2) candidates, a count of over eight million decimal digits
+        with pytest.raises(BudgetError, match=r"~3\^16777214 candidates") as err:
+            enumerate_capacities(24, COARSE)
+        assert err.value.estimate > err.value.budget == DEFAULT_BUDGET
