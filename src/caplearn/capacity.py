@@ -17,6 +17,7 @@ from .subsets import (
     check_mask,
     complement,
     add_one_bit,
+    full_mask,
     masks_of_sizes,
     subset_label,
 )
@@ -27,20 +28,23 @@ class Capacity:
     """A set function on 2^C stored as a table indexed by subset mask.
 
     Construction validates the shape and scale membership of every entry
-    (a bool or a string is not a member; ints become floats after the
-    check); the capacity axioms (boundary values and monotonicity) are
-    diagnosed separately by :func:`capacity_violations` so that suspect
+    in one type scan and one membership pass (a bool or a string is not a
+    member; ints become floats after the check, and a tuple of floats is
+    kept as given); the capacity axioms (boundary values and monotonicity)
+    are diagnosed separately by :func:`capacity_violations` so that suspect
     tables can be inspected rather than rejected outright.
 
     The q-checks remember their answer per (q, order) in ``_q_extension``,
-    which takes no part in ``==``, ``hash`` or ``repr``; the table is
-    immutable, so one sweep per q and order settles it.
+    and beside it, under (q, order, "monotone"), whether a table that
+    passed is also monotone; the memo takes no part in ``==``, ``hash`` or
+    ``repr``.  The table is immutable, so one sweep per q and order settles
+    each.
     """
 
     n: int
     scale: Scale
     values: tuple[float, ...]
-    _q_extension: dict[tuple[int, SystemKind], bool] = field(
+    _q_extension: dict[tuple, bool] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -52,8 +56,8 @@ class Capacity:
             raise DomainError(
                 f"capacity on {self.n} criteria needs {size} values, got {len(values)}"
             )
-        self.scale.require_all(values, lambda mask: f"value of {subset_label(mask)}")
-        object.__setattr__(self, "values", tuple(map(float, values)))
+        values = self.scale.require_floats(values, lambda mask: f"value of {subset_label(mask)}")
+        object.__setattr__(self, "values", values)
 
     def __getitem__(self, mask: int) -> float:
         return self.values[check_mask(mask, self.n)]
@@ -88,11 +92,7 @@ def capacity_violations(
         (scale is None or scale.contains_all(values))
         and values[0] == 0.0
         and values[size - 1] == 1.0
-        and not any(
-            any(map(operator.gt, values[lo], values[hi]))
-            for bit in range(n)
-            for lo, hi in _bit_slices(n, bit)
-        )
+        and _is_monotone(values, n)
     ):
         return out
     if scale is not None:
@@ -142,6 +142,22 @@ def _bit_slices(n: int, bit: int) -> list[tuple[slice, slice]]:
     ]
 
 
+def _is_monotone(values: Sequence[float], n: int) -> bool:
+    """No covering pair (A, A + {i}) decreases, in bulk: one comparison map
+    per bit slice, n * 2^(n-1) comparisons at C speed."""
+    return not any(
+        any(map(operator.gt, values[lo], values[hi]))
+        for bit in range(n)
+        for lo, hi in _bit_slices(n, bit)
+    )
+
+
+def _few_below(n: int, q: int) -> bool:
+    """Whether the masks of size below q are at most half of the 2^n: then a
+    walk over them beats a pass over the whole table."""
+    return 2 * sum(map(math.comb, [n] * q, range(q))) <= 1 << n
+
+
 def _subset_max_sweep(out: list, n: int) -> list:
     """``out`` made in place max{out[Y] : Y subset of X}: n * 2^(n-1) binary
     maxes, bits high to low, a tie keeping the smaller set's value."""
@@ -159,23 +175,24 @@ def _layer_max(f: Sequence[float], m: int, q: int) -> list:
 
     Masks without bit 0 are the same problem on the even entries; a mask
     with it takes the better of that and the size-(q-1) problem on the odd
-    entries.  That costs about q * 2^m merges, so while 3q <= m it beats
-    the sweep's m * 2^(m-1) steps, which take the node otherwise.
+    entries, which at q = 1 is the constant f[1].  That costs about q * 2^m
+    merges, so while 3q <= m it beats the sweep's m * 2^(m-1) steps, which
+    take the node otherwise.
     """
-    size = 1 << m
-    if q == 0:
-        return [f[0]] * size
     if 3 * q > m:
-        out = [-math.inf] * size
+        out = [-math.inf] * (1 << m)
         for mask in masks_of_sizes(m, (q,)):
             out[mask] = f[mask]
         return _subset_max_sweep(out, m)
     a = _layer_max(f[0::2], m - 1, q)
-    b = _layer_max(f[1::2], m - 1, q - 1)
     out = a + a
     out[0::2] = a
     # max(a, b), inlined: b only when strictly greater
-    out[1::2] = [y if y > x else x for x, y in zip(a, b)]
+    if q == 1:
+        b = f[1]
+        out[1::2] = [b if b > x else x for x in a]
+    else:
+        out[1::2] = [y if y > x else x for x, y in zip(a, _layer_max(f[1::2], m - 1, q - 1))]
     return out
 
 
@@ -193,7 +210,7 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
         values = [-v for v in reversed(values)]
     out = _layer_max(values, n, q)
     # sizes below q keep their values: copy whichever side has fewer masks
-    low = 2 * sum(map(math.comb, [n] * q, range(q))) <= 1 << n
+    low = _few_below(n, q)
     source, out = (values, out) if low else (out, list(values))
     for mask in masks_of_sizes(n, range(q) if low else range(q, n + 1)):
         out[mask] = source[mask]
@@ -205,7 +222,8 @@ def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
 
     Every table is its own extension from layer n.  Below it, the extension
     runs once per capacity, q and order; later calls read the answer it
-    left in ``mu._q_extension``.
+    left in ``mu._q_extension``, where ``learn`` also records that the
+    capacity it returns passes.
     """
     if _check_q(q, mu.n) == mu.n:
         return True
@@ -213,6 +231,35 @@ def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
     if key not in mu._q_extension:
         table = extend_layer(mu.values, mu.n, q, kind)
         mu._q_extension[key] = table == list(mu.values)
+    return mu._q_extension[key]
+
+
+def _q_extension_monotone(values: Sequence[float], n: int, q: int, kind: SystemKind) -> bool:
+    """Whether a table that is its own extension from layer q in the order
+    of ``kind`` is monotone.
+
+    Such a table is monotone above layer q (below n - q on the dual side)
+    by construction, so the covering pairs below it settle the question:
+    about n * C(n, <q) steps, or the bulk pass over all n * 2^(n-1) pairs
+    when that is less, by the count rule of :func:`extend_layer`.
+    """
+    if not _few_below(n, q):
+        return _is_monotone(values, n)
+    # the dual side reads the table by complements, upside down
+    le, flip = kind.order.le, full_mask(n) if kind.order.dual else 0
+    return all(
+        le(values[flip ^ mask], values[flip ^ bigger])
+        for mask in masks_of_sizes(n, range(q))
+        for bigger in add_one_bit(mask, n)
+    )
+
+
+def _is_monotone_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
+    """Whether mu, which passed the q-check of ``kind``, is also monotone;
+    kept beside the q-check's answer in ``mu._q_extension``."""
+    key = (q, kind, "monotone")
+    if key not in mu._q_extension:
+        mu._q_extension[key] = _q_extension_monotone(mu.values, mu.n, q, kind)
     return mu._q_extension[key]
 
 

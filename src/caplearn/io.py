@@ -174,10 +174,12 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
     values = obj["values"]
     if not isinstance(values, list):
         raise FormatError("capacity field 'values' must be an array")
-    _numbers(values, "value {}".format)  # off-scale values are named as written
     try:
-        return Capacity(obj["n"], scale, values)
+        return Capacity(obj["n"], scale, values)  # off-scale values are named as written
     except Exception as exc:
+        # a table the capacity refuses may hold a value that is no number:
+        # name that one first, as a reader of numbers does
+        _numbers(values, "value {}".format)
         raise FormatError(f"invalid capacity: {exc}") from exc
 
 

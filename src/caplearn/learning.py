@@ -349,4 +349,6 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale
     mu = Capacity(ts.n, scale, table)
+    # the extension of a table is its own extension: seed the q-check memo
+    mu._q_extension[layer_q, kind] = True
     return LearnReport(mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced))

@@ -11,7 +11,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .errors import DomainError
 
@@ -97,15 +97,22 @@ class Scale:
         """Same answer as ``all(map(self.contains, values))``.
 
         When every value has the exact type int or float, the test runs in
-        bulk: two comparison passes on the unit interval (both false on
-        NaN), one set of distinct values against the level table on a
-        chain.  Any other type (bools included) takes the per-value loop.
+        bulk (see ``_holds``).  Any other type (bools included) takes the
+        per-value loop.
         """
         vs = tuple(values)
-        if not set(map(type, vs)) <= _NUMBER_TYPES:
-            return all(map(self.contains, vs))
+        if set(map(type, vs)) <= _NUMBER_TYPES:
+            return self._holds(vs)
+        return all(map(self.contains, vs))
+
+    def _holds(self, vs: tuple[float, ...]) -> bool:
+        """``contains_all`` of values whose types are exactly int or float, in
+        bulk: on the unit interval the bounds of min and max, then a sum that
+        only a NaN makes NaN (min and max skip a NaN unless it comes first,
+        and then fail the bound); on a chain, the set of distinct values
+        against the level table."""
         if self.kind is ScaleKind.UNIT_INTERVAL:
-            return all(map((0.0).__le__, vs)) and all(map((1.0).__ge__, vs))
+            return not vs or (0.0 <= min(vs) and max(vs) <= 1.0 and not math.isnan(sum(vs)))
         return set(vs) <= self._level_index.keys()
 
     def require(self, value: float, what: str = "value") -> float:
@@ -113,12 +120,22 @@ class Scale:
             raise DomainError(f"{what} {value!r} is not a member of {self.describe()}")
         return float(value)
 
-    def require_all(self, values: Sequence[float], what: Callable[[int], str]) -> None:
-        """``require`` each value, the one at index i named ``what(i)``: one bulk
-        ``contains_all``, and only when that fails a walk to the first failure."""
-        if not self.contains_all(values):
-            for i, v in enumerate(values):
-                self.require(v, what(i))
+    def require_floats(
+        self, values: Iterable[float], what: Callable[[int], str]
+    ) -> tuple[float, ...]:
+        """``require`` each value, the one at index i named ``what(i)``, and
+        return them as floats: one type scan and one bulk membership pass,
+        which return the values themselves when all are floats; only when
+        the pass fails, a walk to the first failure."""
+        vs = tuple(values)
+        types = set(map(type, vs))
+        if types <= _NUMBER_TYPES and self._holds(vs):
+            return vs if types == {float} else tuple(map(float, vs))
+        return tuple(self.require(v, what(i)) for i, v in enumerate(vs))
+
+    def require_all(self, values: Iterable[float], what: Callable[[int], str]) -> None:
+        """``require_floats``, for a caller that keeps its own values."""
+        self.require_floats(values, what)
 
     def describe(self) -> str:
         if self.kind is ScaleKind.UNIT_INTERVAL:

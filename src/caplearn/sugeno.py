@@ -12,12 +12,20 @@ a capacity (normalised and monotone); ``Capacity`` does not enforce that,
 and ``caplearn eval`` refuses a table that is not one.  Every form reports
 a zero result as mu's value on the empty set.  The reduced forms
 visit the C(n, <=q) bounded subsets, about 0.3 ms per object at n = 18,
-q = 2.  ``sugeno_qmax`` and ``sugeno_qmin`` also check q-maxitivity
+q = 2.
+
+``sugeno_qmax`` and ``sugeno_qmin`` first check q-maxitivity
 (q-minitivity) by re-extending the table from layer q, about q * 2^n
-steps for small q and never more than n * 2^(n-1), free at q = n; the
-capacity keeps the answer per q and order, so scoring many objects checks
-once, and a capacity that fails raises on every call.  The ``_unchecked``
-forms skip the check.
+steps for small q and never more than n * 2^(n-1), free at q = n; a
+capacity that fails raises on every call.  A table that passes is scored
+by the chain form when it is also monotone, since on a monotone
+q-extension the chain form and the reduced form are the same join; a
+table that is not monotone keeps the reduced form, which the chain form
+need not match there.  The monotonicity gate reads the covering pairs
+below layer q (above n - q), about n * C(n, <q) steps, or in bulk the
+n * 2^(n-1) pairs of the whole table when that is less.  The capacity
+keeps both answers per q and order, so scoring many objects checks once.
+The ``_unchecked`` forms skip both and always take the reduced form.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .capacity import Capacity, _check_q, is_q_maxitive, is_q_minitive
+from .capacity import Capacity, _check_q, _is_monotone_q_extension, is_q_maxitive, is_q_minitive
 from .errors import DomainError
 from .relational import Order, SystemKind
 from .subsets import full_mask
@@ -98,9 +106,12 @@ def sugeno_qmax_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
 
 
 def sugeno_qmax(mu: Capacity, x: Sequence[float], q: int) -> float:
-    """Reduced max-min form; requires mu to be q-maxitive."""
+    """Max-min integral of a q-maxitive mu: the chain form when mu is also
+    monotone, else the reduced form."""
     if not is_q_maxitive(mu, q):
         raise DomainError(f"capacity is not {q}-maxitive; reduced evaluation is unsound")
+    if _is_monotone_q_extension(mu, q, SystemKind.MAX_MIN):
+        return sugeno_maxmin(mu, x)
     return sugeno_qmax_unchecked(mu, x, q)
 
 
@@ -110,7 +121,10 @@ def sugeno_qmin_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
 
 
 def sugeno_qmin(mu: Capacity, x: Sequence[float], q: int) -> float:
-    """Reduced min-max form; requires mu to be q-minitive."""
+    """Min-max integral of a q-minitive mu: the chain form when mu is also
+    monotone, else the reduced form."""
     if not is_q_minitive(mu, q):
         raise DomainError(f"capacity is not {q}-minitive; reduced evaluation is unsound")
+    if _is_monotone_q_extension(mu, q, SystemKind.MIN_MAX):
+        return sugeno_minmax(mu, x)
     return sugeno_qmin_unchecked(mu, x, q)

@@ -9,12 +9,14 @@ import caplearn.capacity
 from caplearn import (
     Capacity,
     DomainError,
+    LearnMode,
     Scale,
     capacity_violations,
     conjugate,
     is_capacity,
     is_q_maxitive,
     is_q_minitive,
+    learn,
     SystemKind,
     sugeno_qmax,
     sugeno_qmin,
@@ -31,6 +33,8 @@ from helpers import (
     capacity_violations_reference,
     exhaustive_capacity_check,
     random_capacity,
+    random_object,
+    random_training_set,
 )
 
 UNIT = Scale.unit_interval()
@@ -198,6 +202,29 @@ class TestQCheckMemo:
         values = [sugeno_qmax(mu, x, 2) for x in objects]
         assert sweeps == [(2, SystemKind.MAX_MIN)]
         assert values == [sugeno_qmax_unchecked(mu, x, 2) for x in objects]
+
+    def test_learned_capacities_score_without_a_sweep(self, sweeps):
+        # learn returns an extension, which is its own extension, and says so
+        rng = random.Random(20)
+        learned = []
+        for _ in range(100):
+            n = rng.randint(2, 4)
+            q = rng.randint(1, n - 1)
+            ts = random_training_set(rng, n, rng.randint(1, 4), FIVE_LEVELS)
+            for mode, score in ((LearnMode.QMAX, sugeno_qmax), (LearnMode.QMIN, sugeno_qmin),
+                                (LearnMode.QMAX_APPROX, sugeno_qmax),
+                                (LearnMode.QMIN_APPROX, sugeno_qmin)):
+                mu = learn(ts, mode, q).capacity
+                if mu is not None:
+                    learned.append((mu, q, score))
+        assert len(learned) >= 100
+        objects = [random_object(rng, mu.n, FIVE_LEVELS) for mu, _, _ in learned]
+        scores = [score(mu, x, q) for (mu, q, score), x in zip(learned, objects)]
+        assert sweeps == []
+        # the seeded answer is the sweep's: a fresh copy passes and agrees
+        fresh = [score(Capacity(mu.n, mu.scale, mu.values), x, q)
+                 for (mu, q, score), x in zip(learned, objects)]
+        assert fresh == scores and len(sweeps) == len(learned)
 
     def test_each_order_sweeps_once(self, sweeps, mu_e):
         for _ in range(3):

@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from caplearn import FormatError, LearnMode, Scale, SystemKind, build_system, learn
+from caplearn.subsets import subset_label
 from caplearn.io import (
     CanonicalText,
     capacity_from_json,
@@ -106,6 +108,59 @@ class TestCapacityJson:
         mu = capacity_from_json(doc)
         assert mu.values == (0.0, 0.5, 0.0, 1.0)
         assert all(type(v) is float for v in mu.values)
+
+
+# values a capacity file may hold that no scale does
+ODD_ENTRIES = (True, False, "0.5", None, [0.5], math.nan, math.inf, -math.inf,
+               10**400, -(10**400), 2, 1.5, -0.25, 0.151)
+
+
+def first_refusal(values, scale):
+    """The reader's message for a table, value by value: a value that is no
+    number in float range first, else the first one off the scale."""
+    for i, v in enumerate(values):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            return f"value {i}: expected a number, got {v!r}"
+        try:
+            float(v)
+        except OverflowError:
+            return (f"value {i}: expected a number in float range, got an integer of"
+                    f" {len(str(abs(v)))} digits")
+    for mask, v in enumerate(values):
+        if not scale.contains(v):
+            return f"invalid capacity: value of {subset_label(mask)} {v!r} is not a member of " + (
+                scale.describe()
+            )
+    return None
+
+
+@st.composite
+def capacity_documents(draw):
+    """(document, scale): a table of chain levels with up to three entries
+    replaced by odd values."""
+    scale = draw(st.sampled_from([UNIT, CHAIN21]))
+    n = draw(st.integers(1, 3))
+    values = draw(st.lists(st.sampled_from(CHAIN21.levels + (0, 1, -0.0)),
+                           min_size=1 << n, max_size=1 << n))
+    for _ in range(draw(st.integers(1, 3))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(ODD_ENTRIES))
+    return {"n": n, "scale": scale_to_json(scale), "values": values}, scale
+
+
+class TestCapacityValuesNamedAsWritten:
+    @given(capacity_documents())
+    @example(({"n": 1, "scale": scale_to_json(CHAIN21), "values": [2, "x"]}, CHAIN21))
+    @example(({"n": 1, "scale": scale_to_json(UNIT), "values": [1.0, True]}, UNIT))
+    @example(({"n": 2, "scale": scale_to_json(UNIT), "values": [0, 2, 0.5, 10**400]}, UNIT))
+    def test_first_refused_value(self, case):
+        doc, scale = case
+        expected = first_refusal(doc["values"], scale)
+        if expected is None:
+            assert capacity_from_json(doc).values == tuple(map(float, doc["values"]))
+            return
+        with pytest.raises(FormatError) as info:
+            capacity_from_json(doc)
+        assert str(info.value) == expected
 
 
 JSON_SCALARS = (

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from caplearn import DomainError, Scale, ScaleKind, TrainingSet, iota
+from caplearn import Capacity, DomainError, Scale, ScaleKind, TrainingSet, iota
+from caplearn.subsets import subset_label
 
 from helpers import CHAIN21
 
@@ -136,6 +137,55 @@ class TestRequireAll:
     def test_members_raise_nothing(self, sc, data):
         values = data.draw(st.lists(MEMBERS[sc], max_size=12))
         assert sc.require_all(values, "entry {}".format) is None
+
+
+# values on no scale that a table may hold, bools after a 1.0 among them
+ODD_VALUES = NOT_NUMBERS + (math.inf, -math.inf, 10**400, -(10**400), 2, 1.5, -0.25, 0.151)
+
+
+@st.composite
+def tables(draw):
+    """(scale, n, values): a table of members with up to two entries
+    replaced by odd values or zeros."""
+    sc = draw(st.sampled_from([UNIT, CHAIN21]))
+    n = draw(st.integers(1, 3))
+    values = draw(st.lists(MEMBERS[sc], min_size=1 << n, max_size=1 << n))
+    for _ in range(draw(st.integers(0, 2))):
+        index = draw(st.integers(0, len(values) - 1))
+        values[index] = draw(st.sampled_from(ODD_VALUES + (-0.0, 0.0, 1.0)))
+    return sc, n, values
+
+
+class TestCapacityTables:
+    """``Capacity`` accepts exactly the tables that a per-value ``contains``
+    loop accepts, names the first value it refuses, and stores each value as
+    a float of the same ``repr``."""
+
+    @given(tables())
+    @example((CHAIN21, 1, [1.0, True]))
+    @example((UNIT, 2, [0.0, 1.0, True, 1]))
+    @example((UNIT, 2, [0.0, 0.5, math.nan, 1.0]))
+    @example((CHAIN21, 2, [0, -0.0, 10**400, 1.0]))
+    def test_accepts_what_contains_accepts(self, case):
+        sc, n, values = case
+        refused = next((mask for mask, v in enumerate(values) if not sc.contains(v)), None)
+        if refused is not None:
+            with pytest.raises(DomainError) as info:
+                Capacity(n, sc, values)
+            assert str(info.value) == (
+                f"value of {subset_label(refused)} {values[refused]!r}"
+                f" is not a member of {sc.describe()}"
+            )
+            return
+        mu = Capacity(n, sc, values)
+        assert [repr(v) for v in mu.values] == [repr(float(v)) for v in values]
+        assert all(type(v) is float for v in mu.values)
+
+    def test_a_tuple_of_floats_is_kept_as_given(self):
+        for sc in (UNIT, CHAIN21):
+            values = (0.0, -0.0, 0.5, 1.0)
+            assert Capacity(2, sc, values).values is values
+            assert Capacity(2, sc, list(values)).values == values
 
 
 class TestNegation:

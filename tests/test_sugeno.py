@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import caplearn.capacity
+import caplearn.sugeno
 from caplearn import (
     Capacity,
     DomainError,
     LearnMode,
     Scale,
     SystemKind,
+    TrainingSet,
+    conjugate,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -19,6 +23,7 @@ from caplearn import (
     sugeno_qmax,
     sugeno_qmin,
 )
+from caplearn.capacity import _is_monotone_q_extension, extend_layer
 from caplearn.cli import main
 from caplearn.io import save_capacity
 from caplearn.subsets import drop_one_bit
@@ -67,6 +72,63 @@ def capacities_and_objects(draw):
     coords = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
     x = tuple(draw(st.sampled_from(coords)) for _ in range(n))
     return Capacity(n, scale, tuple(values)), x
+
+
+def tie_heavy_objects(pool, n):
+    """Objects whose coordinates come from at most three pool values."""
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=3).flatmap(
+        lambda coords: st.tuples(*[st.sampled_from(coords)] * n)
+    )
+
+
+@st.composite
+def q_extensions(draw):
+    """(mu, q, kind, x): a table extended from its layer q in the order of
+    ``kind``, so its own extension, with values from a pool holding both
+    zeros; raised to monotone before the extension or left as drawn."""
+    scale, pool = draw(POOLS)
+    n = draw(st.integers(1, 5))
+    q = draw(st.integers(1, n))
+    kind = draw(st.sampled_from(SystemKind))
+    values = [draw(st.sampled_from(pool)) for _ in range(1 << n)]
+    if draw(st.booleans()):
+        # each value raised to the max of its covered ones: the table and
+        # its extension in either order are monotone
+        for mask in range(1, 1 << n):
+            values[mask] = max([values[mask]] + [values[sub] for sub in drop_one_bit(mask)])
+    mu = Capacity(n, scale, tuple(extend_layer(values, n, q, kind)))
+    return mu, q, kind, draw(tie_heavy_objects(pool, n))
+
+
+SCORES = {
+    SystemKind.MAX_MIN: (sugeno_qmax, sugeno_qmax_unchecked),
+    SystemKind.MIN_MAX: (sugeno_qmin, sugeno_qmin_unchecked),
+}
+DUAL = {SystemKind.MAX_MIN: SystemKind.MIN_MAX, SystemKind.MIN_MAX: SystemKind.MAX_MIN}
+
+
+def assert_checked_is_reduced(mu, q, kind, x):
+    """The checked form of ``kind`` equals the reduced form by ``repr``, on
+    mu and on its conjugate, whichever route the checked form takes."""
+    for table, order in ((mu, kind), (conjugate(mu), DUAL[kind])):
+        checked, reduced = SCORES[order]
+        assert repr(checked(table, x, q)) == repr(reduced(table, x, q))
+
+
+def all_pairs_monotone(mu):
+    """values[A] <= values[B] for every A inside B: 4^n pairs."""
+    size = 1 << mu.n
+    return all(
+        mu.values[a] <= mu.values[b] for a in range(size) for b in range(size) if a & b == a
+    )
+
+
+def not_monotone():
+    """(mu, q, kind, x), mu fresh: 2-maxitive but not monotone, {1} holding
+    0.5 and {1,2} 0.  The chain of x reads {2}, {1,2} and {1,2,3}, so the
+    chain form misses {1} and gives 0."""
+    mu = Capacity(3, UNIT, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+    return mu, 2, SystemKind.MAX_MIN, (0.5, 1.0, -0.0)
 
 
 class TestReferenceValues:
@@ -220,6 +282,73 @@ class TestReducedForms:
         with pytest.raises(DomainError):
             sugeno_qmin(mu_e, (0.5, 0.25, 0.3), 1)
         sugeno_qmin_unchecked(mu_e, (0.5, 0.25, 0.3), 1)
+
+
+class TestCheckedFormsMatchTheReducedForms:
+    """``sugeno_qmax``/``sugeno_qmin`` read the chain form of a monotone
+    q-extension and the reduced form of any other; both routes equal the
+    ``_unchecked`` reduced form by ``repr``, signed zeros included."""
+
+    @given(q_extensions())
+    @example(not_monotone())
+    @example((Capacity(2, UNIT, (-0.0, 0.0, -0.0, 0.0)), 1, SystemKind.MAX_MIN, (-0.0, 0.0)))
+    def test_q_extensions_and_their_conjugates(self, case):
+        mu, q, kind, x = case
+        assert_checked_is_reduced(mu, q, kind, x)
+        assert _is_monotone_q_extension(mu, q, kind) == all_pairs_monotone(mu)
+
+    @given(POOLS, st.integers(1, 4), st.data())
+    def test_learned_capacities_and_their_conjugates(self, scale_pool, n, data):
+        scale, pool = scale_pool
+        q = data.draw(st.integers(1, n))
+        pairs = data.draw(
+            st.lists(st.tuples(tie_heavy_objects(pool, n), st.sampled_from(pool)),
+                     min_size=1, max_size=4)
+        )
+        ts = TrainingSet.from_pairs(n, scale, pairs)
+        for mode, kind in ((LearnMode.QMAX, SystemKind.MAX_MIN),
+                           (LearnMode.QMIN, SystemKind.MIN_MAX),
+                           (LearnMode.QMAX_APPROX, SystemKind.MAX_MIN),
+                           (LearnMode.QMIN_APPROX, SystemKind.MIN_MAX)):
+            mu = learn(ts, mode, q).capacity
+            if mu is not None:
+                assert_checked_is_reduced(mu, q, kind, data.draw(tie_heavy_objects(pool, n)))
+
+
+class TestCheckedRoute:
+    @pytest.fixture
+    def gates(self, monkeypatch):
+        calls = []
+        real = caplearn.capacity._q_extension_monotone
+
+        def counted(values, n, q, kind):
+            calls.append((q, kind))
+            return real(values, n, q, kind)
+
+        monkeypatch.setattr(caplearn.capacity, "_q_extension_monotone", counted)
+        return calls
+
+    def test_gate_runs_once_per_q_and_order(self, gates, mu_e, mu_f):
+        x = (0.5, 0.25, 0.3)
+        for _ in range(3):
+            assert sugeno_qmax(mu_e, x, 2) == sugeno_qmax(mu_e, x, 3) == 0.3
+            assert sugeno_qmin(mu_f, x, 2) == 0.3
+            with pytest.raises(DomainError):  # no gate behind a failed check
+                sugeno_qmax(mu_e, x, 1)
+        assert gates == [(2, SystemKind.MAX_MIN), (3, SystemKind.MAX_MIN), (2, SystemKind.MIN_MAX)]
+
+    def test_a_table_that_is_not_monotone_keeps_the_reduced_form(self, gates):
+        mu, q, kind, x = not_monotone()
+        assert is_q_maxitive(mu, q)
+        assert sugeno_maxmin(mu, x) == 0.0
+        assert sugeno_qmax(mu, x, q) == sugeno_qmax_unchecked(mu, x, q) == 0.5
+        assert gates == [(q, kind)]
+
+    def test_a_gate_that_always_says_monotone_fails_the_comparison(self, monkeypatch):
+        monkeypatch.setattr(caplearn.sugeno, "_is_monotone_q_extension", lambda mu, q, kind: True)
+        mu, q, kind, x = not_monotone()
+        with pytest.raises(AssertionError):
+            assert_checked_is_reduced(mu, q, kind, x)
 
 
 class TestValidation:
