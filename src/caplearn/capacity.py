@@ -7,6 +7,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence
 
 from .errors import DomainError
@@ -17,10 +18,17 @@ from .subsets import (
     check_mask,
     complement,
     add_one_bit,
-    full_mask,
     masks_of_sizes,
     subset_label,
 )
+
+
+class Scoring(Enum):
+    """How the q-checked integrals score a table at one q and order."""
+
+    CHAIN = "chain"  # a monotone q-extension: the chain form
+    REDUCED = "reduced"  # a q-extension that is not monotone: the reduced form
+    REFUSED = "refused"  # not its own extension from layer q
 
 
 @dataclass(frozen=True)
@@ -34,17 +42,16 @@ class Capacity:
     are diagnosed separately by :func:`capacity_violations` so that suspect
     tables can be inspected rather than rejected outright.
 
-    The q-checks remember their answer per (q, order) in ``_q_extension``,
-    and beside it, under (q, order, "monotone"), whether a table that
-    passed is also monotone; the memo takes no part in ``==``, ``hash`` or
-    ``repr``.  The table is immutable, so one sweep per q and order settles
-    each.
+    The q-checks remember per (q, order) in ``_scoring`` how the checked
+    integrals score the table (:class:`Scoring`); the memo takes no part in
+    ``==``, ``hash`` or ``repr``.  The table is immutable, so one
+    classification per q and order settles it.
     """
 
     n: int
     scale: Scale
     values: tuple[float, ...]
-    _q_extension: dict[tuple, bool] = field(
+    _scoring: dict[tuple, Scoring] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -168,23 +175,22 @@ def _subset_max_sweep(out: list, n: int) -> list:
     return out
 
 
-def _layer_max(f: Sequence[float], m: int, q: int) -> list:
-    """out[A] = max of f over the size-q subsets of A on m bits, -inf when A
-    has none; a tie keeps the value found without bit 0, then bit 1, as
-    the seeded sweep does.
+def _layer_max(f: Sequence[float], m: int, q: int, low: int) -> list:
+    """out[A] = max of f over the subsets of A on m bits whose size lies in
+    [low, q], -inf when A has none; a tie keeps the value found without bit
+    0, then bit 1, as the seeded sweep does.
 
     Masks without bit 0 are the same problem on the even entries; a mask
-    with it takes the better of that and the size-(q-1) problem on the odd
-    entries, which at q = 1 is the constant f[1].  That costs about q * 2^m
-    merges, so while 3q <= m it beats the sweep's m * 2^(m-1) steps, which
-    take the node otherwise.
+    with it takes the better of that and the problem on the odd entries
+    with both sizes one less, which at q = 1 is the constant f[1].  That
+    costs about q * 2^m merges, so while 3q <= m it beats the sweep's
+    m * 2^(m-1) steps, which take the node otherwise, seeded with the
+    entries of size in [low, q] and -inf elsewhere.
     """
     if 3 * q > m:
-        out = [-math.inf] * (1 << m)
-        for mask in masks_of_sizes(m, (q,)):
-            out[mask] = f[mask]
+        out = [v if low <= mask.bit_count() <= q else -math.inf for mask, v in enumerate(f)]
         return _subset_max_sweep(out, m)
-    a = _layer_max(f[0::2], m - 1, q)
+    a = _layer_max(f[0::2], m - 1, q, low)
     out = a + a
     out[0::2] = a
     # max(a, b), inlined: b only when strictly greater
@@ -192,7 +198,8 @@ def _layer_max(f: Sequence[float], m: int, q: int) -> list:
         b = f[1]
         out[1::2] = [b if b > x else x for x in a]
     else:
-        out[1::2] = [y if y > x else x for x, y in zip(a, _layer_max(f[1::2], m - 1, q - 1))]
+        b = _layer_max(f[1::2], m - 1, q - 1, low - 1)
+        out[1::2] = [y if y > x else x for x, y in zip(a, b)]
     return out
 
 
@@ -208,7 +215,7 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
     """
     if kind.order.dual:
         values = [-v for v in reversed(values)]
-    out = _layer_max(values, n, q)
+    out = _layer_max(values, n, q, q)
     # sizes below q keep their values: copy whichever side has fewer masks
     low = _few_below(n, q)
     source, out = (values, out) if low else (out, list(values))
@@ -217,50 +224,45 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
     return [-v for v in reversed(out)] if kind.order.dual else out
 
 
+def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scoring:
+    """How the q-checked integral of ``kind`` scores a table.
+
+    A table equals the max over its subsets of size up to q (read negated
+    by complements for min-max, as :func:`extend_layer` reads it) exactly
+    when it is a monotone q-extension, so one :func:`_layer_max` pass
+    settles the chain form.  A monotone table that fails it is no
+    q-extension, which the bulk monotonicity pass tells at C speed; only a
+    table that is not monotone pays the extension comparison, and keeps the
+    reduced form when it is a q-extension.  Any other table is refused.  At
+    q = n every table is a q-extension and the bulk pass alone decides.
+    """
+    if q == n:
+        return Scoring.CHAIN if _is_monotone(values, n) else Scoring.REDUCED
+    seen = [-v for v in reversed(values)] if kind.order.dual else list(values)
+    if _layer_max(seen, n, q, 0) == seen:
+        return Scoring.CHAIN
+    if not _is_monotone(values, n) and extend_layer(values, n, q, kind) == list(values):
+        return Scoring.REDUCED
+    return Scoring.REFUSED
+
+
+def _q_scoring(mu: Capacity, q: int, kind: SystemKind) -> Scoring:
+    """:func:`_classify` of mu, once per capacity, q and order; later calls
+    read the answer it left in ``mu._scoring``, where ``learn`` also records
+    the chain form for the capacity it returns."""
+    key = (_check_q(q, mu.n), kind)
+    if key not in mu._scoring:
+        mu._scoring[key] = _classify(mu.values, mu.n, q, kind)
+    return mu._scoring[key]
+
+
 def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
     """Whether mu is its own extension from layer q in the order of ``kind``.
 
-    Every table is its own extension from layer n.  Below it, the extension
-    runs once per capacity, q and order; later calls read the answer it
-    left in ``mu._q_extension``, where ``learn`` also records that the
-    capacity it returns passes.
+    Every table is its own extension from layer n, with no pass; below it,
+    :func:`_q_scoring` decides.
     """
-    if _check_q(q, mu.n) == mu.n:
-        return True
-    key = (q, kind)
-    if key not in mu._q_extension:
-        table = extend_layer(mu.values, mu.n, q, kind)
-        mu._q_extension[key] = table == list(mu.values)
-    return mu._q_extension[key]
-
-
-def _q_extension_monotone(values: Sequence[float], n: int, q: int, kind: SystemKind) -> bool:
-    """Whether a table that is its own extension from layer q in the order
-    of ``kind`` is monotone.
-
-    Such a table is monotone above layer q (below n - q on the dual side)
-    by construction, so the covering pairs below it settle the question:
-    about n * C(n, <q) steps, or the bulk pass over all n * 2^(n-1) pairs
-    when that is less, by the count rule of :func:`extend_layer`.
-    """
-    if not _few_below(n, q):
-        return _is_monotone(values, n)
-    # the dual side reads the table by complements, upside down
-    le, flip = kind.order.le, full_mask(n) if kind.order.dual else 0
-    return all(
-        le(values[flip ^ mask], values[flip ^ bigger])
-        for mask in masks_of_sizes(n, range(q))
-        for bigger in add_one_bit(mask, n)
-    )
-
-
-def _is_monotone_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
-    """Whether mu, which passed the q-check of ``kind``, is also monotone;
-    kept beside the q-check's answer in ``mu._q_extension``."""
-    key = (q, kind, "monotone")
-    if key not in mu._q_extension:
-        mu._q_extension[key] = _q_extension_monotone(mu.values, mu.n, q, kind)
-    return mu._q_extension[key]
+    return _check_q(q, mu.n) == mu.n or _q_scoring(mu, q, kind) is not Scoring.REFUSED
 
 
 def is_q_maxitive(mu: Capacity, q: int) -> bool:

@@ -16,7 +16,7 @@ import functools
 import sys
 from typing import Any
 
-from .capacity import capacity_violations, is_q_maxitive, is_q_minitive
+from .capacity import _check_q, capacity_violations, is_q_maxitive, is_q_minitive
 from .chebyshev import chebyshev_distance, relaxed_rhs
 from .errors import BudgetError, CaplearnError, DomainError
 from .io import (
@@ -181,7 +181,7 @@ def _cmd_learn(args) -> int:
 
 def _cmd_eval(args) -> int:
     mu = load_capacity(args.capacity, tol=args.tolerance)
-    problems = capacity_violations(mu.values, mu.n, mu.scale)
+    problems = capacity_violations(mu.values, mu.n)
     if problems:
         for msg in problems:
             print(f"caplearn: {msg}", file=sys.stderr)
@@ -221,7 +221,9 @@ def _eval_one(mu, coords, alpha) -> dict:
 
 def _cmd_check(args) -> int:
     mu = load_capacity(args.capacity, tol=args.tolerance)
-    problems = capacity_violations(mu.values, mu.n, mu.scale)
+    if args.q is not None:
+        _check_q(args.q, mu.n)
+    problems = capacity_violations(mu.values, mu.n)
     payload: dict[str, Any] = {
         "n": mu.n,
         "is_capacity": not problems,

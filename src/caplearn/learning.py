@@ -19,7 +19,7 @@ from itertools import chain, combinations
 from operator import and_, itemgetter, neg, pos
 from typing import Any, Iterable, Sequence
 
-from .capacity import Capacity, _check_q, extend_layer
+from .capacity import Capacity, Scoring, _check_q, extend_layer
 # chebyshev_distance is unused here; the benchmark tracer looks it up here (ROADMAP item 1)
 from .chebyshev import _maxmin_per_row, chebyshev_distance, relaxed_rhs
 from .errors import DomainError
@@ -59,7 +59,7 @@ class TrainingSet:
                 raise DomainError(
                     f"item {k}: object has {len(item.x)} coordinates, expected {self.n}"
                 )
-            self.scale.require_all((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
+            self.scale.require_floats((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
 
     @classmethod
     def from_pairs(cls, n, scale, pairs) -> TrainingSet:
@@ -349,6 +349,6 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale
     mu = Capacity(ts.n, scale, table)
-    # the extension of a table is its own extension: seed the q-check memo
-    mu._q_extension[layer_q, kind] = True
+    # a residuated solve is monotone and so is its extension: seed the chain form
+    mu._scoring[layer_q, kind] = Scoring.CHAIN
     return LearnReport(mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced))

@@ -99,8 +99,8 @@ class RelationalSystem:
         for k, row in enumerate(self.matrix):
             if len(row) != m:
                 raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
-            self.scale.require_all(row, lambda j: f"matrix entry ({k}, {j})")
-        self.scale.require_all(self.rhs, lambda k: f"right-hand side entry {k}")
+            self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})")
+        self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
 
     @property
     def n_rows(self) -> int:

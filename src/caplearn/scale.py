@@ -133,10 +133,6 @@ class Scale:
             return vs if types == {float} else tuple(map(float, vs))
         return tuple(self.require(v, what(i)) for i, v in enumerate(vs))
 
-    def require_all(self, values: Iterable[float], what: Callable[[int], str]) -> None:
-        """``require_floats``, for a caller that keeps its own values."""
-        self.require_floats(values, what)
-
     def describe(self) -> str:
         if self.kind is ScaleKind.UNIT_INTERVAL:
             return "the unit interval [0, 1]"

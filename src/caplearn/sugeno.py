@@ -14,18 +14,15 @@ a zero result as mu's value on the empty set.  The reduced forms
 visit the C(n, <=q) bounded subsets, about 0.3 ms per object at n = 18,
 q = 2.
 
-``sugeno_qmax`` and ``sugeno_qmin`` first check q-maxitivity
-(q-minitivity) by re-extending the table from layer q, about q * 2^n
-steps for small q and never more than n * 2^(n-1), free at q = n; a
-capacity that fails raises on every call.  A table that passes is scored
-by the chain form when it is also monotone, since on a monotone
-q-extension the chain form and the reduced form are the same join; a
-table that is not monotone keeps the reduced form, which the chain form
-need not match there.  The monotonicity gate reads the covering pairs
-below layer q (above n - q), about n * C(n, <q) steps, or in bulk the
-n * 2^(n-1) pairs of the whole table when that is less.  The capacity
-keeps both answers per q and order, so scoring many objects checks once.
-The ``_unchecked`` forms skip both and always take the reduced form.
+``sugeno_qmax`` and ``sugeno_qmin`` score a monotone q-extension by the
+chain form, since there the chain form and the reduced form are the same
+join, and a q-extension that is not monotone by the reduced form, which
+the chain form need not match there; any other table raises on every
+call.  ``capacity._classify`` tells them apart, for a monotone
+q-extension in one pass of about q * 2^n steps for small q (never more
+than n * 2^(n-1)), and the capacity keeps the answer per q and order, so
+scoring many objects classifies once.  The ``_unchecked`` forms skip the
+classification and always take the reduced form.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .capacity import Capacity, _check_q, _is_monotone_q_extension, is_q_maxitive, is_q_minitive
+from .capacity import Capacity, Scoring, _check_q, _q_scoring, is_q_maxitive, is_q_minitive
 from .errors import DomainError
 from .relational import Order, SystemKind
 from .subsets import full_mask
@@ -43,7 +40,7 @@ def _require_object(x: Sequence[float], mu: Capacity) -> tuple[float, ...]:
     coords = tuple(x)
     if len(coords) != mu.n:
         raise DomainError(f"object has {len(coords)} coordinates, capacity expects {mu.n}")
-    mu.scale.require_all(coords, lambda i: f"coordinate x{i + 1}")
+    mu.scale.require_floats(coords, lambda i: f"coordinate x{i + 1}")
     return coords
 
 
@@ -105,14 +102,21 @@ def sugeno_qmax_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
     return _reduced(mu, x, q, SystemKind.MAX_MIN)
 
 
+def _checked(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind, holds) -> float:
+    """The integral of ``kind`` on a q-bounded mu: the chain form of a
+    monotone q-extension, else the reduced form; refused through ``holds``,
+    the q-check of ``kind``, when mu is not its own extension from layer q."""
+    if not holds(mu, q):
+        what = "minitive" if kind.order.dual else "maxitive"
+        raise DomainError(f"capacity is not {q}-{what}; reduced evaluation is unsound")
+    if _q_scoring(mu, q, kind) is Scoring.CHAIN:
+        return _chain(mu.values, _require_object(x, mu), kind.order) or mu.values[0]
+    return _reduced(mu, x, q, kind)
+
+
 def sugeno_qmax(mu: Capacity, x: Sequence[float], q: int) -> float:
-    """Max-min integral of a q-maxitive mu: the chain form when mu is also
-    monotone, else the reduced form."""
-    if not is_q_maxitive(mu, q):
-        raise DomainError(f"capacity is not {q}-maxitive; reduced evaluation is unsound")
-    if _is_monotone_q_extension(mu, q, SystemKind.MAX_MIN):
-        return sugeno_maxmin(mu, x)
-    return sugeno_qmax_unchecked(mu, x, q)
+    """Max-min integral of a q-maxitive mu, by :func:`_checked`."""
+    return _checked(mu, x, q, SystemKind.MAX_MIN, is_q_maxitive)
 
 
 def sugeno_qmin_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
@@ -121,10 +125,5 @@ def sugeno_qmin_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
 
 
 def sugeno_qmin(mu: Capacity, x: Sequence[float], q: int) -> float:
-    """Min-max integral of a q-minitive mu: the chain form when mu is also
-    monotone, else the reduced form."""
-    if not is_q_minitive(mu, q):
-        raise DomainError(f"capacity is not {q}-minitive; reduced evaluation is unsound")
-    if _is_monotone_q_extension(mu, q, SystemKind.MIN_MAX):
-        return sugeno_minmax(mu, x)
-    return sugeno_qmin_unchecked(mu, x, q)
+    """Min-max integral of a q-minitive mu, by :func:`_checked`."""
+    return _checked(mu, x, q, SystemKind.MIN_MAX, is_q_minitive)

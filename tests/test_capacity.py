@@ -182,18 +182,18 @@ class TestViolationsMatchTheScan:
 
 
 class TestQCheckMemo:
-    """Each capacity runs the q-check sweep once per q and order."""
+    """Each capacity is classified for the q-checks once per q and order."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
         calls = []
-        real = caplearn.capacity.extend_layer
+        real = caplearn.capacity._classify
 
         def counted(values, n, q, kind):
             calls.append((q, kind))
             return real(values, n, q, kind)
 
-        monkeypatch.setattr(caplearn.capacity, "extend_layer", counted)
+        monkeypatch.setattr(caplearn.capacity, "_classify", counted)
         return calls
 
     def test_six_scores_sweep_once(self, sweeps):
@@ -234,15 +234,23 @@ class TestQCheckMemo:
         is_q_maxitive(mu_e, 1)
         assert len(sweeps) == 3
 
-    def test_q_equal_n_needs_no_sweep(self, sweeps):
-        # every table is n-maxitive and n-minitive, a capacity or not
+    def test_q_equal_n_needs_no_sweep(self, sweeps, monkeypatch):
+        # every table is n-maxitive and n-minitive, a capacity or not, with
+        # no classification; a score at q = n reads the bulk monotonicity
+        # pass alone, with no layer pass
+        def no_layer_pass(*args):
+            raise AssertionError("a layer pass at q = n")
+
+        monkeypatch.setattr(caplearn.capacity, "_layer_max", no_layer_pass)
         for values in (MU_E_VALUES, (0.0, 0.5, 0.0, 0.25, 1.0, 0.0, 0.5, 1.0)):
             mu = Capacity(3, UNIT, values)
             assert is_q_maxitive(mu, 3) and is_q_minitive(mu, 3)
+            assert sweeps == []
             assert sugeno_qmax(mu, (0.5, 0.25, 0.3), 3) == sugeno_qmax_unchecked(
                 mu, (0.5, 0.25, 0.3), 3
             )
-        assert sweeps == []
+            assert sweeps == [(3, SystemKind.MAX_MIN)]
+            sweeps.clear()
 
     def test_orders_answer_apart(self):
         # {1,2} is the max of its singletons, but the empty set is not the

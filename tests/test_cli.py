@@ -326,6 +326,19 @@ class TestCheck:
         assert payload["is_capacity"] is False
         assert payload["violations"]
 
+    @pytest.mark.parametrize("values", [[0.0, 0.5, 0.1, 0.9], [0.0, 0.5, 0.1, 1.0]],
+                             ids=["broken", "capacity"])
+    @pytest.mark.parametrize("q", ["0", "3"])
+    def test_out_of_range_q_is_input_error(self, capsys, tmp_path, values, q):
+        # q is checked against n before the violations decide the exit code
+        path = tmp_path / "mu.json"
+        doc = {"n": 2, "scale": {"kind": "unit_interval", "levels": None}, "values": values}
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", "--capacity", str(path), "--q", q)
+        assert code == 1
+        assert out == ""
+        assert f"q must be an integer in 1..2, got {q}" in err
+
     def test_bool_criteria_count_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "mu.json"
         doc = {"n": True, "scale": {"kind": "unit_interval"}, "values": [0, 1]}

@@ -114,7 +114,7 @@ OFF_NUMBERS = {
 }
 
 
-class TestRequireAll:
+class TestRequireFloats:
     @given(st.sampled_from([UNIT, CHAIN21]), st.data())
     def test_names_the_first_failure_in_index_order(self, sc, data):
         off = st.sampled_from(NOT_NUMBERS + OFF_NUMBERS[sc])
@@ -130,13 +130,13 @@ class TestRequireAll:
                 break
         assert expected is not None
         with pytest.raises(DomainError) as info:
-            sc.require_all(values, "entry {}".format)
+            sc.require_floats(values, "entry {}".format)
         assert str(info.value) == expected
 
     @given(st.sampled_from([UNIT, CHAIN21]), st.data())
     def test_members_raise_nothing(self, sc, data):
         values = data.draw(st.lists(MEMBERS[sc], max_size=12))
-        assert sc.require_all(values, "entry {}".format) is None
+        assert sc.require_floats(values, "entry {}".format) == tuple(map(float, values))
 
 
 # values on no scale that a table may hold, bools after a 1.0 among them

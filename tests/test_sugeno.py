@@ -23,7 +23,7 @@ from caplearn import (
     sugeno_qmax,
     sugeno_qmin,
 )
-from caplearn.capacity import _is_monotone_q_extension, extend_layer
+from caplearn.capacity import Scoring, _q_scoring, extend_layer
 from caplearn.cli import main
 from caplearn.io import save_capacity
 from caplearn.subsets import drop_one_bit
@@ -32,6 +32,8 @@ from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 from helpers import (
     CHAIN21,
     FIVE_LEVELS,
+    brute_q_maxitive,
+    brute_q_minitive,
     brute_sugeno_maxmin,
     random_capacity,
     random_object,
@@ -82,10 +84,11 @@ def tie_heavy_objects(pool, n):
 
 
 @st.composite
-def q_extensions(draw):
-    """(mu, q, kind, x): a table extended from its layer q in the order of
-    ``kind``, so its own extension, with values from a pool holding both
-    zeros; raised to monotone before the extension or left as drawn."""
+def tables(draw, extended=st.booleans()):
+    """(mu, q, kind, x): a table with values from a pool holding both zeros,
+    raised to monotone or left as drawn, then extended from its layer q in
+    the order of ``kind`` (so its own extension) when ``extended`` draws
+    True."""
     scale, pool = draw(POOLS)
     n = draw(st.integers(1, 5))
     q = draw(st.integers(1, n))
@@ -96,8 +99,13 @@ def q_extensions(draw):
         # its extension in either order are monotone
         for mask in range(1, 1 << n):
             values[mask] = max([values[mask]] + [values[sub] for sub in drop_one_bit(mask)])
-    mu = Capacity(n, scale, tuple(extend_layer(values, n, q, kind)))
-    return mu, q, kind, draw(tie_heavy_objects(pool, n))
+    if draw(extended):
+        values = extend_layer(values, n, q, kind)
+    return Capacity(n, scale, tuple(values)), q, kind, draw(tie_heavy_objects(pool, n))
+
+
+def q_extensions():
+    return tables(extended=st.just(True))
 
 
 SCORES = {
@@ -121,6 +129,32 @@ def all_pairs_monotone(mu):
     return all(
         mu.values[a] <= mu.values[b] for a in range(size) for b in range(size) if a & b == a
     )
+
+
+def layer_extension_holds(mu, q, kind):
+    """By definition: every set beyond layer q holds the max of the size-q
+    sets inside it (max-min), or the min of the size-(n - q) sets around it
+    (min-max)."""
+    n, values, size = mu.n, mu.values, 1 << mu.n
+    if kind is SystemKind.MAX_MIN:
+        return all(
+            values[a] == max(values[b] for b in range(size) if b & a == b and b.bit_count() == q)
+            for a in range(size) if a.bit_count() > q
+        )
+    return all(
+        values[a] == min(values[b] for b in range(size) if b & a == a and b.bit_count() == n - q)
+        for a in range(size) if a.bit_count() < n - q
+    )
+
+
+def brute_scoring(mu, q, kind):
+    """The classification by brute force: the chain form for a monotone
+    q-maxitive (q-minitive) table, the reduced form for any other
+    extension of its layer q, refusal otherwise."""
+    brute = brute_q_maxitive if kind is SystemKind.MAX_MIN else brute_q_minitive
+    if all_pairs_monotone(mu) and brute(mu, q):
+        return Scoring.CHAIN
+    return Scoring.REDUCED if layer_extension_holds(mu, q, kind) else Scoring.REFUSED
 
 
 def not_monotone():
@@ -295,7 +329,9 @@ class TestCheckedFormsMatchTheReducedForms:
     def test_q_extensions_and_their_conjugates(self, case):
         mu, q, kind, x = case
         assert_checked_is_reduced(mu, q, kind, x)
-        assert _is_monotone_q_extension(mu, q, kind) == all_pairs_monotone(mu)
+        assert _q_scoring(mu, q, kind) is (
+            Scoring.CHAIN if all_pairs_monotone(mu) else Scoring.REDUCED
+        )
 
     @given(POOLS, st.integers(1, 4), st.data())
     def test_learned_capacities_and_their_conjugates(self, scale_pool, n, data):
@@ -317,38 +353,72 @@ class TestCheckedFormsMatchTheReducedForms:
 
 class TestCheckedRoute:
     @pytest.fixture
-    def gates(self, monkeypatch):
+    def passes(self, monkeypatch):
         calls = []
-        real = caplearn.capacity._q_extension_monotone
+        real = caplearn.capacity._classify
 
         def counted(values, n, q, kind):
             calls.append((q, kind))
             return real(values, n, q, kind)
 
-        monkeypatch.setattr(caplearn.capacity, "_q_extension_monotone", counted)
+        monkeypatch.setattr(caplearn.capacity, "_classify", counted)
         return calls
 
-    def test_gate_runs_once_per_q_and_order(self, gates, mu_e, mu_f):
+    def test_one_pass_per_q_and_order(self, passes, mu_e, mu_f):
         x = (0.5, 0.25, 0.3)
         for _ in range(3):
             assert sugeno_qmax(mu_e, x, 2) == sugeno_qmax(mu_e, x, 3) == 0.3
             assert sugeno_qmin(mu_f, x, 2) == 0.3
-            with pytest.raises(DomainError):  # no gate behind a failed check
+            with pytest.raises(DomainError):  # the refusal is classified once too
                 sugeno_qmax(mu_e, x, 1)
-        assert gates == [(2, SystemKind.MAX_MIN), (3, SystemKind.MAX_MIN), (2, SystemKind.MIN_MAX)]
+        assert passes == [(2, SystemKind.MAX_MIN), (3, SystemKind.MAX_MIN),
+                          (2, SystemKind.MIN_MAX), (1, SystemKind.MAX_MIN)]
 
-    def test_a_table_that_is_not_monotone_keeps_the_reduced_form(self, gates):
+    def test_a_table_that_is_not_monotone_keeps_the_reduced_form(self, passes):
         mu, q, kind, x = not_monotone()
         assert is_q_maxitive(mu, q)
         assert sugeno_maxmin(mu, x) == 0.0
         assert sugeno_qmax(mu, x, q) == sugeno_qmax_unchecked(mu, x, q) == 0.5
-        assert gates == [(q, kind)]
+        assert passes == [(q, kind)]
 
-    def test_a_gate_that_always_says_monotone_fails_the_comparison(self, monkeypatch):
-        monkeypatch.setattr(caplearn.sugeno, "_is_monotone_q_extension", lambda mu, q, kind: True)
+    def test_a_classifier_that_always_says_chain_fails_the_comparison(self, monkeypatch):
+        monkeypatch.setattr(caplearn.capacity, "_classify", lambda values, n, q, kind: Scoring.CHAIN)
         mu, q, kind, x = not_monotone()
         with pytest.raises(AssertionError):
             assert_checked_is_reduced(mu, q, kind, x)
+
+
+class TestClassification:
+    @given(tables())
+    @example(not_monotone())
+    @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 2, SystemKind.MAX_MIN, (0.5, 0.5)))
+    @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 1, SystemKind.MIN_MAX, (0.5, 0.5)))
+    @example((Capacity(2, UNIT, (-0.0, 0.0, 0.0, -0.0)), 1, SystemKind.MAX_MIN, (0.0, 0.0)))
+    def test_matches_brute_force(self, case):
+        mu, q, kind, _ = case
+        assert _q_scoring(mu, q, kind) is brute_scoring(mu, q, kind)
+
+    @given(POOLS, st.integers(1, 4), st.data())
+    def test_a_fresh_copy_of_a_learned_capacity_is_chain_form(self, scale_pool, n, data):
+        # learn records the chain form on what it returns; a fresh copy of
+        # it must earn that by the pass, ints and -0.0 in the data included
+        scale, pool = scale_pool
+        pool = pool + (0, 1)
+        q = data.draw(st.integers(1, n))
+        pairs = data.draw(
+            st.lists(st.tuples(tie_heavy_objects(pool, n), st.sampled_from(pool)),
+                     min_size=1, max_size=4)
+        )
+        ts = TrainingSet.from_pairs(n, scale, pairs)
+        for mode in LearnMode:
+            whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
+            mu = learn(ts, mode, None if whole else q).capacity
+            if mu is None:
+                continue
+            fresh = Capacity(mu.n, mu.scale, mu.values)
+            assert mu._scoring and all(form is Scoring.CHAIN for form in mu._scoring.values())
+            for q_seeded, kind in mu._scoring:
+                assert _q_scoring(fresh, q_seeded, kind) is Scoring.CHAIN
 
 
 class TestValidation:
