@@ -230,18 +230,17 @@ def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scor
     A table equals the max over its subsets of size up to q (read negated
     by complements for min-max, as :func:`extend_layer` reads it) exactly
     when it is a monotone q-extension, so one :func:`_layer_max` pass
-    settles the chain form.  A monotone table that fails it is no
-    q-extension, which the bulk monotonicity pass tells at C speed; only a
-    table that is not monotone pays the extension comparison, and keeps the
-    reduced form when it is a q-extension.  Any other table is refused.  At
-    q = n every table is a q-extension and the bulk pass alone decides.
+    settles the chain form.  A table that fails it keeps the reduced form
+    when it equals its extension from layer q (then it is not monotone, so
+    not a capacity) and is refused otherwise.  At q = n every table is a
+    q-extension and the bulk monotonicity pass alone decides.
     """
     if q == n:
         return Scoring.CHAIN if _is_monotone(values, n) else Scoring.REDUCED
     seen = [-v for v in reversed(values)] if kind.order.dual else list(values)
     if _layer_max(seen, n, q, 0) == seen:
         return Scoring.CHAIN
-    if not _is_monotone(values, n) and extend_layer(values, n, q, kind) == list(values):
+    if extend_layer(values, n, q, kind) == list(values):
         return Scoring.REDUCED
     return Scoring.REFUSED
 

@@ -102,21 +102,24 @@ def sugeno_qmax_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
     return _reduced(mu, x, q, SystemKind.MAX_MIN)
 
 
-def _checked(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind, holds) -> float:
+def _checked(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind) -> float:
     """The integral of ``kind`` on a q-bounded mu: the chain form of a
-    monotone q-extension, else the reduced form; refused through ``holds``,
-    the q-check of ``kind``, when mu is not its own extension from layer q."""
+    monotone q-extension, else the reduced form; refused, through the
+    q-check of ``kind``, when mu is not its own extension from layer q."""
+    if kind.order.dual:
+        holds, what, chain = is_q_minitive, "minitive", sugeno_minmax
+    else:
+        holds, what, chain = is_q_maxitive, "maxitive", sugeno_maxmin
     if not holds(mu, q):
-        what = "minitive" if kind.order.dual else "maxitive"
         raise DomainError(f"capacity is not {q}-{what}; reduced evaluation is unsound")
     if _q_scoring(mu, q, kind) is Scoring.CHAIN:
-        return _chain(mu.values, _require_object(x, mu), kind.order) or mu.values[0]
+        return chain(mu, x)
     return _reduced(mu, x, q, kind)
 
 
 def sugeno_qmax(mu: Capacity, x: Sequence[float], q: int) -> float:
     """Max-min integral of a q-maxitive mu, by :func:`_checked`."""
-    return _checked(mu, x, q, SystemKind.MAX_MIN, is_q_maxitive)
+    return _checked(mu, x, q, SystemKind.MAX_MIN)
 
 
 def sugeno_qmin_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
@@ -126,4 +129,4 @@ def sugeno_qmin_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
 
 def sugeno_qmin(mu: Capacity, x: Sequence[float], q: int) -> float:
     """Min-max integral of a q-minitive mu, by :func:`_checked`."""
-    return _checked(mu, x, q, SystemKind.MIN_MAX, is_q_minitive)
+    return _checked(mu, x, q, SystemKind.MIN_MAX)

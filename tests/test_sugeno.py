@@ -381,6 +381,19 @@ class TestCheckedRoute:
         assert sugeno_qmax(mu, x, q) == sugeno_qmax_unchecked(mu, x, q) == 0.5
         assert passes == [(q, kind)]
 
+    def test_refuses_through_the_q_check_names_it_reads_at_call_time(self, monkeypatch, mu_e, mu_f):
+        # the names perfbench/tracing.py wraps in caplearn.sugeno
+        seen = []
+        for name in ("is_q_maxitive", "is_q_minitive"):
+            monkeypatch.setattr(caplearn.sugeno, name,
+                                lambda mu, q, name=name: seen.append(name) or False)
+        x = (0.5, 0.25, 0.3)
+        with pytest.raises(DomainError, match="not 2-maxitive"):
+            sugeno_qmax(mu_e, x, 2)
+        with pytest.raises(DomainError, match="not 2-minitive"):
+            sugeno_qmin(mu_f, x, 2)
+        assert seen == ["is_q_maxitive", "is_q_minitive"]
+
     def test_a_classifier_that_always_says_chain_fails_the_comparison(self, monkeypatch):
         monkeypatch.setattr(caplearn.capacity, "_classify", lambda values, n, q, kind: Scoring.CHAIN)
         mu, q, kind, x = not_monotone()
