@@ -194,8 +194,11 @@ def _cmd_eval(args) -> int:
         results.append(_eval_one(mu, coords, None))
     else:
         ts = load_training_set(args.data, tol=args.tolerance)
-        for item in ts.items:
-            results.append(_eval_one(mu, item.x, item.alpha))
+        for k, item in enumerate(ts.items):
+            try:
+                results.append(_eval_one(mu, item.x, item.alpha))
+            except DomainError as exc:
+                raise DomainError(f"item {k}: {exc}") from exc
     payload = results[0] if args.object is not None else {"evaluations": results}
     _emit(payload, args.format, args.out)
     return EXIT_OK
@@ -203,6 +206,8 @@ def _cmd_eval(args) -> int:
 
 def _parse_object(text: str) -> tuple[float, ...]:
     try:
+        if "_" in text:  # float() reads PEP 515 underscores: "0.2_5" is 0.25
+            raise ValueError("underscores are not allowed in numbers")
         return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise DomainError(f"cannot parse object {text!r}: {exc}") from exc

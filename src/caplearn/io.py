@@ -275,11 +275,16 @@ def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
         raise FormatError(
             f"{source}: header must be x1,...,xn,alpha; got {','.join(header)}"
         )
+    # float() reads PEP 515 underscores ("0.2_5" is 0.25), which no cell
+    # means; one test of the whole text spares clean files a test per cell
+    underscored = "_" in text
     pairs = []
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != n + 1:
             raise FormatError(f"{source}, row {lineno}: expected {n + 1} cells, got {len(row)}")
         try:
+            if underscored and any("_" in cell for cell in row):
+                raise ValueError("underscores are not allowed in numbers")
             values = [float(cell) for cell in row]
         except ValueError as exc:
             raise FormatError(f"{source}, row {lineno}: {exc}") from exc

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, repeat
 from operator import and_, itemgetter, neg, pos
 from typing import Any, Iterable, Sequence
 
@@ -244,14 +244,20 @@ def _solve(
     for max-min, outside B for min-max) all lie strictly beyond its bound;
     the value is the meet of the blocking rows' rhs, the top when none.
     Ranked by rhs in the order, lower k ahead among equals as the meet picks
-    them, a set's blocking rows are the AND of its members' row words.
+    them, a set's blocking rows are the AND of its members' row words.  A
+    criterion's word is built from its coordinate column in rank order: the
+    rows within their bounds, one ``compress`` of the rank bits, cleared
+    from the word of all rows.
     """
     n, order = ts.n, kind.order
     rising = sorted(range(len(rhs)), key=rhs.__getitem__, reverse=order.dual)[::-1]
     levels = [order.top] + [rhs[k] for k in rising]
+    bits = [1 << r for r in range(len(rising))]
+    bounds = [bound[k] for k in rising]
+    everyone = (1 << len(rising)) - 1
     blocked = [
-        sum(1 << r for r, k in enumerate(rising) if not order.le(ts.items[k].x[i], bound[k]))
-        for i in range(n)
+        everyone ^ sum(compress(bits, map(order.le, column, bounds)))
+        for column in zip(*[ts.items[k].x for k in rising])
     ]
     masks = range(1, 1 << n) if q == n else masks_of_sizes(n, range(1, q + 1))
     table = [order.bottom] * (1 << n)
@@ -261,10 +267,32 @@ def _solve(
     return table
 
 
+def _reaches(ts: TrainingSet, kind: SystemKind, table: Sequence[float]) -> bool:
+    """Whether every row's system product on ``table``, the residuated
+    solution against the targets (extended when q < n), equals its target:
+    by Sanchez, whether the system is consistent.
+
+    No term of a row's product passes its target in the order, and the
+    table is monotone, so row k reaches its target b exactly when the table
+    reaches b at the largest set whose coordinates all reach b,
+    A_k = {i : b <= x_ki} in the order: max-min reads A_k, min-max its
+    complement (the set outside which the term takes its max).  One mask
+    and one table read per row.
+    """
+    le, n = kind.order.le, ts.n
+    bits = [1 << i for i in range(n)]
+    flip = full_mask(n) if kind.order.dual else 0
+    return all(
+        le(b, table[flip ^ sum(compress(bits, map(le, repeat(b), item.x)))])
+        for item, b in zip(ts.items, ts.targets())
+    )
+
+
 def _products(
     ts: TrainingSet, kind: SystemKind, q: int, table: Sequence[float]
 ) -> tuple[float, ...]:
-    """Each row's system product, by the sorted form on the extended table.
+    """Each row's system product, by the sorted form on the extended table:
+    one sort and n reads per row, which consistency does not need.
 
     A zero takes the sign of the first zero term in column order.  Max-min:
     column {1}.  Min-max: the numerically largest set C of zero coordinates,
@@ -299,16 +327,19 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     """One learning run; q is required exactly for the q-modes.
 
     GREATEST (LOWEST) is QMAX (QMIN) at q = n, reported with q None.  Every
-    mode solves its system on the layers up to q by :func:`_solve`, extends
-    the solution from the boundary layer when q < n, and scores each row by
-    the sorted form.  An exact mode needs consistency and a subset of the
+    mode solves its system on the layers up to q by :func:`_solve` and
+    extends the solution from the boundary layer when q < n.  An exact mode
+    needs consistency, decided by :func:`_reaches`, and a subset of the
     boundary layer (size q, resp. n - q) solved at the order's top (1,
     resp. 0); the extension is then the greatest q-maxitive (lowest
-    q-minitive) capacity reproducing every target.  An approximate mode
-    sweeps its Chebyshev distance, the exact minimal learning error, from
-    the subset columns, solves against the targets relaxed by it, and
-    needs only the boundary condition; when that fails it returns before
-    the extension.  Failed conditions leave notes.
+    q-minitive) capacity reproducing every target.  Rows are scored by
+    :func:`_products` only for misfit notes and residuals, and not for the
+    residuals of reached float targets: (p or zero) - alpha is the same for
+    every product p equal to a float alpha, but keeps an int's type.  An
+    approximate mode sweeps its Chebyshev distance, the exact minimal
+    learning error, from the subset columns, solves against the targets
+    relaxed by it, and needs only the boundary condition; when that fails
+    it returns before the extension.  Failed conditions leave notes.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -337,14 +368,16 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
         return LearnReport(mode, q, distance == 0.0, False, distance, None, None, notes)
     if layer_q < ts.n:
         table = extend_layer(table, ts.n, layer_q, kind)
-    produced = _products(ts, kind, layer_q, table)
-    consistent = distance == 0.0 if approx else produced == targets
+    consistent = distance == 0.0 if approx else _reaches(ts, kind, table)
     misfits = () if approx or consistent else tuple(
         f"equation {k}: system yields {got!r} for target {want!r}"
-        for k, (got, want) in enumerate(zip(produced, targets)) if got != want
+        for k, (got, want) in enumerate(zip(_products(ts, kind, layer_q, table), targets))
+        if got != want
     )
     if not boundary_ok or not (approx or consistent):
         return LearnReport(mode, q, consistent, boundary_ok, distance, None, None, misfits + notes)
+    exact_floats = not approx and set(map(type, targets)) == {float}
+    produced = targets if exact_floats else _products(ts, kind, layer_q, table)
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale

@@ -13,6 +13,7 @@ from caplearn.cli import _table_lines, main
 from caplearn.io import dumps_json, load_training_set, report_to_json, save_capacity
 
 from helpers import (
+    FIVE_LEVELS,
     MU_E_VALUES,
     MU_F_VALUES,
     reference_training_set,
@@ -289,6 +290,30 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--capacity", mu_e_path, "--object", obj)
         assert (code, out) == (1, "")
         assert err == f"caplearn: coordinate {named} is not a member of the unit interval [0, 1]\n"
+
+    def test_underscored_object_is_input_error(self, capsys, mu_e_path):
+        # float() would read "0.2_5" as 0.25
+        code, out, err = run(capsys, "eval", "--capacity", mu_e_path, "--object", "0.1,0.2_5,0.3")
+        assert (code, out) == (1, "")
+        assert err.startswith("caplearn: cannot parse object '0.1,0.2_5,0.3': ")
+
+    def test_data_failure_names_the_item(self, capsys):
+        code, out, err = run(
+            capsys, "eval", "--capacity", str(GOLDEN / "mu_paper.json"),
+            "--data", str(GOLDEN / "tiny.json"),
+        )
+        assert (code, out) == (1, "")
+        assert err == "caplearn: item 0: object has 2 coordinates, capacity expects 3\n"
+
+    def test_off_scale_data_item_is_named(self, capsys, tmp_path):
+        # the data is on the unit interval, the capacity on a 5-level chain
+        cap_path, data_path = tmp_path / "mu.json", tmp_path / "data.csv"
+        mu = Capacity(3, Scale.finite_chain(FIVE_LEVELS), [0.0] + [0.5] * 6 + [1.0])
+        save_capacity(mu, cap_path)
+        data_path.write_text("x1,x2,x3,alpha\n0.25,0.5,1.0,0.5\n0.25,0.3,1.0,0.5\n")
+        code, out, err = run(capsys, "eval", "--capacity", str(cap_path), "--data", str(data_path))
+        assert (code, out) == (1, "")
+        assert err == "caplearn: item 1: coordinate x2 0.3 is not a member of the 5-level chain\n"
 
     def test_exactly_one_input_required(self, capsys, mu_e_path, data_csv):
         code, _, err = run(capsys, "eval", "--capacity", mu_e_path)

@@ -275,6 +275,12 @@ class TestTrainingData:
         with pytest.raises(FormatError, match="row 3"):
             training_set_from_csv_text("x1,alpha\n0.1,0.2\n0.1,oops\n")
 
+    @pytest.mark.parametrize("cell", ["0.2_5", " 1_0 ", "0_0"])
+    def test_underscored_cell_names_row(self, cell):
+        # float() reads PEP 515 underscores: "0.2_5" would be 0.25
+        with pytest.raises(FormatError, match="row 3: underscores"):
+            training_set_from_csv_text(f"x1,alpha\n0.1,0.1\n0.1,{cell}\n")
+
     def test_short_row_rejected(self):
         with pytest.raises(FormatError, match="row 2"):
             training_set_from_csv_text("x1,x2,alpha\n0.1,0.2\n")

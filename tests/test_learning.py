@@ -1,4 +1,6 @@
 import random
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -22,7 +24,7 @@ from caplearn import (
 )
 from caplearn.capacity import extend_layer
 from caplearn.chebyshev import relaxed_rhs
-from caplearn.learning import _distance, _products, _solve
+from caplearn.learning import _distance, _products, _reaches, _solve
 from caplearn.relational import RelationalSystem
 from caplearn.scale import ScaleKind
 from caplearn.subsets import add_one_bit, full_mask
@@ -213,7 +215,8 @@ class TestExtremalTable:
     relaxed targets, compared with the system route (cell-by-cell build,
     residuated product, apply) by ``repr``, so the sign of every zero
     agrees; at q = n also with the subset sweep and the blocking-set closed
-    forms."""
+    forms.  Against exact targets, the one-read decision (``_reaches``) is
+    Sanchez's test on the system route: the products equal the targets."""
 
     @staticmethod
     def check(ts, relax=None):
@@ -231,7 +234,10 @@ class TestExtremalTable:
                 if q < n:
                     table = extend_layer(table, n, q, kind)
                 produced = _products(ts, kind, q, table)
-                assert repr(produced) == repr(products_reference(ts, kind, q, table))
+                reference = products_reference(ts, kind, q, table)
+                assert repr(produced) == repr(reference)
+                if relax is None:
+                    assert _reaches(ts, kind, table) == (reference == targets)
             if relax is None:
                 assert repr((table, produced)) == repr(extremal_table_sweep(ts, kind))
                 assert repr({m: table[m] for m in closed[kind](ts)}) == repr(closed[kind](ts))
@@ -245,6 +251,14 @@ class TestExtremalTable:
     # at q = 1 the first zero min-max column is {1} (outside {2}), whose
     # term is x2 = -0.0, not the first zero coordinate
     @example(ts_of(2, [((0.0, -0.0), 0.0)]), None)
+    # an int target, reached by the float 1.0
+    @example(ts_of(1, [((1.0,), 1)]), None)
+    # targets tied with a coordinate, where a table entry equals the target:
+    # max-min item 0 is reached at {1} = 0.5, min-max item 0 at {} = 0.5
+    @example(ts_of(1, [((0.5,), 0.5), ((1.0,), 0.5)]), None)
+    @example(ts_of(1, [((0.5,), 0.5), ((0.0,), 0.5)]), None)
+    # zero targets of both signs, reached by zeros of the other sign
+    @example(ts_of(2, [((0.0, 0.5), -0.0), ((-0.0, 1.0), 0.0), ((0.5, 1.0), 0.5)]), None)
     # tied targets 0.0 and -0.0 on items 3 and 8, whose blocking set the
     # closed form once took in hash order
     @example(
@@ -425,6 +439,31 @@ class TestLearnQ:
             fast = learn(ts, mode, q)
             assert fast.mode is mode and fast.q == q
             assert repr(fast) == repr(report)
+
+    @given(extremal_training_sets())
+    # an int target is scored: its product 1.0 gives the residual
+    # 1.0 - 1 = 0.0, where the target itself would give the int 0
+    @example(ts_of(1, [((1.0,), 1)]))
+    # item 1's target exceeds its largest coordinate: inconsistent at every q
+    @example(ts_of(2, [((0.5, 1.0), 0.5), ((0.0, 0.25), 0.5), ((1.0, -0.0), 0.0)]))
+    def test_consistent_exact_learn_scores_no_row(self, ts):
+        # a consistent exact learn on float targets decides by one table read
+        # per row and scores no row; any other keeps its products, and every
+        # report is the system route's, misfit notes included
+        runs = [(LearnMode.GREATEST, None), (LearnMode.LOWEST, None)] + [
+            (mode, q) for mode in (LearnMode.QMAX, LearnMode.QMIN) for q in range(1, ts.n + 1)
+        ]
+        with reference_learning():
+            expected = {run: learn(ts, *run) for run in runs}
+
+        def refused(*_):
+            raise AssertionError("the rows were scored")
+
+        floats = all(type(a) is float for a in ts.targets())
+        unscored = mock.patch.object(caplearn.learning, "_products", refused)
+        for run, report in expected.items():
+            with unscored if report.consistent and floats else nullcontext():
+                assert repr(learn(ts, *run)) == repr(report)
 
     def test_learned_q_capacities_hold_their_property(self):
         rng = random.Random(58)
