@@ -35,12 +35,11 @@ class Scoring(Enum):
 class Capacity:
     """A set function on 2^C stored as a table indexed by subset mask.
 
-    Construction validates the shape and scale membership of every entry
-    in one type scan and one membership pass (a bool or a string is not a
-    member; ints become floats after the check, and a tuple of floats is
-    kept as given); the capacity axioms (boundary values and monotonicity)
-    are diagnosed separately by :func:`capacity_violations` so that suspect
-    tables can be inspected rather than rejected outright.
+    Construction validates the shape of the table and keeps the floats
+    that :meth:`Scale.require_floats` returns for it; the capacity axioms
+    (boundary values and monotonicity) are diagnosed separately by
+    :func:`capacity_violations` so that suspect tables can be inspected
+    rather than rejected outright.
 
     The q-checks remember per (q, order) in ``_scoring`` how the checked
     integrals score the table (:class:`Scoring`); the memo takes no part in
@@ -96,7 +95,7 @@ def capacity_violations(
     if len(values) != size:
         return [f"expected {size} values for n={n}, got {len(values)}"]
     if (
-        (scale is None or scale.contains_all(values))
+        (scale is None or scale.floats(values) is not None)
         and values[0] == 0.0
         and values[size - 1] == 1.0
         and _is_monotone(values, n)

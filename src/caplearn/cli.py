@@ -137,7 +137,7 @@ def _emit(payload: Any, fmt: str, out_path: str | None) -> None:
     else:
         text = "\n".join(_table_lines(payload)) + "\n"
     if out_path:
-        with open(out_path, "w") as handle:
+        with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

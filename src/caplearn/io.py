@@ -80,7 +80,8 @@ def _encode(obj: Any, newline: str) -> str:
 
 def _read_text(path: str | Path) -> str:
     try:
-        return Path(path).read_text()
+        # a leading byte-order mark, as spreadsheets write it, is skipped
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
 
@@ -89,8 +90,9 @@ def _read_json(path: str | Path) -> Any:
     text = _read_text(path)
     try:
         return json.loads(text)
-    except ValueError as exc:
-        # malformed text, or an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # malformed text, an integer literal past the digit limit, or nesting
+        # deeper than the recursion limit
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -185,7 +187,8 @@ def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
 
 def save_capacity(mu: Capacity, path: str | Path, text: str | None = None) -> None:
     """``text``, if given, is ``dumps_json(capacity_to_json(mu))`` already made."""
-    Path(path).write_text(dumps_json(capacity_to_json(mu)) if text is None else text)
+    text = dumps_json(capacity_to_json(mu)) if text is None else text
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_capacity(path: str | Path, tol: float | None = None) -> Capacity:

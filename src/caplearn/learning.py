@@ -47,19 +47,22 @@ class TrainingSet:
         check_criteria_count(self.n)
         if not self.items:
             raise DomainError("training set needs at least one item")
-        xs = [item.x for item in self.items]
-        if all(len(x) == self.n for x in xs) and self.scale.contains_all(
-            [*chain.from_iterable(xs), *self.targets()]
-        ):
-            return
-        # some item fails: name the first failure, item by item
-        names = [f"coordinate x{i + 1}" for i in range(self.n)] + ["target"]
-        for k, item in enumerate(self.items):
-            if len(item.x) != self.n:
-                raise DomainError(
-                    f"item {k}: object has {len(item.x)} coordinates, expected {self.n}"
-                )
-            self.scale.require_floats((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
+        n, xs = self.n, [item.x for item in self.items]
+        values = (*chain.from_iterable(xs), *self.targets())
+        floats = self.scale.floats(values) if all(len(x) == n for x in xs) else None
+        if floats is None:
+            # some item fails: name the first failure, item by item
+            names = [f"coordinate x{i + 1}" for i in range(n)] + ["target"]
+            for k, item in enumerate(self.items):
+                if len(item.x) != n:
+                    raise DomainError(
+                        f"item {k}: object has {len(item.x)} coordinates, expected {n}"
+                    )
+                self.scale.require_floats((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
+        elif floats is not values:  # some value was an int: keep the floats
+            alphas = floats[len(xs) * n:]
+            items = [TrainingDatum(floats[k * n:k * n + n], a) for k, a in enumerate(alphas)]
+            object.__setattr__(self, "items", tuple(items))
 
     @classmethod
     def from_pairs(cls, n, scale, pairs) -> TrainingSet:
@@ -333,13 +336,12 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     boundary layer (size q, resp. n - q) solved at the order's top (1,
     resp. 0); the extension is then the greatest q-maxitive (lowest
     q-minitive) capacity reproducing every target.  Rows are scored by
-    :func:`_products` only for misfit notes and residuals, and not for the
-    residuals of reached float targets: (p or zero) - alpha is the same for
-    every product p equal to a float alpha, but keeps an int's type.  An
-    approximate mode sweeps its Chebyshev distance, the exact minimal
-    learning error, from the subset columns, solves against the targets
-    relaxed by it, and needs only the boundary condition; when that fails
-    it returns before the extension.  Failed conditions leave notes.
+    :func:`_products` only for misfit notes and the approximate modes'
+    residuals: a reached target is its own product.  An approximate mode
+    sweeps its Chebyshev distance, the exact minimal learning error, from
+    the subset columns, solves against the targets relaxed by it, and needs
+    only the boundary condition; when that fails it returns before the
+    extension.  Failed conditions leave notes.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -376,8 +378,8 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     )
     if not boundary_ok or not (approx or consistent):
         return LearnReport(mode, q, consistent, boundary_ok, distance, None, None, misfits + notes)
-    exact_floats = not approx and set(map(type, targets)) == {float}
-    produced = targets if exact_floats else _products(ts, kind, layer_q, table)
+    # a reached target is its own product
+    produced = _products(ts, kind, layer_q, table) if approx else targets
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale

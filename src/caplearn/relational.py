@@ -91,16 +91,19 @@ class RelationalSystem:
             raise DomainError(
                 f"right-hand side has {len(self.rhs)} entries for {len(self.matrix)} equations"
             )
-        if all(len(row) == m for row in self.matrix) and self.scale.contains_all(
-            [*chain.from_iterable(self.matrix), *self.rhs]
-        ):
-            return
-        # some entry fails: name the first one, row by row, then the rhs
-        for k, row in enumerate(self.matrix):
-            if len(row) != m:
-                raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
-            self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})")
-        self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
+        values = (*chain.from_iterable(self.matrix), *self.rhs)
+        floats = self.scale.floats(values) if all(len(r) == m for r in self.matrix) else None
+        if floats is None:
+            # some entry fails: name the first one, row by row, then the rhs
+            for k, row in enumerate(self.matrix):
+                if len(row) != m:
+                    raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
+                self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})")
+            self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
+        elif floats is not values:  # some entry was an int: keep the floats
+            rows = len(self.matrix)
+            object.__setattr__(self, "matrix", tuple(floats[k * m:k * m + m] for k in range(rows)))
+            object.__setattr__(self, "rhs", floats[rows * m:])
 
     @property
     def n_rows(self) -> int:

@@ -34,7 +34,7 @@ class Scale:
     halving).  Pure lattice operations on scale members are exact and never
     consult it.
 
-    Finite chains keep their levels as given; membership tests use exact
+    Finite chains keep their levels as floats; membership tests use exact
     float equality, so data must be produced by the same parse/arithmetic
     as the levels themselves.  Values not on a declared chain are rejected,
     never rounded.
@@ -59,15 +59,18 @@ class Scale:
         levels = self.levels
         if levels is None or len(levels) < 2:
             raise DomainError("finite chain needs at least the two levels 0 and 1")
-        if any(not math.isfinite(v) for v in levels):
-            raise DomainError("chain levels must be finite")
+        if not set(map(type, levels)) <= _NUMBER_TYPES:
+            odd = next(v for v in levels if type(v) not in _NUMBER_TYPES)
+            raise DomainError(f"chain level {odd!r} is not a number")
         if levels[0] != 0.0 or levels[-1] != 1.0:
             raise DomainError("chain levels must start at 0 and end at 1")
-        if any(a >= b for a, b in zip(levels, levels[1:])):
+        # compared, never converted first: a NaN, an infinity or an int past
+        # float range fails one of these comparisons
+        if any(not a < b for a, b in zip(levels, levels[1:])):
             raise DomainError("chain levels must be strictly increasing")
-        object.__setattr__(
-            self, "_level_index", {v: i for i, v in enumerate(levels)}
-        )
+        levels = tuple(map(float, levels))
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "_level_index", {v: i for i, v in enumerate(levels)})
 
     @classmethod
     def unit_interval(cls, tol: float = DEFAULT_TOLERANCE) -> Scale:
@@ -75,7 +78,7 @@ class Scale:
 
     @classmethod
     def finite_chain(cls, levels: Iterable[float], tol: float = DEFAULT_TOLERANCE) -> Scale:
-        return cls(ScaleKind.FINITE_CHAIN, tuple(float(v) for v in levels), tol)
+        return cls(ScaleKind.FINITE_CHAIN, tuple(levels), tol)
 
     @classmethod
     def uniform_chain(cls, steps: int, tol: float = DEFAULT_TOLERANCE) -> Scale:
@@ -93,27 +96,26 @@ class Scale:
             return 0.0 <= value <= 1.0
         return value in self._level_index
 
-    def contains_all(self, values: Iterable[float]) -> bool:
-        """Same answer as ``all(map(self.contains, values))``.
+    def floats(self, values: Iterable[float]) -> tuple[float, ...] | None:
+        """The values as floats if each one ``contains`` accepts, else None.
 
-        When every value has the exact type int or float, the test runs in
-        bulk (see ``_holds``).  Any other type (bools included) takes the
-        per-value loop.
+        An int becomes the float it equals; a tuple of floats comes back as
+        given.  One type scan, then one bulk pass: on the unit interval the
+        bounds of min and max, then a sum that only a NaN makes NaN (min and
+        max skip a NaN unless it comes first, and then fail the bound); on a
+        chain, the set of distinct values against the level table.
         """
         vs = tuple(values)
-        if set(map(type, vs)) <= _NUMBER_TYPES:
-            return self._holds(vs)
-        return all(map(self.contains, vs))
-
-    def _holds(self, vs: tuple[float, ...]) -> bool:
-        """``contains_all`` of values whose types are exactly int or float, in
-        bulk: on the unit interval the bounds of min and max, then a sum that
-        only a NaN makes NaN (min and max skip a NaN unless it comes first,
-        and then fail the bound); on a chain, the set of distinct values
-        against the level table."""
+        types = set(map(type, vs))
+        if not types <= _NUMBER_TYPES:
+            return None
         if self.kind is ScaleKind.UNIT_INTERVAL:
-            return not vs or (0.0 <= min(vs) and max(vs) <= 1.0 and not math.isnan(sum(vs)))
-        return set(vs) <= self._level_index.keys()
+            held = not vs or (0.0 <= min(vs) and max(vs) <= 1.0 and not math.isnan(sum(vs)))
+        else:
+            held = set(vs) <= self._level_index.keys()
+        if not held:
+            return None
+        return vs if types <= {float} else tuple(map(float, vs))
 
     def require(self, value: float, what: str = "value") -> float:
         if not self.contains(value):
@@ -123,14 +125,13 @@ class Scale:
     def require_floats(
         self, values: Iterable[float], what: Callable[[int], str]
     ) -> tuple[float, ...]:
-        """``require`` each value, the one at index i named ``what(i)``, and
-        return them as floats: one type scan and one bulk membership pass,
-        which return the values themselves when all are floats; only when
-        the pass fails, a walk to the first failure."""
+        """:meth:`floats`, or when some value is not a member, ``require``
+        each value in turn, the one at index i named ``what(i)``, so the
+        first failure raises."""
         vs = tuple(values)
-        types = set(map(type, vs))
-        if types <= _NUMBER_TYPES and self._holds(vs):
-            return vs if types == {float} else tuple(map(float, vs))
+        floats = self.floats(vs)
+        if floats is not None:
+            return floats
         return tuple(self.require(v, what(i)) for i, v in enumerate(vs))
 
     def describe(self) -> str:

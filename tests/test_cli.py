@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import resource
@@ -438,7 +439,8 @@ class TestDistance:
         reads = []
         read_text = caplearn.io.Path.read_text
         monkeypatch.setattr(
-            caplearn.io.Path, "read_text", lambda p: reads.append(p) or read_text(p)
+            caplearn.io.Path, "read_text",
+            lambda p, **kw: reads.append(p) or read_text(p, **kw),
         )
         code, _, _ = run(capsys, "distance", "--data", str(path), "--q", "2")
         assert code == 0
@@ -632,3 +634,53 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "learn", "--mode", "greatest")
         assert code == 1
+
+
+class TestFileText:
+    """Files are read as UTF-8, a leading byte-order mark skipped, and
+    written as UTF-8; JSON nested past the recursion limit is an input
+    error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["learn", "--data", "F", "--mode", "greatest"],
+            ["distance", "--data", "F"],
+            ["oracle", "--data", "F"],
+            ["eval", "--capacity", "F", "--object", "0.5"],
+            ["check", "--capacity", "F"],
+        ],
+        ids=["learn", "distance", "oracle", "eval", "check"],
+    )
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        code, out, err = run(capsys, *[str(path) if a == "F" else a for a in argv])
+        assert (code, out) == (1, "")
+        assert err.startswith(f"caplearn: {path} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_no_file_uses_the_locale_encoding(self, tmp_path):
+        paper = str(GOLDEN / "paper.csv")
+        runs = [
+            ["learn", "--data", paper, "--mode", "greatest", "--capacity", "mu.json",
+             "--out", "report.json"],
+            ["eval", "--capacity", "mu.json", "--data", paper, "--out", "eval.json"],
+            ["distance", "--data", paper, "--out", "distance.json"],
+        ]
+        for argv in runs:
+            child = subprocess.run(
+                [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                 "-m", "caplearn.cli", *argv],
+                cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=60,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            )
+            assert (child.returncode, child.stderr) == (0, ""), argv
+
+    def test_a_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "paper.csv"
+        path.write_bytes(codecs.BOM_UTF8 + (GOLDEN / "paper.csv").read_bytes())
+        marked = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
+        plain = run(capsys, "learn", "--data", str(GOLDEN / "paper.csv"), "--mode", "greatest")
+        assert marked == plain
+        assert plain[0] == 0

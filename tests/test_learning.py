@@ -203,6 +203,10 @@ def ts_of(n, pairs):
     return TrainingSet.from_pairs(n, UNIT, pairs)
 
 
+# exact ints next to the floats they equal, and both signs of zero
+INT_FLOAT_POOL = (0, 1, 0.0, 1.0, 0.5, -0.0)
+
+
 # relaxations of the targets: a distance and a tolerance, or none (exact)
 relaxations = st.none() | st.tuples(
     st.sampled_from([0.125, 0.25, 1 / 3]), st.sampled_from([1e-9, 0.25])
@@ -294,17 +298,16 @@ class TestDistance:
     distance of the system built cell by cell, by ``repr``, for both kinds
     and every q."""
 
-    @given(extremal_training_sets(extremal_pools | st.just((0, 1, 0.0, 1.0, 0.5, -0.0))))
+    @given(extremal_training_sets(extremal_pools | st.just(INT_FLOAT_POOL)))
     # n = 1, N = 1, tied targets, and signed zeros
     @example(ts_of(1, [((0.5,), 0.25)]))
     @example(ts_of(3, [((0.5, 1.0, 0.0), 0.5), ((1.0, 0.0, 0.5), 0.5), ((0.0, -0.0, 1.0), 0.5)]))
     @example(ts_of(2, [((0.0, -0.0), 0.5), ((0.5, 1.0), -0.0), ((1.0, 0.5), 0.0)]))
-    # exact ints tied with floats: every column keeps the type of the entry
-    # the system's column holds, and the columns come in the system's order
+    # exact ints tied with floats, which the training set stores as floats
     @example(ts_of(2, [((1, 1.0), 0), ((1.0, 1), 0.5)]))
     @example(ts_of(4, [((1.0, 0, 0, 0.0), 1), ((1.0, 0.0, 0, 1), 0.0),
                        ((1.0, 1.0, 1, 0.0), 1), ((1, 1.0, 1, 1.0), 0)]))
-    # the distance itself an exact int at q = 2 (1) and a float at q = 1 (1.0)
+    # a min-max distance of 1.0 at every q, from int data
     @example(ts_of(2, [((0, 1), 0), ((1, 1.0), 0)]))
     def test_matches_the_system_route(self, ts):
         for kind in SystemKind:
@@ -441,15 +444,14 @@ class TestLearnQ:
             assert repr(fast) == repr(report)
 
     @given(extremal_training_sets())
-    # an int target is scored: its product 1.0 gives the residual
-    # 1.0 - 1 = 0.0, where the target itself would give the int 0
+    # an int target, stored as the float 1.0: reached, so not scored
     @example(ts_of(1, [((1.0,), 1)]))
     # item 1's target exceeds its largest coordinate: inconsistent at every q
     @example(ts_of(2, [((0.5, 1.0), 0.5), ((0.0, 0.25), 0.5), ((1.0, -0.0), 0.0)]))
     def test_consistent_exact_learn_scores_no_row(self, ts):
-        # a consistent exact learn on float targets decides by one table read
-        # per row and scores no row; any other keeps its products, and every
-        # report is the system route's, misfit notes included
+        # a consistent exact learn decides by one table read per row and
+        # scores no row; any other keeps its products, and every report is
+        # the system route's, misfit notes included
         runs = [(LearnMode.GREATEST, None), (LearnMode.LOWEST, None)] + [
             (mode, q) for mode in (LearnMode.QMAX, LearnMode.QMIN) for q in range(1, ts.n + 1)
         ]
@@ -459,11 +461,48 @@ class TestLearnQ:
         def refused(*_):
             raise AssertionError("the rows were scored")
 
-        floats = all(type(a) is float for a in ts.targets())
         unscored = mock.patch.object(caplearn.learning, "_products", refused)
         for run, report in expected.items():
-            with unscored if report.consistent and floats else nullcontext():
+            with unscored if report.consistent else nullcontext():
                 assert repr(learn(ts, *run)) == repr(report)
+
+    @given(
+        st.sampled_from([UNIT, Scale.finite_chain(FIVE_LEVELS)]),
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.tuples(*[st.sampled_from(INT_FLOAT_POOL)] * n),
+                              st.sampled_from(INT_FLOAT_POOL)),
+                    min_size=1, max_size=6,
+                ),
+            )
+        ),
+    )
+    # an int target tied with a float coordinate: the misfit note of item 0
+    # once read "yields 1" where the system route read "yields 1.0"
+    @example(
+        Scale.uniform_chain(4),
+        (2, [((1.0, -0.0), 0.0), ((-0.0, -0.0), 1), ((0.5, 0), 1), ((1, 1.0), -0.0),
+             ((0.0, 0), 0.0), ((0.25, 0), 0.5)]),
+    )
+    def test_int_data_learns_as_its_floats(self, scale, case):
+        # every mode at every q: the same report, by repr, from ints as from
+        # the floats they equal, and from the system route
+        n, pairs = case
+        as_given = TrainingSet.from_pairs(n, scale, pairs)
+        as_floats = TrainingSet.from_pairs(
+            n, scale, [(tuple(map(float, x)), float(a)) for x, a in pairs]
+        )
+        assert repr(as_given) == repr(as_floats)
+        runs = [(LearnMode.GREATEST, None), (LearnMode.LOWEST, None)] + [
+            (mode, q) for mode in list(LearnMode)[2:] for q in range(1, n + 1)
+        ]
+        for run in runs:
+            report = learn(as_given, *run)
+            assert repr(report) == repr(learn(as_floats, *run))
+            with reference_learning():
+                assert repr(report) == repr(learn(as_given, *run))
 
     def test_learned_q_capacities_hold_their_property(self):
         rng = random.Random(58)
@@ -635,3 +674,7 @@ class TestTrainingSetValidation:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             TrainingSet.from_pairs(2, UNIT, [])
+
+    def test_float_items_are_kept_as_given(self):
+        items = tuple(TrainingSet.from_pairs(2, UNIT, [((0.0, 1.0), 0.5)]).items)
+        assert TrainingSet(2, UNIT, items).items is items

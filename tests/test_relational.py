@@ -207,6 +207,15 @@ class TestConstruction:
         with pytest.raises(DomainError):
             RelationalSystem(SystemKind.MAX_MIN, ((0.5,),), (0.5, 0.4), (0,), UNIT)
 
+    def test_int_entries_are_kept_as_floats(self):
+        sys_ = RelationalSystem(SystemKind.MAX_MIN, ((0, 0.5), (1, 1)), (0.5, 1), (1, 2), UNIT)
+        assert repr((sys_.matrix, sys_.rhs)) == "(((0.0, 0.5), (1.0, 1.0)), (0.5, 1.0))"
+
+    def test_floats_are_kept_as_given(self):
+        matrix, rhs = ((0.0, 0.5), (1.0, 1.0)), (0.5, 1.0)
+        sys_ = RelationalSystem(SystemKind.MIN_MAX, matrix, rhs, (1, 2), UNIT)
+        assert sys_.matrix is matrix and sys_.rhs is rhs
+
     def test_off_scale_entry_rejected(self):
         chain = Scale.finite_chain([0.0, 0.5, 1.0])
         with pytest.raises(DomainError):

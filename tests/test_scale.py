@@ -5,6 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from caplearn import Capacity, DomainError, Scale, ScaleKind, TrainingSet, iota
+from caplearn.io import scale_to_json
 from caplearn.subsets import subset_label
 
 from helpers import CHAIN21
@@ -35,11 +36,33 @@ class TestConstruction:
             [0.0, 0.9],
             [0.0, 0.5, 0.5, 1.0],
             [0.0, 0.7, 0.4, 1.0],
+            [0.0, math.nan, 1.0],
+            [0.0, math.inf, 1.0],
+            [0, 10**400, 1],
         ],
     )
     def test_bad_chain_rejected(self, levels):
         with pytest.raises(DomainError):
             Scale.finite_chain(levels)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Scale.finite_chain(["0", "0.5", "1"]),
+            lambda: Scale.finite_chain([False, True]),
+            lambda: Scale(ScaleKind.FINITE_CHAIN, ("0", "1")),
+        ],
+        ids=["strings", "bools", "constructor-strings"],
+    )
+    def test_levels_that_are_no_numbers_are_refused(self, make):
+        with pytest.raises(DomainError, match="is not a number"):
+            make()
+
+    def test_int_levels_are_kept_as_floats(self):
+        sc = Scale(ScaleKind.FINITE_CHAIN, (0, 0.5, 1))
+        assert repr(sc.levels) == "(0.0, 0.5, 1.0)"
+        assert sc == Scale.finite_chain([0.0, 0.5, 1.0])
+        assert repr(scale_to_json(sc)["levels"]) == "[0.0, 0.5, 1.0]"
 
     def test_negative_tolerance_rejected(self):
         # an int past float range, and a bool, which is an int to isinstance
@@ -76,17 +99,27 @@ class TestMembership:
             max_size=6,
         ),
     )
-    def test_contains_all_is_contains_on_every_value(self, sc, values):
-        assert sc.contains_all(values) == all(map(sc.contains, values))
-        assert sc.contains_all(iter(values)) == sc.contains_all(values)
+    def test_floats_is_contains_on_every_value(self, sc, values):
+        floats = sc.floats(values)
+        if all(map(sc.contains, values)):
+            assert repr(floats) == repr(tuple(map(float, values)))
+        else:
+            assert floats is None
+        assert repr(sc.floats(iter(values))) == repr(floats)
 
     @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
     def test_bools_and_non_numbers_are_not_members(self, sc):
         for value in (True, False, "0.5", "1", None, [0.5]):
             assert not sc.contains(value)
-            assert not sc.contains_all([0.0, value, 1.0])
+            assert sc.floats([0.0, value, 1.0]) is None
         assert sc.contains(0) and sc.contains(1)
-        assert sc.contains_all([0, 1.0, 1])
+        assert repr(sc.floats([0, 1.0, 1])) == "(0.0, 1.0, 1.0)"
+
+    @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
+    def test_a_tuple_of_floats_is_returned_as_given(self, sc):
+        values = (0.0, -0.0, 1.0)
+        assert sc.floats(values) is values
+        assert sc.floats(()) == ()
 
     @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
     def test_training_set_rejects_a_bool(self, sc):

@@ -136,8 +136,8 @@ class TestLayerRecursionMatchesSweep:
     remain and sweeps below that; the whole-table sweep is its reference."""
 
     # (n, q, bit counts of the nodes that sweep): the top node sweeps; the
-    # top node recurses, its (2, 1) node sweeps and its (2, 0) node
-    # broadcasts; the recursion sweeps at depths 1 and 4
+    # top node recurses, its (2, 1) node sweeps and, at q = 1, its odd half
+    # is the constant merge of f[1]; the recursion sweeps at depths 1 and 4
     BRANCHES = [(5, 2, [5]), (1, 1, [1]), (3, 1, [2]), (6, 2, [5, 2])]
 
     @settings(deadline=None)
