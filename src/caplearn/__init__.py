@@ -10,8 +10,6 @@ approximation when the reduced systems are inconsistent.
 from .capacity import (
     Capacity,
     capacity_violations,
-    conjugate,
-    is_capacity,
     is_q_maxitive,
     is_q_minitive,
 )
@@ -34,7 +32,7 @@ from .oracle import (
     min_learning_error,
 )
 from .relational import RelationalSystem, SystemKind, apply_system, potential_solution
-from .scale import Scale, ScaleKind, iota
+from .scale import Scale, ScaleKind
 from .sugeno import sugeno_maxmin, sugeno_minmax, sugeno_qmax, sugeno_qmin
 
 __version__ = "0.1.0"
@@ -59,12 +57,9 @@ __all__ = [
     "build_system",
     "capacity_violations",
     "chebyshev_distance",
-    "conjugate",
     "enumerate_capacities",
     "enumerate_solutions",
     "grid_chebyshev",
-    "iota",
-    "is_capacity",
     "is_q_maxitive",
     "is_q_minitive",
     "learn",

@@ -1,5 +1,5 @@
 """Capacities: monotone set functions on criteria subsets, with their
-structural predicates (axioms, q-maxitivity, q-minitivity, conjugation).
+structural predicates (axioms, q-maxitivity, q-minitivity).
 """
 
 from __future__ import annotations
@@ -12,11 +12,10 @@ from typing import Sequence
 
 from .errors import DomainError
 from .relational import SystemKind
-from .scale import Scale, iota
+from .scale import Scale
 from .subsets import (
     check_criteria_count,
     check_mask,
-    complement,
     add_one_bit,
     masks_of_sizes,
     subset_label,
@@ -69,42 +68,23 @@ class Capacity:
         return self.values[check_mask(mask, self.n)]
 
 
-def conjugate(mu: Capacity) -> Capacity:
-    """The conjugate capacity: negate the value of the complementary subset."""
-    values = tuple(
-        iota(mu.scale, mu.values[complement(mask, mu.n)]) for mask in range(1 << mu.n)
-    )
-    return Capacity(mu.n, mu.scale, values)
-
-
-def capacity_violations(
-    values: Sequence[float], n: int, scale: Scale | None = None
-) -> list[str]:
+def capacity_violations(values: Sequence[float], n: int) -> list[str]:
     """All boundary and monotonicity violations of a candidate table.
 
     Monotonicity is checked on covering pairs (A, A + {i}) only, which is
     sufficient and keeps the scan at n * 2^(n-1) comparisons.  Every
     violation is reported, not just the first, so callers can show a full
-    diagnostic.  A clean table is proved clean in bulk (one membership
-    pass, then one comparison map per bit slice); only a table with some
-    violation is scanned pair by pair to list them.
+    diagnostic.  A clean table is proved clean in bulk (one comparison map
+    per bit slice); only a table with some violation is scanned pair by
+    pair to list them.  Scale membership is :class:`Capacity`'s check.
     """
     check_criteria_count(n)
     size = 1 << n
     out: list[str] = []
     if len(values) != size:
         return [f"expected {size} values for n={n}, got {len(values)}"]
-    if (
-        (scale is None or scale.floats(values) is not None)
-        and values[0] == 0.0
-        and values[size - 1] == 1.0
-        and _is_monotone(values, n)
-    ):
+    if values[0] == 0.0 and values[size - 1] == 1.0 and _is_monotone(values, n):
         return out
-    if scale is not None:
-        for mask, v in enumerate(values):
-            if not scale.contains(v):
-                out.append(f"value({subset_label(mask)}) = {v!r} is not on the scale")
     if values[0] != 0.0:
         out.append(f"value of the empty set must be 0, got {values[0]!r}")
     top = size - 1
@@ -118,10 +98,6 @@ def capacity_violations(
                     f" > value({subset_label(bigger)}) = {values[bigger]!r}"
                 )
     return out
-
-
-def is_capacity(values: Sequence[float], n: int, scale: Scale | None = None) -> bool:
-    return not capacity_violations(values, n, scale)
 
 
 def _check_q(q: int, n: int) -> int:
@@ -274,7 +250,8 @@ def is_q_maxitive(mu: Capacity, q: int) -> bool:
 def is_q_minitive(mu: Capacity, q: int) -> bool:
     """True iff values below cardinality n - q are the min of their large supersets.
 
-    Dual of :func:`is_q_maxitive`: a capacity is q-minitive exactly when its
-    conjugate is q-maxitive.
+    The order dual of q-maxitivity: a capacity is q-minitive exactly when
+    its conjugate (the value of the complement, reversed on the scale) is
+    q-maxitive.
     """
     return _is_q_extension(mu, q, SystemKind.MIN_MAX)

@@ -149,18 +149,19 @@ def _fail(message: str, code: int) -> int:
 
 
 def _cmd_learn(args) -> int:
-    ts = load_training_set(args.data, tol=args.tolerance)
+    # usage errors exit before any file is read
     if args.mode in ("qmax", "qmin"):
         if args.q is None:
             raise DomainError(f"--mode {args.mode} requires --q")
         mode = LearnMode(args.mode + ("_approx" if args.approx else ""))
-        report = learn(ts, mode, args.q)
     else:
         if args.approx:
             raise DomainError("--approx applies to qmax/qmin modes only")
         if args.q is not None:
             raise DomainError(f"--mode {args.mode} does not take --q")
-        report = learn(ts, LearnMode(args.mode))
+        mode = LearnMode(args.mode)
+    ts = load_training_set(args.data, tol=args.tolerance)
+    report = learn(ts, mode, args.q)
     payload = report_to_json(report)
     data_problems = validate_data(ts)
     if data_problems:
@@ -180,14 +181,15 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    # a usage error exits before any file is read
+    if (args.object is None) == (args.data is None):
+        raise DomainError("eval needs exactly one of --object or --data")
     mu = load_capacity(args.capacity, tol=args.tolerance)
     problems = capacity_violations(mu.values, mu.n)
     if problems:
         for msg in problems:
             print(f"caplearn: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    if (args.object is None) == (args.data is None):
-        raise DomainError("eval needs exactly one of --object or --data")
     results = []
     if args.object is not None:
         coords = _parse_object(args.object)

@@ -48,6 +48,7 @@ class TrainingSet:
         if not self.items:
             raise DomainError("training set needs at least one item")
         n, xs = self.n, [item.x for item in self.items]
+        tuples = type(self.items) is tuple and all(type(x) is tuple for x in xs)
         values = (*chain.from_iterable(xs), *self.targets())
         floats = self.scale.floats(values) if all(len(x) == n for x in xs) else None
         if floats is None:
@@ -59,7 +60,7 @@ class TrainingSet:
                         f"item {k}: object has {len(item.x)} coordinates, expected {n}"
                     )
                 self.scale.require_floats((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
-        elif floats is not values:  # some value was an int: keep the floats
+        elif floats is not values or not tuples:  # an int or a list: keep tuples of floats
             alphas = floats[len(xs) * n:]
             items = [TrainingDatum(floats[k * n:k * n + n], a) for k, a in enumerate(alphas)]
             object.__setattr__(self, "items", tuple(items))

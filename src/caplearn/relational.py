@@ -80,6 +80,8 @@ class RelationalSystem:
     scale: Scale
 
     def __post_init__(self) -> None:
+        if type(self.column_labels) is not tuple:
+            object.__setattr__(self, "column_labels", tuple(self.column_labels))
         if len(self.matrix) < 1:
             raise DomainError("system needs at least one equation")
         m = len(self.column_labels)
@@ -91,6 +93,9 @@ class RelationalSystem:
             raise DomainError(
                 f"right-hand side has {len(self.rhs)} entries for {len(self.matrix)} equations"
             )
+        tuples = type(self.matrix) is type(self.rhs) is tuple and all(
+            type(row) is tuple for row in self.matrix
+        )
         values = (*chain.from_iterable(self.matrix), *self.rhs)
         floats = self.scale.floats(values) if all(len(r) == m for r in self.matrix) else None
         if floats is None:
@@ -100,7 +105,7 @@ class RelationalSystem:
                     raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
                 self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})")
             self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
-        elif floats is not values:  # some entry was an int: keep the floats
+        elif floats is not values or not tuples:  # an int or a list: keep tuples of floats
             rows = len(self.matrix)
             object.__setattr__(self, "matrix", tuple(floats[k * m:k * m + m] for k in range(rows)))
             object.__setattr__(self, "rhs", floats[rows * m:])

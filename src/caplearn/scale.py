@@ -1,8 +1,7 @@
 """Evaluation scales: finite chains in [0, 1] and the unit interval itself.
 
 A scale is the totally ordered value set shared by objects, targets and
-capacities.  Both kinds come with the order-reversing negation ``iota``:
-positional reversal on a finite chain, ``1 - v`` on the unit interval.
+capacities.
 """
 
 from __future__ import annotations
@@ -139,14 +138,3 @@ class Scale:
             return "the unit interval [0, 1]"
         return f"the {len(self.levels)}-level chain"
 
-
-def iota(scale: Scale, value: float) -> float:
-    """Reverse a value on its scale: level i of l maps to level l-i+1, or 1 - v.
-
-    Raises DomainError when the value is not a scale member.
-    """
-    scale.require(value)
-    if scale.kind is ScaleKind.UNIT_INTERVAL:
-        return 1.0 - value
-    idx = scale._level_index[value]
-    return scale.levels[len(scale.levels) - 1 - idx]

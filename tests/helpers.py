@@ -545,25 +545,22 @@ def capacity_leq(a: Capacity, b: Capacity) -> bool:
     return all(x <= y for x, y in zip(a.values, b.values))
 
 
-def brute_force_conjugate(mu: Capacity) -> tuple[float, ...]:
-    """Direct complement-then-negate loop over all subsets."""
-    from caplearn import iota
+def brute_force_conjugate(mu: Capacity) -> Capacity:
+    """Direct complement-then-negate loop over all subsets: level i of l maps
+    to level l - i + 1 on a chain, v to 1 - v on the unit interval."""
+    n, levels = mu.n, mu.scale.levels
+    flip = dict(zip(levels, reversed(levels))) if levels else {}
+    values = (mu.values[complement(mask, n)] for mask in range(1 << n))
+    return Capacity(n, mu.scale, tuple(flip.get(v, 1.0 - v) for v in values))
 
-    n = mu.n
-    return tuple(iota(mu.scale, mu.values[complement(mask, n)]) for mask in range(1 << n))
 
-
-def capacity_violations_reference(values, n: int, scale: Scale | None = None) -> list[str]:
-    """``capacity_violations`` as one scan: each entry, then each covering pair."""
+def capacity_violations_reference(values, n: int) -> list[str]:
+    """``capacity_violations`` as one scan: the boundaries, then each covering pair."""
     check_criteria_count(n)
     size = 1 << n
     out: list[str] = []
     if len(values) != size:
         return [f"expected {size} values for n={n}, got {len(values)}"]
-    if scale is not None:
-        for mask, v in enumerate(values):
-            if not scale.contains(v):
-                out.append(f"value({subset_label(mask)}) = {v!r} is not on the scale")
     if values[0] != 0.0:
         out.append(f"value of the empty set must be 0, got {values[0]!r}")
     top = size - 1

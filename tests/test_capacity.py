@@ -12,8 +12,6 @@ from caplearn import (
     LearnMode,
     Scale,
     capacity_violations,
-    conjugate,
-    is_capacity,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -68,44 +66,11 @@ class TestConstruction:
         assert mu_e[0b100] == 0.2
 
 
-class TestConjugate:
-    def test_proper_subsets_all_one(self):
-        mu = Capacity(2, UNIT, (0.0, 1.0, 1.0, 1.0))
-        assert conjugate(mu).values == (0.0, 0.0, 0.0, 1.0)
-
-    def test_single_criterion_self_conjugate(self):
-        mu = Capacity(1, UNIT, (0.0, 1.0))
-        assert conjugate(mu).values == mu.values
-
-    def test_against_complement_negate_loop(self, mu_e):
-        assert conjugate(mu_e).values == brute_force_conjugate(mu_e)
-
-    def test_involution_exact_on_chains(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            mu = random_capacity(rng, 3, CHAIN21.levels, CHAIN21)
-            assert conjugate(conjugate(mu)).values == mu.values
-
-    def test_involution_within_tolerance_on_unit_interval(self):
-        rng = random.Random(12)
-        for _ in range(50):
-            mu = random_capacity(rng, 3, [rng.random() for _ in range(6)] + [0.0, 1.0])
-            back = conjugate(conjugate(mu))
-            assert all(abs(a - b) <= mu.scale.tol for a, b in zip(back.values, mu.values))
-
-    def test_conjugate_is_a_capacity(self):
-        rng = random.Random(13)
-        for _ in range(50):
-            mu = random_capacity(rng, 4, FIVE_LEVELS)
-            assert is_capacity(conjugate(mu).values, 4)
-
-
 class TestIsCapacity:
     def test_monotone_table_accepted(self):
-        assert is_capacity((0.0, 0.3, 0.4, 1.0), 2)
+        assert not capacity_violations((0.0, 0.3, 0.4, 1.0), 2)
 
     def test_boundary_violation(self):
-        assert not is_capacity((0.1, 0.3, 0.4, 1.0), 2)
         msgs = capacity_violations((0.1, 0.3, 0.4, 1.0), 2)
         assert any("empty set" in m for m in msgs)
 
@@ -119,16 +84,12 @@ class TestIsCapacity:
         msgs = capacity_violations(values, 3)
         assert len(msgs) >= 4  # both boundaries plus several pairs
 
-    def test_scale_membership_reported_when_given(self):
-        msgs = capacity_violations((0.0, 0.21, 1.0, 1.0), 2, CHAIN21)
-        assert any("not on the scale" in m for m in msgs)
-
     def test_matches_full_pairwise_check(self):
         rng = random.Random(14)
         for _ in range(200):
             n = rng.randint(1, 4)
             values = tuple(rng.choice(FIVE_LEVELS) for _ in range(1 << n))
-            assert is_capacity(values, n) == exhaustive_capacity_check(values, n)
+            assert (not capacity_violations(values, n)) == exhaustive_capacity_check(values, n)
 
 
 TABLE_POOL = (0.0, -0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 0.21, 1.5, -0.1, float("nan"))
@@ -136,7 +97,7 @@ TABLE_POOL = (0.0, -0.0, 0.25, 0.5, 0.5, 0.75, 1.0, 0.21, 1.5, -0.1, float("nan"
 
 @st.composite
 def candidate_tables(draw):
-    """(n, table, scale): random tables with ties, -0.0, NaN and off-scale
+    """(n, table): random tables with ties, -0.0, NaN and off-scale
     values, half of them closed under max over one-smaller subsets first,
     then perhaps changed at one subset, so that clean tables and tables
     with a single violation come up as well."""
@@ -151,17 +112,14 @@ def candidate_tables(draw):
         values[-1] = draw(st.sampled_from((1.0, 1.0, 0.75)))
         if draw(st.booleans()):
             values[draw(st.integers(0, size - 1))] = draw(st.sampled_from(TABLE_POOL))
-    table = tuple(values) if draw(st.booleans()) else values
-    return n, table, draw(st.sampled_from((None, UNIT, CHAIN21)))
+    return n, tuple(values) if draw(st.booleans()) else values
 
 
 class TestViolationsMatchTheScan:
     @given(candidate_tables())
     def test_random_tables(self, case):
-        n, values, scale = case
-        assert capacity_violations(values, n, scale) == capacity_violations_reference(
-            values, n, scale
-        )
+        n, values = case
+        assert capacity_violations(values, n) == capacity_violations_reference(values, n)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_single_violation_on_each_bit(self, n):
@@ -349,8 +307,8 @@ class TestQMaxitive:
             n = rng.randint(1, 5)
             q = rng.randint(1, n)
             mu = random_capacity(rng, n, FIVE_LEVELS)
-            assert is_q_maxitive(mu, q) == is_q_minitive(conjugate(mu), q)
-            assert is_q_minitive(mu, q) == is_q_maxitive(conjugate(mu), q)
+            assert is_q_maxitive(mu, q) == is_q_minitive(brute_force_conjugate(mu), q)
+            assert is_q_minitive(mu, q) == is_q_maxitive(brute_force_conjugate(mu), q)
 
     def test_maxitivity_is_monotone_in_q(self):
         rng = random.Random(18)

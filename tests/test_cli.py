@@ -635,6 +635,28 @@ class TestUsageErrors:
         code, _, err = run(capsys, "learn", "--mode", "greatest")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--capacity", "missing.json"], "eval needs exactly one of --object or --data"),
+            (["eval", "--capacity", "missing.json", "--object", "0.5", "--data", "missing.csv"],
+             "eval needs exactly one of --object or --data"),
+            (["learn", "--data", "missing.csv", "--mode", "qmax"], "--mode qmax requires --q"),
+            (["learn", "--data", "missing.csv", "--mode", "qmin", "--approx"],
+             "--mode qmin requires --q"),
+            (["learn", "--data", "missing.csv", "--mode", "greatest", "--q", "2"],
+             "--mode greatest does not take --q"),
+            (["learn", "--data", "missing.csv", "--mode", "lowest", "--approx"],
+             "--approx applies to qmax/qmin modes only"),
+        ],
+        ids=["eval-neither", "eval-both", "qmax-no-q", "qmin-approx-no-q", "greatest-q",
+             "lowest-approx"],
+    )
+    def test_flags_are_checked_before_any_file_is_read(self, capsys, tmp_path, argv, message):
+        argv = [str(tmp_path / a) if a.startswith("missing.") else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"caplearn: {message}\n")
+
 
 class TestFileText:
     """Files are read as UTF-8, a leading byte-order mark skipped, and

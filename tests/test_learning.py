@@ -12,6 +12,7 @@ from caplearn import (
     LearnMode,
     Scale,
     SystemKind,
+    TrainingDatum,
     TrainingSet,
     apply_system,
     build_system,
@@ -678,3 +679,12 @@ class TestTrainingSetValidation:
     def test_float_items_are_kept_as_given(self):
         items = tuple(TrainingSet.from_pairs(2, UNIT, [((0.0, 1.0), 0.5)]).items)
         assert TrainingSet(2, UNIT, items).items is items
+
+    def test_lists_are_stored_as_tuples(self):
+        # a list object or item list would leave the set unhashable
+        expected = TrainingSet.from_pairs(2, UNIT, [((0.5, 0.2), 0.3)])
+        for items in ((TrainingDatum([0.5, 0.2], 0.3),), [TrainingDatum((0.5, 0.2), 0.3)]):
+            ts = TrainingSet(2, UNIT, items)
+            assert type(ts.items) is tuple and type(ts.items[0].x) is tuple
+            assert (ts, hash(ts)) == (expected, hash(expected))
+            assert validate_data(ts) == []

@@ -15,11 +15,11 @@ from caplearn import (
     TrainingSet,
     apply_system,
     build_system,
+    capacity_violations,
     chebyshev_distance,
     enumerate_capacities,
     enumerate_solutions,
     grid_chebyshev,
-    is_capacity,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -63,7 +63,7 @@ class TestEnumerateCapacities:
             caps = list(enumerate_capacities(n, levels))
             assert len(caps) == len({c.values for c in caps})  # duplicate-free
             for mu in caps:
-                assert is_capacity(mu.values, n)
+                assert not capacity_violations(mu.values, n)
 
     def test_matches_product_filter_count(self):
         # independent count: filter raw tables over the grid
@@ -72,7 +72,7 @@ class TestEnumerateCapacities:
             free = (1 << n) - 2
             for combo in product(levels, repeat=free):
                 values = (0.0,) + combo + (1.0,)
-                if is_capacity(values, n):
+                if not capacity_violations(values, n):
                     expected += 1
             got = len(list(enumerate_capacities(n, levels)))
             assert got == expected

@@ -216,6 +216,25 @@ class TestConstruction:
         sys_ = RelationalSystem(SystemKind.MIN_MAX, matrix, rhs, (1, 2), UNIT)
         assert sys_.matrix is matrix and sys_.rhs is rhs
 
+    @pytest.mark.parametrize(
+        "matrix, rhs, labels",
+        [
+            ([[0.0, 0.5], [1.0, 1.0]], [0.5, 1.0], [1, 2]),
+            (((0.0, 0.5), [1.0, 1.0]), (0.5, 1.0), (1, 2)),
+            ([(0.0, 0.5), (1.0, 1.0)], (0.5, 1.0), (1, 2)),
+            (((0.0, 0.5), (1.0, 1.0)), [0.5, 1.0], (1, 2)),
+            (((0.0, 0.5), (1.0, 1.0)), (0.5, 1.0), [1, 2]),
+        ],
+    )
+    def test_lists_are_stored_as_tuples(self, matrix, rhs, labels):
+        # a list row, rhs or label list would leave the system unhashable
+        sys_ = RelationalSystem(SystemKind.MAX_MIN, matrix, rhs, labels, UNIT)
+        as_tuples = RelationalSystem(
+            SystemKind.MAX_MIN, ((0.0, 0.5), (1.0, 1.0)), (0.5, 1.0), (1, 2), UNIT
+        )
+        assert repr(sys_) == repr(as_tuples)
+        assert hash(sys_) == hash(as_tuples)
+
     def test_off_scale_entry_rejected(self):
         chain = Scale.finite_chain([0.0, 0.5, 1.0])
         with pytest.raises(DomainError):

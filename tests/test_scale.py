@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from caplearn import Capacity, DomainError, Scale, ScaleKind, TrainingSet, iota
+from caplearn import Capacity, DomainError, Scale, ScaleKind, TrainingSet
 from caplearn.io import scale_to_json
 from caplearn.subsets import subset_label
 
@@ -219,48 +219,3 @@ class TestCapacityTables:
             values = (0.0, -0.0, 0.5, 1.0)
             assert Capacity(2, sc, values).values is values
             assert Capacity(2, sc, list(values)).values == values
-
-
-class TestNegation:
-    def test_unit_interval_endpoints(self):
-        sc = Scale.unit_interval()
-        assert iota(sc, 0.0) == 1.0
-        assert iota(sc, 1.0) == 0.0
-
-    def test_chain_midpoint_fixed(self):
-        sc = Scale.finite_chain([0.0, 0.5, 1.0])
-        assert iota(sc, 0.5) == 0.5
-
-    def test_chain_positions_reverse(self):
-        # second of four levels maps to the third
-        sc = Scale.finite_chain([0.0, 0.2, 0.7, 1.0])
-        assert iota(sc, 0.2) == 0.7
-        assert iota(sc, 0.7) == 0.2
-
-    def test_off_scale_value_rejected(self):
-        with pytest.raises(DomainError):
-            iota(CHAIN21, 0.21)
-
-    def test_chain_involution_is_exact(self):
-        for v in CHAIN21.levels:
-            assert iota(CHAIN21, iota(CHAIN21, v)) == v
-
-    @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
-    def test_unit_involution_within_tolerance(self, v):
-        sc = Scale.unit_interval()
-        assert abs(iota(sc, iota(sc, v)) - v) <= sc.tol
-
-    @given(
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-        st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    )
-    def test_unit_negation_reverses_order(self, a, b):
-        sc = Scale.unit_interval()
-        if a <= b:
-            assert iota(sc, a) >= iota(sc, b)
-
-    def test_chain_negation_reverses_order(self):
-        for a in CHAIN21.levels:
-            for b in CHAIN21.levels:
-                if a <= b:
-                    assert iota(CHAIN21, a) >= iota(CHAIN21, b)

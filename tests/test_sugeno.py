@@ -14,7 +14,6 @@ from caplearn import (
     Scale,
     SystemKind,
     TrainingSet,
-    conjugate,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -32,6 +31,7 @@ from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 from helpers import (
     CHAIN21,
     FIVE_LEVELS,
+    brute_force_conjugate,
     brute_q_maxitive,
     brute_q_minitive,
     brute_sugeno_maxmin,
@@ -118,7 +118,7 @@ DUAL = {SystemKind.MAX_MIN: SystemKind.MIN_MAX, SystemKind.MIN_MAX: SystemKind.M
 def assert_checked_is_reduced(mu, q, kind, x):
     """The checked form of ``kind`` equals the reduced form by ``repr``, on
     mu and on its conjugate, whichever route the checked form takes."""
-    for table, order in ((mu, kind), (conjugate(mu), DUAL[kind])):
+    for table, order in ((mu, kind), (brute_force_conjugate(mu), DUAL[kind])):
         checked, reduced = SCORES[order]
         assert repr(checked(table, x, q)) == repr(reduced(table, x, q))
 
