@@ -11,10 +11,12 @@ decides whether a data file holds a system or training data.
 
 The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
 The standard encoder runs in pure Python once it indents, so ``dumps_json``
-indents the containers itself and hands each list of scalars (exact ints,
-floats, strings, bools, None) to the C encoder, unindented, with the line
+indents the containers itself.  It writes a list of exact ints and floats by
+one join of their ``repr``, which the encoder writes too.  Any other list of
+scalars (strings, bools, None, or numbers with a NaN or an infinity, which
+``repr`` spells with an n) goes to the C encoder unindented, with the line
 break and indentation as its item separator; the C encoder writes every
-item as the indenting one does, NaN and Infinity included.
+item as the indenting one does.
 
 A document's canonical text can stand in for the document inside a larger
 payload, as a ``CanonicalText``; ``caplearn learn`` encodes its capacity
@@ -31,6 +33,7 @@ import csv
 import json
 import math
 from dataclasses import replace
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Any, Callable
@@ -55,26 +58,33 @@ def dumps_json(payload: Any) -> str:
 
 def _encode(obj: Any, newline: str) -> str:
     """``json.dumps(obj, indent=2)``, each line break followed by ``newline``."""
+    # a number has no line break to indent; tested first, as most values
+    # a dict holds are numbers
+    if type(obj) is float and math.isfinite(obj) or type(obj) is int:
+        return repr(obj)
     inner = newline + "  "
+    sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
-        if set(map(type, obj)) <= _SCALAR_TYPES:
-            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-        else:
-            body = ("," + inner).join([_encode(v, inner) for v in obj])
+        types = set(map(type, obj))
+        # repr writes an int or a finite float as the encoder does; only a
+        # nan or an inf puts the letter n in the text
+        body = sep.join(map(repr, obj)) if types <= _NUMBER_TYPES else None
+        if body is None or "n" in body:
+            if types <= _SCALAR_TYPES:
+                body = json.dumps(obj, separators=(sep, ": "))[1:-1]
+            else:
+                body = sep.join([_encode(v, inner) for v in obj])
         # one join, not a chain of +, so the 2^n-entry body is copied once here
         return "".join(("[", inner, body, newline, "]"))
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
         items = [_quote(k) + ": " + _encode(v, inner) for k, v in obj.items()]
-        return "".join(("{", inner, ("," + inner).join(items), newline, "}"))
+        return "".join(("{", inner, sep.join(items), newline, "}"))
     if isinstance(obj, (list, tuple, dict)):
         # empty, or a dict whose keys the encoder converts
         return json.dumps(obj, indent=2).replace("\n", newline)
     if type(obj) is CanonicalText:
         # without its final line break; see the module docstring
         return obj[:-1].replace("\n", newline)
-    # a scalar has no line break to indent
-    if type(obj) is int or type(obj) is float and math.isfinite(obj):
-        return repr(obj)
     return _quote(obj) if type(obj) is str else json.dumps(obj)
 
 
@@ -250,15 +260,25 @@ def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
     items = obj["items"]
     if not isinstance(items, list):
         raise FormatError("training set field 'items' must be an array")
-    pairs = []
-    for k, item in enumerate(items):
-        if not isinstance(item, dict) or "x" not in item or "alpha" not in item:
-            raise FormatError(f"item {k} must be an object with 'x' and 'alpha'")
-        x = item["x"]
-        if not isinstance(x, list):
-            raise FormatError(f"item {k}: 'x' must be an array")
-        coords = _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
-        pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
+    # objects whose 'x' is a list of floats and whose 'alpha' is a float go
+    # to the training set as decoded
+    decoded = set(map(type, items)) <= {dict}
+    if decoded:
+        xs, alphas = [item.get("x") for item in items], [item.get("alpha") for item in items]
+        decoded = set(map(type, xs)) <= {list} and set(map(type, chain(*xs, alphas))) <= {float}
+    if decoded:
+        pairs = zip(xs, alphas)
+    else:
+        # some item is not: name the first failure, item by item
+        pairs = []
+        for k, item in enumerate(items):
+            if not isinstance(item, dict) or "x" not in item or "alpha" not in item:
+                raise FormatError(f"item {k} must be an object with 'x' and 'alpha'")
+            x = item["x"]
+            if not isinstance(x, list):
+                raise FormatError(f"item {k}: 'x' must be an array")
+            coords = _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
+            pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
     try:
         return TrainingSet.from_pairs(obj["n"], scale, pairs)
     except Exception as exc:
@@ -278,20 +298,29 @@ def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
         raise FormatError(
             f"{source}: header must be x1,...,xn,alpha; got {','.join(header)}"
         )
+    body = rows[1:]
+    values = None
     # float() reads PEP 515 underscores ("0.2_5" is 0.25), which no cell
-    # means; one test of the whole text spares clean files a test per cell
-    underscored = "_" in text
-    pairs = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != n + 1:
-            raise FormatError(f"{source}, row {lineno}: expected {n + 1} cells, got {len(row)}")
+    # means; every character of the text but a comma, a quote or a line
+    # break lies in a cell
+    if "_" not in text and all(len(row) == n + 1 for row in body):
         try:
-            if underscored and any("_" in cell for cell in row):
-                raise ValueError("underscores are not allowed in numbers")
-            values = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise FormatError(f"{source}, row {lineno}: {exc}") from exc
-        pairs.append((tuple(values[:n]), values[n]))
+            values = tuple(map(float, chain.from_iterable(body)))
+        except ValueError:
+            pass
+    if values is None:
+        # some row fails: name the first, row by row
+        for lineno, row in enumerate(body, start=2):
+            if len(row) != n + 1:
+                raise FormatError(f"{source}, row {lineno}: expected {n + 1} cells, got {len(row)}")
+            try:
+                if any("_" in cell for cell in row):
+                    raise ValueError("underscores are not allowed in numbers")
+                for cell in row:
+                    float(cell)
+            except ValueError as exc:
+                raise FormatError(f"{source}, row {lineno}: {exc}") from exc
+    pairs = [(values[k:k + n], values[k + n]) for k in range(0, len(values), n + 1)]
     try:
         return TrainingSet.from_pairs(n, Scale.unit_interval(), pairs)
     except Exception as exc:

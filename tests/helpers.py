@@ -8,6 +8,7 @@ are used to cross-check the solver, not to reuse it.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 import random
@@ -19,7 +20,9 @@ from unittest import mock
 import caplearn.learning
 from caplearn import (
     Capacity,
+    DataViolation,
     DistanceReport,
+    FormatError,
     RelationalSystem,
     Scale,
     SystemKind,
@@ -31,7 +34,7 @@ from caplearn import (
     sugeno_maxmin,
 )
 from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
-from caplearn.io import dumps_json, scale_to_json
+from caplearn.io import _document, _number, _numbers, dumps_json, scale_from_json, scale_to_json
 from caplearn.relational import vector_for_rhs
 from caplearn.subsets import (
     add_one_bit,
@@ -121,7 +124,7 @@ def save_system(sys_: RelationalSystem, path) -> None:
         "column_labels": list(sys_.column_labels),
         "scale": scale_to_json(sys_.scale),
     }
-    Path(path).write_text(dumps_json(doc))
+    Path(path).write_text(dumps_json(doc), encoding="utf-8")
 
 
 def training_set_to_json(ts: TrainingSet) -> dict:
@@ -133,7 +136,7 @@ def training_set_to_json(ts: TrainingSet) -> dict:
 
 
 def save_training_set(ts: TrainingSet, path) -> None:
-    Path(path).write_text(dumps_json(training_set_to_json(ts)))
+    Path(path).write_text(dumps_json(training_set_to_json(ts)), encoding="utf-8")
 
 
 def random_capacity(rng: random.Random, n: int, levels, scale: Scale | None = None) -> Capacity:
@@ -627,3 +630,94 @@ def brute_sugeno_maxmin(mu: Capacity, x) -> float:
     return best
 
 
+
+
+# The readers and the data check as they were before their bulk paths: item
+# by item (row by row), each failure named as it is met.
+
+
+def training_set_from_json_reference(obj, tol: float | None = None) -> TrainingSet:
+    _document(obj, "training set", ("n", "scale", "items"))
+    scale = scale_from_json(obj["scale"], tol)
+    items = obj["items"]
+    if not isinstance(items, list):
+        raise FormatError("training set field 'items' must be an array")
+    pairs = []
+    for k, item in enumerate(items):
+        if not isinstance(item, dict) or "x" not in item or "alpha" not in item:
+            raise FormatError(f"item {k} must be an object with 'x' and 'alpha'")
+        x = item["x"]
+        if not isinstance(x, list):
+            raise FormatError(f"item {k}: 'x' must be an array")
+        coords = _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
+        pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
+    try:
+        return TrainingSet.from_pairs(obj["n"], scale, pairs)
+    except Exception as exc:
+        raise FormatError(f"invalid training set: {exc}") from exc
+
+
+def training_set_from_csv_text_reference(text: str, source: str = "<csv>") -> TrainingSet:
+    rows = list(csv.reader(text.splitlines()))
+    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    if not rows:
+        raise FormatError(f"{source}: no rows")
+    header = [cell.strip().lower() for cell in rows[0]]
+    n = len(header) - 1
+    expected = [f"x{i + 1}" for i in range(n)] + ["alpha"]
+    if n < 1 or header != expected:
+        raise FormatError(
+            f"{source}: header must be x1,...,xn,alpha; got {','.join(header)}"
+        )
+    underscored = "_" in text
+    pairs = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != n + 1:
+            raise FormatError(f"{source}, row {lineno}: expected {n + 1} cells, got {len(row)}")
+        try:
+            if underscored and any("_" in cell for cell in row):
+                raise ValueError("underscores are not allowed in numbers")
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise FormatError(f"{source}, row {lineno}: {exc}") from exc
+        pairs.append((tuple(values[:n]), values[n]))
+    try:
+        return TrainingSet.from_pairs(n, Scale.unit_interval(), pairs)
+    except Exception as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+
+
+def validate_data_reference(ts: TrainingSet) -> list[DataViolation]:
+    out: list[DataViolation] = []
+    for k, item in enumerate(ts.items):
+        lo, hi = min(item.x), max(item.x)
+        if item.alpha > hi:
+            out.append(
+                DataViolation(
+                    "target_above_max",
+                    (k,),
+                    f"item {k}: target {item.alpha!r} exceeds the largest coordinate {hi!r}",
+                )
+            )
+        elif item.alpha < lo:
+            out.append(
+                DataViolation(
+                    "target_below_min",
+                    (k,),
+                    f"item {k}: target {item.alpha!r} is below the smallest coordinate {lo!r}",
+                )
+            )
+    by_object: dict[tuple[float, ...], list[int]] = {}
+    for k, item in enumerate(ts.items):
+        by_object.setdefault(item.x, []).append(k)
+    for coords, ks in by_object.items():
+        alphas = {ts.items[k].alpha for k in ks}
+        if len(alphas) > 1:
+            out.append(
+                DataViolation(
+                    "contradictory_duplicates",
+                    tuple(ks),
+                    f"items {ks} share the object {coords} but target {sorted(alphas)}",
+                )
+            )
+    return out

@@ -9,7 +9,15 @@ import pytest
 
 import caplearn.io
 import caplearn.learning
-from caplearn import Capacity, LearnMode, Scale, learn, validate_data
+from caplearn import (
+    Capacity,
+    DomainError,
+    LearnMode,
+    Scale,
+    learn,
+    sugeno_maxmin,
+    validate_data,
+)
 from caplearn.cli import _table_lines, main
 from caplearn.io import dumps_json, load_training_set, report_to_json, save_capacity
 
@@ -35,7 +43,7 @@ UNIT = Scale.unit_interval()
 @pytest.fixture
 def data_csv(tmp_path):
     path = tmp_path / "data.csv"
-    path.write_text(REFERENCE_CSV)
+    path.write_text(REFERENCE_CSV, encoding="utf-8")
     return str(path)
 
 
@@ -69,7 +77,7 @@ class TestLearn:
         assert code == 0
         report = json.loads(out)
         assert report["consistent"] and report["boundary_ok"]
-        stored = json.loads(cap_path.read_text())
+        stored = json.loads(cap_path.read_text(encoding="utf-8"))
         assert stored["values"] == list(MU_E_VALUES)
 
     def test_qmax_needs_q(self, capsys, data_csv):
@@ -103,7 +111,7 @@ class TestLearn:
 
     def test_contradictory_rows_fail_consistency(self, capsys, tmp_path):
         path = tmp_path / "dup.csv"
-        path.write_text("x1,x2,alpha\n0.5,0.6,0.5\n0.5,0.6,0.6\n")
+        path.write_text("x1,x2,alpha\n0.5,0.6,0.5\n0.5,0.6,0.6\n", encoding="utf-8")
         code, out, _ = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
         assert code == 2
         report = json.loads(out)
@@ -112,7 +120,10 @@ class TestLearn:
 
     def test_approx_mode_emits_distance(self, capsys, tmp_path):
         path = tmp_path / "noisy.csv"
-        path.write_text("x1,x2,x3,alpha\n0.15,0.2,0.3,0.2\n0.5,0.25,0.3,0.15\n0.4,0.7,0.35,0.4\n")
+        path.write_text(
+            "x1,x2,x3,alpha\n0.15,0.2,0.3,0.2\n0.5,0.25,0.3,0.15\n0.4,0.7,0.35,0.4\n",
+            encoding="utf-8",
+        )
         code, out, _ = run(
             capsys, "learn", "--data", str(path), "--mode", "qmax", "--q", "2",
             "--approx",
@@ -124,7 +135,7 @@ class TestLearn:
 
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x1,x2\n0.5,0.6\n")
+        path.write_text("x1,x2\n0.5,0.6\n", encoding="utf-8")
         code, _, err = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
         assert code == 1
         assert "header" in err
@@ -139,7 +150,8 @@ class TestLearn:
     def test_huge_integer_is_input_error(self, capsys, tmp_path, item, named):
         path = tmp_path / "big.json"
         path.write_text(
-            json.dumps({"n": 2, "scale": {"kind": "unit_interval"}, "items": [item]})
+            json.dumps({"n": 2, "scale": {"kind": "unit_interval"}, "items": [item]}),
+            encoding="utf-8",
         )
         code, out, err = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
         assert code == 1
@@ -166,7 +178,7 @@ class TestLearn:
     def test_bool_criteria_count_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "train.json"
         doc = {"n": True, "scale": {"kind": "unit_interval"}, "items": [{"x": [0.5], "alpha": 0.5}]}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "learn", "--data", str(path), "--mode", "greatest")
         assert code == 1
         assert out == ""
@@ -205,7 +217,7 @@ class TestLearnFiles:
             rendering = dumps_json(payload)
         else:
             rendering = "\n".join(_table_lines(payload)) + "\n"
-        assert out_path.read_text() == rendering
+        assert out_path.read_text(encoding="utf-8") == rendering
         if report.capacity is None:
             assert code == 2 and not cap_path.exists()
         else:
@@ -230,7 +242,7 @@ class TestLearnFiles:
 
         monkeypatch.setattr(caplearn.io, "_encode", counted)
         assert main(argv) == 0
-        assert json.loads((tmp_path / "cap.json").read_text())["values"] == values
+        assert json.loads((tmp_path / "cap.json").read_text(encoding="utf-8"))["values"] == values
         assert len(calls) == 1
 
 
@@ -269,7 +281,8 @@ class TestEval:
                     "scale": {"kind": "unit_interval", "levels": None},
                     "values": [0.2, 0.5, 0.1, 1.0],
                 }
-            )
+            ),
+            encoding="utf-8",
         )
         code, _, err = run(capsys, "eval", "--capacity", str(path), "--object", "0.5,0.5")
         assert code == 1
@@ -311,10 +324,33 @@ class TestEval:
         cap_path, data_path = tmp_path / "mu.json", tmp_path / "data.csv"
         mu = Capacity(3, Scale.finite_chain(FIVE_LEVELS), [0.0] + [0.5] * 6 + [1.0])
         save_capacity(mu, cap_path)
-        data_path.write_text("x1,x2,x3,alpha\n0.25,0.5,1.0,0.5\n0.25,0.3,1.0,0.5\n")
+        data_path.write_text(
+            "x1,x2,x3,alpha\n0.25,0.5,1.0,0.5\n0.25,0.3,1.0,0.5\n", encoding="utf-8"
+        )
         code, out, err = run(capsys, "eval", "--capacity", str(cap_path), "--data", str(data_path))
         assert (code, out) == (1, "")
         assert err == "caplearn: item 1: coordinate x2 0.3 is not a member of the 5-level chain\n"
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("bad", [0.3, 0.6])
+    def test_first_off_scale_item_is_named(self, capsys, tmp_path, k, bad):
+        # items k and 5 hold a coordinate off the capacity's 5-level chain
+        cap_path, data_path = tmp_path / "mu.json", tmp_path / "data.csv"
+        mu = Capacity(3, Scale.finite_chain(FIVE_LEVELS), [0.0] + [0.5] * 6 + [1.0])
+        save_capacity(mu, cap_path)
+        rows = [[0.25, 0.5, 1.0, 0.5] for _ in range(6)]
+        rows[k][2 - k % 3] = bad
+        rows[5][0] = 0.1
+        data_path.write_text(
+            "x1,x2,x3,alpha\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows),
+            encoding="utf-8",
+        )
+        with pytest.raises(DomainError) as info:
+            sugeno_maxmin(mu, rows[k][:3])
+        code, out, err = run(capsys, "eval", "--capacity", str(cap_path), "--data", str(data_path))
+        assert (code, out) == (1, "")
+        assert err == f"caplearn: item {k}: {info.value}\n"
+        assert f"coordinate x{3 - k % 3} {bad!r} is not a member" in err
 
     def test_exactly_one_input_required(self, capsys, mu_e_path, data_csv):
         code, _, err = run(capsys, "eval", "--capacity", mu_e_path)
@@ -344,7 +380,8 @@ class TestCheck:
                     "scale": {"kind": "unit_interval", "levels": None},
                     "values": [0.0, 0.5, 0.1, 0.9],
                 }
-            )
+            ),
+            encoding="utf-8",
         )
         code, out, _ = run(capsys, "check", "--capacity", str(path))
         assert code == 2
@@ -359,7 +396,7 @@ class TestCheck:
         # q is checked against n before the violations decide the exit code
         path = tmp_path / "mu.json"
         doc = {"n": 2, "scale": {"kind": "unit_interval", "levels": None}, "values": values}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "check", "--capacity", str(path), "--q", q)
         assert code == 1
         assert out == ""
@@ -368,7 +405,7 @@ class TestCheck:
     def test_bool_criteria_count_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "mu.json"
         doc = {"n": True, "scale": {"kind": "unit_interval"}, "values": [0, 1]}
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "check", "--capacity", str(path))
         assert code == 1
         assert out == ""
@@ -376,7 +413,7 @@ class TestCheck:
 
     def test_unparseable_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         code, _, err = run(capsys, "check", "--capacity", str(path))
         assert code == 1
 
@@ -449,11 +486,11 @@ class TestDistance:
     def test_negative_int_label_is_not_a_subset(self, tmp_path):
         # subset_label(-1) never returns: run in a child capped in memory and time
         doc = {"kind": "maxmin", "matrix": [[0.5, 0.2]], "rhs": [0.3], "column_labels": [1, -1]}
-        (tmp_path / "sys.json").write_text(json.dumps(doc))
+        (tmp_path / "sys.json").write_text(json.dumps(doc), encoding="utf-8")
         cap = 1 << 29
         child = subprocess.run(
             [sys.executable, "-m", "caplearn.cli", "distance", "--data", "sys.json"],
-            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=60,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
@@ -465,7 +502,7 @@ class TestDistance:
         # a JSON bool is neither a subset mask nor a label distinct from 0 and 1
         doc = {"kind": "maxmin", "matrix": [[0.5, 0.2]], "rhs": [0.3], "column_labels": labels}
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "distance", "--data", str(path))
         assert (code, out) == (1, "")
         assert err == (
@@ -506,14 +543,14 @@ class TestOracle:
         doc = {"kind": "maxmin", "matrix": [[0.7, 0.82], [0.32, 0.42]],
                "rhs": [1.0, 0.42], "column_labels": [1, 2]}
         path = tmp_path / "sys.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, _ = run(capsys, "oracle", "--data", str(path))
         assert code == 0
         assert json.loads(out)["ok"] is True
 
     def test_training_data_learning_check(self, capsys, tmp_path):
         path = tmp_path / "tiny.csv"
-        path.write_text("x1,x2,alpha\n0.25,0.5,0.5\n0.75,0.25,0.25\n")
+        path.write_text("x1,x2,alpha\n0.25,0.5,0.5\n0.75,0.25,0.25\n", encoding="utf-8")
         code, out, _ = run(
             capsys, "oracle", "--data", str(path), "--mode", "qmax", "--q", "1",
             "--grid-step", "0.25",
@@ -552,10 +589,10 @@ class TestOracle:
         ids=["rhs-3300-rows", "solutions-14-criteria"],
     )
     def test_oversized_search_refused_at_any_size(self, tmp_path, name, text, flags, refusal):
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
         child = subprocess.run(
             [sys.executable, "-m", "caplearn.cli", "oracle", "--data", name, *flags],
-            cwd=tmp_path, capture_output=True, text=True, timeout=10,
+            cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=10,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
         assert (child.returncode, child.stdout) == (3, "")
@@ -572,12 +609,12 @@ class TestOracle:
             "column_labels": [1, 2, 4],
             "scale": {"kind": "unit_interval"},
         }
-        (tmp_path / "sys.json").write_text(json.dumps(doc))
+        (tmp_path / "sys.json").write_text(json.dumps(doc), encoding="utf-8")
         cap = 1 << 29
         child = subprocess.run(
             [sys.executable, "-m", "caplearn.cli", "oracle", "--data", "sys.json",
              "--grid-step", "0.05"],
-            cwd=tmp_path, capture_output=True, text=True, timeout=60,
+            cwd=tmp_path, capture_output=True, encoding="utf-8", timeout=60,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
         )
@@ -608,7 +645,7 @@ class TestUsageErrors:
     def test_oracle_takes_no_type_flag(self, capsys, tmp_path):
         # the oracle's system kind follows --mode; --type was never read
         path = tmp_path / "tiny.csv"
-        path.write_text("x1,x2,alpha\n0.25,0.5,0.5\n")
+        path.write_text("x1,x2,alpha\n0.25,0.5,0.5\n", encoding="utf-8")
         code, out, err = run(capsys, "oracle", "--data", str(path), "--type", "minmax")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --type minmax" in err

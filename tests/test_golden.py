@@ -124,7 +124,7 @@ def run_case(argv: list[str]) -> dict:
 
 @pytest.fixture(scope="module")
 def expected() -> dict:
-    return json.loads(EXPECTED.read_text())
+    return json.loads(EXPECTED.read_text(encoding="utf-8"))
 
 
 def test_corpus_lists_every_case(expected):
@@ -138,7 +138,7 @@ def test_cli_output_is_unchanged(name, expected):
 
 def write_expected() -> None:
     doc = {name: run_case(argv) for name, argv in CASES.items()}
-    EXPECTED.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    EXPECTED.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

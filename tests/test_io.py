@@ -29,6 +29,8 @@ from helpers import (
     reference_training_set,
     save_system,
     save_training_set,
+    training_set_from_csv_text_reference,
+    training_set_from_json_reference,
     training_set_to_json,
 )
 
@@ -223,6 +225,10 @@ class TestCanonicalWriter:
             # line breaks inside strings are escaped, so re-indenting skips them
             ["\n", "\\n", "\u2028", [], {}, float("nan"), -0.0, 0.0],
             {"s": "a\nb", "\n": ["\\n", {"\u2028": [-0.0, 0.0, float("nan")]}], "e": {}},
+            # number lists written by repr, and by the encoder once a nan or inf is in
+            [0.5, 1, float("nan"), -0.0],
+            [1e16, 5e-324, -3, float("inf")],
+            {"v": float("nan"), "w": -0.0, "x": [0.5]},
         ],
     )
     def test_edge_documents(self, doc):
@@ -235,7 +241,7 @@ class TestSystemJson:
         sys_ = build_system(ref_ts, SystemKind.MAX_MIN, 2)
         path = tmp_path / "sys.json"
         save_system(sys_, path)
-        back = system_from_json(json.loads(path.read_text()))
+        back = system_from_json(json.loads(path.read_text(encoding="utf-8")))
         assert back.matrix == sys_.matrix
         assert back.rhs == sys_.rhs
         assert back.column_labels == sys_.column_labels
@@ -287,7 +293,7 @@ class TestTrainingData:
 
     def test_load_by_extension(self, tmp_path):
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(REFERENCE_CSV)
+        csv_path.write_text(REFERENCE_CSV, encoding="utf-8")
         ts = load_training_set(csv_path)
         assert ts.n == 3
         json_path = tmp_path / "data.json"
@@ -298,7 +304,7 @@ class TestTrainingData:
 
     def test_tolerance_reaches_csv_and_json_alike(self, tmp_path):
         csv_path = tmp_path / "data.csv"
-        csv_path.write_text(REFERENCE_CSV)
+        csv_path.write_text(REFERENCE_CSV, encoding="utf-8")
         json_path = tmp_path / "data.json"
         save_training_set(training_set_from_csv_text(REFERENCE_CSV), json_path)
         assert load_training_set(csv_path, tol=0.01).scale.tol == 0.01
@@ -364,7 +370,8 @@ class TestTrainingData:
         path = tmp_path / "data.json"
         path.write_text(
             '{"n": 1, "scale": {"kind": "unit_interval"},'
-            ' "items": [{"x": [1%s], "alpha": 0.5}]}' % ("0" * 5000)
+            ' "items": [{"x": [1%s], "alpha": 0.5}]}' % ("0" * 5000),
+            encoding="utf-8",
         )
         with pytest.raises(FormatError, match="is not valid JSON"):
             load_training_set(path)
@@ -386,6 +393,93 @@ class TestTrainingData:
             path.write_bytes(b"\xff\xfex1,alpha\n")
             with pytest.raises(FormatError, match="cannot read"):
                 load(path)
+
+
+# values a training file may hold in place of a float; an int and -0.0 load
+ODD_DATA = (True, "0.5", None, [0.5], math.nan, math.inf, -math.inf, 10**400, 1, -0.0)
+# the same as CSV cells, with an underscored number, and an empty cell for None
+ODD_CELLS = ("True", "0.5x", "", "[0.5]", "nan", "inf", "-inf", "1" + "0" * 400, "1", "-0.0",
+             "0.2_5", " 0.5 ")
+LEVEL = st.sampled_from(CHAIN21.levels)
+
+
+def outcome(read, source):
+    """What a reader makes of ``source``: its result's repr, or its message."""
+    try:
+        return repr(read(source))
+    except FormatError as exc:
+        return f"FormatError: {exc}"
+
+
+@st.composite
+def training_documents(draw):
+    """A training JSON document of chain levels with up to three odd entries:
+    a coordinate, a target, an item's 'x' or a whole item replaced."""
+    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    items = [{"x": draw(st.lists(LEVEL, min_size=n, max_size=n)), "alpha": draw(LEVEL)}
+             for _ in range(size)]
+    for _ in range(draw(st.integers(0, 3))):
+        k, spot, odd = draw(st.integers(0, size - 1)), draw(st.integers(-2, n)), draw(
+            st.sampled_from(ODD_DATA))
+        odd = list(odd) if isinstance(odd, list) else odd  # a fresh list for each use
+        item = items[k]
+        if spot == -2:
+            items[k] = odd
+        elif not isinstance(item, dict):
+            continue
+        elif spot == -1:
+            item["x"] = odd
+        elif spot == n:
+            item["alpha"] = odd
+        elif isinstance(item["x"], list) and spot < len(item["x"]):
+            item["x"][spot] = odd
+    scale = draw(st.sampled_from([UNIT, CHAIN21]))
+    return {"n": n, "scale": scale_to_json(scale), "items": items}
+
+
+@st.composite
+def training_csv_texts(draw):
+    """A training CSV of chain levels with up to three odd cells or rows:
+    a cell replaced, a cell dropped or added, or a blank line."""
+    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows = [[repr(draw(LEVEL)) for _ in range(n + 1)] for _ in range(size)]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, size - 1))]
+        change = draw(st.sampled_from(["cell", "cell", "drop", "add", "blank"]))
+        if change == "cell" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif change == "drop" and row:
+            row.pop()
+        elif change == "add":
+            row.append("0.5")
+        elif change == "blank":
+            row.clear()
+    header = ",".join([f"x{i + 1}" for i in range(n)] + ["alpha"])
+    return "\n".join([header] + [",".join(row) for row in rows]) + "\n"
+
+
+class TestBulkReaders:
+    """Each reader's bulk path against its item-by-item reference."""
+
+    @given(training_documents())
+    @example({"n": 1, "scale": scale_to_json(UNIT), "items": [{"x": [0.5], "alpha": 10**400}]})
+    @example({"n": 2, "scale": scale_to_json(UNIT),
+              "items": [{"x": [0.5, math.nan], "alpha": 0.5}, {"x": [0.5, True], "alpha": 0.5}]})
+    @example({"n": 1, "scale": scale_to_json(UNIT), "items": [{"x": [0.5]}, [0.5]]})
+    @example({"n": 1, "scale": scale_to_json(UNIT), "items": []})
+    def test_json_reader_matches_reference(self, doc):
+        assert outcome(training_set_from_json, doc) == outcome(
+            training_set_from_json_reference, doc
+        )
+
+    @given(training_csv_texts())
+    @example("x1,alpha\n0.5,0.5\n0.5,oops\n0.5\n")
+    @example("x1,alpha\n0.5\n0.2_5,0.5\n")
+    @example("x1,alpha\n")
+    def test_csv_reader_matches_reference(self, text):
+        assert outcome(training_set_from_csv_text, text) == outcome(
+            training_set_from_csv_text_reference, text
+        )
 
 
 @pytest.mark.parametrize("n", [True, False, 1.0, "1"])

@@ -14,7 +14,6 @@ from caplearn import (
     SystemKind,
     TrainingDatum,
     TrainingSet,
-    apply_system,
     build_system,
     capacity_violations,
     chebyshev_distance,
@@ -51,6 +50,7 @@ from helpers import (
     representable_training_set,
     solution_by_label,
     solve_reference,
+    validate_data_reference,
 )
 
 UNIT = Scale.unit_interval()
@@ -77,6 +77,18 @@ def perturbed_training_set():
     )
 
 
+@st.composite
+def duplicated_pairs(draw):
+    """(object, target) pairs on FIVE_LEVELS and -0.0.  The objects come from
+    a pool of at most three, so duplicates are common; a target is mostly one
+    of its object's coordinates, so in range."""
+    level = st.sampled_from(FIVE_LEVELS + (-0.0,))
+    n = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(level, min_size=n, max_size=n), min_size=1, max_size=3))
+    objects = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    return [(x, draw(st.sampled_from(x) | level)) for x in objects]
+
+
 class TestValidateData:
     def test_reference_data_clean(self, ref_ts):
         assert validate_data(ref_ts) == []
@@ -98,6 +110,13 @@ class TestValidateData:
         violations = validate_data(ts)
         assert [v.kind for v in violations] == ["contradictory_duplicates"]
         assert violations[0].items == (0, 1)
+
+    @given(duplicated_pairs())
+    @example([([0.5, 0.25], 0.5), ([0.5, 0.25], 0.25), ([0.0, 0.0], 0.25), ([0.5, 0.25], 0.5)])
+    @example([([0.0], -0.0), ([-0.0], 0.0)])
+    def test_bulk_check_matches_reference(self, pairs):
+        ts = TrainingSet.from_pairs(len(pairs[0][0]), Scale.finite_chain(FIVE_LEVELS), pairs)
+        assert repr(validate_data(ts)) == repr(validate_data_reference(ts))
 
 
 class TestSystemConstruction:

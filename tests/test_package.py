@@ -1,4 +1,4 @@
-"""The package surface: the export list, and no import left unused."""
+"""The package surface: the export list, and no import left unused in it or its tests."""
 
 import ast
 from pathlib import Path
@@ -6,6 +6,7 @@ from pathlib import Path
 import caplearn
 
 SRC = Path(caplearn.__file__).parent
+TESTS = Path(__file__).parent
 # learning imports chebyshev_distance only so that the benchmark tracer can
 # wrap it there (ROADMAP item 1)
 ALLOWED_UNUSED = {("learning", "chebyshev_distance")}
@@ -45,7 +46,7 @@ def test_star_import_binds_exactly_the_export_list():
 def test_no_unused_import_in_the_package():
     found = {
         (path.stem, name)
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted([*SRC.glob("*.py"), *TESTS.glob("*.py")])
         for name in unused_imports(path.read_text(encoding="utf-8"))
     }
     assert found - ALLOWED_UNUSED == set(), "unused imports"

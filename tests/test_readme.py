@@ -7,7 +7,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_quick_start_runs():
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     section = text[text.index("## Library quick start"):]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     namespace: dict = {}

@@ -75,7 +75,7 @@ def test_negative_mask_is_refused():
     )
     cap = 1 << 29
     child = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script], capture_output=True, encoding="utf-8", timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
     )
