@@ -28,7 +28,7 @@ from .io import (
     report_to_json,
     save_capacity,
 )
-from .learning import LearnMode, build_system, learn, validate_data
+from .learning import DEFAULT_TOLERANCE, LearnMode, build_system, learn, validate_data
 from .oracle import DEFAULT_BUDGET, grid_levels, system_checks, training_checks
 from .relational import RelationalSystem, SystemKind
 from .scale import ScaleKind
@@ -99,13 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.set_defaults(run=_cmd_oracle)
     _common_flags(oracle_p)
 
+    for p in (learn_p, oracle_p):  # the two commands that compare values off the lattice
+        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
+                       help="slack for values off the lattice (default %(default)s)")
     return parser
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="where to write the report (default stdout)")
     p.add_argument("--format", choices=["json", "table"], default="json")
-    p.add_argument("--tolerance", type=float, help="override the scale tolerance")
 
 
 def _table_lines(payload: Any, prefix: str = "") -> list[str]:
@@ -160,8 +162,8 @@ def _cmd_learn(args) -> int:
         if args.q is not None:
             raise DomainError(f"--mode {args.mode} does not take --q")
         mode = LearnMode(args.mode)
-    ts = load_training_set(args.data, tol=args.tolerance)
-    report = learn(ts, mode, args.q)
+    ts = load_training_set(args.data)
+    report = learn(ts, mode, args.q, args.tolerance)
     payload = report_to_json(report)
     data_problems = validate_data(ts)
     if data_problems:
@@ -184,7 +186,7 @@ def _cmd_eval(args) -> int:
     # a usage error exits before any file is read
     if (args.object is None) == (args.data is None):
         raise DomainError("eval needs exactly one of --object or --data")
-    mu = load_capacity(args.capacity, tol=args.tolerance)
+    mu = load_capacity(args.capacity)
     problems = capacity_violations(mu.values, mu.n)
     if problems:
         for msg in problems:
@@ -195,7 +197,7 @@ def _cmd_eval(args) -> int:
         coords = _parse_object(args.object)
         results.append(_eval_one(mu, coords, None))
     else:
-        ts = load_training_set(args.data, tol=args.tolerance)
+        ts = load_training_set(args.data)
         for k, item in enumerate(ts.items):
             try:
                 results.append(_eval_one(mu, item.x, item.alpha))
@@ -227,7 +229,7 @@ def _eval_one(mu, coords, alpha) -> dict:
 
 
 def _cmd_check(args) -> int:
-    mu = load_capacity(args.capacity, tol=args.tolerance)
+    mu = load_capacity(args.capacity)
     if args.q is not None:
         _check_q(args.q, mu.n)
     problems = capacity_violations(mu.values, mu.n)
@@ -246,7 +248,7 @@ def _cmd_check(args) -> int:
 
 def _load_data(args, kind_flag: str):
     """--data's system or training set; a system refuses ``kind_flag`` and --q."""
-    data = load_data(args.data, args.tolerance)
+    data = load_data(args.data)
     if isinstance(data, RelationalSystem):
         flags = " and ".join(f"--{f}" for f in (kind_flag, "q") if getattr(args, f) is not None)
         if flags:
@@ -284,9 +286,9 @@ def _cmd_oracle(args) -> int:
     levels = grid_levels(args.grid_step, args.budget)
     data = _load_data(args, "mode")
     if isinstance(data, RelationalSystem):
-        checks = system_checks(data, levels, args.budget)
+        checks = system_checks(data, levels, args.budget, args.tolerance)
     else:
-        checks = training_checks(data, levels, args.budget, args.q, args.mode)
+        checks = training_checks(data, levels, args.budget, args.q, args.mode, args.tolerance)
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format, args.out)
     return EXIT_OK if ok else EXIT_CONDITION

@@ -5,9 +5,8 @@ Writers emit a canonical form (two-space indented JSON, subsets in
 ascending mask order, floats in shortest round-trip notation), so saving a
 loaded capacity reproduces it byte for byte.  Readers validate scale
 membership at ingestion and reject off-scale values rather than rounding.
-A JSON document declares its scale, a training CSV is on the unit
-interval, and ``tol`` is a reader's only override.  ``load_data`` alone
-decides whether a data file holds a system or training data.
+A JSON document declares its scale, a training CSV is on the unit interval,
+and ``load_data`` alone tells a system file from training data.
 
 The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
 The standard encoder runs in pure Python once it indents, so ``dumps_json``
@@ -32,7 +31,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -42,7 +40,7 @@ from .capacity import Capacity
 from .errors import FormatError
 from .learning import LearnReport, TrainingSet
 from .relational import RelationalSystem, SystemKind
-from .scale import _NUMBER_TYPES, DEFAULT_TOLERANCE, Scale, ScaleKind
+from .scale import _NUMBER_TYPES, Scale, ScaleKind
 
 _SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
 
@@ -152,19 +150,18 @@ def scale_to_json(scale: Scale) -> dict:
     }
 
 
-def scale_from_json(obj: Any, tol: float | None = None) -> Scale:
+def scale_from_json(obj: Any) -> Scale:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("scale must be an object with a 'kind' field")
     kind = obj["kind"]
-    tol = DEFAULT_TOLERANCE if tol is None else tol
     try:
         if kind == ScaleKind.UNIT_INTERVAL.value:
-            return Scale.unit_interval(tol)
+            return Scale.unit_interval()
         if kind == ScaleKind.FINITE_CHAIN.value:
             levels = obj.get("levels")
             if not isinstance(levels, list):
                 raise FormatError("finite chain scale needs a 'levels' array")
-            return Scale.finite_chain(_numbers(levels, "scale level {}".format), tol)
+            return Scale.finite_chain(_numbers(levels, "scale level {}".format))
     except FormatError:
         raise
     except Exception as exc:
@@ -180,9 +177,9 @@ def capacity_to_json(mu: Capacity) -> dict:
     return {"n": mu.n, "scale": scale_to_json(mu.scale), "values": list(mu.values)}
 
 
-def capacity_from_json(obj: Any, tol: float | None = None) -> Capacity:
+def capacity_from_json(obj: Any) -> Capacity:
     _document(obj, "capacity", ("n", "scale", "values"))
-    scale = scale_from_json(obj["scale"], tol)
+    scale = scale_from_json(obj["scale"])
     values = obj["values"]
     if not isinstance(values, list):
         raise FormatError("capacity field 'values' must be an array")
@@ -201,15 +198,15 @@ def save_capacity(mu: Capacity, path: str | Path, text: str | None = None) -> No
     Path(path).write_text(text, encoding="utf-8")
 
 
-def load_capacity(path: str | Path, tol: float | None = None) -> Capacity:
-    return capacity_from_json(_read_json(path), tol)
+def load_capacity(path: str | Path) -> Capacity:
+    return capacity_from_json(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
 # relational systems
 
 
-def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
+def system_from_json(obj: Any) -> RelationalSystem:
     _document(obj, "system", ("kind", "matrix", "rhs"))
     try:
         kind = SystemKind(obj["kind"])
@@ -221,10 +218,7 @@ def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
         raise FormatError("system field 'matrix' must be an array of rows")
     if not isinstance(rhs, list):
         raise FormatError("system field 'rhs' must be an array")
-    if "scale" in obj:
-        scale = scale_from_json(obj["scale"], tol)
-    else:
-        scale = Scale.unit_interval(DEFAULT_TOLERANCE if tol is None else tol)
+    scale = scale_from_json(obj["scale"]) if "scale" in obj else Scale.unit_interval()
     labels = obj.get("column_labels")
     if labels is None:
         labels = list(range(len(matrix[0]) if matrix else 0))
@@ -254,9 +248,9 @@ def system_from_json(obj: Any, tol: float | None = None) -> RelationalSystem:
 # training data
 
 
-def training_set_from_json(obj: Any, tol: float | None = None) -> TrainingSet:
+def training_set_from_json(obj: Any) -> TrainingSet:
     _document(obj, "training set", ("n", "scale", "items"))
-    scale = scale_from_json(obj["scale"], tol)
+    scale = scale_from_json(obj["scale"])
     items = obj["items"]
     if not isinstance(items, list):
         raise FormatError("training set field 'items' must be an array")
@@ -327,25 +321,24 @@ def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def load_training_set(path: str | Path, tol: float | None = None) -> TrainingSet:
+def load_training_set(path: str | Path) -> TrainingSet:
     """:func:`load_data`, refusing a system."""
-    data = load_data(path, tol)
+    data = load_data(path)
     if isinstance(data, RelationalSystem):
         raise FormatError(f"{path} holds a relational system, not training data")
     return data
 
 
-def load_data(path: str | Path, tol: float | None = None) -> TrainingSet | RelationalSystem:
+def load_data(path: str | Path) -> TrainingSet | RelationalSystem:
     """A system from a JSON document with a 'matrix' field, else a training
     set: on the unit interval from a .csv file, on its declared scale from a
-    JSON document.  ``tol``, if given, overrides the tolerance of either."""
+    JSON document."""
     if Path(path).suffix.lower() == ".csv":
-        ts = training_set_from_csv_text(_read_text(path), str(path))
-        return ts if tol is None else replace(ts, scale=Scale.unit_interval(tol))
+        return training_set_from_csv_text(_read_text(path), str(path))
     doc = _read_json(path)
     if isinstance(doc, dict) and "matrix" in doc:
-        return system_from_json(doc, tol)
-    return training_set_from_json(doc, tol)
+        return system_from_json(doc)
+    return training_set_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

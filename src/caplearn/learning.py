@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, compress, repeat
 from operator import and_, ge, itemgetter, le, neg, pos
+from sys import float_info
 from typing import Any, Iterable, Sequence
 
 from .capacity import Capacity, Scoring, _check_q, extend_layer
@@ -27,6 +28,8 @@ from .relational import RelationalSystem, SystemKind
 from .scale import Scale
 from .subsets import check_criteria_count, full_mask, masks_of_sizes, subset_label
 from .sugeno import _chain
+
+DEFAULT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,15 +55,19 @@ class TrainingSet:
         values = (*chain.from_iterable(xs), *self.targets())
         floats = self.scale.floats(values) if all(len(x) == n for x in xs) else None
         if floats is None:
-            # some item fails: name the first failure, item by item
+            # some item fails, or holds a subclass of int or float: walk
+            # item by item, naming the first failure
             names = [f"coordinate x{i + 1}" for i in range(n)] + ["target"]
+            rows = []
             for k, item in enumerate(self.items):
                 if len(item.x) != n:
                     raise DomainError(
                         f"item {k}: object has {len(item.x)} coordinates, expected {n}"
                     )
-                self.scale.require_floats((*item.x, item.alpha), lambda i: f"item {k}, {names[i]}")
-        elif floats is not values or not tuples:  # an int or a list: keep tuples of floats
+                row = (*item.x, item.alpha)
+                rows.append(self.scale.require_floats(row, lambda i: f"item {k}, {names[i]}"))
+            floats = (*chain.from_iterable(row[:n] for row in rows), *(row[n] for row in rows))
+        if floats is not values or not tuples:  # an int, a subclass, a list: keep tuples of floats
             alphas = floats[len(xs) * n:]
             items = [TrainingDatum(floats[k * n:k * n + n], a) for k, a in enumerate(alphas)]
             object.__setattr__(self, "items", tuple(items))
@@ -332,7 +339,14 @@ def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tupl
     return tuple((p or zero) - item.alpha for p, item in zip(produced, ts.items))
 
 
-def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport:
+def _check_tolerance(tol: float) -> None:
+    # compared, never converted: float() of an int past float range overflows
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= float_info.max:
+        raise DomainError(f"tolerance must be a finite nonnegative real, got {tol!r}")
+
+
+def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None,
+          tol: float = DEFAULT_TOLERANCE) -> LearnReport:
     """One learning run; q is required exactly for the q-modes.
 
     GREATEST (LOWEST) is QMAX (QMIN) at q = n, reported with q None.  Every
@@ -345,10 +359,12 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     :func:`_products` only for misfit notes and the approximate modes'
     residuals: a reached target is its own product.  An approximate mode
     sweeps its Chebyshev distance, the exact minimal learning error, from
-    the subset columns, solves against the targets relaxed by it, and needs
-    only the boundary condition; when that fails it returns before the
+    the subset columns, solves against the targets relaxed by it, an entry
+    within ``tol`` beyond its relaxed target counting as reaching it, and
+    needs only the boundary condition; when that fails it returns before the
     extension.  Failed conditions leave notes.
     """
+    _check_tolerance(tol)
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
     if whole and q is not None:
@@ -366,7 +382,7 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
             # the optimum sits where entries tie with the relaxed rhs, so
             # blocking is judged with the tolerance toward the order's top
             rhs = relaxed_rhs(targets, distance, kind)
-            bound = tuple(r + order.sign * ts.scale.tol for r in rhs)
+            bound = tuple(r + order.sign * tol for r in rhs)
     table = _solve(ts, kind, layer_q, rhs, bound)
     layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
     best, value = order.join(layer, key=itemgetter(1))
@@ -388,7 +404,7 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     produced = _products(ts, kind, layer_q, table) if approx else targets
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
-    scale = Scale.unit_interval(ts.scale.tol) if approx else ts.scale
+    scale = Scale.unit_interval() if approx else ts.scale
     mu = Capacity(ts.n, scale, table)
     # a residuated solve is monotone and so is its extension: seed the chain form
     mu._scoring[layer_q, kind] = Scoring.CHAIN

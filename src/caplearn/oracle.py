@@ -26,7 +26,8 @@ from typing import Iterable, Iterator
 from .capacity import Capacity, _check_q, _is_q_extension
 from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
-from .learning import LearnMode, TrainingSet, build_system, learn
+from .learning import DEFAULT_TOLERANCE, LearnMode, TrainingSet, build_system, learn
+from .learning import _check_tolerance
 from .relational import RelationalSystem, SystemKind, apply_system
 from .relational import potential_solution, vector_for_rhs
 from .scale import Scale
@@ -175,16 +176,18 @@ def _bracket(check, formula, found, levels, attainable, tol) -> dict:
     return {"check": check, "formula": formula, "grid": found, "ok": ok}
 
 
-def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int) -> list[dict]:
+def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int,
+                  tol: float = DEFAULT_TOLERANCE) -> list[dict]:
     """The distance formula against a grid search over right-hand sides on
-    ``levels``, the potential solution against every enumerated solution,
-    and zero distance against consistency.  With every matrix entry a level,
-    a solution rounded to the levels reaches the optimal rhs rounded."""
+    ``levels``, within ``tol``, the potential solution against every enumerated
+    solution, and zero distance against consistency.  With every matrix entry a
+    level, a solution rounded to the levels reaches the optimal rhs rounded."""
+    _check_tolerance(tol)
     formula = chebyshev_distance(sys).distance
     grid = grid_chebyshev(sys, levels, budget)
     on_grid = set(levels).issuperset(itertools.chain.from_iterable(sys.matrix))
     checks = [_bracket("chebyshev distance formula vs grid search", formula, grid, levels,
-                       on_grid, sys.scale.tol)]
+                       on_grid, tol)]
     # solution candidates only need the system's own values plus the bounds;
     # a finer grid multiplies the search without new lattice behavior
     candidates = _with_bounds(*sys.matrix, sys.rhs)
@@ -206,26 +209,27 @@ def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int)
     return checks
 
 
-def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
+def learning_check(ts: TrainingSet, q: int, mode: str, budget: int,
+                   tol: float = DEFAULT_TOLERANCE) -> dict:
     """The minimal ``mode`` ("qmax" or "qmin") learning error, as the
     approximate learner reports it, against an exhaustive capacity search.
     Its levels hold every coordinate, so when the boundary holds the optimal
     capacity rounded to them reaches the optimal integrals rounded."""
-    learner = learn(ts, LearnMode(mode + "_approx"), q)
+    learner = learn(ts, LearnMode(mode + "_approx"), q, tol)
     # capacity values beyond the data's own levels cannot improve the fit,
     # so the exhaustive search enumerates over exactly those
     levels = _with_bounds(*(item.x for item in ts.items), ts.targets())
     err, _ = min_learning_error(ts, levels, budget, q, _Q_KINDS[mode])
     return _bracket(f"minimal {mode} learning error vs exhaustive grid search",
-                    learner.distance, err, levels, learner.boundary_ok, ts.scale.tol)
+                    learner.distance, err, levels, learner.boundary_ok, tol)
 
 
 def training_checks(
     ts: TrainingSet, levels: tuple[float, ...], budget: int,
-    q: int | None = None, mode: str | None = None,
+    q: int | None = None, mode: str | None = None, tol: float = DEFAULT_TOLERANCE,
 ) -> list[dict]:
     """:func:`system_checks` on the system of ``ts`` for ``mode`` ("qmax" by
     default, or "qmin") up to q (default n), then :func:`learning_check`."""
     q, mode = ts.n if q is None else q, mode or "qmax"
-    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, budget)
-    return checks + [learning_check(ts, q, mode, budget)]
+    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, budget, tol)
+    return checks + [learning_check(ts, q, mode, budget, tol)]

@@ -99,13 +99,16 @@ class RelationalSystem:
         values = (*chain.from_iterable(self.matrix), *self.rhs)
         floats = self.scale.floats(values) if all(len(r) == m for r in self.matrix) else None
         if floats is None:
-            # some entry fails: name the first one, row by row, then the rhs
+            # some entry fails, or is a subclass of int or float: walk row by
+            # row, then the rhs, naming the first failure
+            rows = []
             for k, row in enumerate(self.matrix):
                 if len(row) != m:
                     raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
-                self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})")
-            self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
-        elif floats is not values or not tuples:  # an int or a list: keep tuples of floats
+                rows.append(self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})"))
+            rhs = self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
+            floats = (*chain.from_iterable(rows), *rhs)
+        if floats is not values or not tuples:  # an int, a subclass, a list: keep tuples of floats
             rows = len(self.matrix)
             object.__setattr__(self, "matrix", tuple(floats[k * m:k * m + m] for k in range(rows)))
             object.__setattr__(self, "rhs", floats[rows * m:])

@@ -7,16 +7,13 @@ capacities.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
 
 from .errors import DomainError
 
-DEFAULT_TOLERANCE = 1e-9
 _NUMBER_TYPES = frozenset((int, float))
-_FLOAT_MAX = sys.float_info.max
 
 
 class ScaleKind(Enum):
@@ -26,12 +23,7 @@ class ScaleKind(Enum):
 
 @dataclass(frozen=True)
 class Scale:
-    """An evaluation scale with a tolerance for comparing derived values.
-
-    ``tol`` is only used when comparing quantities that left the lattice
-    (Chebyshev distances and approximate solutions involve subtraction and
-    halving).  Pure lattice operations on scale members are exact and never
-    consult it.
+    """An evaluation scale, whose lattice operations are exact.
 
     Finite chains keep their levels as floats; membership tests use exact
     float equality, so data must be produced by the same parse/arithmetic
@@ -41,16 +33,11 @@ class Scale:
 
     kind: ScaleKind
     levels: tuple[float, ...] | None = None
-    tol: float = DEFAULT_TOLERANCE
     _level_index: dict[float, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
     def __post_init__(self) -> None:
-        tol = self.tol
-        # compared, never converted: float() of an int past float range overflows
-        if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= _FLOAT_MAX:
-            raise DomainError(f"tolerance must be a finite nonnegative real, got {tol!r}")
         if self.kind is ScaleKind.UNIT_INTERVAL:
             if self.levels is not None:
                 raise DomainError("unit-interval scale does not take levels")
@@ -72,19 +59,19 @@ class Scale:
         object.__setattr__(self, "_level_index", {v: i for i, v in enumerate(levels)})
 
     @classmethod
-    def unit_interval(cls, tol: float = DEFAULT_TOLERANCE) -> Scale:
-        return cls(ScaleKind.UNIT_INTERVAL, None, tol)
+    def unit_interval(cls) -> Scale:
+        return cls(ScaleKind.UNIT_INTERVAL)
 
     @classmethod
-    def finite_chain(cls, levels: Iterable[float], tol: float = DEFAULT_TOLERANCE) -> Scale:
-        return cls(ScaleKind.FINITE_CHAIN, tuple(levels), tol)
+    def finite_chain(cls, levels: Iterable[float]) -> Scale:
+        return cls(ScaleKind.FINITE_CHAIN, tuple(levels))
 
     @classmethod
-    def uniform_chain(cls, steps: int, tol: float = DEFAULT_TOLERANCE) -> Scale:
+    def uniform_chain(cls, steps: int) -> Scale:
         """Chain 0, 1/steps, 2/steps, ..., 1 built by exact float division."""
         if steps < 1:
             raise DomainError("uniform chain needs at least one step")
-        return cls.finite_chain((i / steps for i in range(steps + 1)), tol)
+        return cls.finite_chain((i / steps for i in range(steps + 1)))
 
     def contains(self, value: float) -> bool:
         """True iff ``value`` is a number (an int or a float, not a bool) on

@@ -40,8 +40,7 @@ def _require_object(x: Sequence[float], mu: Capacity) -> tuple[float, ...]:
     coords = tuple(x)
     if len(coords) != mu.n:
         raise DomainError(f"object has {len(coords)} coordinates, capacity expects {mu.n}")
-    mu.scale.require_floats(coords, lambda i: f"coordinate x{i + 1}")
-    return coords
+    return mu.scale.require_floats(coords, lambda i: f"coordinate x{i + 1}")
 
 
 def _chain(values: Sequence[float], coords: Sequence[float], order: Order) -> float:

@@ -51,6 +51,15 @@ from caplearn.sugeno import _chain
 CHAIN21 = Scale.uniform_chain(20)
 FIVE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
+
+class FloatSub(float):
+    """A float subclass, as numpy.float64 is: a scale member, not a float."""
+
+
+class IntSub(int):
+    """An int subclass: a scale member, not an int."""
+
+
 # Three-item, three-criteria dataset used across the suite; small enough to
 # check every derived quantity by hand.
 REFERENCE_PAIRS = (
@@ -94,18 +103,18 @@ def approx_solution(sys_: RelationalSystem, distance: float | None = None) -> tu
     passed to reuse an already computed value.
 
     The optimum is attained where matrix entries tie with the relaxed rhs,
-    so those comparisons use the scale tolerance, toward the order's top
-    (1 for max-min, 0 for min-max): the float sum rhs + d can land a few
-    ulps on either side of the tie and the strict branch would then forfeit
-    the optimality guarantee.  A zero distance skips the relaxation
-    entirely and reproduces the exact solved vector.
+    so those comparisons use ``learn``'s default tolerance, toward the
+    order's top (1 for max-min, 0 for min-max): the float sum rhs + d can
+    land a few ulps on either side of the tie and the strict branch would
+    then forfeit the optimality guarantee.  A zero distance skips the
+    relaxation entirely and reproduces the exact solved vector.
     """
     d = chebyshev_distance(sys_).distance if distance is None else distance
     if d == 0.0:
         return potential_solution(sys_)
     order = sys_.kind.order
     relaxed = relaxed_rhs(sys_.rhs, d, sys_.kind)
-    slack = order.sign * sys_.scale.tol
+    slack = order.sign * caplearn.learning.DEFAULT_TOLERANCE
     le, top = order.le, order.top
     return tuple(
         order.meet(top if le(a, r + slack) else r for a, r in zip(column, relaxed))
@@ -636,9 +645,9 @@ def brute_sugeno_maxmin(mu: Capacity, x) -> float:
 # by item (row by row), each failure named as it is met.
 
 
-def training_set_from_json_reference(obj, tol: float | None = None) -> TrainingSet:
+def training_set_from_json_reference(obj) -> TrainingSet:
     _document(obj, "training set", ("n", "scale", "items"))
-    scale = scale_from_json(obj["scale"], tol)
+    scale = scale_from_json(obj["scale"])
     items = obj["items"]
     if not isinstance(items, list):
         raise FormatError("training set field 'items' must be an array")

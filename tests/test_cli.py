@@ -133,6 +133,22 @@ class TestLearn:
         assert report["distance"] == pytest.approx(0.1, abs=1e-9)
         assert report["capacity"] is not None
 
+    def test_tolerance_reaches_the_approximate_solve(self, capsys, tmp_path):
+        # entries within the tolerance beyond their relaxed targets stop
+        # blocking; a tolerance this wide lets residuals pass the distance
+        json_path = tmp_path / "unit_noisy.json"
+        save_training_set(load_training_set(GOLDEN / "unit_noisy.csv"), json_path)
+        for path in (GOLDEN / "unit_noisy.csv", json_path):
+            argv = ["learn", "--data", str(path), "--mode", "qmax", "--q", "2", "--approx"]
+            default, explicit, wide = (run(capsys, *argv, *tol) for tol in
+                                       ([], ["--tolerance", "1e-9"], ["--tolerance", "0.05"]))
+            assert default == explicit and default[0] == wide[0] == 0
+            default, wide = json.loads(default[1]), json.loads(wide[1])
+            assert default["capacity"]["values"][:4] == [0.0, 0.531, 0.517, 0.531]
+            assert wide["capacity"]["values"][:4] == [0.0, 1.0, 0.553, 1.0]
+            assert wide["distance"] == default["distance"] == max(map(abs, default["residuals"]))
+            assert max(map(abs, wide["residuals"])) > wide["distance"]
+
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2\n0.5,0.6\n", encoding="utf-8")
@@ -659,14 +675,37 @@ class TestUsageErrors:
             ["distance", "--data", "unit_noisy.csv"],
             ["distance", "--data", "system_maxmin.json"],
             ["oracle", "--data", "tiny.json", "--grid-step", "0.25"],
+            ["oracle", "--data", "system_maxmin.json", "--grid-step", "0.25"],
         ],
     )
     def test_infinite_tolerance_is_input_error(self, capsys, argv):
+        # only learn and oracle compare values off the lattice and take a tolerance
+        if argv[0] in ("learn", "oracle"):
+            message = "tolerance must be a finite nonnegative real, got inf"
+        else:
+            message = "unrecognized arguments: --tolerance inf"
         argv = [str(GOLDEN / a) if prev in ("--data", "--capacity") else a
                 for prev, a in zip([None] + argv, argv)]
         code, out, err = run(capsys, *argv, "--tolerance", "inf")
-        assert (code, out) == (1, "")
-        assert "tolerance must be a finite nonnegative real, got inf" in err
+        assert (code, out, err) == (1, "", f"caplearn: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check", "--capacity", "mu_paper.json"], "--out"),
+            (["learn", "--data", "paper.csv", "--mode", "greatest"], "--capacity"),
+        ],
+        ids=["check-out", "learn-capacity"],
+    )
+    def test_unwritable_file_is_input_error(self, capsys, tmp_path, argv, flag):
+        argv = [str(GOLDEN / a) if prev in ("--data", "--capacity") else a
+                for prev, a in zip([None] + argv, argv)]
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run(capsys, *argv, flag, str(target))
+        assert code == 1
+        assert err == f"caplearn: [Errno 2] No such file or directory: '{target}'\n"
+        # learn writes its report before the capacity file
+        assert out == (run(capsys, *argv)[1] if argv[0] == "learn" else "")
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "learn", "--mode", "greatest")
@@ -693,6 +732,59 @@ class TestUsageErrors:
         argv = [str(tmp_path / a) if a.startswith("missing.") else a for a in argv]
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (1, "", f"caplearn: {message}\n")
+
+
+UNIT_JSON = {"kind": "unit_interval"}
+
+
+class TestMalformedDocuments:
+    """A document of the wrong shape is an input error: one line on stderr
+    naming the fault, nothing on stdout."""
+
+    @pytest.mark.parametrize(
+        "argv, name, doc, message",
+        [
+            (["check", "--capacity"], "mu.json", [0.0, 1.0], "capacity must be a JSON object"),
+            (["check", "--capacity"], "mu.json", {"n": 1, "scale": "unit", "values": [0, 1]},
+             "scale must be an object with a 'kind' field"),
+            (["check", "--capacity"], "mu.json",
+             {"n": 1, "scale": {"kind": "finite_chain", "levels": "0,1"}, "values": [0, 1]},
+             "finite chain scale needs a 'levels' array"),
+            (["check", "--capacity"], "mu.json",
+             {"n": 1, "scale": {"kind": "finite_chain", "levels": [0.5, 1]}, "values": [0, 1]},
+             "invalid scale: chain levels must start at 0 and end at 1"),
+            (["check", "--capacity"], "mu.json", {"n": 1, "scale": UNIT_JSON, "values": "0,1"},
+             "capacity field 'values' must be an array"),
+            (["distance", "--data"], "sys.json",
+             {"kind": "maxmin", "matrix": [0.5], "rhs": [0.5]},
+             "system field 'matrix' must be an array of rows"),
+            (["distance", "--data"], "sys.json",
+             {"kind": "maxmin", "matrix": [[0.5]], "rhs": 0.5},
+             "system field 'rhs' must be an array"),
+            (["distance", "--data"], "sys.json",
+             {"kind": "maxmin", "matrix": [[0.5]], "rhs": [0.5], "column_labels": "A"},
+             "system field 'column_labels' must be an array"),
+            (["distance", "--data"], "sys.json",
+             {"kind": "maxmin", "matrix": [["x"]], "rhs": [0.5]},
+             "matrix entry (0, 0): expected a number, got 'x'"),
+            (["distance", "--data"], "sys.json",
+             {"kind": "maxmin", "matrix": [[0.5, 0.5]], "rhs": [0.5], "column_labels": [1, 1]},
+             "invalid system: column labels must be unique"),
+            (["learn", "--mode", "greatest", "--data"], "ts.json",
+             {"n": 1, "scale": UNIT_JSON, "items": {"x": [0.5], "alpha": 0.5}},
+             "training set field 'items' must be an array"),
+            (["learn", "--mode", "greatest", "--data"], "ts.csv", "\n , \n", "{path}: no rows"),
+        ],
+        ids=["not-an-object", "scale-not-an-object", "levels-not-an-array",
+             "levels-not-from-0-to-1", "values-not-an-array", "matrix-not-rows", "rhs-not-an-array",
+             "labels-not-an-array", "matrix-entry-not-a-number", "duplicate-labels",
+             "items-not-an-array", "csv-without-rows"],
+    )
+    def test_refused_with_one_line(self, capsys, tmp_path, argv, name, doc, message):
+        path = tmp_path / name
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out, err) == (1, "", f"caplearn: {message.format(path=path)}\n")
 
 
 class TestFileText:

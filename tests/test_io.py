@@ -302,15 +302,6 @@ class TestTrainingData:
         assert ts2.items == reference_training_set().items
         assert ts2.scale.levels == CHAIN21.levels
 
-    def test_tolerance_reaches_csv_and_json_alike(self, tmp_path):
-        csv_path = tmp_path / "data.csv"
-        csv_path.write_text(REFERENCE_CSV, encoding="utf-8")
-        json_path = tmp_path / "data.json"
-        save_training_set(training_set_from_csv_text(REFERENCE_CSV), json_path)
-        assert load_training_set(csv_path, tol=0.01).scale.tol == 0.01
-        assert load_training_set(json_path, tol=0.01).scale.tol == 0.01
-        assert load_training_set(csv_path).scale.tol == UNIT.tol
-
     def test_off_chain_training_value_rejected(self):
         doc = {
             "n": 1,

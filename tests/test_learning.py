@@ -33,6 +33,8 @@ from helpers import (
     CHAIN21,
     approx_solution,
     FIVE_LEVELS,
+    FloatSub,
+    IntSub,
     MU_E_VALUES,
     MU_F_VALUES,
     by_cardinality,
@@ -673,6 +675,14 @@ class TestDispatch:
         with pytest.raises(DomainError, match="got True"):
             learn(ref_ts, mode, True)
 
+    @pytest.mark.parametrize("mode, q", [(LearnMode.QMAX_APPROX, 2), (LearnMode.GREATEST, None)])
+    def test_negative_tolerance_rejected(self, ref_ts, mode, q):
+        # an int past float range, and a bool, which is an int to isinstance
+        for tol in (-1e-3, float("inf"), float("nan"), 10**400, True):
+            with pytest.raises(DomainError) as err:
+                learn(ref_ts, mode, q, tol=tol)
+            assert str(err.value) == f"tolerance must be a finite nonnegative real, got {tol!r}"
+
     def test_dispatch_reaches_all_modes(self, ref_ts):
         assert learn(ref_ts, LearnMode.GREATEST).mode is LearnMode.GREATEST
         assert learn(ref_ts, LearnMode.LOWEST).mode is LearnMode.LOWEST
@@ -698,6 +708,19 @@ class TestTrainingSetValidation:
     def test_float_items_are_kept_as_given(self):
         items = tuple(TrainingSet.from_pairs(2, UNIT, [((0.0, 1.0), 0.5)]).items)
         assert TrainingSet(2, UNIT, items).items is items
+
+    @pytest.mark.parametrize("sub", [FloatSub, IntSub])
+    def test_number_subclasses_are_stored_as_floats(self, sub):
+        # the bulk check refuses a subclass; the item walk's floats are kept
+        expected = TrainingSet.from_pairs(2, UNIT, [((1.0, 0.25), 0.25), ((0.0, 0.5), 0.0)])
+        for ts in (
+            TrainingSet.from_pairs(2, UNIT, [([sub(1), 0.25], 0.25), ((0.0, 0.5), sub(0))]),
+            TrainingSet(2, UNIT, [TrainingDatum([sub(1), 0.25], 0.25),
+                                  TrainingDatum((0.0, 0.5), sub(0))]),
+        ):
+            assert type(ts.items) is tuple and {type(item.x) for item in ts.items} == {tuple}
+            assert {type(v) for item in ts.items for v in (*item.x, item.alpha)} == {float}
+            assert (ts, hash(ts)) == (expected, hash(expected))
 
     def test_lists_are_stored_as_tuples(self):
         # a list object or item list would leave the set unhashable

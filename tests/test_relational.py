@@ -17,6 +17,8 @@ from caplearn.relational import vector_for_rhs
 
 from helpers import (
     FIVE_LEVELS,
+    FloatSub,
+    IntSub,
     by_cardinality,
     is_consistent,
     random_system,
@@ -234,6 +236,15 @@ class TestConstruction:
         )
         assert repr(sys_) == repr(as_tuples)
         assert hash(sys_) == hash(as_tuples)
+
+    @pytest.mark.parametrize("sub", [FloatSub, IntSub])
+    def test_number_subclasses_are_stored_as_floats(self, sub):
+        # the bulk check refuses a subclass; the row walk's floats are kept
+        sys_ = RelationalSystem(SystemKind.MAX_MIN, [[sub(1), 0.5]], [sub(1)], [1, 2], UNIT)
+        plain = RelationalSystem(SystemKind.MAX_MIN, ((1.0, 0.5),), (1.0,), (1, 2), UNIT)
+        assert type(sys_.matrix) is type(sys_.matrix[0]) is type(sys_.rhs) is tuple
+        assert {type(v) for v in (*sys_.matrix[0], *sys_.rhs)} == {float}
+        assert (sys_, hash(sys_)) == (plain, hash(plain))
 
     def test_off_scale_entry_rejected(self):
         chain = Scale.finite_chain([0.0, 0.5, 1.0])

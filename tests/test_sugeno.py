@@ -31,6 +31,8 @@ from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 from helpers import (
     CHAIN21,
     FIVE_LEVELS,
+    FloatSub,
+    IntSub,
     brute_force_conjugate,
     brute_q_maxitive,
     brute_q_minitive,
@@ -461,6 +463,13 @@ class TestValidation:
             with pytest.raises(DomainError) as err:
                 form(mu, x)
             assert str(err.value) == f"{named} is not a member of {scale.describe()}"
+
+    @pytest.mark.parametrize("sub", [FloatSub, IntSub])
+    def test_number_subclass_coordinates_integrate_to_floats(self, sub):
+        mu = Capacity(2, UNIT, (0.0, 1.0, 1.0, 1.0))
+        for value in (sugeno_maxmin(mu, (sub(1), 0.2)), sugeno_minmax(mu, (sub(1), 0.2)),
+                      sugeno_qmax_unchecked(mu, (sub(1), 0.2), 1)):
+            assert (type(value), value) == (float, 1.0)
 
     def test_q_out_of_range(self, mu_e):
         with pytest.raises(DomainError):
