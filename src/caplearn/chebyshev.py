@@ -15,7 +15,7 @@ system (``learning._distance``, stopping rows that cannot raise the max).
 
 Finite-chain systems are embedded in [0, 1] by their numeric values; the
 halving in the cross terms can land between chain levels, so results are
-reported on the unit interval and compared with ``learn``'s tolerance.
+reported on the unit interval and compared within ``learning.TOLERANCE``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ from .io import (
     report_to_json,
     save_capacity,
 )
-from .learning import DEFAULT_TOLERANCE, LearnMode, build_system, learn, validate_data
+from .learning import LearnMode, build_system, learn, validate_data
 from .oracle import DEFAULT_BUDGET, grid_levels, system_checks, training_checks
 from .relational import RelationalSystem, SystemKind
 from .scale import ScaleKind
@@ -98,10 +98,6 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle_p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     oracle_p.set_defaults(run=_cmd_oracle)
     _common_flags(oracle_p)
-
-    for p in (learn_p, oracle_p):  # the two commands that compare values off the lattice
-        p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE,
-                       help="slack for values off the lattice (default %(default)s)")
     return parser
 
 
@@ -163,23 +159,20 @@ def _cmd_learn(args) -> int:
             raise DomainError(f"--mode {args.mode} does not take --q")
         mode = LearnMode(args.mode)
     ts = load_training_set(args.data)
-    report = learn(ts, mode, args.q, args.tolerance)
+    report = learn(ts, mode, args.q)
     payload = report_to_json(report)
     data_problems = validate_data(ts)
     if data_problems:
         payload["data_warnings"] = [v.message for v in data_problems]
-    # the capacity file and a JSON report share one encoding of the 2^n values
-    text = None
+    # the capacity file and a JSON report share one encoding of the 2^n
+    # values; the file is written first, so a failed write leaves no report
     if report.capacity is not None and args.capacity:
         text = CanonicalText(dumps_json(payload["capacity"]))
         if args.format == "json":
             payload["capacity"] = text
-    _emit(payload, args.format, args.out)
-    if report.capacity is None:
-        return EXIT_CONDITION
-    if args.capacity:
         save_capacity(report.capacity, args.capacity, text=text)
-    return EXIT_OK
+    _emit(payload, args.format, args.out)
+    return EXIT_OK if report.capacity is not None else EXIT_CONDITION
 
 
 def _cmd_eval(args) -> int:
@@ -286,9 +279,9 @@ def _cmd_oracle(args) -> int:
     levels = grid_levels(args.grid_step, args.budget)
     data = _load_data(args, "mode")
     if isinstance(data, RelationalSystem):
-        checks = system_checks(data, levels, args.budget, args.tolerance)
+        checks = system_checks(data, levels, args.budget)
     else:
-        checks = training_checks(data, levels, args.budget, args.q, args.mode, args.tolerance)
+        checks = training_checks(data, levels, args.budget, args.q, args.mode)
     ok = all(c["ok"] for c in checks)
     _emit({"ok": ok, "checks": checks}, args.format, args.out)
     return EXIT_OK if ok else EXIT_CONDITION

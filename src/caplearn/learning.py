@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, combinations, compress, repeat
 from operator import and_, ge, itemgetter, le, neg, pos
-from sys import float_info
 from typing import Any, Iterable, Sequence
 
 from .capacity import Capacity, Scoring, _check_q, extend_layer
@@ -29,7 +28,10 @@ from .scale import Scale
 from .subsets import check_criteria_count, full_mask, masks_of_sizes, subset_label
 from .sugeno import _chain
 
-DEFAULT_TOLERANCE = 1e-9
+# the slack for float rounding in targets relaxed by the distance, where
+# target + distance can land a few ulps either side of a tie; a wider one
+# unblocks subsets the optimum needs, and residuals then pass the distance
+TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -339,14 +341,7 @@ def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tupl
     return tuple((p or zero) - item.alpha for p, item in zip(produced, ts.items))
 
 
-def _check_tolerance(tol: float) -> None:
-    # compared, never converted: float() of an int past float range overflows
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 <= tol <= float_info.max:
-        raise DomainError(f"tolerance must be a finite nonnegative real, got {tol!r}")
-
-
-def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None,
-          tol: float = DEFAULT_TOLERANCE) -> LearnReport:
+def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport:
     """One learning run; q is required exactly for the q-modes.
 
     GREATEST (LOWEST) is QMAX (QMIN) at q = n, reported with q None.  Every
@@ -360,11 +355,10 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None,
     residuals: a reached target is its own product.  An approximate mode
     sweeps its Chebyshev distance, the exact minimal learning error, from
     the subset columns, solves against the targets relaxed by it, an entry
-    within ``tol`` beyond its relaxed target counting as reaching it, and
-    needs only the boundary condition; when that fails it returns before the
-    extension.  Failed conditions leave notes.
+    within ``TOLERANCE`` beyond its relaxed target counting as reaching it,
+    and needs only the boundary condition; when that fails it returns before
+    the extension.  Failed conditions leave notes.
     """
-    _check_tolerance(tol)
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
     if whole and q is not None:
@@ -382,7 +376,7 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None,
             # the optimum sits where entries tie with the relaxed rhs, so
             # blocking is judged with the tolerance toward the order's top
             rhs = relaxed_rhs(targets, distance, kind)
-            bound = tuple(r + order.sign * tol for r in rhs)
+            bound = tuple(r + order.sign * TOLERANCE for r in rhs)
     table = _solve(ts, kind, layer_q, rhs, bound)
     layer = [(m, table[m]) for m in masks_of_sizes(ts.n, (size,))]
     best, value = order.join(layer, key=itemgetter(1))

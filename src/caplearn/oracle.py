@@ -26,8 +26,7 @@ from typing import Iterable, Iterator
 from .capacity import Capacity, _check_q, _is_q_extension
 from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
-from .learning import DEFAULT_TOLERANCE, LearnMode, TrainingSet, build_system, learn
-from .learning import _check_tolerance
+from .learning import TOLERANCE, LearnMode, TrainingSet, build_system, learn
 from .relational import RelationalSystem, SystemKind, apply_system
 from .relational import potential_solution, vector_for_rhs
 from .scale import Scale
@@ -167,27 +166,27 @@ def _with_bounds(*values: Iterable[float]) -> tuple[float, ...]:
     return tuple(sorted({0.0, 1.0}.union(*values)))
 
 
-def _bracket(check, formula, found, levels, attainable, tol) -> dict:
+def _bracket(check, formula, found, levels, attainable) -> dict:
     """``found``, the optimum over ``levels``, never below ``formula``, and when
     ``attainable`` within half the largest gap of ``levels`` above it."""
-    ok = found >= formula - tol
+    ok = found >= formula - TOLERANCE
     if attainable:
-        ok = ok and found <= formula + max(b - a for a, b in zip(levels, levels[1:])) / 2 + tol
+        half_gap = max(b - a for a, b in zip(levels, levels[1:])) / 2
+        ok = ok and found <= formula + half_gap + TOLERANCE
     return {"check": check, "formula": formula, "grid": found, "ok": ok}
 
 
-def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int,
-                  tol: float = DEFAULT_TOLERANCE) -> list[dict]:
+def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int) -> list[dict]:
     """The distance formula against a grid search over right-hand sides on
-    ``levels``, within ``tol``, the potential solution against every enumerated
-    solution, and zero distance against consistency.  With every matrix entry a
-    level, a solution rounded to the levels reaches the optimal rhs rounded."""
-    _check_tolerance(tol)
+    ``levels``, within ``TOLERANCE``, the potential solution against every
+    enumerated solution, and zero distance against consistency.  With every
+    matrix entry a level, a solution rounded to the levels reaches the optimal
+    rhs rounded."""
     formula = chebyshev_distance(sys).distance
     grid = grid_chebyshev(sys, levels, budget)
     on_grid = set(levels).issuperset(itertools.chain.from_iterable(sys.matrix))
     checks = [_bracket("chebyshev distance formula vs grid search", formula, grid, levels,
-                       on_grid, tol)]
+                       on_grid)]
     # solution candidates only need the system's own values plus the bounds;
     # a finer grid multiplies the search without new lattice behavior
     candidates = _with_bounds(*sys.matrix, sys.rhs)
@@ -209,27 +208,26 @@ def system_checks(sys: RelationalSystem, levels: tuple[float, ...], budget: int,
     return checks
 
 
-def learning_check(ts: TrainingSet, q: int, mode: str, budget: int,
-                   tol: float = DEFAULT_TOLERANCE) -> dict:
+def learning_check(ts: TrainingSet, q: int, mode: str, budget: int) -> dict:
     """The minimal ``mode`` ("qmax" or "qmin") learning error, as the
     approximate learner reports it, against an exhaustive capacity search.
     Its levels hold every coordinate, so when the boundary holds the optimal
     capacity rounded to them reaches the optimal integrals rounded."""
-    learner = learn(ts, LearnMode(mode + "_approx"), q, tol)
+    learner = learn(ts, LearnMode(mode + "_approx"), q)
     # capacity values beyond the data's own levels cannot improve the fit,
     # so the exhaustive search enumerates over exactly those
     levels = _with_bounds(*(item.x for item in ts.items), ts.targets())
     err, _ = min_learning_error(ts, levels, budget, q, _Q_KINDS[mode])
     return _bracket(f"minimal {mode} learning error vs exhaustive grid search",
-                    learner.distance, err, levels, learner.boundary_ok, tol)
+                    learner.distance, err, levels, learner.boundary_ok)
 
 
 def training_checks(
     ts: TrainingSet, levels: tuple[float, ...], budget: int,
-    q: int | None = None, mode: str | None = None, tol: float = DEFAULT_TOLERANCE,
+    q: int | None = None, mode: str | None = None,
 ) -> list[dict]:
     """:func:`system_checks` on the system of ``ts`` for ``mode`` ("qmax" by
     default, or "qmin") up to q (default n), then :func:`learning_check`."""
     q, mode = ts.n if q is None else q, mode or "qmax"
-    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, budget, tol)
-    return checks + [learning_check(ts, q, mode, budget, tol)]
+    checks = system_checks(build_system(ts, _Q_KINDS[mode], q), levels, budget)
+    return checks + [learning_check(ts, q, mode, budget)]

@@ -103,7 +103,7 @@ def approx_solution(sys_: RelationalSystem, distance: float | None = None) -> tu
     passed to reuse an already computed value.
 
     The optimum is attained where matrix entries tie with the relaxed rhs,
-    so those comparisons use ``learn``'s default tolerance, toward the
+    so those comparisons use ``learning.TOLERANCE``, toward the
     order's top (1 for max-min, 0 for min-max): the float sum rhs + d can
     land a few ulps on either side of the tie and the strict branch would
     then forfeit the optimality guarantee.  A zero distance skips the
@@ -114,7 +114,7 @@ def approx_solution(sys_: RelationalSystem, distance: float | None = None) -> tu
         return potential_solution(sys_)
     order = sys_.kind.order
     relaxed = relaxed_rhs(sys_.rhs, d, sys_.kind)
-    slack = order.sign * caplearn.learning.DEFAULT_TOLERANCE
+    slack = order.sign * caplearn.learning.TOLERANCE
     le, top = order.le, order.top
     return tuple(
         order.meet(top if le(a, r + slack) else r for a, r in zip(column, relaxed))

@@ -134,20 +134,17 @@ class TestLearn:
         assert report["capacity"] is not None
 
     def test_tolerance_reaches_the_approximate_solve(self, capsys, tmp_path):
-        # entries within the tolerance beyond their relaxed targets stop
-        # blocking; a tolerance this wide lets residuals pass the distance
+        # entries within the fixed tolerance beyond their relaxed targets stop
+        # blocking, and the residuals still attain the distance
         json_path = tmp_path / "unit_noisy.json"
         save_training_set(load_training_set(GOLDEN / "unit_noisy.csv"), json_path)
         for path in (GOLDEN / "unit_noisy.csv", json_path):
-            argv = ["learn", "--data", str(path), "--mode", "qmax", "--q", "2", "--approx"]
-            default, explicit, wide = (run(capsys, *argv, *tol) for tol in
-                                       ([], ["--tolerance", "1e-9"], ["--tolerance", "0.05"]))
-            assert default == explicit and default[0] == wide[0] == 0
-            default, wide = json.loads(default[1]), json.loads(wide[1])
-            assert default["capacity"]["values"][:4] == [0.0, 0.531, 0.517, 0.531]
-            assert wide["capacity"]["values"][:4] == [0.0, 1.0, 0.553, 1.0]
-            assert wide["distance"] == default["distance"] == max(map(abs, default["residuals"]))
-            assert max(map(abs, wide["residuals"])) > wide["distance"]
+            code, out, _ = run(capsys, "learn", "--data", str(path), "--mode", "qmax", "--q", "2",
+                               "--approx")
+            assert code == 0
+            report = json.loads(out)
+            assert report["capacity"]["values"][:4] == [0.0, 0.531, 0.517, 0.531]
+            assert report["distance"] == max(map(abs, report["residuals"]))
 
     def test_malformed_file_is_input_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -678,16 +675,12 @@ class TestUsageErrors:
             ["oracle", "--data", "system_maxmin.json", "--grid-step", "0.25"],
         ],
     )
-    def test_infinite_tolerance_is_input_error(self, capsys, argv):
-        # only learn and oracle compare values off the lattice and take a tolerance
-        if argv[0] in ("learn", "oracle"):
-            message = "tolerance must be a finite nonnegative real, got inf"
-        else:
-            message = "unrecognized arguments: --tolerance inf"
+    def test_no_command_takes_a_tolerance(self, capsys, argv):
+        # the slack for values off the lattice is fixed: learning.TOLERANCE
         argv = [str(GOLDEN / a) if prev in ("--data", "--capacity") else a
                 for prev, a in zip([None] + argv, argv)]
         code, out, err = run(capsys, *argv, "--tolerance", "inf")
-        assert (code, out, err) == (1, "", f"caplearn: {message}\n")
+        assert (code, out, err) == (1, "", "caplearn: unrecognized arguments: --tolerance inf\n")
 
     @pytest.mark.parametrize(
         "argv, flag",
@@ -704,8 +697,8 @@ class TestUsageErrors:
         code, out, err = run(capsys, *argv, flag, str(target))
         assert code == 1
         assert err == f"caplearn: [Errno 2] No such file or directory: '{target}'\n"
-        # learn writes its report before the capacity file
-        assert out == (run(capsys, *argv)[1] if argv[0] == "learn" else "")
+        # learn writes the capacity file before its report
+        assert out == ""
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "learn", "--mode", "greatest")
