@@ -72,7 +72,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     eval_p = sub.add_parser("eval", help="evaluate the Sugeno integral of objects")
     eval_p.add_argument("--capacity", required=True, help="capacity JSON file")
-    eval_p.add_argument("--object", help="comma-separated coordinates, e.g. 0.2,0.5,0.3")
+    eval_p.add_argument(
+        "--object",
+        help="comma-separated coordinates, e.g. 0.2,0.5,0.3; write --object=-0.0,0.5 when"
+        " the first starts with a minus sign, which argparse would take for an option",
+    )
     eval_p.add_argument("--data", help="training file; evaluates every row")
     eval_p.set_defaults(run=_cmd_eval)
     _common_flags(eval_p)

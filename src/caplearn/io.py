@@ -17,6 +17,14 @@ scalars (strings, bools, None, or numbers with a NaN or an infinity, which
 break and indentation as its item separator; the C encoder writes every
 item as the indenting one does.
 
+Above layer q a learned q-mode table repeats one value over long runs, so a
+list of more than ``_BLOCK`` floats is written block by block, and a block
+whose entries are all equal takes one ``repr``, repeated.  That is exact:
+equal floats share one ``repr`` except 0.0 and -0.0, so a block of zeros
+takes it only when its entries have one sign; and an int is never merged
+with the float it equals (1 and 1.0 differ in text), because a list that
+holds an int or a bool keeps the join of every ``repr``.
+
 A document's canonical text can stand in for the document inside a larger
 payload, as a ``CanonicalText``; ``caplearn learn`` encodes its capacity
 once that way, for the capacity file and for the report.  The writer embeds
@@ -34,6 +42,7 @@ import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from struct import Struct
 from typing import Any, Callable
 
 from .capacity import Capacity
@@ -43,6 +52,10 @@ from .relational import RelationalSystem, SystemKind
 from .scale import _NUMBER_TYPES, Scale, ScaleKind
 
 _SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
+# a list of floats longer than this is written block by block
+_BLOCK = 64
+_PACK_BLOCK = Struct(f"{_BLOCK}d").pack
+_ZERO_BLOCKS = (_PACK_BLOCK(*[0.0] * _BLOCK), _PACK_BLOCK(*[-0.0] * _BLOCK))
 
 
 class CanonicalText(str):
@@ -65,8 +78,12 @@ def _encode(obj: Any, newline: str) -> str:
     if isinstance(obj, (list, tuple)) and obj:
         types = set(map(type, obj))
         # repr writes an int or a finite float as the encoder does; only a
-        # nan or an inf puts the letter n in the text
-        body = sep.join(map(repr, obj)) if types <= _NUMBER_TYPES else None
+        # nan or an inf puts the letter n in the text.  A long list of floats
+        # takes one repr per block of equal values, of one sign if zeros.
+        if len(obj) > _BLOCK and types == {float}:
+            body = _float_blocks(obj, sep)
+        else:
+            body = sep.join(map(repr, obj)) if types <= _NUMBER_TYPES else None
         if body is None or "n" in body:
             if types <= _SCALAR_TYPES:
                 body = json.dumps(obj, separators=(sep, ": "))[1:-1]
@@ -84,6 +101,29 @@ def _encode(obj: Any, newline: str) -> str:
         # without its final line break; see the module docstring
         return obj[:-1].replace("\n", newline)
     return _quote(obj) if type(obj) is str else json.dumps(obj)
+
+
+def _float_blocks(values: list | tuple, sep: str) -> str:
+    """``sep.join(map(repr, values))`` for a list of floats, with one ``repr``
+    for each block of ``_BLOCK`` equal values; see the module docstring."""
+    parts = []
+    done = 0  # values[:done] are in parts
+    for start in range(0, len(values) - _BLOCK + 1, _BLOCK):
+        v = values[start]
+        # the end test first, as a block of distinct values fails it
+        block = values[start:start + _BLOCK] if values[start + _BLOCK - 1] == v else ()
+        # equal zeros may differ in sign, which their bytes tell apart
+        if block.count(v) == _BLOCK and (v or _PACK_BLOCK(*block) in _ZERO_BLOCKS):
+            if done < start:
+                parts.append(sep.join(map(repr, values[done:start])))
+            text = repr(v)
+            parts.append((text + sep) * (_BLOCK - 1) + text)
+            done = start + _BLOCK
+    if not parts:
+        return sep.join(map(repr, values))
+    if done < len(values):
+        parts.append(sep.join(map(repr, values[done:])))
+    return sep.join(parts)
 
 
 def _read_text(path: str | Path) -> str:

@@ -7,7 +7,7 @@ used for matrix columns and serialization is ascending mask value.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -61,11 +61,10 @@ def masks_of_sizes(n: int, sizes: Iterable[int]) -> list[int]:
     """Ascending masks whose cardinality is in ``sizes``.
 
     Built from combinations, so bounded layers cost C(n, k) each rather
-    than a scan of all 2**n masks.
+    than a scan of all 2**n masks; a mask is the sum of its bit values.
     """
-    return sorted(
-        sum(1 << i for i in combo) for k in sizes for combo in combinations(range(n), k)
-    )
+    bits = [1 << i for i in range(n)]
+    return sorted(map(sum, chain.from_iterable(combinations(bits, k) for k in sizes)))
 
 
 def drop_one_bit(mask: int) -> Iterator[int]:

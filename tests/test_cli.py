@@ -1,5 +1,6 @@
 import codecs
 import json
+import math
 import os
 import resource
 import subprocess
@@ -317,6 +318,18 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--capacity", mu_e_path, "--object", obj)
         assert (code, out) == (1, "")
         assert err == f"caplearn: coordinate {named} is not a member of the unit interval [0, 1]\n"
+
+    def test_object_with_a_leading_minus_in_the_equals_form(self, capsys, mu_e_path):
+        # after a space argparse takes "-0.0,..." for an option; after "=" it is the value
+        code, out, err = run(capsys, "eval", "--capacity", mu_e_path, "--object", "-0.0,0.2,0.3")
+        assert (code, out) == (1, "")
+        assert err == "caplearn: argument --object: expected one argument\n"
+        code, out, _ = run(capsys, "eval", "--capacity", mu_e_path, "--object=-0.0,0.2,0.3")
+        assert code == 0
+        assert '\n    -0.0,\n' in out
+        result = json.loads(out)
+        assert result["x"] == [0.0, 0.2, 0.3] and math.copysign(1.0, result["x"][0]) == -1.0
+        assert result["value"] == sugeno_maxmin(Capacity(3, UNIT, MU_E_VALUES), (0.0, 0.2, 0.3))
 
     def test_underscored_object_is_input_error(self, capsys, mu_e_path):
         # float() would read "0.2_5" as 0.25

@@ -1,13 +1,24 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from caplearn import FormatError, LearnMode, Scale, SystemKind, build_system, learn
-from caplearn.subsets import subset_label
+from caplearn import (
+    FormatError,
+    LearnMode,
+    Scale,
+    SystemKind,
+    TrainingSet,
+    build_system,
+    learn,
+    sugeno_maxmin,
+)
+from caplearn.subsets import masks_of_sizes, subset_label
 from caplearn.io import (
+    _BLOCK,
     CanonicalText,
     capacity_from_json,
     capacity_to_json,
@@ -26,6 +37,8 @@ from caplearn.io import (
 from helpers import (
     CHAIN21,
     MU_E_VALUES,
+    capacity_from_solution,
+    random_object,
     reference_training_set,
     save_system,
     save_training_set,
@@ -189,6 +202,21 @@ def json_documents():
     )
 
 
+B = _BLOCK
+
+
+@st.composite
+def run_heavy_lists(draw):
+    """Float lists longer than a block, made of runs of a few values, signed
+    zeros among them, so that many blocks hold one value."""
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 1e16]), st.integers(1, 2 * B)),
+        min_size=1, max_size=8,
+    ))
+    values = [v for v, k in runs for _ in range(k)]
+    return values + [1.0] * (B + 1 - len(values))
+
+
 def assert_embeds(doc):
     """A document's canonical text, embedded in a list and in a dict, gives
     the text of the document nested there."""
@@ -198,7 +226,7 @@ def assert_embeds(doc):
 
 
 class TestCanonicalWriter:
-    @given(json_documents())
+    @given(json_documents() | run_heavy_lists())
     def test_same_text_as_the_standard_encoder(self, doc):
         assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
         assert_embeds(doc)
@@ -229,9 +257,40 @@ class TestCanonicalWriter:
             [0.5, 1, float("nan"), -0.0],
             [1e16, 5e-324, -3, float("inf")],
             {"v": float("nan"), "w": -0.0, "x": [0.5]},
+            # float lists longer than a block: one value, around one and two blocks
+            *([v] * k for v in (0.25, -0.0) for k in (B - 1, B, B + 1, 2 * B, 2 * B + 1)),
+            # equal zeros of either sign in one block
+            [0.0] * 10 + [-0.0] + [0.0] * (2 * B),
+            [-0.0] * 10 + [0.0] + [-0.0] * (2 * B),
+            # one NaN object repeated, and infinities: the encoder writes them
+            [math.nan] * (2 * B + 1),
+            [0.5] * B + [math.inf] * B,
+            # an int equal to the block's float keeps its own text
+            [1.0] * 10 + [1] + [1.0] * (2 * B),
         ],
     )
     def test_edge_documents(self, doc):
+        assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert_embeds(doc)
+
+    def test_learned_q_capacity(self):
+        # a 2-maxitive table at n = 14 with a pair of high criteria at 1: the
+        # 64 sets of a block differ in the low criteria alone, so most blocks
+        # hold one value
+        rng = random.Random(26)
+        levels = CHAIN21.levels
+        solved = {1 << i: rng.choice(levels[:10]) for i in range(14)}
+        for mask in masks_of_sizes(14, (2,)):
+            floor = max(solved[mask & -mask], solved[mask & (mask - 1)])
+            solved[mask] = rng.choice([v for v in levels[:15] if v >= floor])
+        solved[0b11 << 12] = 1.0
+        hidden = capacity_from_solution(solved, 14, 2, CHAIN21, SystemKind.MAX_MIN)
+        objects = [random_object(rng, 14, levels) for _ in range(20)]
+        ts = TrainingSet.from_pairs(14, CHAIN21, [(x, sugeno_maxmin(hidden, x)) for x in objects])
+        mu = learn(ts, LearnMode.QMAX, 2).capacity
+        values = list(mu.values)
+        assert sum(len(set(values[i:i + B])) == 1 for i in range(0, len(values), B)) > 128
+        doc = capacity_to_json(mu)
         assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
         assert_embeds(doc)
 

@@ -13,6 +13,7 @@ from caplearn.subsets import (
     complement,
     drop_one_bit,
     full_mask,
+    masks_of_sizes,
     members,
     subset_label,
 )
@@ -38,6 +39,14 @@ def test_drop_and_add_one_bit():
     assert sorted(drop_one_bit(0b111)) == [0b011, 0b101, 0b110]
     assert sorted(add_one_bit(0b001, 3)) == [0b011, 0b101]
     assert list(add_one_bit(full_mask(3), 3)) == []
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_masks_of_sizes_is_the_definition(n):
+    for sizes in ((), (0,), (n,), (1,), (n // 2,), range(1, 3), range(0, n + 1),
+                  range(n // 2, n + 1), (0, n), (0, 2)):
+        expected = [m for m in range(1 << n) if m.bit_count() in sizes]
+        assert masks_of_sizes(n, sizes) == expected, sizes
 
 
 def test_criteria_count_bounds():
