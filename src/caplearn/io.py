@@ -3,10 +3,13 @@ JSON; writers for capacity JSON and learn reports.
 
 Writers emit a canonical form (two-space indented JSON, subsets in
 ascending mask order, floats in shortest round-trip notation), so saving a
-loaded capacity reproduces it byte for byte.  Readers validate scale
-membership at ingestion and reject off-scale values rather than rounding.
-A JSON document declares its scale, a training CSV is on the unit interval,
-and ``load_data`` alone tells a system file from training data.
+loaded capacity reproduces it byte for byte.  A JSON reader checks a
+document's shape and hands the decoded values to the object it builds,
+whose scale check converts them and refuses an off-scale one, named as
+written; only then does ``_numbers`` walk them, to name a value that is no
+number first.  A JSON document declares its scale, a training CSV is on the
+unit interval, and ``load_data`` alone tells a system file from training
+data.
 
 The canonical text is exactly ``json.dumps(payload, indent=2) + "\n"``.
 The standard encoder runs in pure Python once it indents, so ``dumps_json``
@@ -144,11 +147,12 @@ def _read_json(path: str | Path) -> Any:
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _number(value: Any, where: str) -> float:
+def _number(value: Any, where: str) -> None:
+    """Refuse ``value``, named ``where``, unless it is a number in float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{where}: expected a number, got {value!r}")
     try:
-        return float(value)
+        float(value)
     except OverflowError:
         raise FormatError(
             f"{where}: expected a number in float range, got an integer of"
@@ -156,16 +160,11 @@ def _number(value: Any, where: str) -> float:
         ) from None
 
 
-def _numbers(values: list, what: Callable[[int], str]) -> tuple[float, ...]:
-    """``_number`` of each value, the one at index i named ``what(i)``, in bulk."""
-    try:
-        types = set(map(type, values))
-        if types <= _NUMBER_TYPES:
-            # float() of a float is that float, so an all-float list is copied
-            return tuple(values) if types == {float} else tuple(map(float, values))
-    except OverflowError:
-        pass
-    return tuple(_number(v, what(i)) for i, v in enumerate(values))
+def _numbers(values: list, what: Callable[[int], str]) -> None:
+    """``_number`` of each value, the one at index i named ``what(i)``; run
+    only on values a container refused, to name a non-number first."""
+    for i, v in enumerate(values):
+        _number(v, what(i))
 
 
 def _document(obj: Any, what: str, fields: tuple[str, ...]) -> None:
@@ -194,19 +193,18 @@ def scale_from_json(obj: Any) -> Scale:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise FormatError("scale must be an object with a 'kind' field")
     kind = obj["kind"]
+    if kind == ScaleKind.UNIT_INTERVAL.value:
+        return Scale.unit_interval()
+    if kind != ScaleKind.FINITE_CHAIN.value:
+        raise FormatError(f"unknown scale kind {kind!r}")
+    levels = obj.get("levels")
+    if not isinstance(levels, list):
+        raise FormatError("finite chain scale needs a 'levels' array")
     try:
-        if kind == ScaleKind.UNIT_INTERVAL.value:
-            return Scale.unit_interval()
-        if kind == ScaleKind.FINITE_CHAIN.value:
-            levels = obj.get("levels")
-            if not isinstance(levels, list):
-                raise FormatError("finite chain scale needs a 'levels' array")
-            return Scale.finite_chain(_numbers(levels, "scale level {}".format))
-    except FormatError:
-        raise
+        return Scale.finite_chain(levels)
     except Exception as exc:
+        _numbers(levels, "scale level {}".format)
         raise FormatError(f"invalid scale: {exc}") from exc
-    raise FormatError(f"unknown scale kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +266,12 @@ def system_from_json(obj: Any) -> RelationalSystem:
         if isinstance(label, bool):  # JSON true/false are not subset masks
             raise FormatError(f"column label {j}: expected a number or a string, got {label!r}")
     try:
-        return RelationalSystem(
-            kind,
-            tuple(
-                _numbers(row, lambda j: f"matrix entry ({k}, {j})")
-                for k, row in enumerate(matrix)
-            ),
-            _numbers(rhs, "rhs entry {}".format),
-            tuple(labels),
-            scale,
-        )
-    except FormatError:
-        raise
+        return RelationalSystem(kind, matrix, rhs, labels, scale)
     except Exception as exc:
+        # name a value that is no number first, row by row, then the rhs
+        for k, row in enumerate(matrix):
+            _numbers(row, lambda j: f"matrix entry ({k}, {j})")
+        _numbers(rhs, "rhs entry {}".format)
         raise FormatError(f"invalid system: {exc}") from exc
 
 
@@ -294,38 +285,30 @@ def training_set_from_json(obj: Any) -> TrainingSet:
     items = obj["items"]
     if not isinstance(items, list):
         raise FormatError("training set field 'items' must be an array")
-    # objects whose 'x' is a list of floats and whose 'alpha' is a float go
-    # to the training set as decoded
-    decoded = set(map(type, items)) <= {dict}
-    if decoded:
-        xs, alphas = [item.get("x") for item in items], [item.get("alpha") for item in items]
-        decoded = set(map(type, xs)) <= {list} and set(map(type, chain(*xs, alphas))) <= {float}
-    if decoded:
-        pairs = zip(xs, alphas)
-    else:
-        # some item is not: name the first failure, item by item
-        pairs = []
+    try:
+        return TrainingSet.from_pairs(obj["n"], scale, [(it["x"], it["alpha"]) for it in items])
+    except Exception as exc:
+        # refused, as is an item that is no object with 'x' and 'alpha' or
+        # whose 'x' is no array: name the first such item or the first value
+        # that is no number, item by item, before the set's own message
         for k, item in enumerate(items):
             if not isinstance(item, dict) or "x" not in item or "alpha" not in item:
                 raise FormatError(f"item {k} must be an object with 'x' and 'alpha'")
-            x = item["x"]
-            if not isinstance(x, list):
+            if not isinstance(item["x"], list):
                 raise FormatError(f"item {k}: 'x' must be an array")
-            coords = _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
-            pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
-    try:
-        return TrainingSet.from_pairs(obj["n"], scale, pairs)
-    except Exception as exc:
+            _numbers(item["x"], lambda i: f"item {k}, coordinate x{i + 1}")
+            _number(item["alpha"], f"item {k}, alpha")
         raise FormatError(f"invalid training set: {exc}") from exc
 
 
 def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
     """Parse 'x1,...,xn,alpha' rows on the unit interval."""
-    rows = list(csv.reader(text.splitlines()))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    reader = csv.reader(text.splitlines())
+    # each row that is not blank, with the line of the text it ends on
+    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise FormatError(f"{source}: no rows")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     n = len(header) - 1
     expected = [f"x{i + 1}" for i in range(n)] + ["alpha"]
     if n < 1 or header != expected:
@@ -337,14 +320,14 @@ def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
     # float() reads PEP 515 underscores ("0.2_5" is 0.25), which no cell
     # means; every character of the text but a comma, a quote or a line
     # break lies in a cell
-    if "_" not in text and all(len(row) == n + 1 for row in body):
+    if "_" not in text and all(len(row) == n + 1 for _, row in body):
         try:
-            values = tuple(map(float, chain.from_iterable(body)))
+            values = tuple(map(float, chain.from_iterable(row for _, row in body)))
         except ValueError:
             pass
     if values is None:
         # some row fails: name the first, row by row
-        for lineno, row in enumerate(body, start=2):
+        for lineno, row in body:
             if len(row) != n + 1:
                 raise FormatError(f"{source}, row {lineno}: expected {n + 1} cells, got {len(row)}")
             try:

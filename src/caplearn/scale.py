@@ -33,8 +33,8 @@ class Scale:
 
     kind: ScaleKind
     levels: tuple[float, ...] | None = None
-    _level_index: dict[float, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
+    _level_set: frozenset[float] = field(
+        init=False, repr=False, compare=False, default_factory=frozenset
     )
 
     def __post_init__(self) -> None:
@@ -56,7 +56,7 @@ class Scale:
             raise DomainError("chain levels must be strictly increasing")
         levels = tuple(map(float, levels))
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_level_index", {v: i for i, v in enumerate(levels)})
+        object.__setattr__(self, "_level_set", frozenset(levels))
 
     @classmethod
     def unit_interval(cls) -> Scale:
@@ -80,7 +80,7 @@ class Scale:
             return False
         if self.kind is ScaleKind.UNIT_INTERVAL:
             return 0.0 <= value <= 1.0
-        return value in self._level_index
+        return value in self._level_set
 
     def floats(self, values: Iterable[float]) -> tuple[float, ...] | None:
         """The values as floats if each one ``contains`` accepts, else None.
@@ -89,7 +89,7 @@ class Scale:
         given.  One type scan, then one bulk pass: on the unit interval the
         bounds of min and max, then a sum that only a NaN makes NaN (min and
         max skip a NaN unless it comes first, and then fail the bound); on a
-        chain, the set of distinct values against the level table.
+        chain, the set of distinct values against the set of levels.
         """
         vs = tuple(values)
         types = set(map(type, vs))
@@ -98,7 +98,7 @@ class Scale:
         if self.kind is ScaleKind.UNIT_INTERVAL:
             held = not vs or (0.0 <= min(vs) and max(vs) <= 1.0 and not math.isnan(sum(vs)))
         else:
-            held = set(vs) <= self._level_index.keys()
+            held = set(vs) <= self._level_set
         if not held:
             return None
         return vs if types <= {float} else tuple(map(float, vs))

@@ -658,8 +658,9 @@ def training_set_from_json_reference(obj) -> TrainingSet:
         x = item["x"]
         if not isinstance(x, list):
             raise FormatError(f"item {k}: 'x' must be an array")
-        coords = _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
-        pairs.append((coords, _number(item["alpha"], f"item {k}, alpha")))
+        _numbers(x, lambda i: f"item {k}, coordinate x{i + 1}")
+        _number(item["alpha"], f"item {k}, alpha")
+        pairs.append((x, item["alpha"]))  # off-scale values are named as written
     try:
         return TrainingSet.from_pairs(obj["n"], scale, pairs)
     except Exception as exc:
@@ -667,11 +668,11 @@ def training_set_from_json_reference(obj) -> TrainingSet:
 
 
 def training_set_from_csv_text_reference(text: str, source: str = "<csv>") -> TrainingSet:
-    rows = list(csv.reader(text.splitlines()))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
+    reader = csv.reader(text.splitlines())
+    rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise FormatError(f"{source}: no rows")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     n = len(header) - 1
     expected = [f"x{i + 1}" for i in range(n)] + ["alpha"]
     if n < 1 or header != expected:
@@ -680,7 +681,7 @@ def training_set_from_csv_text_reference(text: str, source: str = "<csv>") -> Tr
         )
     underscored = "_" in text
     pairs = []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if len(row) != n + 1:
             raise FormatError(f"{source}, row {lineno}: expected {n + 1} cells, got {len(row)}")
         try:

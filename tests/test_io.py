@@ -71,7 +71,8 @@ class TestScaleJson:
     @pytest.mark.parametrize("bad, message", [
         (10**400, "expected a number in float range, got an integer of 401 digits"),
         ("x", "expected a number, got 'x'"),
-    ], ids=["huge", "string"])
+        (True, "expected a number, got True"),
+    ], ids=["huge", "string", "true"])
     def test_huge_or_non_number_chain_level_named(self, bad, message):
         doc = {"kind": "finite_chain", "levels": [0, 0.5, bad, 1]}
         with pytest.raises(FormatError, match=rf"^scale level 2: {message}$"):
@@ -317,6 +318,28 @@ class TestSystemJson:
         with pytest.raises(FormatError):
             system_from_json({"kind": "plus-times", "matrix": [[0.5]], "rhs": [0.4]})
 
+    @pytest.mark.parametrize("doc", [
+        {"matrix": [[0.5, "x"]], "rhs": [0.5], "column_labels": [1, 1]},
+        {"matrix": [[0.5, "x"]], "rhs": [0.5, 0.5]},
+        {"matrix": [[0.5, "x"], [0.5]], "rhs": [0.5, 0.5]},
+    ], ids=["duplicate-labels", "rhs-length", "short-row"])
+    def test_non_number_named_before_the_system_refusal(self, doc):
+        with pytest.raises(FormatError, match=r"^matrix entry \(0, 1\): expected a number, got 'x'$"):
+            system_from_json({"kind": "maxmin", **doc})
+
+    def test_huge_integer_rhs_entry_named(self):
+        doc = {"kind": "maxmin", "matrix": [[0.5, 0.5], [0.5]], "rhs": [0.5, 10**400]}
+        with pytest.raises(
+            FormatError,
+            match=r"^rhs entry 1: expected a number in float range, got an integer of 401 digits$",
+        ):
+            system_from_json(doc)
+
+    def test_off_scale_integer_named_as_written(self):
+        doc = {"kind": "maxmin", "matrix": [[0.5, 2]], "rhs": [0.5]}
+        with pytest.raises(FormatError, match=r"^invalid system: matrix entry \(0, 1\) 2 is not"):
+            system_from_json(doc)
+
 
 class TestTrainingData:
     def test_csv_parses_reference_data(self):
@@ -349,6 +372,15 @@ class TestTrainingData:
     def test_short_row_rejected(self):
         with pytest.raises(FormatError, match="row 2"):
             training_set_from_csv_text("x1,x2,alpha\n0.1,0.2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("x1,x2,alpha\n\n0.1,abc,0.2\n", "row 3: could not convert string to float: 'abc'"),
+        ("\n \n,\nx1,alpha\n0.5,0.5\n0.5\n", "row 6: expected 2 cells, got 1"),
+        ('x1,alpha\n"0.5\n",0.5\n0.5\n', "row 4: expected 2 cells, got 1"),
+    ], ids=["blank-before-bad-row", "blank-before-header", "quoted-line-break"])
+    def test_bad_row_named_by_its_line(self, text, message):
+        with pytest.raises(FormatError, match=f"^<csv>, {message}$"):
+            training_set_from_csv_text(text)
 
     def test_load_by_extension(self, tmp_path):
         csv_path = tmp_path / "data.csv"
@@ -426,6 +458,15 @@ class TestTrainingData:
         with pytest.raises(FormatError, match="is not valid JSON"):
             load_training_set(path)
 
+    @pytest.mark.parametrize("item, name", [
+        ({"x": [2], "alpha": 0.5}, "coordinate x1 2"),
+        ({"x": [0.5], "alpha": -3}, "target -3"),
+    ], ids=["coordinate", "target"])
+    def test_off_scale_integer_named_as_written(self, item, name):
+        doc = {"n": 1, "scale": scale_to_json(UNIT), "items": [item]}
+        with pytest.raises(FormatError, match=f"^invalid training set: item 0, {name} is not"):
+            training_set_from_json(doc)
+
     def test_int_coordinates_load_as_floats(self):
         doc = {"n": 2, "scale": scale_to_json(UNIT), "items": [{"x": [0, 1], "alpha": 1}]}
         item = training_set_from_json(doc).items[0]
@@ -445,8 +486,9 @@ class TestTrainingData:
                 load(path)
 
 
-# values a training file may hold in place of a float; an int and -0.0 load
-ODD_DATA = (True, "0.5", None, [0.5], math.nan, math.inf, -math.inf, 10**400, 1, -0.0)
+# values a training file may hold in place of a float; 1 and -0.0 load, and 2,
+# off every scale, is named as written
+ODD_DATA = (True, "0.5", None, [0.5], math.nan, math.inf, -math.inf, 10**400, 1, 2, -0.0)
 # the same as CSV cells, with an underscored number, and an empty cell for None
 ODD_CELLS = ("True", "0.5x", "", "[0.5]", "nan", "inf", "-inf", "1" + "0" * 400, "1", "-0.0",
              "0.2_5", " 0.5 ")
@@ -517,6 +559,10 @@ class TestBulkReaders:
               "items": [{"x": [0.5, math.nan], "alpha": 0.5}, {"x": [0.5, True], "alpha": 0.5}]})
     @example({"n": 1, "scale": scale_to_json(UNIT), "items": [{"x": [0.5]}, [0.5]]})
     @example({"n": 1, "scale": scale_to_json(UNIT), "items": []})
+    @example({"n": 2, "scale": scale_to_json(UNIT),
+              "items": [{"x": [0, 1], "alpha": 1}, {"x": [1, 1], "alpha": 0}]})
+    @example({"n": 1, "scale": scale_to_json(CHAIN21),
+              "items": [{"x": [0.33], "alpha": 0.5}, {"x": ["0.5"], "alpha": 0.5}]})
     def test_json_reader_matches_reference(self, doc):
         assert outcome(training_set_from_json, doc) == outcome(
             training_set_from_json_reference, doc
