@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from itertools import compress
+from typing import Any, Iterable, Sequence
 
 from .errors import DomainError
 from .relational import SystemKind
@@ -17,6 +19,8 @@ from .subsets import (
     check_criteria_count,
     check_mask,
     add_one_bit,
+    drop_one_bit,
+    full_mask,
     masks_of_sizes,
     subset_label,
 )
@@ -134,69 +138,211 @@ def _is_monotone(values: Sequence[float], n: int) -> bool:
     )
 
 
-def _few_below(n: int, q: int) -> bool:
-    """Whether the masks of size below q are at most half of the 2^n: then a
-    walk over them beats a pass over the whole table."""
-    return 2 * sum(map(math.comb, [n] * q, range(q))) <= 1 << n
+# Codes are packed as fields of 8, 16 or 32 bits, read through memoryview
+# casts to these types.
+_FORMATS = {8: "B", 16: "H", 32: "I"}
+# Constants for 2^m fields of w bits are built once and kept while one
+# such int has at most this many bytes: about 1.5 MB in all.
+_CACHED_BYTES = 1 << 14
+_cached: dict[tuple[str, int, int], Any] = {}
 
 
-def _subset_max_sweep(out: list, n: int) -> list:
-    """``out`` made in place max{out[Y] : Y subset of X}: n * 2^(n-1) binary
-    maxes, bits high to low, a tie keeping the smaller set's value."""
-    for bit in reversed(range(n)):
-        for lo, hi in _bit_slices(n, bit):
-            # max(a, b), inlined: b only when strictly greater
-            out[hi] = [b if b > a else a for a, b in zip(out[lo], out[hi])]
-    return out
+def _ones(m: int, w: int) -> tuple[int, int]:
+    """(one, top): 1, and the top bit, in each of the 2^m fields of w bits."""
+    key = ("ones", m, w)
+    if key in _cached:
+        return _cached[key]
+    one = int.from_bytes((1).to_bytes(w // 8, "little") * (1 << m), "little")
+    got = one, one << (w - 1)
+    if w // 8 << m <= _CACHED_BYTES:
+        _cached[key] = got
+    return got
 
 
-def _layer_max(f: Sequence[float], m: int, q: int, low: int) -> list:
-    """out[A] = max of f over the subsets of A on m bits whose size lies in
-    [low, q], -inf when A has none; a tie keeps the value found without bit
-    0, then bit 1, as the seeded sweep does.
+def _bit_masks(m: int, w: int) -> Iterable[int]:
+    """For each bit, all ones in the fields of the 2^m masks without it; a
+    generator while the ints are large, so that one is alive at a time."""
+    key = ("without", m, w)
+    if key in _cached:
+        return _cached[key]
+    size = w // 8 << m
+    masks = (
+        int.from_bytes((b"\xff" * span + bytes(span)) * (size // (2 * span)), "little")
+        for span in (w // 8 << bit for bit in range(m))
+    )
+    if size > _CACHED_BYTES:
+        return masks
+    _cached[key] = list(masks)
+    return _cached[key]
 
-    Masks without bit 0 are the same problem on the even entries; a mask
-    with it takes the better of that and the problem on the odd entries
-    with both sizes one less, which at q = 1 is the constant f[1].  That
-    costs about q * 2^m merges, so while 3q <= m it beats the sweep's
-    m * 2^(m-1) steps, which take the node otherwise, seeded with the
-    entries of size in [low, q] and -inf elsewhere.
+
+def _swar_max(a: int, b: int, ones: tuple[int, int], w: int) -> int:
+    """The fieldwise max of a and b, whose fields of w bits hold codes below
+    2^(w-1), by :func:`_ones` of their size: SWAR (SIMD within a register),
+    one big-int operation acting on every field at once."""
+    one, top = ones
+    # the top bit of each field, set where b > a, spread to its low bits
+    g = ((b | top) - a - one) & top
+    return a ^ ((a ^ b) & (g - (g >> (w - 1))))
+
+
+def _layer_max(t: int, m: int, q: int, w: int) -> int:
+    """The fieldwise max over subsets: out[A] = max of t[Y] over the Y
+    inside A, for the 2^m fields of w bits of t, field index = mask, which
+    hold 0 (no value) at every mask of size above q.
+
+    Masks without the highest bit are the same problem on the low half of
+    the fields; a mask with it takes the better of that and the problem on
+    the high half with q one less, which at q = 1 is the constant of its
+    field 0.  That costs about q * 2^m field merges, so while 3q <= m it
+    beats the bit sweep's m * 2^m, which takes the node otherwise.
     """
     if 3 * q > m:
-        out = [v if low <= mask.bit_count() <= q else -math.inf for mask, v in enumerate(f)]
-        return _subset_max_sweep(out, m)
-    a = _layer_max(f[0::2], m - 1, q, low)
-    out = a + a
-    out[0::2] = a
-    # max(a, b), inlined: b only when strictly greater
+        ones = _ones(m, w)
+        for bit, without in enumerate(_bit_masks(m, w)):
+            # the fields without ``bit``, moved onto the masks with it
+            t = _swar_max(t, (t & without) << (w << bit), ones, w)
+        return t
+    shift = w << (m - 1)
+    ones = _ones(m - 1, w)
+    low = _layer_max(t & ((1 << shift) - 1), m - 1, q, w)
+    high = t >> shift
     if q == 1:
-        b = f[1]
-        out[1::2] = [b if b > x else x for x in a]
+        high = (high & ((1 << w) - 1)) * ones[0]
     else:
-        b = _layer_max(f[1::2], m - 1, q - 1, low - 1)
-        out[1::2] = [y if y > x else x for x, y in zip(a, b)]
-    return out
+        high = _layer_max(high, m - 1, q - 1, w)
+    return low | _swar_max(low, high, ones, w) << shift
+
+
+def _seeds(values: Sequence[float], masks: list[int], flip: int) -> list[float]:
+    """The table's values at ``masks``, read negated by complements when
+    ``flip`` is the full mask (min-max), as they are when it is 0."""
+    if flip:
+        return list(map(operator.neg, map(values.__getitem__, map(flip.__xor__, masks))))
+    return list(map(values.__getitem__, masks))
+
+
+def _ranked(seeds: list[float]) -> tuple[list[int], list[float]]:
+    """Codes 1, 2, ... of the seeds in rising order, and the levels they
+    stand for: code c stands for levels[c - 1]."""
+    levels = sorted(set(seeds))
+    rank = dict(zip(levels, range(1, len(levels) + 1)))
+    return list(map(rank.__getitem__, seeds)), levels
+
+
+def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[list[int], list[float]]:
+    """:func:`_ranked`, with the zeros told apart when both signs occur.
+
+    Equal floats print the same repr except 0.0 and -0.0.  When both occur,
+    the zero seeds are ranked by the preference of a max sweep that keeps,
+    among equals, the set without bit 0, then without bit 1, and so on; a
+    run of same-signed zeros next to each other in that order shares one
+    code.  A plain max of codes then needs no tie rule.
+    """
+    codes, levels = _ranked(seeds)
+    if 0.0 not in levels:
+        return codes, levels
+    zero = levels.index(0.0) + 1
+    at = list(compress(range(len(codes)), map(zero.__eq__, codes)))
+    if len({math.copysign(1.0, seeds[i]) for i in at}) == 1:
+        return codes, levels
+    # least preferred first: the bit-reversed mask, descending
+    at.sort(key=lambda i: int(f"{masks[i]:0{n}b}"[::-1], 2), reverse=True)
+    runs: list[float] = []
+    run_codes = []
+    for i in at:
+        if not runs or math.copysign(1.0, seeds[i]) != math.copysign(1.0, runs[-1]):
+            runs.append(seeds[i])
+        run_codes.append(zero + len(runs) - 1)
+    extra = len(runs) - 1
+    codes = [code + extra if code > zero else code for code in codes]
+    for i, code in zip(at, run_codes):
+        codes[i] = code
+    return codes, levels[: zero - 1] + runs + levels[zero:]
+
+
+def _packed(masks: list[int], codes: list[int], n: int, top: int) -> tuple[int, int]:
+    """(t, w): ``codes`` at their ``masks`` and 0 elsewhere, as the 2^n
+    fields of w bits of one int, field index = mask, w the narrowest width
+    whose top bit no code up to ``top`` reaches."""
+    w = 8 if top < 1 << 7 else 16 if top < 1 << 15 else 32
+    raw = bytearray(w // 8 << n)
+    fields = memoryview(raw).cast(_FORMATS[w])
+    # the view and the int read bytes in the host's order, in which a
+    # big-endian int holds its fields backwards: there a mask's code goes to
+    # its complement's place
+    flip = full_mask(n) if sys.byteorder == "big" else 0
+    for mask, code in zip(masks, codes):
+        fields[mask ^ flip] = code
+    return int.from_bytes(raw, sys.byteorder), w
+
+
+def _unpacked(t: int, n: int, w: int) -> Sequence[int]:
+    """The 2^n fields of w bits of t in mask order, as :func:`_packed`
+    lays them out."""
+    fields = memoryview(t.to_bytes(w // 8 << n, sys.byteorder)).cast(_FORMATS[w])
+    return fields[::-1] if sys.byteorder == "big" else fields
 
 
 def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> list[float]:
     """Extend a table from its boundary layer, in the order of ``kind``.
 
     Max-min, the q-maxitive extension: values[X] up to cardinality q, and
-    above it the max over the size-q subsets, by :func:`_layer_max` in
-    about q * 2^n steps for small q (n * 2^(n-1) at most), with ties (the
-    sign of a zero) as in the covering recursion.  Min-max, the q-minitive
-    one: the same on the table read by complements (reversed) and negated,
-    both exact, so zeros keep the dual's signs.
+    above it the max over the size-q subsets, with ties (the sign of a
+    zero) as in the covering recursion.  Min-max, the q-minitive one: the
+    same on the table read by complements and negated, both exact, so
+    zeros keep the dual's signs.
+
+    The C(n, q) values of layer q are ranked into integer codes
+    (:func:`_codes`), packed as the fields of one int, and
+    :func:`_layer_max` takes their maxima on every field at once, in about
+    q * 2^n field merges for small q (n * 2^n at most).
     """
-    if kind.order.dual:
-        values = [-v for v in reversed(values)]
-    out = _layer_max(values, n, q, q)
-    # sizes below q keep their values: copy whichever side has fewer masks
-    low = _few_below(n, q)
-    source, out = (values, out) if low else (out, list(values))
-    for mask in masks_of_sizes(n, range(q) if low else range(q, n + 1)):
-        out[mask] = source[mask]
-    return [-v for v in reversed(out)] if kind.order.dual else out
+    dual = kind.order.dual
+    flip = full_mask(n) if dual else 0
+    masks = masks_of_sizes(n, (q,))
+    codes, levels = _codes(_seeds(values, masks, flip), masks, n)
+    t, w = _packed(masks, codes, n, len(levels))
+    del masks, codes  # freed before the kernel's big-int temporaries
+    fields = _unpacked(_layer_max(t, n, q, w), n, w)
+    if dual:
+        levels = [-v for v in levels]
+        fields = fields[::-1]
+    # the sets below layer q hold code 0: they keep the table's values
+    decode = dict(zip(range(1, len(levels) + 1), levels)).get
+    return list(map(decode, fields, values))
+
+
+def _low_layers_monotone(values: Sequence[float], n: int, q: int, kind: SystemKind) -> bool:
+    """No covering pair (C - {i}, C) with |C| <= q decreases, in the table
+    read as :func:`extend_layer` reads it.
+
+    Few pairs are compared one by one.  Otherwise the layers up to q are
+    ranked into packed codes, and each bit compares every set's code with
+    the code of the set without that bit, all at once.
+    """
+    flip = full_mask(n) if kind.order.dual else 0
+    masks = masks_of_sizes(n, range(q + 1))
+    # the pairs number sum of k * C(n, k) over k <= q, = n * sum of C(n-1, k), k < q
+    if 16 * n * sum(map(math.comb, [n - 1] * q, range(q))) <= 1 << n:
+        # min-max reads the pair at the complements, reversed
+        worse = operator.lt if flip else operator.gt
+        return not any(
+            worse(values[sub ^ flip], values[mask ^ flip])
+            for mask in masks
+            for sub in drop_one_bit(mask)
+        )
+    codes, levels = _ranked(_seeds(values, masks, flip))
+    t, w = _packed(masks, codes, n, len(levels))
+    del masks, codes, levels
+    one, top = _ones(n, w)
+    coded = ((t | top) - one) & top  # the top bit of each field holding a code
+    for bit, without in enumerate(_bit_masks(n, w)):
+        # each set's code moved onto the set with ``bit`` added
+        below = (t & without) << (w << bit)
+        if ((below | top) - t - one) & coded:
+            return False
+    return True
 
 
 def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scoring:
@@ -204,20 +350,18 @@ def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scor
 
     A table equals the max over its subsets of size up to q (read negated
     by complements for min-max, as :func:`extend_layer` reads it) exactly
-    when it is a monotone q-extension, so one :func:`_layer_max` pass
-    settles the chain form.  A table that fails it keeps the reduced form
-    when it equals its extension from layer q (then it is not monotone, so
-    not a capacity) and is refused otherwise.  At q = n every table is a
-    q-extension and the bulk monotonicity pass alone decides.
+    when it equals its extension from layer q and its layers up to q are
+    monotone, since an extension is monotone above layer q.  So one
+    :func:`extend_layer` pass refuses a table that is not its own
+    extension, and :func:`_low_layers_monotone` then picks the chain form
+    or the reduced form (not monotone, so not a capacity).  At q = n every
+    table is a q-extension and the bulk monotonicity pass alone decides.
     """
     if q == n:
         return Scoring.CHAIN if _is_monotone(values, n) else Scoring.REDUCED
-    seen = [-v for v in reversed(values)] if kind.order.dual else list(values)
-    if _layer_max(seen, n, q, 0) == seen:
-        return Scoring.CHAIN
-    if extend_layer(values, n, q, kind) == list(values):
-        return Scoring.REDUCED
-    return Scoring.REFUSED
+    if extend_layer(values, n, q, kind) != list(values):
+        return Scoring.REFUSED
+    return Scoring.CHAIN if _low_layers_monotone(values, n, q, kind) else Scoring.REDUCED
 
 
 def _q_scoring(mu: Capacity, q: int, kind: SystemKind) -> Scoring:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from io import StringIO
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -302,8 +303,13 @@ def training_set_from_json(obj: Any) -> TrainingSet:
 
 
 def training_set_from_csv_text(text: str, source: str = "<csv>") -> TrainingSet:
-    """Parse 'x1,...,xn,alpha' rows on the unit interval."""
-    reader = csv.reader(text.splitlines())
+    """Parse 'x1,...,xn,alpha' rows on the unit interval.
+
+    Lines break at a line feed, a carriage return or both, as in a CSV
+    file; ``str.splitlines`` would also break at a form feed, U+2028 and
+    other separators, inside a quoted cell too.
+    """
+    reader = csv.reader(StringIO(text, newline=""))
     # each row that is not blank, with the line of the text it ends on
     rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:

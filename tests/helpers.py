@@ -9,6 +9,7 @@ are used to cross-check the solver, not to reuse it.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 import random
@@ -33,7 +34,7 @@ from caplearn import (
     relaxed_rhs,
     sugeno_maxmin,
 )
-from caplearn.capacity import _check_q, _subset_max_sweep, extend_layer
+from caplearn.capacity import _bit_slices, _check_q, extend_layer
 from caplearn.io import _document, _number, _numbers, dumps_json, scale_from_json, scale_to_json
 from caplearn.relational import vector_for_rhs
 from caplearn.subsets import (
@@ -296,6 +297,54 @@ def extend_layer_reference(values, n: int, q: int, kind: SystemKind) -> list[flo
     return min_over_large_supersets_reference(values, n, q)
 
 
+def subset_max_sweep(out: list, n: int) -> list:
+    """``out`` made in place max{out[Y] : Y subset of X}: n * 2^(n-1) binary
+    maxes, bits high to low, a tie keeping the smaller set's value."""
+    for bit in reversed(range(n)):
+        for lo, hi in _bit_slices(n, bit):
+            # max(a, b), inlined: b only when strictly greater
+            out[hi] = [b if b > a else a for a, b in zip(out[lo], out[hi])]
+    return out
+
+
+def layer_max_float_reference(f, m: int, q: int, low: int) -> list:
+    """out[A] = max of f over the subsets of A on m bits whose size lies in
+    [low, q], -inf when A has none; a tie keeps the value found without bit
+    0, then bit 1, as :func:`subset_max_sweep` does.
+
+    The float recursion on the lowest criterion: masks without bit 0 are
+    the same problem on the even entries; a mask with it takes the better
+    of that and the problem on the odd entries with both sizes one less,
+    which at q = 1 is the constant f[1].  While 3q > m the sweep takes the
+    node, seeded with the entries of size in [low, q] and -inf elsewhere.
+    """
+    if 3 * q > m:
+        out = [v if low <= mask.bit_count() <= q else -math.inf for mask, v in enumerate(f)]
+        return subset_max_sweep(out, m)
+    a = layer_max_float_reference(f[0::2], m - 1, q, low)
+    out = a + a
+    out[0::2] = a
+    if q == 1:
+        b = f[1]
+        out[1::2] = [b if b > x else x for x in a]
+    else:
+        b = layer_max_float_reference(f[1::2], m - 1, q - 1, low - 1)
+        out[1::2] = [y if y > x else x for x, y in zip(a, b)]
+    return out
+
+
+def extend_layer_float_reference(values, n: int, q: int, kind: SystemKind) -> list[float]:
+    """The extension by :func:`layer_max_float_reference` seeded with layer
+    q, on the table read negated by complements for min-max."""
+    dual = kind.order.dual
+    if dual:
+        values = [-v for v in reversed(values)]
+    out = layer_max_float_reference(values, n, q, q)
+    for mask in masks_of_sizes(n, range(q)):
+        out[mask] = values[mask]
+    return [-v for v in reversed(out)] if dual else out
+
+
 def extend_layer_sweep_reference(values, n: int, q: int, kind: SystemKind) -> list[float]:
     """The extension as one subset-max sweep over all n bits, seeded with
     the size-q layer and -inf elsewhere, in n·2^(n−1) steps whatever q is;
@@ -306,7 +355,7 @@ def extend_layer_sweep_reference(values, n: int, q: int, kind: SystemKind) -> li
     out = [-math.inf] * (1 << n)
     for mask in masks_of_sizes(n, (q,)):
         out[mask] = values[mask]
-    _subset_max_sweep(out, n)
+    subset_max_sweep(out, n)
     for mask in masks_of_sizes(n, range(q)):
         out[mask] = values[mask]
     return [-v for v in reversed(out)] if dual else out
@@ -411,7 +460,7 @@ def extremal_table_sweep(ts: TrainingSet, kind: SystemKind):
     for rank, k in enumerate(rising, 1):
         best[sum(1 << i for i, v in enumerate(ts.items[k].x) if order.le(v, alphas[k]))] = rank
     levels = [order.top] + [alphas[k] for k in rising]
-    table = [levels[r] for r in _subset_max_sweep(best, n)]
+    table = [levels[r] for r in subset_max_sweep(best, n)]
     if not order.dual:
         table.reverse()
     table[full_mask(n) if order.dual else 0] = order.bottom
@@ -668,7 +717,7 @@ def training_set_from_json_reference(obj) -> TrainingSet:
 
 
 def training_set_from_csv_text_reference(text: str, source: str = "<csv>") -> TrainingSet:
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = [(reader.line_num, row) for row in reader if any(cell.strip() for cell in row)]
     if not rows:
         raise FormatError(f"{source}: no rows")

@@ -570,12 +570,34 @@ class TestBulkReaders:
 
     @given(training_csv_texts())
     @example("x1,alpha\n0.5,0.5\n0.5,oops\n0.5\n")
+    @example('x1,alpha\n"0.5\u20282",0.5\n')
+    @example("x1,alpha\n0.5,0.5\x0c\n0.5,x\n")
     @example("x1,alpha\n0.5\n0.2_5,0.5\n")
     @example("x1,alpha\n")
     def test_csv_reader_matches_reference(self, text):
         assert outcome(training_set_from_csv_text, text) == outcome(
             training_set_from_csv_text_reference, text
         )
+
+
+class TestCsvLines:
+    """A CSV text breaks into lines at line feeds and carriage returns only."""
+
+    def test_a_line_separator_inside_a_quoted_cell_stays_in_the_cell(self):
+        # read as two lines, the cell would be "0.52"
+        text = 'x1,alpha\n"0.5\u20282",0.5\n'
+        for reader in (training_set_from_csv_text, training_set_from_csv_text_reference):
+            with pytest.raises(FormatError, match="row 2: could not convert"):
+                reader(text)
+
+    def test_a_form_feed_is_no_line_break(self):
+        # the form feed ends the cell "0.5\x0c", which float() reads as 0.5
+        text = "x1,alpha\n0.5,0.5\x0c\n0.5,x\n"
+        for reader in (training_set_from_csv_text, training_set_from_csv_text_reference):
+            with pytest.raises(FormatError, match="row 3: could not convert"):
+                reader(text)
+        ts = training_set_from_csv_text("x1,alpha\n0.5,0.5\x0c\n0.25,1\n")
+        assert ts.targets() == (0.5, 1.0)
 
 
 @pytest.mark.parametrize("n", [True, False, 1.0, "1"])

@@ -25,7 +25,7 @@ from caplearn import (
 from caplearn.capacity import Scoring, _q_scoring, extend_layer
 from caplearn.cli import main
 from caplearn.io import save_capacity
-from caplearn.subsets import drop_one_bit
+from caplearn.subsets import drop_one_bit, masks_of_sizes
 from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 from helpers import (
@@ -165,6 +165,39 @@ def not_monotone():
     chain form misses {1} and gives 0."""
     mu = Capacity(3, UNIT, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     return mu, 2, SystemKind.MAX_MIN, (0.5, 1.0, -0.0)
+
+
+def _in_order(values, q, kind):
+    """(mu, q, kind, x) for a max-min table: as it is, or for min-max its
+    conjugate 1 - values[complement], which min-max reads as the max-min
+    table shifted down by 1, so the classification carries over."""
+    n = (len(values) - 1).bit_length()
+    if kind is SystemKind.MIN_MAX:
+        values = [1.0 - v for v in reversed(values)]
+    return Capacity(n, UNIT, tuple(values)), q, kind, (0.5,) * n
+
+
+def decreasing_below_layer_q(n, q, kind):
+    """A q-extension whose one decreasing covering pair is (C - {1}, C),
+    C the first q criteria: layers up to q hold |X| / 8, but C - {1} holds
+    1/16 more than C, and the other size-q sets around it 1/8 more."""
+    values = [0.0] * (1 << n)
+    for mask in masks_of_sizes(n, range(q + 1)):
+        values[mask] = mask.bit_count() / 8
+    top = (1 << q) - 1
+    values[top ^ 1] = q / 8 + 1 / 16
+    for bit in range(q, n):
+        values[top ^ 1 | 1 << bit] = (q + 1) / 8
+    return _in_order(extend_layer(values, n, q, SystemKind.MAX_MIN), q, kind)
+
+
+def off_extension_above_q(n, q, kind):
+    """A monotone table that differs from its extension from layer q at the
+    full set alone, which holds 1 instead of the max q / 8 of layer q."""
+    values = [mask.bit_count() / 8 for mask in range(1 << n)]
+    values = extend_layer(values, n, q, SystemKind.MAX_MIN)
+    values[-1] = 1.0
+    return _in_order(values, q, kind)
 
 
 class TestReferenceValues:
@@ -409,6 +442,17 @@ class TestClassification:
     @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 2, SystemKind.MAX_MIN, (0.5, 0.5)))
     @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 1, SystemKind.MIN_MAX, (0.5, 0.5)))
     @example((Capacity(2, UNIT, (-0.0, 0.0, 0.0, -0.0)), 1, SystemKind.MAX_MIN, (0.0, 0.0)))
+    # the boundaries of one extension pass and the layers' monotonicity:
+    # reduced, refused, each in both orders, by the pairs compared in bulk
+    # (n = 4) and one by one (n = 8, q = 1)
+    @example(decreasing_below_layer_q(4, 2, SystemKind.MAX_MIN))
+    @example(decreasing_below_layer_q(4, 2, SystemKind.MIN_MAX))
+    @example(decreasing_below_layer_q(8, 1, SystemKind.MAX_MIN))
+    @example(decreasing_below_layer_q(8, 1, SystemKind.MIN_MAX))
+    @example(off_extension_above_q(4, 2, SystemKind.MAX_MIN))
+    @example(off_extension_above_q(4, 2, SystemKind.MIN_MAX))
+    @example(off_extension_above_q(8, 1, SystemKind.MAX_MIN))
+    @example(off_extension_above_q(8, 1, SystemKind.MIN_MAX))
     def test_matches_brute_force(self, case):
         mu, q, kind, _ = case
         assert _q_scoring(mu, q, kind) is brute_scoring(mu, q, kind)

@@ -26,13 +26,14 @@ from caplearn import (
     build_system,
     learn,
 )
-from caplearn.capacity import _subset_max_sweep, extend_layer
+from caplearn.capacity import _codes, extend_layer
 from caplearn.subsets import masks_of_sizes, subset_label
 from caplearn.sugeno import sugeno_qmin_unchecked
 
 from helpers import (
     CHAIN21,
     build_system_reference,
+    extend_layer_float_reference,
     extend_layer_reference,
     extend_layer_sweep_reference,
     reference_learning,
@@ -132,13 +133,24 @@ def wide_tables(draw):
 
 
 class TestLayerRecursionMatchesSweep:
-    """``extend_layer`` splits on the lowest criterion while 3q <= m bits
-    remain and sweeps below that; the whole-table sweep is its reference."""
+    """``extend_layer`` ranks layer q into integer codes, packs them as the
+    fields of one int and splits on the highest criterion while 3q <= m
+    bits remain, sweeping below that; the whole-table float sweep and the
+    float recursion on the lowest criterion are its references."""
 
-    # (n, q, bit counts of the nodes that sweep): the top node sweeps; the
-    # top node recurses, its (2, 1) node sweeps and, at q = 1, its odd half
-    # is the constant merge of f[1]; the recursion sweeps at depths 1 and 4
-    BRANCHES = [(5, 2, [5]), (1, 1, [1]), (3, 1, [2]), (6, 2, [5, 2])]
+    # (n, q, table, (m, q) of each node in the order visited, field width):
+    # the top node sweeps; at q = 1 the high half is the constant of its
+    # field 0, so only low halves recurse, down to the (2, 1) node that
+    # sweeps; at q = 2 both halves recurse and merge; more than 127 codes
+    # (C(10, 4) = 210 distinct values) take 16-bit fields and more than
+    # 32,767 (C(18, 9) = 48,620) take 32-bit fields
+    BRANCHES = [
+        (5, 2, "zeros", [(5, 2)], 8),
+        (3, 1, "zeros", [(3, 1), (2, 1)], 8),
+        (6, 2, "zeros", [(6, 2), (5, 2), (5, 1), (4, 1), (3, 1), (2, 1)], 8),
+        (10, 4, "distinct", [(10, 4)], 16),
+        (18, 9, "distinct", [(18, 9)], 32),
+    ]
 
     @settings(deadline=None)
     @given(wide_tables())
@@ -153,21 +165,30 @@ class TestLayerRecursionMatchesSweep:
                     extend_layer_sweep_reference(values, n, q, kind)
                 )
 
-    @pytest.mark.parametrize("n, q, swept", BRANCHES)
-    def test_dispatch_branches(self, monkeypatch, n, q, swept):
+    @pytest.mark.parametrize("n, q, table, nodes, width", BRANCHES)
+    def test_branches_and_widths(self, monkeypatch, n, q, table, nodes, width):
         calls = []
+        real = caplearn.capacity._layer_max
 
-        def counted(out, m):
-            calls.append(m)
-            return _subset_max_sweep(out, m)
+        def counted(t, m, q, w):
+            calls.append((m, q, w))
+            return real(t, m, q, w)
 
-        monkeypatch.setattr(caplearn.capacity, "_subset_max_sweep", counted)
-        values = [(0.0, -0.0, 0.5)[m % 3] for m in range(1 << n)]
+        monkeypatch.setattr(caplearn.capacity, "_layer_max", counted)
+        if table == "zeros":
+            # both signs of zero in every layer, ties broken by the order
+            values = [(0.0, -0.0, 0.5)[m.bit_length() % 3] for m in range(1 << n)]
+            masks = masks_of_sizes(n, (q,))
+            _, levels = _codes([values[m] for m in masks], masks, n)
+            assert {repr(v) for v in levels} >= {"0.0", "-0.0"}
+        else:
+            values = [m / (1 << n) for m in range(1 << n)]
         for kind in SystemKind:
             calls.clear()
-            got = extend_layer(values, n, q, kind)
-            assert calls == swept
-            assert repr(got) == repr(extend_layer_sweep_reference(values, n, q, kind))
+            got = repr(extend_layer(values, n, q, kind))
+            assert calls == [(m, node_q, width) for m, node_q in nodes]
+            assert got == repr(extend_layer_sweep_reference(values, n, q, kind))
+            assert got == repr(extend_layer_float_reference(values, n, q, kind))
 
 
 class TestLearnReportsMatchReference:
