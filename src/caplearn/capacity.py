@@ -19,7 +19,6 @@ from .subsets import (
     check_criteria_count,
     check_mask,
     add_one_bit,
-    drop_one_bit,
     full_mask,
     masks_of_sizes,
     subset_label,
@@ -142,7 +141,8 @@ def _is_monotone(values: Sequence[float], n: int) -> bool:
 # casts to these types.
 _FORMATS = {8: "B", 16: "H", 32: "I"}
 # Constants for 2^m fields of w bits are built once and kept while one
-# such int has at most this many bytes: about 1.5 MB in all.
+# such int has at most this many bytes: about 1.5 MB in all.  The bit
+# sweep runs only on ints this small, so its temporaries stay small too.
 _CACHED_BYTES = 1 << 14
 _cached: dict[tuple[str, int, int], Any] = {}
 
@@ -159,20 +159,15 @@ def _ones(m: int, w: int) -> tuple[int, int]:
     return got
 
 
-def _bit_masks(m: int, w: int) -> Iterable[int]:
-    """For each bit, all ones in the fields of the 2^m masks without it; a
-    generator while the ints are large, so that one is alive at a time."""
+def _bit_masks(m: int, w: int) -> list[int]:
+    """For each bit, all ones in the fields of the 2^m masks without it."""
     key = ("without", m, w)
-    if key in _cached:
-        return _cached[key]
-    size = w // 8 << m
-    masks = (
-        int.from_bytes((b"\xff" * span + bytes(span)) * (size // (2 * span)), "little")
-        for span in (w // 8 << bit for bit in range(m))
-    )
-    if size > _CACHED_BYTES:
-        return masks
-    _cached[key] = list(masks)
+    if key not in _cached:
+        size = w // 8 << m
+        _cached[key] = [
+            int.from_bytes((b"\xff" * span + bytes(span)) * (size // (2 * span)), "little")
+            for span in (w // 8 << bit for bit in range(m))
+        ]
     return _cached[key]
 
 
@@ -195,18 +190,21 @@ def _layer_max(t: int, m: int, q: int, w: int) -> int:
     the fields; a mask with it takes the better of that and the problem on
     the high half with q one less, which at q = 1 is the constant of its
     field 0.  That costs about q * 2^m field merges, so while 3q <= m it
-    beats the bit sweep's m * 2^m, which takes the node otherwise.
+    beats the bit sweep's m * 2^m, which takes the node otherwise once t
+    has at most ``_CACHED_BYTES``; a larger t splits in halves whatever q
+    is, which keeps the sweep's temporaries small at the same work.
     """
-    if 3 * q > m:
+    if 3 * q > m and w // 8 << m <= _CACHED_BYTES:
         ones = _ones(m, w)
         for bit, without in enumerate(_bit_masks(m, w)):
             # the fields without ``bit``, moved onto the masks with it
             t = _swar_max(t, (t & without) << (w << bit), ones, w)
         return t
     shift = w << (m - 1)
+    low, high = t & ((1 << shift) - 1), t >> shift
+    del t  # the halves hold its fields
+    low = _layer_max(low, m - 1, q, w)
     ones = _ones(m - 1, w)
-    low = _layer_max(t & ((1 << shift) - 1), m - 1, q, w)
-    high = t >> shift
     if q == 1:
         high = (high & ((1 << w) - 1)) * ones[0]
     else:
@@ -222,16 +220,9 @@ def _seeds(values: Sequence[float], masks: list[int], flip: int) -> list[float]:
     return list(map(values.__getitem__, masks))
 
 
-def _ranked(seeds: list[float]) -> tuple[list[int], list[float]]:
+def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[Iterable[int], list[float]]:
     """Codes 1, 2, ... of the seeds in rising order, and the levels they
-    stand for: code c stands for levels[c - 1]."""
-    levels = sorted(set(seeds))
-    rank = dict(zip(levels, range(1, len(levels) + 1)))
-    return list(map(rank.__getitem__, seeds)), levels
-
-
-def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[list[int], list[float]]:
-    """:func:`_ranked`, with the zeros told apart when both signs occur.
+    stand for: code c stands for levels[c - 1].
 
     Equal floats print the same repr except 0.0 and -0.0.  When both occur,
     the zero seeds are ranked by the preference of a max sweep that keeps,
@@ -239,13 +230,15 @@ def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[list[int], lis
     run of same-signed zeros next to each other in that order shares one
     code.  A plain max of codes then needs no tie rule.
     """
-    codes, levels = _ranked(seeds)
+    levels = sorted(set(seeds))
+    # made as they are read, unless the zeros need telling apart
+    codes: Iterable[int] = map(dict(zip(levels, range(1, len(levels) + 1))).__getitem__, seeds)
     if 0.0 not in levels:
         return codes, levels
-    zero = levels.index(0.0) + 1
-    at = list(compress(range(len(codes)), map(zero.__eq__, codes)))
+    at = list(compress(range(len(seeds)), map((0.0).__eq__, seeds)))
     if len({math.copysign(1.0, seeds[i]) for i in at}) == 1:
         return codes, levels
+    zero = levels.index(0.0) + 1
     # least preferred first: the bit-reversed mask, descending
     at.sort(key=lambda i: int(f"{masks[i]:0{n}b}"[::-1], 2), reverse=True)
     runs: list[float] = []
@@ -261,7 +254,7 @@ def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[list[int], lis
     return codes, levels[: zero - 1] + runs + levels[zero:]
 
 
-def _packed(masks: list[int], codes: list[int], n: int, top: int) -> tuple[int, int]:
+def _packed(masks: list[int], codes: Iterable[int], n: int, top: int) -> tuple[int, int]:
     """(t, w): ``codes`` at their ``masks`` and 0 elsewhere, as the 2^n
     fields of w bits of one int, field index = mask, w the narrowest width
     whose top bit no code up to ``top`` reaches."""
@@ -284,6 +277,32 @@ def _unpacked(t: int, n: int, w: int) -> Sequence[int]:
     return fields[::-1] if sys.byteorder == "big" else fields
 
 
+def _subset_max(values: Sequence[float], n: int, sizes: range, kind: SystemKind) -> list[float]:
+    """The table read as :func:`extend_layer` reads it, with each set's
+    value replaced by the max over its subsets whose size is in ``sizes``
+    (a range ending at some q), and read back; a set with no such subset
+    keeps its value.
+
+    The seeds, the values at those subsets, are ranked into integer codes
+    (:func:`_codes`), packed as the fields of one int, and
+    :func:`_layer_max` takes their maxima on every field at once, in about
+    q * 2^n field merges for small q (n * 2^n at most).
+    """
+    dual = kind.order.dual
+    flip = full_mask(n) if dual else 0
+    masks = masks_of_sizes(n, sizes)
+    codes, levels = _codes(_seeds(values, masks, flip), masks, n)
+    t, w = _packed(masks, codes, n, len(levels))
+    del masks, codes  # freed before the kernel's big-int temporaries
+    fields = _unpacked(_layer_max(t, n, sizes[-1], w), n, w)
+    if dual:
+        levels = [-v for v in levels]
+        fields = fields[::-1]
+    # a set holding code 0 has no subset in ``sizes``: it keeps its value
+    decode = dict(zip(range(1, len(levels) + 1), levels)).get
+    return list(map(decode, fields, values))
+
+
 def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> list[float]:
     """Extend a table from its boundary layer, in the order of ``kind``.
 
@@ -291,58 +310,10 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
     above it the max over the size-q subsets, with ties (the sign of a
     zero) as in the covering recursion.  Min-max, the q-minitive one: the
     same on the table read by complements and negated, both exact, so
-    zeros keep the dual's signs.
-
-    The C(n, q) values of layer q are ranked into integer codes
-    (:func:`_codes`), packed as the fields of one int, and
-    :func:`_layer_max` takes their maxima on every field at once, in about
-    q * 2^n field merges for small q (n * 2^n at most).
+    zeros keep the dual's signs.  :func:`_subset_max` seeded with layer q
+    alone: the C(n, q) values it reads.
     """
-    dual = kind.order.dual
-    flip = full_mask(n) if dual else 0
-    masks = masks_of_sizes(n, (q,))
-    codes, levels = _codes(_seeds(values, masks, flip), masks, n)
-    t, w = _packed(masks, codes, n, len(levels))
-    del masks, codes  # freed before the kernel's big-int temporaries
-    fields = _unpacked(_layer_max(t, n, q, w), n, w)
-    if dual:
-        levels = [-v for v in levels]
-        fields = fields[::-1]
-    # the sets below layer q hold code 0: they keep the table's values
-    decode = dict(zip(range(1, len(levels) + 1), levels)).get
-    return list(map(decode, fields, values))
-
-
-def _low_layers_monotone(values: Sequence[float], n: int, q: int, kind: SystemKind) -> bool:
-    """No covering pair (C - {i}, C) with |C| <= q decreases, in the table
-    read as :func:`extend_layer` reads it.
-
-    Few pairs are compared one by one.  Otherwise the layers up to q are
-    ranked into packed codes, and each bit compares every set's code with
-    the code of the set without that bit, all at once.
-    """
-    flip = full_mask(n) if kind.order.dual else 0
-    masks = masks_of_sizes(n, range(q + 1))
-    # the pairs number sum of k * C(n, k) over k <= q, = n * sum of C(n-1, k), k < q
-    if 16 * n * sum(map(math.comb, [n - 1] * q, range(q))) <= 1 << n:
-        # min-max reads the pair at the complements, reversed
-        worse = operator.lt if flip else operator.gt
-        return not any(
-            worse(values[sub ^ flip], values[mask ^ flip])
-            for mask in masks
-            for sub in drop_one_bit(mask)
-        )
-    codes, levels = _ranked(_seeds(values, masks, flip))
-    t, w = _packed(masks, codes, n, len(levels))
-    del masks, codes, levels
-    one, top = _ones(n, w)
-    coded = ((t | top) - one) & top  # the top bit of each field holding a code
-    for bit, without in enumerate(_bit_masks(n, w)):
-        # each set's code moved onto the set with ``bit`` added
-        below = (t & without) << (w << bit)
-        if ((below | top) - t - one) & coded:
-            return False
-    return True
+    return _subset_max(values, n, range(q, q + 1), kind)
 
 
 def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scoring:
@@ -350,18 +321,21 @@ def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scor
 
     A table equals the max over its subsets of size up to q (read negated
     by complements for min-max, as :func:`extend_layer` reads it) exactly
-    when it equals its extension from layer q and its layers up to q are
-    monotone, since an extension is monotone above layer q.  So one
-    :func:`extend_layer` pass refuses a table that is not its own
-    extension, and :func:`_low_layers_monotone` then picks the chain form
-    or the reduced form (not monotone, so not a capacity).  At q = n every
-    table is a q-extension and the bulk monotonicity pass alone decides.
+    when it is a monotone q-extension, so one :func:`_subset_max` pass
+    seeded with the layers up to q settles the chain form.  A table that
+    fails it keeps the reduced form when it equals its extension from
+    layer q (then it is not monotone, so not a capacity) and is refused
+    otherwise.  At q = n every table is a q-extension and the bulk
+    monotonicity pass alone decides.
     """
     if q == n:
         return Scoring.CHAIN if _is_monotone(values, n) else Scoring.REDUCED
-    if extend_layer(values, n, q, kind) != list(values):
-        return Scoring.REFUSED
-    return Scoring.CHAIN if _low_layers_monotone(values, n, q, kind) else Scoring.REDUCED
+    table = list(values)
+    if _subset_max(values, n, range(q + 1), kind) == table:
+        return Scoring.CHAIN
+    if extend_layer(values, n, q, kind) == table:
+        return Scoring.REDUCED
+    return Scoring.REFUSED
 
 
 def _q_scoring(mu: Capacity, q: int, kind: SystemKind) -> Scoring:

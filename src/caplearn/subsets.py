@@ -7,8 +7,7 @@ used for matrix columns and serialization is ascending mask value.
 
 from __future__ import annotations
 
-import math
-from itertools import chain, combinations, compress
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -16,9 +15,6 @@ from .errors import DomainError
 # Matrix columns and capacity tables are O(2**n); anything beyond this is a
 # construction error rather than a silent attempt.
 MAX_CRITERIA = 24
-
-# byte k to k + 1: one doubling step of a popcount table
-_PLUS_ONE = bytes(range(1, 256)) + b"\x00"
 
 
 def check_criteria_count(n: int) -> int:
@@ -64,22 +60,11 @@ def subset_label(mask: int) -> str:
 def masks_of_sizes(n: int, sizes: Iterable[int]) -> list[int]:
     """Ascending masks whose cardinality is in ``sizes``.
 
-    Thin layers are built from combinations, C(n, k) masks each, a mask
-    being the sum of its bit values.  Layers holding more than an eighth
-    of the 2**n masks are read off a table of their popcounts, one byte
-    per mask, at C speed.
+    Built from combinations, so bounded layers cost C(n, k) each rather
+    than a scan of all 2**n masks; a mask is the sum of its bit values.
     """
-    sizes = tuple(sizes)
-    if 8 * sum(map(math.comb, [n] * len(sizes), sizes)) <= 1 << n:
-        bits = [1 << i for i in range(n)]
-        return sorted(map(sum, chain.from_iterable(combinations(bits, k) for k in sizes)))
-    counts = b"\x00"
-    for _ in range(n):
-        counts += counts.translate(_PLUS_ONE)
-    keep = bytearray(256)
-    for k in sizes:
-        keep[k] = 1
-    return list(compress(range(1 << n), counts.translate(keep)))
+    bits = [1 << i for i in range(n)]
+    return sorted(map(sum, chain.from_iterable(combinations(bits, k) for k in sizes)))
 
 
 def drop_one_bit(mask: int) -> Iterator[int]:

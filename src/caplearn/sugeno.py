@@ -18,9 +18,9 @@ q = 2.
 chain form, since there the chain form and the reduced form are the same
 join, and a q-extension that is not monotone by the reduced form, which
 the chain form need not match there; any other table raises on every
-call.  ``capacity._classify`` tells them apart with one extension pass
-on packed level codes, about q * 2^n field merges for small q, and a
-check of the covering pairs up to layer q; the capacity keeps the answer
+call.  ``capacity._classify`` tells them apart, for a monotone
+q-extension in one pass on packed level codes of about q * 2^n field
+merges for small q (n * 2^n at most), and the capacity keeps the answer
 per q and order, so scoring many objects classifies once.  The
 ``_unchecked`` forms skip the classification and always take the reduced
 form.

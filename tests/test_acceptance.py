@@ -391,8 +391,8 @@ def test_criterion_15_q_checks_of_loaded_capacities_scale_to_n20():
     mu = capacity_from_json(json.loads(dumps_json(capacity_to_json(learned))))
     dual = brute_force_conjugate(mu)
     assert not mu._scoring and not dual._scoring
-    # 0.2 s on one Xeon core, CPython 3.11; the float-list recursion that
-    # the packed level codes replaced took 0.6 s there
+    # 0.15-0.2 s on one Xeon core, CPython 3.11; the float-list recursion
+    # that the packed level codes replaced took 0.5 s there
     with criterion("15 q-checks of capacities loaded at n=20, q=2, in both orders", 1.0):
         assert is_q_maxitive(mu, 2)
         assert is_q_minitive(dual, 2)

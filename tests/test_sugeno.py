@@ -442,9 +442,9 @@ class TestClassification:
     @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 2, SystemKind.MAX_MIN, (0.5, 0.5)))
     @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 1, SystemKind.MIN_MAX, (0.5, 0.5)))
     @example((Capacity(2, UNIT, (-0.0, 0.0, 0.0, -0.0)), 1, SystemKind.MAX_MIN, (0.0, 0.0)))
-    # the boundaries of one extension pass and the layers' monotonicity:
-    # reduced, refused, each in both orders, by the pairs compared in bulk
-    # (n = 4) and one by one (n = 8, q = 1)
+    # the boundaries between the pass over layers 0..q and the extension
+    # from layer q: reduced, refused, each in both orders, at n = 4, q = 2
+    # and at n = 8, q = 1 (the kernel's constant high half)
     @example(decreasing_below_layer_q(4, 2, SystemKind.MAX_MIN))
     @example(decreasing_below_layer_q(4, 2, SystemKind.MIN_MAX))
     @example(decreasing_below_layer_q(8, 1, SystemKind.MAX_MIN))

@@ -138,18 +138,22 @@ class TestLayerRecursionMatchesSweep:
     bits remain, sweeping below that; the whole-table float sweep and the
     float recursion on the lowest criterion are its references."""
 
-    # (n, q, table, (m, q) of each node in the order visited, field width):
-    # the top node sweeps; at q = 1 the high half is the constant of its
-    # field 0, so only low halves recurse, down to the (2, 1) node that
-    # sweeps; at q = 2 both halves recurse and merge; more than 127 codes
-    # (C(10, 4) = 210 distinct values) take 16-bit fields and more than
-    # 32,767 (C(18, 9) = 48,620) take 32-bit fields
+    # (n, q, table, (m, q) of the first nodes in the order visited, number
+    # of nodes, field width): the top node sweeps; at q = 1 the high half is
+    # the constant of its field 0, so only low halves recurse, down to the
+    # (2, 1) node that sweeps; at q = 2 both halves recurse and merge; an
+    # int above 16 KB splits in halves though 3q > m, down to 2^13 fields
+    # of 16 bits or 2^12 of 32; more than 127 codes (C(10, 4) = 210
+    # distinct values, or the zeros of n = 15 told apart in runs) take
+    # 16-bit fields and more than 32,767 (C(18, 9) = 48,620) take 32-bit
+    # fields
     BRANCHES = [
-        (5, 2, "zeros", [(5, 2)], 8),
-        (3, 1, "zeros", [(3, 1), (2, 1)], 8),
-        (6, 2, "zeros", [(6, 2), (5, 2), (5, 1), (4, 1), (3, 1), (2, 1)], 8),
-        (10, 4, "distinct", [(10, 4)], 16),
-        (18, 9, "distinct", [(18, 9)], 32),
+        (5, 2, "zeros", [(5, 2)], 1, 8),
+        (3, 1, "zeros", [(3, 1), (2, 1)], 2, 8),
+        (6, 2, "zeros", [(6, 2), (5, 2), (5, 1), (4, 1), (3, 1), (2, 1)], 6, 8),
+        (15, 7, "zeros", [(15, 7), (14, 7), (13, 7), (13, 6), (14, 6), (13, 6), (13, 5)], 7, 16),
+        (10, 4, "distinct", [(10, 4)], 1, 16),
+        (18, 9, "distinct", [(18, 9), (17, 9), (16, 9), (15, 9), (14, 9), (13, 9), (12, 9), (12, 8)], 781, 32),
     ]
 
     @settings(deadline=None)
@@ -165,8 +169,8 @@ class TestLayerRecursionMatchesSweep:
                     extend_layer_sweep_reference(values, n, q, kind)
                 )
 
-    @pytest.mark.parametrize("n, q, table, nodes, width", BRANCHES)
-    def test_branches_and_widths(self, monkeypatch, n, q, table, nodes, width):
+    @pytest.mark.parametrize("n, q, table, nodes, count, width", BRANCHES)
+    def test_branches_and_widths(self, monkeypatch, n, q, table, nodes, count, width):
         calls = []
         real = caplearn.capacity._layer_max
 
@@ -186,7 +190,8 @@ class TestLayerRecursionMatchesSweep:
         for kind in SystemKind:
             calls.clear()
             got = repr(extend_layer(values, n, q, kind))
-            assert calls == [(m, node_q, width) for m, node_q in nodes]
+            assert calls[: len(nodes)] == [(m, node_q, width) for m, node_q in nodes]
+            assert len(calls) == count and {call[2] for call in calls} == {width}
             assert got == repr(extend_layer_sweep_reference(values, n, q, kind))
             assert got == repr(extend_layer_float_reference(values, n, q, kind))
 
