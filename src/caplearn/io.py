@@ -264,7 +264,9 @@ def system_from_json(obj: Any) -> RelationalSystem:
     if not isinstance(labels, list):
         raise FormatError("system field 'column_labels' must be an array")
     for j, label in enumerate(labels):
-        if isinstance(label, bool):  # JSON true/false are not subset masks
+        # JSON true/false are not subset masks, and null, an array or an
+        # object is no label
+        if type(label) not in (int, float, str):
             raise FormatError(f"column label {j}: expected a number or a string, got {label!r}")
     try:
         return RelationalSystem(kind, matrix, rhs, labels, scale)

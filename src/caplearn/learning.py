@@ -52,27 +52,26 @@ class TrainingSet:
         check_criteria_count(self.n)
         if not self.items:
             raise DomainError("training set needs at least one item")
-        n, xs = self.n, [item.x for item in self.items]
-        tuples = type(self.items) is tuple and all(type(x) is tuple for x in xs)
-        values = (*chain.from_iterable(xs), *self.targets())
-        floats = self.scale.floats(values) if all(len(x) == n for x in xs) else None
-        if floats is None:
-            # some item fails, or holds a subclass of int or float: walk
-            # item by item, naming the first failure
-            names = [f"coordinate x{i + 1}" for i in range(n)] + ["target"]
-            rows = []
-            for k, item in enumerate(self.items):
-                if len(item.x) != n:
-                    raise DomainError(
-                        f"item {k}: object has {len(item.x)} coordinates, expected {n}"
-                    )
-                row = (*item.x, item.alpha)
-                rows.append(self.scale.require_floats(row, lambda i: f"item {k}, {names[i]}"))
-            floats = (*chain.from_iterable(row[:n] for row in rows), *(row[n] for row in rows))
-        if floats is not values or not tuples:  # an int, a subclass, a list: keep tuples of floats
-            alphas = floats[len(xs) * n:]
-            items = [TrainingDatum(floats[k * n:k * n + n], a) for k, a in enumerate(alphas)]
-            object.__setattr__(self, "items", tuple(items))
+        n, items = self.n, self.items
+        width = n + 1
+        # the values of the items before the first object of the wrong
+        # length, each item's coordinates then its target, are checked in
+        # one pass; so a bad value is named before a later item's length
+        bad = next((k for k, item in enumerate(items) if len(item.x) != n), len(items))
+        values = tuple(chain.from_iterable((*item.x, item.alpha) for item in items[:bad]))
+        names = [f"coordinate x{i + 1}" for i in range(n)] + ["target"]
+        floats = self.scale.require_floats(
+            values, lambda i: f"item {i // width}, {names[i % width]}"
+        )
+        if bad < len(items):
+            raise DomainError(
+                f"item {bad}: object has {len(items[bad].x)} coordinates, expected {n}"
+            )
+        # an int, a subclass, a list: keep tuples of floats
+        if floats is not values or {type(items), *(type(item.x) for item in items)} != {tuple}:
+            rows = range(0, len(floats), width)
+            items = tuple(TrainingDatum(floats[r:r + n], floats[r + n]) for r in rows)
+            object.__setattr__(self, "items", items)
 
     @classmethod
     def from_pairs(cls, n, scale, pairs) -> TrainingSet:

@@ -93,25 +93,23 @@ class RelationalSystem:
             raise DomainError(
                 f"right-hand side has {len(self.rhs)} entries for {len(self.matrix)} equations"
             )
-        tuples = type(self.matrix) is type(self.rhs) is tuple and all(
-            type(row) is tuple for row in self.matrix
+        # the entries of the rows before the first row of the wrong length
+        # are checked in one pass, then the rhs in another; so a bad entry
+        # is named before a later row's length
+        matrix = self.matrix
+        bad = next((k for k, row in enumerate(matrix) if len(row) != m), len(matrix))
+        values = tuple(chain.from_iterable(matrix[:bad]))
+        floats = self.scale.require_floats(
+            values, lambda i: "matrix entry ({}, {})".format(*divmod(i, m))
         )
-        values = (*chain.from_iterable(self.matrix), *self.rhs)
-        floats = self.scale.floats(values) if all(len(r) == m for r in self.matrix) else None
-        if floats is None:
-            # some entry fails, or is a subclass of int or float: walk row by
-            # row, then the rhs, naming the first failure
-            rows = []
-            for k, row in enumerate(self.matrix):
-                if len(row) != m:
-                    raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
-                rows.append(self.scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})"))
-            rhs = self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
-            floats = (*chain.from_iterable(rows), *rhs)
-        if floats is not values or not tuples:  # an int, a subclass, a list: keep tuples of floats
-            rows = len(self.matrix)
-            object.__setattr__(self, "matrix", tuple(floats[k * m:k * m + m] for k in range(rows)))
-            object.__setattr__(self, "rhs", floats[rows * m:])
+        if bad < len(matrix):
+            raise DomainError(f"row {bad} has {len(matrix[bad])} entries, expected {m}")
+        rhs = self.scale.require_floats(self.rhs, lambda k: f"right-hand side entry {k}")
+        object.__setattr__(self, "rhs", rhs)
+        # an int, a subclass, a list: keep tuples of floats
+        if floats is not values or {type(matrix), *map(type, matrix)} != {tuple}:
+            matrix = tuple(floats[r:r + m] for r in range(0, len(floats), m))
+            object.__setattr__(self, "matrix", matrix)
 
     @property
     def n_rows(self) -> int:

@@ -23,10 +23,12 @@ from caplearn import (
     Capacity,
     DataViolation,
     DistanceReport,
+    DomainError,
     FormatError,
     RelationalSystem,
     Scale,
     SystemKind,
+    TrainingDatum,
     TrainingSet,
     apply_system,
     chebyshev_distance,
@@ -780,3 +782,52 @@ def validate_data_reference(ts: TrainingSet) -> list[DataViolation]:
                 )
             )
     return out
+
+
+# The value checks of TrainingSet and RelationalSystem as they were before
+# one Scale.require_floats call each: a bulk Scale.floats over every value,
+# then, when some length or value fails, a walk item by item (row by row,
+# then the rhs), each row's length judged before its values.
+
+
+def training_set_items_reference(n: int, scale: Scale, items) -> tuple:
+    """The items a training set keeps, or the DomainError it raises, once
+    n and a nonempty item list have passed."""
+    xs = [item.x for item in items]
+    tuples = type(items) is tuple and all(type(x) is tuple for x in xs)
+    values = (*itertools.chain.from_iterable(xs), *(item.alpha for item in items))
+    floats = scale.floats(values) if all(len(x) == n for x in xs) else None
+    if floats is None:
+        names = [f"coordinate x{i + 1}" for i in range(n)] + ["target"]
+        rows = []
+        for k, item in enumerate(items):
+            if len(item.x) != n:
+                raise DomainError(f"item {k}: object has {len(item.x)} coordinates, expected {n}")
+            row = (*item.x, item.alpha)
+            rows.append(scale.require_floats(row, lambda i: f"item {k}, {names[i]}"))
+        coordinates = itertools.chain.from_iterable(row[:n] for row in rows)
+        floats = (*coordinates, *(row[n] for row in rows))
+    if floats is not values or not tuples:
+        alphas = floats[len(xs) * n:]
+        items = tuple(TrainingDatum(floats[k * n:k * n + n], a) for k, a in enumerate(alphas))
+    return items
+
+
+def system_values_reference(matrix, rhs, m: int, scale: Scale) -> tuple:
+    """The (matrix, rhs) a system keeps, or the DomainError it raises, once
+    its m column labels and its rhs length have passed."""
+    tuples = type(matrix) is type(rhs) is tuple and all(type(row) is tuple for row in matrix)
+    values = (*itertools.chain.from_iterable(matrix), *rhs)
+    floats = scale.floats(values) if all(len(r) == m for r in matrix) else None
+    if floats is None:
+        rows = []
+        for k, row in enumerate(matrix):
+            if len(row) != m:
+                raise DomainError(f"row {k} has {len(row)} entries, expected {m}")
+            rows.append(scale.require_floats(row, lambda j: f"matrix entry ({k}, {j})"))
+        rhs_floats = scale.require_floats(rhs, lambda k: f"right-hand side entry {k}")
+        floats = (*itertools.chain.from_iterable(rows), *rhs_floats)
+    if floats is not values or not tuples:
+        matrix = tuple(floats[k * m:k * m + m] for k in range(len(matrix)))
+        rhs = floats[len(matrix) * m:]
+    return matrix, rhs

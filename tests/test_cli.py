@@ -523,16 +523,22 @@ class TestDistance:
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout)["columns"] == ["{1}", "-1"]
 
-    @pytest.mark.parametrize("labels, j", [([True, False], 0), ([1, True], 1)])
-    def test_bool_label_is_an_input_error(self, capsys, tmp_path, labels, j):
-        # a JSON bool is neither a subset mask nor a label distinct from 0 and 1
+    @pytest.mark.parametrize(
+        "labels, j",
+        [([True, False], 0), ([1, True], 1), ([None, 1], 0), ([[1], 2], 0), ([{"a": 1}, 2], 0)],
+    )
+    def test_label_that_is_no_number_or_string_is_an_input_error(
+        self, capsys, tmp_path, labels, j
+    ):
+        # a JSON bool is neither a subset mask nor a label distinct from 0 and
+        # 1; null would print as "None", and an array or an object is unhashable
         doc = {"kind": "maxmin", "matrix": [[0.5, 0.2]], "rhs": [0.3], "column_labels": labels}
         path = tmp_path / "sys.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         code, out, err = run(capsys, "distance", "--data", str(path))
         assert (code, out) == (1, "")
         assert err == (
-            f"caplearn: column label {j}: expected a number or a string, got True\n"
+            f"caplearn: column label {j}: expected a number or a string, got {labels[j]!r}\n"
         )
 
     def test_chain_scale_warns_about_embedding(self, capsys, tmp_path):

@@ -32,11 +32,15 @@ from caplearn.sugeno import sugeno_qmin_unchecked
 
 from helpers import (
     CHAIN21,
+    FloatSub,
+    IntSub,
     build_system_reference,
     extend_layer_float_reference,
     extend_layer_reference,
     extend_layer_sweep_reference,
     reference_learning,
+    system_values_reference,
+    training_set_items_reference,
 )
 
 UNIT = Scale.unit_interval()
@@ -250,9 +254,16 @@ def off_scale_positions(draw, size, scale=CHAIN21):
     return {p: draw(st.sampled_from(OFF_SCALE[scale])) for p in positions}
 
 
+def resized_row(rows):
+    """None, or a row index and -1 to shorten that row or +1 to lengthen it."""
+    return st.none() | st.tuples(st.integers(0, rows - 1), st.sampled_from([-1, 1]))
+
+
 class TestValidationMessages:
     """With several off-scale entries, the message names the first one in
-    entry order, wherever the bulk membership test stopped."""
+    entry order, wherever the bulk membership test stopped.  A row of the
+    wrong length is named after the values of the rows before it, and
+    before its own."""
 
     @given(st.integers(1, 4), st.sampled_from([UNIT, CHAIN21]), st.data())
     def test_capacity(self, n, scale, data):
@@ -270,18 +281,24 @@ class TestValidationMessages:
         cells = n_rows * n_cols + n_rows
         bad = data.draw(off_scale_positions(cells))
         flat = [bad.get(p, 0.25) for p in range(cells)]
-        matrix = tuple(
-            tuple(flat[k * n_cols:(k + 1) * n_cols]) for k in range(n_rows)
-        )
+        matrix = [flat[k * n_cols:(k + 1) * n_cols] for k in range(n_rows)]
         rhs = tuple(flat[n_rows * n_cols:])
-        expected = first_error(
-            [
-                (CHAIN21, v, f"matrix entry ({k}, {j})")
-                for k, row in enumerate(matrix)
-                for j, v in enumerate(row)
-            ]
-            + [(CHAIN21, v, f"right-hand side entry {k}") for k, v in enumerate(rhs)]
-        )
+        resized = data.draw(resized_row(n_rows))
+        if resized is not None:
+            k, delta = resized
+            matrix[k] = matrix[k][:-1] if delta < 0 else matrix[k] + [0.25]
+        matrix = tuple(map(tuple, matrix))
+        short = n_rows if resized is None else resized[0]
+        checks = [
+            (CHAIN21, v, f"matrix entry ({k}, {j})")
+            for k, row in enumerate(matrix[:short])
+            for j, v in enumerate(row)
+        ]
+        if resized is None:
+            checks += [(CHAIN21, v, f"right-hand side entry {k}") for k, v in enumerate(rhs)]
+        expected = first_error(checks)
+        if expected is None:
+            expected = f"row {short} has {len(matrix[short])} entries, expected {n_cols}"
         for kind in SystemKind:
             with pytest.raises(DomainError) as info:
                 RelationalSystem(kind, matrix, rhs, tuple(range(n_cols)), CHAIN21)
@@ -302,18 +319,23 @@ class TestValidationMessages:
         cells = size * (n + 1)
         bad = data.draw(off_scale_positions(cells))
         flat = [bad.get(p, 0.5) for p in range(cells)]
-        items = tuple(
-            TrainingDatum(tuple(flat[k * (n + 1):k * (n + 1) + n]), flat[k * (n + 1) + n])
-            for k in range(size)
-        )
+        rows = [flat[k * (n + 1):(k + 1) * (n + 1)] for k in range(size)]
+        resized = data.draw(resized_row(size))
+        if resized is not None:
+            k, delta = resized
+            rows[k] = rows[k][:-2] + rows[k][-1:] if delta < 0 else [0.5] + rows[k]
+        items = tuple(TrainingDatum(tuple(row[:-1]), row[-1]) for row in rows)
+        short = size if resized is None else resized[0]
         expected = first_error(
             (CHAIN21, v, what)
-            for k, item in enumerate(items)
+            for k, item in enumerate(items[:short])
             for v, what in [
                 (x, f"item {k}, coordinate x{i + 1}") for i, x in enumerate(item.x)
             ]
             + [(item.alpha, f"item {k}, target")]
         )
+        if expected is None:
+            expected = f"item {short}: object has {len(items[short].x)} coordinates, expected {n}"
         with pytest.raises(DomainError) as info:
             TrainingSet(n, CHAIN21, items)
         assert str(info.value) == expected
@@ -325,3 +347,76 @@ class TestValidationMessages:
         items = (TrainingDatum((0.5, 1.5), 0.5), TrainingDatum((0.5,), 0.5))
         with pytest.raises(DomainError, match=r"item 0, coordinate x2 1.5"):
             TrainingSet(2, UNIT, items)
+
+
+# members of both scales as plain floats, then as ints and subclasses; then
+# values neither scale holds: off-scale numbers, non-numbers and bools
+FLOAT_MEMBERS = (0.0, -0.0, 0.25, 0.5, 1.0)
+MEMBERS = FLOAT_MEMBERS + (0, 1, IntSub(0), IntSub(1), FloatSub(0.5), FloatSub(-0.0))
+NON_MEMBERS = (1.5, -0.25, math.nan, 0.33, "0.5", None, [0.5], True, False)
+
+
+@st.composite
+def value_rows(draw, count, width, resize=True):
+    """``count`` rows of ``width`` values, each a list or a tuple; a row
+    holds a non-member now and then and, if ``resize``, is one value short
+    or long now and then."""
+    member = st.sampled_from(draw(st.sampled_from([FLOAT_MEMBERS, MEMBERS])))
+    rows = []
+    for _ in range(count):
+        size = width + (draw(st.sampled_from([0] * 6 + [-1, 1])) if resize else 0)
+        row = draw(st.lists(member, min_size=size, max_size=size))
+        if size and draw(st.integers(0, 3)) == 0:
+            row[draw(st.integers(0, size - 1))] = draw(st.sampled_from(NON_MEMBERS))
+        rows.append(draw(st.sampled_from([tuple, tuple, list]))(row))
+    return draw(st.sampled_from([tuple, tuple, list]))(rows)
+
+
+def outcome(build):
+    """What ``build`` returns, or the text of the DomainError it raises."""
+    try:
+        return build()
+    except DomainError as exc:
+        return str(exc)
+
+
+def typed(value):
+    """``value`` with the type of every part: an int, a FloatSub or a list
+    then differs from the float or the tuple that prints alike."""
+    if isinstance(value, TrainingDatum):
+        return type(value), typed(value.x), typed(value.alpha)
+    if type(value) in (tuple, list):
+        return type(value), [typed(v) for v in value]
+    return type(value), repr(value)
+
+
+class TestValueChecksMatchReference:
+    """One Scale.require_floats call per value list against the bulk check
+    and row walk in helpers.py: the same message, the same floats and
+    sequence types, and no copy where the reference made none."""
+
+    @given(st.sampled_from([UNIT, CHAIN21]), st.integers(1, 3), st.integers(1, 4), st.data())
+    def test_training_set(self, scale, n, size, data):
+        rows = data.draw(value_rows(size, n + 1))
+        items = type(rows)(TrainingDatum(type(row)(row[:-1]), row[-1]) for row in rows)
+        expected = outcome(lambda: training_set_items_reference(n, scale, items))
+        got = outcome(lambda: TrainingSet(n, scale, items).items)
+        assert typed(got) == typed(expected)
+        assert got is items or expected is not items
+
+    @given(st.sampled_from([UNIT, CHAIN21]), st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_relational_system(self, scale, n_rows, n_cols, data):
+        matrix = data.draw(value_rows(n_rows, n_cols))
+        rhs = data.draw(value_rows(1, n_rows, resize=False))[0]
+        expected = outcome(lambda: system_values_reference(matrix, rhs, n_cols, scale))
+
+        def stored(kind):
+            sys_ = RelationalSystem(kind, matrix, rhs, tuple(range(n_cols)), scale)
+            return sys_.matrix, sys_.rhs
+
+        for kind in SystemKind:
+            got = outcome(lambda: stored(kind))
+            assert typed(got) == typed(expected)
+            if type(expected) is tuple:
+                assert got[0] is matrix or expected[0] is not matrix
+                assert got[1] is rhs or expected[1] is not rhs
