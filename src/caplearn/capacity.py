@@ -7,10 +7,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from .errors import DomainError
 from .relational import SystemKind
@@ -77,22 +78,21 @@ def capacity_violations(values: Sequence[float], n: int) -> list[str]:
     Monotonicity is checked on covering pairs (A, A + {i}) only, which is
     sufficient and keeps the scan at n * 2^(n-1) comparisons.  Every
     violation is reported, not just the first, so callers can show a full
-    diagnostic.  A clean table is proved clean in bulk (one comparison map
-    per bit slice); only a table with some violation is scanned pair by
-    pair to list them.  Scale membership is :class:`Capacity`'s check.
+    diagnostic.  A clean table is proved clean in bulk (:func:`_is_monotone`);
+    only a table with some violation, or a NaN, is scanned pair by pair to
+    list them.  Scale membership is :class:`Capacity`'s check.
     """
     check_criteria_count(n)
     size = 1 << n
     out: list[str] = []
     if len(values) != size:
         return [f"expected {size} values for n={n}, got {len(values)}"]
-    if values[0] == 0.0 and values[size - 1] == 1.0 and _is_monotone(values, n):
+    if values[0] == 0.0 and values[-1] == 1.0 and _is_monotone(values, n):
         return out
     if values[0] != 0.0:
         out.append(f"value of the empty set must be 0, got {values[0]!r}")
-    top = size - 1
-    if values[top] != 1.0:
-        out.append(f"value of the full set must be 1, got {values[top]!r}")
+    if values[-1] != 1.0:
+        out.append(f"value of the full set must be 1, got {values[-1]!r}")
     for mask in range(size):
         for bigger in add_one_bit(mask, n):
             if values[mask] > values[bigger]:
@@ -109,36 +109,8 @@ def _check_q(q: int, n: int) -> int:
     return q
 
 
-def _bit_slices(n: int, bit: int) -> list[tuple[slice, slice]]:
-    """Slice pairs (masks without ``bit``, the same masks with it) covering 2^n.
-
-    Low bits use few long strided slices, high bits few contiguous blocks,
-    so a pass costs at most about 2^(n/2) slice operations.
-    """
-    size, step = 1 << n, 1 << bit
-    if step * step < size:
-        return [
-            (slice(off, size, 2 * step), slice(off + step, size, 2 * step))
-            for off in range(step)
-        ]
-    return [
-        (slice(start, start + step), slice(start + step, start + 2 * step))
-        for start in range(0, size, 2 * step)
-    ]
-
-
-def _is_monotone(values: Sequence[float], n: int) -> bool:
-    """No covering pair (A, A + {i}) decreases, in bulk: one comparison map
-    per bit slice, n * 2^(n-1) comparisons at C speed."""
-    return not any(
-        any(map(operator.gt, values[lo], values[hi]))
-        for bit in range(n)
-        for lo, hi in _bit_slices(n, bit)
-    )
-
-
-# Codes are packed as fields of 8, 16 or 32 bits, read through memoryview
-# casts to these types.
+# Codes are packed as fields of 8, 16 or 32 bits, through arrays and
+# memoryview casts of these types.
 _FORMATS = {8: "B", 16: "H", 32: "I"}
 # Constants for 2^m fields of w bits are built once and kept while one
 # such int has at most this many bytes: about 1.5 MB in all.  The bit
@@ -220,9 +192,14 @@ def _seeds(values: Sequence[float], masks: list[int], flip: int) -> list[float]:
     return list(map(values.__getitem__, masks))
 
 
+def _ranked(values: Sequence[float]) -> tuple[Iterator[int], list[float]]:
+    """Rising codes 1, 2, ... of the values, made as read: c is levels[c - 1]."""
+    levels = sorted(set(values))
+    return map(dict(zip(levels, range(1, len(levels) + 1))).__getitem__, values), levels
+
+
 def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[Iterable[int], list[float]]:
-    """Codes 1, 2, ... of the seeds in rising order, and the levels they
-    stand for: code c stands for levels[c - 1].
+    """The :func:`_ranked` codes and levels of the seeds, but for zeros.
 
     Equal floats print the same repr except 0.0 and -0.0.  When both occur,
     the zero seeds are ranked by the preference of a max sweep that keeps,
@@ -230,9 +207,7 @@ def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[Iterable[int],
     run of same-signed zeros next to each other in that order shares one
     code.  A plain max of codes then needs no tie rule.
     """
-    levels = sorted(set(seeds))
-    # made as they are read, unless the zeros need telling apart
-    codes: Iterable[int] = map(dict(zip(levels, range(1, len(levels) + 1))).__getitem__, seeds)
+    codes, levels = _ranked(seeds)
     if 0.0 not in levels:
         return codes, levels
     at = list(compress(range(len(seeds)), map((0.0).__eq__, seeds)))
@@ -254,27 +229,44 @@ def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[Iterable[int],
     return codes, levels[: zero - 1] + runs + levels[zero:]
 
 
+def _width(top: int) -> int:
+    """The narrowest field width whose top bit no code up to ``top`` reaches."""
+    return 8 if top < 1 << 7 else 16 if top < 1 << 15 else 32
+
+
+def _as_int(fields: array) -> int:
+    """The array's fields as one int's, field index = array index; a
+    big-endian int holds them backwards, so there the array is reversed."""
+    if sys.byteorder == "big":
+        fields.reverse()
+    return int.from_bytes(fields, sys.byteorder)
+
+
 def _packed(masks: list[int], codes: Iterable[int], n: int, top: int) -> tuple[int, int]:
     """(t, w): ``codes`` at their ``masks`` and 0 elsewhere, as the 2^n
-    fields of w bits of one int, field index = mask, w the narrowest width
-    whose top bit no code up to ``top`` reaches."""
-    w = 8 if top < 1 << 7 else 16 if top < 1 << 15 else 32
-    raw = bytearray(w // 8 << n)
-    fields = memoryview(raw).cast(_FORMATS[w])
-    # the view and the int read bytes in the host's order, in which a
-    # big-endian int holds its fields backwards: there a mask's code goes to
-    # its complement's place
-    flip = full_mask(n) if sys.byteorder == "big" else 0
+    fields of w = :func:`_width` (top) bits of one int, field index = mask."""
+    w = _width(top)
+    fields = array(_FORMATS[w], [0]) * (1 << n)
     for mask, code in zip(masks, codes):
-        fields[mask ^ flip] = code
-    return int.from_bytes(raw, sys.byteorder), w
+        fields[mask] = code
+    return _as_int(fields), w
 
 
 def _unpacked(t: int, n: int, w: int) -> Sequence[int]:
-    """The 2^n fields of w bits of t in mask order, as :func:`_packed`
+    """The 2^n fields of w bits of t in mask order, as :func:`_as_int`
     lays them out."""
     fields = memoryview(t.to_bytes(w // 8 << n, sys.byteorder)).cast(_FORMATS[w])
     return fields[::-1] if sys.byteorder == "big" else fields
+
+
+def _is_monotone(values: Sequence[float], n: int) -> bool:
+    """No covering pair (A, A + {i}) decreases: the :func:`_ranked` codes in
+    mask order are their own :func:`_layer_max` at q = n.  A NaN, which no
+    comparison orders, leaves the levels unsorted and the answer False."""
+    codes, levels = _ranked(values)
+    w = _width(len(levels))
+    t = _as_int(array(_FORMATS[w], codes))
+    return _layer_max(t, n, n, w) == t and all(map(operator.lt, levels, levels[1:]))
 
 
 def _subset_max(values: Sequence[float], n: int, sizes: range, kind: SystemKind) -> list[float]:
@@ -325,8 +317,8 @@ def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scor
     seeded with the layers up to q settles the chain form.  A table that
     fails it keeps the reduced form when it equals its extension from
     layer q (then it is not monotone, so not a capacity) and is refused
-    otherwise.  At q = n every table is a q-extension and the bulk
-    monotonicity pass alone decides.
+    otherwise.  At q = n every table is a q-extension, and the kernel on
+    the whole table decides monotonicity alone (:func:`_is_monotone`).
     """
     if q == n:
         return Scoring.CHAIN if _is_monotone(values, n) else Scoring.REDUCED

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations, compress, repeat
 from operator import and_, ge, itemgetter, le, neg, pos
 from typing import Any, Iterable, Sequence
 
@@ -58,7 +58,11 @@ class TrainingSet:
         # length, each item's coordinates then its target, are checked in
         # one pass; so a bad value is named before a later item's length
         bad = next((k for k, item in enumerate(items) if len(item.x) != n), len(items))
-        values = tuple(chain.from_iterable((*item.x, item.alpha) for item in items[:bad]))
+        flat: list = []
+        for item in items[:bad]:
+            flat += item.x
+            flat.append(item.alpha)
+        values = tuple(flat)
         names = [f"coordinate x{i + 1}" for i in range(n)] + ["target"]
         floats = self.scale.require_floats(
             values, lambda i: f"item {i // width}, {names[i % width]}"
@@ -153,13 +157,18 @@ def _low_bit_fold(base: Sequence, masks: Iterable[int], op) -> dict[int, Any]:
     return out
 
 
+def _layer_masks(n: int, q: int) -> Sequence[int]:
+    """The ascending masks of layers 1..q: every nonempty set at q = n."""
+    return range(1, 1 << n) if q == n else masks_of_sizes(n, range(1, q + 1))
+
+
 def _columns(ts: TrainingSet, kind: SystemKind, q: int) -> Iterable[Sequence[float]]:
     """The system's columns on the layers up to q, min-max ones negated, by
     an inlined ``min``: min(-a, -b) keeps the argument that max(a, b) keeps,
     so even a zero keeps the system's sign."""
     flip = neg if kind.order.dual else pos
     coords = [tuple(map(flip, column)) for column in zip(*(item.x for item in ts.items))]
-    masks = masks_of_sizes(ts.n, range(1, q + 1))
+    masks = _layer_masks(ts.n, q)
     fold = _low_bit_fold(coords, masks, lambda a, b: [y if y < x else x for x, y in zip(a, b)])
     # ascending sets are descending complements
     return reversed(fold.values()) if kind.order.dual else fold.values()
@@ -176,7 +185,7 @@ def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> Rel
     """
     q = ts.n if q is None else _check_q(q, ts.n)
     columns = _columns(ts, kind, q)
-    labels = masks_of_sizes(ts.n, range(1, q + 1))
+    labels = _layer_masks(ts.n, q)
     if kind.order.dual:
         columns = ([-v for v in column] for column in columns)
         labels = [full_mask(ts.n) ^ mask for mask in reversed(labels)]
@@ -276,10 +285,9 @@ def _solve(
         everyone ^ sum(compress(bits, map(order.le, column, bounds)))
         for column in zip(*[ts.items[k].x for k in rising])
     ]
-    masks = range(1, 1 << n) if q == n else masks_of_sizes(n, range(1, q + 1))
     table = [order.bottom] * (1 << n)
     flip = full_mask(n) if order.dual else 0  # min-max sets are complements
-    for mask, word in _low_bit_fold(blocked, masks, and_).items():
+    for mask, word in _low_bit_fold(blocked, _layer_masks(n, q), and_).items():
         table[mask ^ flip] = levels[word.bit_length()]
     return table
 

@@ -14,7 +14,7 @@ import itertools
 import math
 import random
 from contextlib import contextmanager
-from operator import itemgetter, neg, pos
+from operator import gt, itemgetter, neg, pos
 from pathlib import Path
 from unittest import mock
 
@@ -36,7 +36,7 @@ from caplearn import (
     relaxed_rhs,
     sugeno_maxmin,
 )
-from caplearn.capacity import _bit_slices, _check_q, extend_layer
+from caplearn.capacity import _check_q, extend_layer
 from caplearn.io import _document, _number, _numbers, dumps_json, scale_from_json, scale_to_json
 from caplearn.relational import vector_for_rhs
 from caplearn.subsets import (
@@ -299,11 +299,40 @@ def extend_layer_reference(values, n: int, q: int, kind: SystemKind) -> list[flo
     return min_over_large_supersets_reference(values, n, q)
 
 
+def bit_slices(n: int, bit: int) -> list[tuple[slice, slice]]:
+    """Slice pairs (masks without ``bit``, the same masks with it) covering 2^n.
+
+    Low bits use few long strided slices, high bits few contiguous blocks,
+    so a pass costs at most about 2^(n/2) slice operations.
+    """
+    size, step = 1 << n, 1 << bit
+    if step * step < size:
+        return [
+            (slice(off, size, 2 * step), slice(off + step, size, 2 * step))
+            for off in range(step)
+        ]
+    return [
+        (slice(start, start + step), slice(start + step, start + 2 * step))
+        for start in range(0, size, 2 * step)
+    ]
+
+
+def is_monotone_reference(values, n: int) -> bool:
+    """No covering pair (A, A + {i}) decreases, in bulk: one comparison map
+    per bit slice, n * 2^(n-1) comparisons at C speed; ``capacity._is_monotone``
+    must agree on every table without a NaN."""
+    return not any(
+        any(map(gt, values[lo], values[hi]))
+        for bit in range(n)
+        for lo, hi in bit_slices(n, bit)
+    )
+
+
 def subset_max_sweep(out: list, n: int) -> list:
     """``out`` made in place max{out[Y] : Y subset of X}: n * 2^(n-1) binary
     maxes, bits high to low, a tie keeping the smaller set's value."""
     for bit in reversed(range(n)):
-        for lo, hi in _bit_slices(n, bit):
+        for lo, hi in bit_slices(n, bit):
             # max(a, b), inlined: b only when strictly greater
             out[hi] = [b if b > a else a for a, b in zip(out[lo], out[hi])]
     return out

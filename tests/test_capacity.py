@@ -1,8 +1,9 @@
 import dataclasses
+import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import caplearn.capacity
@@ -19,6 +20,7 @@ from caplearn import (
     sugeno_qmax,
     sugeno_qmin,
 )
+from caplearn.capacity import _is_monotone
 from caplearn.sugeno import sugeno_qmax_unchecked
 
 from helpers import (
@@ -30,12 +32,15 @@ from helpers import (
     brute_q_minitive,
     capacity_violations_reference,
     exhaustive_capacity_check,
+    is_monotone_reference,
     random_capacity,
     random_object,
     random_training_set,
+    subset_max_sweep,
 )
 
 UNIT = Scale.unit_interval()
+NAN = float("nan")
 
 
 class TestConstruction:
@@ -139,6 +144,94 @@ class TestViolationsMatchTheScan:
         )
 
 
+@st.composite
+def monotonicity_tables(draw):
+    """(n, table, planted) for n = 1..10: tables drawn from a few levels,
+    with ties and both zeros side by side, or, from n = 8, from at least
+    128 distinct values, so that the codes take 16 bits; half of them made
+    monotone (a max over subsets, or for the distinct values a sort: mask
+    order extends the subset order), and of those half given one
+    decreasing covering pair, the smaller set's value one float above the
+    larger's.  ``planted`` is None, "monotone" or "decreasing"."""
+    n = draw(st.integers(1, 10))
+    size = 1 << n
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    wide = n >= 8 and draw(st.booleans())
+    if wide:
+        values = [rng.random() for _ in range(size)]
+    else:
+        values = [rng.choice((0.0, -0.0, 0.0, -0.0, 0.25, 0.5, 0.75, 1.0)) for _ in range(size)]
+    planted = None
+    if draw(st.booleans()):
+        if wide:
+            values.sort()
+        else:
+            subset_max_sweep(values, n)
+        planted = "monotone"
+    if wide:
+        # the sets inside {1,2,3}, closed under subsets, at the bottom
+        values[:8] = [rng.choice((0.0, -0.0)) for _ in range(8)]
+    if planted and draw(st.booleans()):
+        bigger = rng.randrange(1, size)
+        bit = rng.choice([1 << i for i in range(n) if bigger >> i & 1])
+        values[bigger] = math.nextafter(values[bigger ^ bit], -math.inf)
+        planted = "decreasing"
+    return n, values, planted
+
+
+class TestMonotoneMatchesTheBitSlices:
+    """``capacity._is_monotone``, one :func:`_layer_max` pass over packed
+    level codes, against the comparison maps per bit slice in helpers.py."""
+
+    @settings(deadline=None)
+    @given(monotonicity_tables())
+    @example((2, [0.0, -0.0, -0.0, 0.0], None))
+    @example((3, [-0.0, 0.0, 0.0, -0.0, 0.0, -0.0, -0.0, 0.0], None))
+    @example((8, [m / 256 for m in range(256)], "monotone"))
+    @example((8, [(m ^ 1) / 256 for m in range(256)], None))
+    def test_random_tables(self, case):
+        n, values, planted = case
+        got = _is_monotone(values, n)
+        assert got == is_monotone_reference(values, n)
+        if planted is not None:
+            assert got is (planted == "monotone")
+
+    @pytest.mark.parametrize("distinct, width", [(127, 8), (128, 16), (1 << 15, 32)])
+    def test_code_widths(self, monkeypatch, distinct, width):
+        # a rising table over n = 16 with ``distinct`` levels, then the same
+        # with one covering pair swapped
+        widths = []
+        real = caplearn.capacity._layer_max
+
+        def recorded(t, m, q, w):
+            widths.append(w)
+            return real(t, m, q, w)
+
+        monkeypatch.setattr(caplearn.capacity, "_layer_max", recorded)
+        n = 16
+        # a subset's mask is never above its superset's
+        values = [float(min(m, distinct - 1)) for m in range(1 << n)]
+        assert len(set(values)) == distinct
+        assert _is_monotone(values, n) and widths[0] == width
+        values[1], values[3] = values[3], values[1]
+        assert _is_monotone(values, n) is is_monotone_reference(values, n) is False
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0.0, NAN, 0.5, 1.0],
+            [0.5, 0.2, NAN, 1.0],
+            [NAN, NAN, NAN, 0.5],
+            [0.0, 0.5, 0.25, NAN],
+        ],
+    )
+    def test_nan_is_never_proved_monotone(self, values):
+        # a NaN makes the covering-pair comparisons no order; the bulk check
+        # refuses rather than guesses, and capacity_violations scans
+        assert not _is_monotone(values, 2)
+        assert capacity_violations(values, 2) == capacity_violations_reference(values, 2)
+
+
 class TestQCheckMemo:
     """Each capacity is classified for the q-checks once per q and order."""
 
@@ -194,12 +287,12 @@ class TestQCheckMemo:
 
     def test_q_equal_n_needs_no_sweep(self, sweeps, monkeypatch):
         # every table is n-maxitive and n-minitive, a capacity or not, with
-        # no classification; a score at q = n reads the bulk monotonicity
-        # pass alone, with no layer pass
+        # no classification; a score at q = n reads the monotonicity check
+        # alone, with no layer-seeded pass
         def no_layer_pass(*args):
-            raise AssertionError("a layer pass at q = n")
+            raise AssertionError("a layer-seeded pass at q = n")
 
-        monkeypatch.setattr(caplearn.capacity, "_layer_max", no_layer_pass)
+        monkeypatch.setattr(caplearn.capacity, "_subset_max", no_layer_pass)
         for values in (MU_E_VALUES, (0.0, 0.5, 0.0, 0.25, 1.0, 0.0, 0.5, 1.0)):
             mu = Capacity(3, UNIT, values)
             assert is_q_maxitive(mu, 3) and is_q_minitive(mu, 3)
