@@ -58,18 +58,47 @@ class Capacity:
     )
 
     def __post_init__(self) -> None:
-        check_criteria_count(self.n)
-        size = 1 << self.n
-        values = tuple(self.values)
-        if len(values) != size:
-            raise DomainError(
-                f"capacity on {self.n} criteria needs {size} values, got {len(values)}"
-            )
+        values = _sized(self.n, self.values)
         values = self.scale.require_floats(values, lambda mask: f"value of {subset_label(mask)}")
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _of_parts(
+        cls, n: int, scale: Scale, values: Iterable[float], parts: Sequence[float]
+    ) -> Capacity:
+        """The capacity on ``values``, scale-checked on ``parts`` alone.
+
+        Precondition: every value is a float equal to one of ``parts``, in
+        value and in sign.  Then :meth:`Scale.require_floats` of the parts
+        holds for the whole table, which is not scanned again; the shape is
+        still checked.  ``learn`` passes the order's top, its bottom and the
+        rhs it solved against, which meet it: :func:`learning._solve` writes
+        one of them into every set, and :func:`extend_layer` only copies
+        layer values or takes their maxima.  On the min-max side it takes the
+        max of the negated values and negates it back, which is exact (-(-x)
+        is x bit for bit, a zero included), so each extended value is one of
+        the table's own.  Every other caller uses ``Capacity(n, scale,
+        values)``, which checks each value.
+        """
+        scale.require_floats(parts, "part {}".format)
+        mu = cls.__new__(cls)
+        for name, value in (
+            ("n", n), ("scale", scale), ("values", _sized(n, values)), ("_scoring", {})
+        ):
+            object.__setattr__(mu, name, value)
+        return mu
+
     def __getitem__(self, mask: int) -> float:
         return self.values[check_mask(mask, self.n)]
+
+
+def _sized(n: int, values: Iterable[float]) -> tuple:
+    """The values as a tuple, refused unless they are 2^n for a valid n."""
+    check_criteria_count(n)
+    values = tuple(values)
+    if len(values) != 1 << n:
+        raise DomainError(f"capacity on {n} criteria needs {1 << n} values, got {len(values)}")
+    return values
 
 
 def capacity_violations(values: Sequence[float], n: int) -> list[str]:

@@ -28,7 +28,7 @@ from .io import (
     report_to_json,
     save_capacity,
 )
-from .learning import LearnMode, build_system, learn, validate_data
+from .learning import LearnMode, _labels, _per_row, learn, validate_data
 from .oracle import DEFAULT_BUDGET, grid_levels, system_checks, training_checks
 from .relational import RelationalSystem, SystemKind
 from .scale import ScaleKind
@@ -254,22 +254,28 @@ def _load_data(args, kind_flag: str):
 
 
 def _cmd_distance(args) -> int:
-    sys_ = _load_data(args, "type")
-    if not isinstance(sys_, RelationalSystem):
-        sys_ = build_system(sys_, SystemKind(args.type or "maxmin"), args.q)
-    report = chebyshev_distance(sys_)
+    data = _load_data(args, "type")
+    if isinstance(data, RelationalSystem):
+        kind, rhs, labels = data.kind, data.rhs, data.column_labels
+        per_row = chebyshev_distance(data).per_row
+    else:
+        # the system's per_row and labels, from the training set's columns
+        kind, rhs = SystemKind(args.type or "maxmin"), data.targets()
+        q = data.n if args.q is None else _check_q(args.q, data.n)
+        per_row, labels = _per_row(data, kind, q), _labels(data.n, kind, q)
+    distance = max(per_row)
     payload: dict[str, Any] = {
-        "kind": sys_.kind.value,
-        "distance": report.distance,
-        "per_row": list(report.per_row),
-        "bounded_rhs": list(relaxed_rhs(sys_.rhs, report.distance, sys_.kind)),
-        "consistent": report.distance == 0.0,
+        "kind": kind.value,
+        "distance": distance,
+        "per_row": list(per_row),
+        "bounded_rhs": list(relaxed_rhs(rhs, distance, kind)),
+        "consistent": distance == 0.0,
         "columns": [
             subset_label(lbl) if isinstance(lbl, int) and lbl >= 0 else str(lbl)
-            for lbl in sys_.column_labels
+            for lbl in labels
         ],
     }
-    if sys_.scale.kind is ScaleKind.FINITE_CHAIN:
+    if data.scale.kind is ScaleKind.FINITE_CHAIN:
         payload["warning"] = (
             "finite-chain values were embedded in [0, 1]; distances and"
             " approximate solutions may fall between chain levels"

@@ -20,6 +20,12 @@ scalars (strings, bools, None, or numbers with a NaN or an infinity, which
 break and indentation as its item separator; the C encoder writes every
 item as the indenting one does.
 
+A list's route is decided by the set of its items' types, a scan of every
+item; the values of a capacity skip it.  A ``Capacity`` holds floats by
+construction, so ``capacity_to_json`` hands them over as a ``_Floats``, a
+private ``list`` subclass that marks them as such, the way ``CanonicalText``
+marks text, and ``_encode`` takes a ``_Floats`` as a list of floats.
+
 Above layer q a learned q-mode table repeats one value over long runs, so a
 list of more than ``_BLOCK`` floats is written block by block, and a block
 whose entries are all equal takes one ``repr``, repeated.  That is exact:
@@ -66,6 +72,11 @@ class CanonicalText(str):
     """``dumps_json(doc)``, which the writers embed as ``doc`` at its depth."""
 
 
+class _Floats(list):
+    """A capacity's values, floats by construction, which the writer takes
+    as such without a type scan; made by ``capacity_to_json`` alone."""
+
+
 def dumps_json(payload: Any) -> str:
     """Canonical JSON text used by every writer and by the CLI."""
     return _encode(payload, "\n") + "\n"
@@ -80,7 +91,7 @@ def _encode(obj: Any, newline: str) -> str:
     inner = newline + "  "
     sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
-        types = set(map(type, obj))
+        types = {float} if type(obj) is _Floats else set(map(type, obj))
         # repr writes an int or a finite float as the encoder does; only a
         # nan or an inf puts the letter n in the text.  A long list of floats
         # takes one repr per block of equal values, of one sign if zeros.
@@ -213,7 +224,7 @@ def scale_from_json(obj: Any) -> Scale:
 
 
 def capacity_to_json(mu: Capacity) -> dict:
-    return {"n": mu.n, "scale": scale_to_json(mu.scale), "values": list(mu.values)}
+    return {"n": mu.n, "scale": scale_to_json(mu.scale), "values": _Floats(mu.values)}
 
 
 def capacity_from_json(obj: Any) -> Capacity:

@@ -185,19 +185,32 @@ def build_system(ts: TrainingSet, kind: SystemKind, q: int | None = None) -> Rel
     """
     q = ts.n if q is None else _check_q(q, ts.n)
     columns = _columns(ts, kind, q)
-    labels = _layer_masks(ts.n, q)
     if kind.order.dual:
         columns = ([-v for v in column] for column in columns)
-        labels = [full_mask(ts.n) ^ mask for mask in reversed(labels)]
     matrix = tuple(zip(*columns))
-    return RelationalSystem(kind, matrix, ts.targets(), tuple(labels), ts.scale)
+    return RelationalSystem(kind, matrix, ts.targets(), _labels(ts.n, kind, q), ts.scale)
+
+
+def _labels(n: int, kind: SystemKind, q: int) -> tuple[int, ...]:
+    """The masks labelling the system's columns, ascending: min-max ones
+    are the complements of the layers' sets, so in reversed order."""
+    masks = _layer_masks(n, q)
+    if kind.order.dual:
+        return tuple(full_mask(n) ^ mask for mask in reversed(masks))
+    return tuple(masks)
+
+
+def _per_row(ts: TrainingSet, kind: SystemKind, q: int, cut: bool = False) -> tuple[float, ...]:
+    """``chebyshev_distance(build_system(ts, kind, q)).per_row`` bit for bit,
+    from the subset columns with no system; with ``cut`` only its max is."""
+    flip = neg if kind.order.dual else pos
+    return _maxmin_per_row(_columns(ts, kind, q), tuple(map(flip, ts.targets())), cut=cut)
 
 
 def _distance(ts: TrainingSet, kind: SystemKind, q: int) -> float:
     """``chebyshev_distance(build_system(ts, kind, q)).distance`` bit for bit,
     from the subset columns swept with the cut."""
-    flip = neg if kind.order.dual else pos
-    return max(_maxmin_per_row(_columns(ts, kind, q), tuple(map(flip, ts.targets())), cut=True))
+    return max(_per_row(ts, kind, q, cut=True))
 
 
 class LearnMode(Enum):
@@ -365,6 +378,13 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     within ``TOLERANCE`` beyond its relaxed target counting as reaching it,
     and needs only the boundary condition; when that fails it returns before
     the extension.  Failed conditions leave notes.
+
+    Every entry of the table is the order's top, its bottom or an entry of
+    the rhs solved against: the solution takes its values there (Sanchez)
+    and the extension copies them or their maxima.  So the capacity is
+    scale-checked on those N + 2 values by :meth:`Capacity._of_parts`, on
+    the unit interval in the approximate modes and on the data's scale
+    otherwise, and not entry by entry.
     """
     kind, approx, note = _MODES[mode]
     whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
@@ -406,7 +426,8 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     # Relaxed right-hand sides involve additions and halvings, so learned
     # values may leave a finite chain; results live on the unit interval.
     scale = Scale.unit_interval() if approx else ts.scale
-    mu = Capacity(ts.n, scale, table)
+    # every entry is the top, the bottom or an rhs entry: check those alone
+    mu = Capacity._of_parts(ts.n, scale, table, (order.top, order.bottom, *rhs))
     # a residuated solve is monotone and so is its extension: seed the chain form
     mu._scoring[layer_q, kind] = Scoring.CHAIN
     return LearnReport(mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced))

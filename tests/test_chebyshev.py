@@ -16,6 +16,7 @@ from caplearn import (
     relaxed_rhs,
 )
 from caplearn.chebyshev import _maxmin_per_row
+from caplearn.learning import _labels, _per_row
 
 from helpers import (
     CHAIN21,
@@ -161,6 +162,31 @@ class TestSweepMatchesClosedForm:
             kind, ((0.0, -0.0), (-0.0, 0.5), (1.0, 0.0)), (-0.0, 0.0, 0.5), (0, 1), UNIT
         )
         self.check(sys_)
+
+
+@st.composite
+def training_sets_kind_q(draw):
+    n = draw(st.integers(1, 4))
+    value = st.sampled_from([*draw(value_pools), -0.0, 0.0])
+    pairs = draw(
+        st.lists(st.tuples(st.tuples(*[value] * n), value), min_size=1, max_size=10)
+    )
+    ts = TrainingSet.from_pairs(n, UNIT, pairs)
+    return ts, draw(st.sampled_from(SystemKind)), draw(st.integers(1, n))
+
+
+class TestSubsetColumnsMatchSystem:
+    """``caplearn distance`` on training data sweeps the subset columns with
+    no system; per row and column labels as the system route gives them."""
+
+    @given(training_sets_kind_q())
+    @example((TrainingSet.from_pairs(2, UNIT, [((0.0, -0.0), -0.0), ((0.5, 0.0), 0.5)]),
+              SystemKind.MIN_MAX, 1))
+    def test_per_row_and_labels(self, case):
+        ts, kind, q = case
+        sys_ = build_system(ts, kind, q)
+        assert repr(_per_row(ts, kind, q)) == repr(chebyshev_distance(sys_).per_row)
+        assert _labels(ts.n, kind, q) == sys_.column_labels
 
 
 @st.composite

@@ -250,7 +250,7 @@ class TestLearnFiles:
         calls = []
 
         def counted(obj, newline):
-            if type(obj) is list and obj == values:
+            if isinstance(obj, list) and obj == values:
                 calls.append(newline)
             return encode(obj, newline)
 
@@ -488,6 +488,23 @@ class TestDistance:
         assert err == (
             f"caplearn: a system JSON fixes its kind and columns; {named} cannot apply\n"
         )
+
+    @pytest.mark.parametrize("q", ["0", "4"])
+    def test_out_of_range_q_is_input_error(self, capsys, data_csv, q):
+        code, out, err = run(capsys, "distance", "--data", data_csv, "--q", q)
+        assert (code, out) == (1, "")
+        assert err == f"caplearn: q must be an integer in 1..3, got {q}\n"
+
+    def test_training_data_builds_no_system(self, capsys, data_csv, monkeypatch):
+        def refused(*args):
+            raise AssertionError("a system was built")
+
+        monkeypatch.setattr(caplearn.learning, "RelationalSystem", refused)
+        for kind, ends in (("maxmin", ["{1}", "{1,2,3}"]), ("minmax", ["{}", "{2,3}"])):
+            code, out, _ = run(capsys, "distance", "--data", data_csv, "--type", kind)
+            assert code == 0
+            columns = json.loads(out)["columns"]
+            assert (len(columns), columns[::6]) == (7, ends)
 
     def test_training_data_defaults_to_maxmin(self, capsys, data_csv):
         code, out, _ = run(capsys, "distance", "--data", data_csv)

@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from caplearn import (
+    Capacity,
     FormatError,
     LearnMode,
     Scale,
@@ -218,6 +219,21 @@ def run_heavy_lists(draw):
     return values + [1.0] * (B + 1 - len(values))
 
 
+@st.composite
+def capacity_tables(draw):
+    """Capacities on [0, 1] with more than a block of values, made of runs:
+    blocks of one signed zero, blocks of zeros of both signs, long equal
+    runs and blocks that mix values."""
+    n = draw(st.integers(7, 10))
+    runs = draw(st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 0.1]), st.integers(1, 3 * B)),
+        min_size=1, max_size=12,
+    ))
+    values = [v for v, k in runs for _ in range(k)][: 1 << n]
+    values += [1.0] * ((1 << n) - len(values))
+    return Capacity(n, UNIT, values)
+
+
 def assert_embeds(doc):
     """A document's canonical text, embedded in a list and in a dict, gives
     the text of the document nested there."""
@@ -272,6 +288,16 @@ class TestCanonicalWriter:
     )
     def test_edge_documents(self, doc):
         assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
+        assert_embeds(doc)
+
+    @given(capacity_tables())
+    @example(Capacity(7, UNIT, [0.0] * 10 + [-0.0] + [0.0] * 117))
+    @example(Capacity(7, UNIT, [-0.0] * 64 + [0.5, 1.0] * 32))
+    def test_capacity_values_written_as_a_plain_list(self, mu):
+        # the writer takes a capacity's values as floats without a type scan
+        doc = capacity_to_json(mu)
+        plain = dict(doc, values=list(mu.values))
+        assert dumps_json(doc) == json.dumps(plain, indent=2) + "\n"
         assert_embeds(doc)
 
     def test_learned_q_capacity(self):

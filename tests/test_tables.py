@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import caplearn.capacity
+import caplearn.learning
 from caplearn import (
     Capacity,
     DomainError,
@@ -25,6 +26,7 @@ from caplearn import (
     TrainingSet,
     build_system,
     learn,
+    relaxed_rhs,
 )
 from caplearn.capacity import _codes, extend_layer
 from caplearn.subsets import masks_of_sizes, subset_label
@@ -231,6 +233,72 @@ class TestLearnReportsMatchReference:
             assert repr(sugeno_qmin_unchecked(report.capacity, (-0.0,), 1)) == "0.0"
             assert repr(report.residuals) == "(0.0,)"
         self.check(ts, 1)
+
+
+SKEWED = Scale.finite_chain((0.0, 0.1, 0.25, 0.7, 1.0))
+
+
+@st.composite
+def part_training_sets(draw):
+    """Training sets on CHAIN21, a skewed chain and [0, 1], from pools with
+    ±0.0, n = 1 and N = 1 among them."""
+    scale = draw(st.sampled_from([CHAIN21, SKEWED, UNIT]))
+    if scale is UNIT:
+        pool = draw(st.lists(signed_zeros | unit_floats, min_size=1, max_size=4))
+    else:
+        pool = draw(st.lists(st.sampled_from(scale.levels + (-0.0,)), min_size=1, max_size=4))
+    value = st.sampled_from(pool + [-0.0, 0.0])
+    n = draw(st.integers(1, 5))
+    pairs = draw(st.lists(st.tuples(st.tuples(*[value] * n), value), min_size=1, max_size=8))
+    return TrainingSet.from_pairs(n, scale, pairs)
+
+
+class TestLearnedCapacityIsMadeOfItsParts:
+    """``learn`` checks its capacity on the order's top and bottom and the
+    rhs it solved against; the full check of the same table agrees, and
+    every entry is one of those values."""
+
+    @staticmethod
+    def check(ts):
+        for mode, (kind, approx, _) in caplearn.learning._MODES.items():
+            whole = mode in (LearnMode.GREATEST, LearnMode.LOWEST)
+            for q in [None] if whole else range(1, ts.n + 1):
+                report = learn(ts, mode, q)
+                mu = report.capacity
+                if mu is None:
+                    continue
+                full = Capacity(ts.n, mu.scale, list(mu.values))
+                assert repr(mu) == repr(full) and mu == full
+                assert mu.scale == (UNIT if approx else ts.scale)
+                rhs = ts.targets()
+                if report.distance:
+                    rhs = relaxed_rhs(rhs, report.distance, kind)
+                parts = {repr(v) for v in (kind.order.top, kind.order.bottom, *rhs)}
+                assert all(type(v) is float for v in mu.values)
+                assert {repr(v) for v in mu.values} <= parts
+
+    # up to 22 learn calls per example: no per-example deadline on a busy host
+    @settings(deadline=None)
+    @given(part_training_sets())
+    @example(ts_of(1, [((-0.0,), 0.0)]))
+    @example(ts_of(1, [((0.5,), 0.5)], Scale.finite_chain((0.0, 0.5, 1.0))))
+    @example(ts_of(3, [((0.7, 0.1, -0.0), 0.1), ((0.25, 0.7, 1.0), 0.7)], SKEWED))
+    def test_random_training_sets(self, ts):
+        self.check(ts)
+
+    @pytest.mark.parametrize("ts, q", EDGE_CASES)
+    def test_edge_shapes(self, ts, q):
+        self.check(ts)
+
+    def test_off_scale_part_is_refused(self):
+        with pytest.raises(DomainError, match=r"^part 2 0\.33 is not a member of the 21-level chain$"):
+            Capacity._of_parts(1, CHAIN21, [0.0, 1.0], (1.0, 0.0, 0.33))
+        with pytest.raises(DomainError, match=r"^part 0 1\.5 is not a member of the unit"):
+            Capacity._of_parts(1, UNIT, [0.0, 1.0], (1.5, 0.0))
+
+    def test_shape_is_still_checked(self):
+        with pytest.raises(DomainError, match=r"^capacity on 2 criteria needs 4 values, got 2$"):
+            Capacity._of_parts(2, UNIT, [0.0, 1.0], (1.0, 0.0))
 
 
 # off-scale values: outside [0, 1], NaN, and between levels of CHAIN21
