@@ -9,7 +9,6 @@ import operator
 import sys
 from array import array
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import compress
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -26,14 +25,6 @@ from .subsets import (
 )
 
 
-class Scoring(Enum):
-    """How the q-checked integrals score a table at one q and order."""
-
-    CHAIN = "chain"  # a monotone q-extension: the chain form
-    REDUCED = "reduced"  # a q-extension that is not monotone: the reduced form
-    REFUSED = "refused"  # not its own extension from layer q
-
-
 @dataclass(frozen=True)
 class Capacity:
     """A set function on 2^C stored as a table indexed by subset mask.
@@ -44,16 +35,16 @@ class Capacity:
     :func:`capacity_violations` so that suspect tables can be inspected
     rather than rejected outright.
 
-    The q-checks remember per (q, order) in ``_scoring`` how the checked
-    integrals score the table (:class:`Scoring`); the memo takes no part in
-    ``==``, ``hash`` or ``repr``.  The table is immutable, so one
-    classification per q and order settles it.
+    The q-checks remember per (q, order) in ``_scoring`` whether the table
+    is q-maxitive (q-minitive for min-max), as a table that is not monotone
+    never is; the memo takes no part in ``==``, ``hash`` or ``repr``, and
+    one pass per q and order settles the immutable table.
     """
 
     n: int
     scale: Scale
     values: tuple[float, ...]
-    _scoring: dict[tuple, Scoring] = field(
+    _scoring: dict[tuple, bool] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
 
@@ -337,60 +328,45 @@ def extend_layer(values: Sequence[float], n: int, q: int, kind: SystemKind) -> l
     return _subset_max(values, n, range(q, q + 1), kind)
 
 
-def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> Scoring:
-    """How the q-checked integral of ``kind`` scores a table.
+def _classify(values: Sequence[float], n: int, q: int, kind: SystemKind) -> bool:
+    """Whether a table is q-maxitive (q-minitive for min-max): a monotone
+    q-extension in the order of ``kind``.
 
     A table equals the max over its subsets of size up to q (read negated
     by complements for min-max, as :func:`extend_layer` reads it) exactly
     when it is a monotone q-extension, so one :func:`_subset_max` pass
-    seeded with the layers up to q settles the chain form.  A table that
-    fails it keeps the reduced form when it equals its extension from
-    layer q (then it is not monotone, so not a capacity) and is refused
-    otherwise.  At q = n every table is a q-extension, and the kernel on
-    the whole table decides monotonicity alone (:func:`_is_monotone`).
+    seeded with the layers up to q decides it.  At q = n the kernel on the
+    whole table decides monotonicity alone (:func:`_is_monotone`).  So a
+    table that is not monotone is q-maxitive at no q, q = n included;
+    normalisation is :func:`capacity_violations`' question.
     """
     if q == n:
-        return Scoring.CHAIN if _is_monotone(values, n) else Scoring.REDUCED
-    table = list(values)
-    if _subset_max(values, n, range(q + 1), kind) == table:
-        return Scoring.CHAIN
-    if extend_layer(values, n, q, kind) == table:
-        return Scoring.REDUCED
-    return Scoring.REFUSED
+        return _is_monotone(values, n)
+    return _subset_max(values, n, range(q + 1), kind) == list(values)
 
 
-def _q_scoring(mu: Capacity, q: int, kind: SystemKind) -> Scoring:
+def _q_holds(mu: Capacity, q: int, kind: SystemKind) -> bool:
     """:func:`_classify` of mu, once per capacity, q and order; later calls
     read the answer it left in ``mu._scoring``, where ``learn`` also records
-    the chain form for the capacity it returns."""
+    it for the capacity it returns."""
     key = (_check_q(q, mu.n), kind)
     if key not in mu._scoring:
         mu._scoring[key] = _classify(mu.values, mu.n, q, kind)
     return mu._scoring[key]
 
 
-def _is_q_extension(mu: Capacity, q: int, kind: SystemKind) -> bool:
-    """Whether mu is its own extension from layer q in the order of ``kind``.
-
-    Every table is its own extension from layer n, with no pass; below it,
-    :func:`_q_scoring` decides.
-    """
-    return _check_q(q, mu.n) == mu.n or _q_scoring(mu, q, kind) is not Scoring.REFUSED
-
-
 def is_q_maxitive(mu: Capacity, q: int) -> bool:
-    """True iff values above cardinality q are the max of their small subsets.
-
-    Every capacity is n-maxitive, so q = n always returns True.
-    """
-    return _is_q_extension(mu, q, SystemKind.MAX_MIN)
+    """True iff mu is monotone and its values above cardinality q are the
+    max of their small subsets: at q = n, iff mu is monotone."""
+    return _q_holds(mu, q, SystemKind.MAX_MIN)
 
 
 def is_q_minitive(mu: Capacity, q: int) -> bool:
-    """True iff values below cardinality n - q are the min of their large supersets.
+    """True iff mu is monotone and its values below cardinality n - q are
+    the min of their large supersets: at q = n, iff mu is monotone.
 
     The order dual of q-maxitivity: a capacity is q-minitive exactly when
     its conjugate (the value of the complement, reversed on the scale) is
     q-maxitive.
     """
-    return _is_q_extension(mu, q, SystemKind.MIN_MAX)
+    return _q_holds(mu, q, SystemKind.MIN_MAX)

@@ -19,7 +19,7 @@ from itertools import combinations, compress, repeat
 from operator import and_, ge, itemgetter, le, neg, pos
 from typing import Any, Iterable, Sequence
 
-from .capacity import Capacity, Scoring, _check_q, extend_layer
+from .capacity import Capacity, _check_q, extend_layer
 # chebyshev_distance is unused here; the benchmark tracer looks it up here (ROADMAP item 1)
 from .chebyshev import _maxmin_per_row, chebyshev_distance, relaxed_rhs
 from .errors import DomainError
@@ -428,6 +428,6 @@ def learn(ts: TrainingSet, mode: LearnMode, q: int | None = None) -> LearnReport
     scale = Scale.unit_interval() if approx else ts.scale
     # every entry is the top, the bottom or an rhs entry: check those alone
     mu = Capacity._of_parts(ts.n, scale, table, (order.top, order.bottom, *rhs))
-    # a residuated solve is monotone and so is its extension: seed the chain form
-    mu._scoring[layer_q, kind] = Scoring.CHAIN
+    # a residuated solve is monotone and so is its extension: seed the q-check
+    mu._scoring[layer_q, kind] = True
     return LearnReport(mode, q, consistent, True, distance, mu, _residuals(mu, ts, produced))

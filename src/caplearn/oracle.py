@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator
 
-from .capacity import Capacity, _check_q, _is_q_extension
+from .capacity import Capacity, _check_q, _q_holds
 from .chebyshev import chebyshev_distance
 from .errors import BudgetError, DomainError
 from .learning import TOLERANCE, LearnMode, TrainingSet, build_system, learn
@@ -82,7 +82,7 @@ def enumerate_capacities(
         if mask == size - 1:
             table[mask] = 1.0
             mu = Capacity(n, scale, tuple(table))
-            if _is_q_extension(mu, q, kind):
+            if _q_holds(mu, q, kind):
                 yield mu
             return
         floor = max(table[sub] for sub in drop_one_bit(mask)) if mask else 0.0

@@ -14,16 +14,14 @@ a zero result as mu's value on the empty set.  The reduced forms
 visit the C(n, <=q) bounded subsets, about 0.3 ms per object at n = 18,
 q = 2.
 
-``sugeno_qmax`` and ``sugeno_qmin`` score a monotone q-extension by the
-chain form, since there the chain form and the reduced form are the same
-join, and a q-extension that is not monotone by the reduced form, which
-the chain form need not match there; any other table raises on every
-call.  ``capacity._classify`` tells them apart, for a monotone
-q-extension in one pass on packed level codes of about q * 2^n field
-merges for small q (n * 2^n at most), and the capacity keeps the answer
-per q and order, so scoring many objects classifies once.  The
-``_unchecked`` forms skip the classification and always take the reduced
-form.
+``sugeno_qmax`` and ``sugeno_qmin`` score a q-maxitive (q-minitive)
+table, a monotone q-extension, by the chain form, since there the chain
+form and the reduced form are the same join; any other table, one that is
+not monotone included, raises on every call.  ``capacity._classify``
+decides the q-check in one pass on packed level codes of about q * 2^n
+field merges for small q (n * 2^n at most), and the capacity keeps the
+answer per q and order, so scoring many objects checks once.  The
+``_unchecked`` forms skip the check and always take the reduced form.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .capacity import Capacity, Scoring, _check_q, _q_scoring, is_q_maxitive, is_q_minitive
+from .capacity import Capacity, _check_q, is_q_maxitive, is_q_minitive
 from .errors import DomainError
 from .relational import Order, SystemKind
 from .subsets import full_mask
@@ -103,18 +101,16 @@ def sugeno_qmax_unchecked(mu: Capacity, x: Sequence[float], q: int) -> float:
 
 
 def _checked(mu: Capacity, x: Sequence[float], q: int, kind: SystemKind) -> float:
-    """The integral of ``kind`` on a q-bounded mu: the chain form of a
-    monotone q-extension, else the reduced form; refused, through the
-    q-check of ``kind``, when mu is not its own extension from layer q."""
+    """The integral of ``kind`` on a q-bounded mu by the chain form, which
+    equals the reduced form there; refused, through the q-check of
+    ``kind``, unless mu is q-maxitive (q-minitive for min-max)."""
     if kind.order.dual:
         holds, what, chain = is_q_minitive, "minitive", sugeno_minmax
     else:
         holds, what, chain = is_q_maxitive, "maxitive", sugeno_maxmin
     if not holds(mu, q):
         raise DomainError(f"capacity is not {q}-{what}; reduced evaluation is unsound")
-    if _q_scoring(mu, q, kind) is Scoring.CHAIN:
-        return chain(mu, x)
-    return _reduced(mu, x, q, kind)
+    return chain(mu, x)
 
 
 def sugeno_qmax(mu: Capacity, x: Sequence[float], q: int) -> float:

@@ -286,22 +286,23 @@ class TestQCheckMemo:
         assert len(sweeps) == 3
 
     def test_q_equal_n_needs_no_sweep(self, sweeps, monkeypatch):
-        # every table is n-maxitive and n-minitive, a capacity or not, with
-        # no classification; a score at q = n reads the monotonicity check
-        # alone, with no layer-seeded pass
+        # at q = n the q-check is the monotonicity check alone, with no
+        # layer-seeded pass: a capacity is n-maxitive and n-minitive, a
+        # table that is not monotone is neither, and scoring it raises
         def no_layer_pass(*args):
             raise AssertionError("a layer-seeded pass at q = n")
 
         monkeypatch.setattr(caplearn.capacity, "_subset_max", no_layer_pass)
-        for values in (MU_E_VALUES, (0.0, 0.5, 0.0, 0.25, 1.0, 0.0, 0.5, 1.0)):
-            mu = Capacity(3, UNIT, values)
-            assert is_q_maxitive(mu, 3) and is_q_minitive(mu, 3)
-            assert sweeps == []
-            assert sugeno_qmax(mu, (0.5, 0.25, 0.3), 3) == sugeno_qmax_unchecked(
-                mu, (0.5, 0.25, 0.3), 3
-            )
-            assert sweeps == [(3, SystemKind.MAX_MIN)]
-            sweeps.clear()
+        x = (0.5, 0.25, 0.3)
+        mu = Capacity(3, UNIT, MU_E_VALUES)
+        assert is_q_maxitive(mu, 3) and is_q_minitive(mu, 3)
+        assert sugeno_qmax(mu, x, 3) == sugeno_qmax_unchecked(mu, x, 3)
+        mu = Capacity(3, UNIT, (0.0, 0.5, 0.0, 0.25, 1.0, 0.0, 0.5, 1.0))
+        assert not is_q_maxitive(mu, 3) and not is_q_minitive(mu, 3)
+        for score, what in ((sugeno_qmax, "maxitive"), (sugeno_qmin, "minitive")):
+            with pytest.raises(DomainError, match=f"not 3-{what}"):
+                score(mu, x, 3)
+        assert sweeps == [(3, SystemKind.MAX_MIN), (3, SystemKind.MIN_MAX)] * 2
 
     def test_orders_answer_apart(self):
         # {1,2} is the max of its singletons, but the empty set is not the

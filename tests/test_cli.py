@@ -397,6 +397,16 @@ class TestCheck:
         assert payload["q_maxitive"] is True
         assert payload["q_minitive"] is False
 
+    def test_q_equal_n_is_answered_by_monotonicity(self, capsys):
+        # no golden case asks at q = n: a capacity is n-maxitive and
+        # n-minitive, which the monotonicity kernel decides
+        code, out, _ = run(capsys, "check", "--capacity", str(GOLDEN / "mu_paper.json"),
+                           "--q", "3")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["is_capacity"] is True and payload["q"] == 3
+        assert payload["q_maxitive"] is True and payload["q_minitive"] is True
+
     def test_broken_capacity_condition_failure(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(

@@ -1,12 +1,15 @@
-"""The package surface: the export list, and no import left unused in it or its tests."""
+"""The package surface: the export list, no import left unused in it or its
+tests, and no definition in it that nothing reads."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import caplearn
 
 SRC = Path(caplearn.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 # learning imports chebyshev_distance only so that the benchmark tracer can
 # wrap it there (ROADMAP item 1)
 ALLOWED_UNUSED = {("learning", "chebyshev_distance")}
@@ -65,3 +68,58 @@ def test_unused_import_check_sees_every_form():
         "    return pi * x\n"
     )
     assert unused_imports(source) == {"os", "js", "inf"}
+
+
+def reads(tree: ast.AST) -> Counter:
+    """How often a tree reads each name: as a loaded name, as an attribute,
+    or as a part of a string constant that is a dotted name (an ``__all__``
+    entry, a tracer target)."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                found.update(parts)
+    return found
+
+
+def unread_definitions(sources: dict[str, str], defining: set[str]) -> set[tuple[str, str]]:
+    """(module, name) of each module-level function or class of the
+    ``defining`` modules that no source reads outside its own body."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    total = sum((reads(tree) for tree in trees.values()), Counter())
+    return {
+        (module, node.name)
+        for module in defining
+        for node in trees[module].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and total[node.name] == reads(node)[node.name]
+    }
+
+
+def test_every_definition_is_read():
+    package = {f"caplearn.{p.stem}": p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    bench = {f"perfbench.{p.stem}": p.read_text(encoding="utf-8") for p in PERFBENCH.glob("*.py")}
+    assert "caplearn.capacity" in package and "perfbench.tracing" in bench
+    assert unread_definitions({**package, **bench}, set(package)) == set()
+
+
+def test_unread_definition_check_sees_every_form():
+    sources = {
+        "lib": (
+            "__all__ = ['public']\n"
+            "def public(): return _helper()\n"
+            "def _helper(): return 1\n"
+            "def _traced(): pass\n"
+            "class _Used: pass\n"
+            "def _leftover(n): return _leftover(n - 1) if n else 0\n"
+            "def _stored(): pass\n"
+            "_stored = None\n"
+        ),
+        "user": "import lib\nTARGETS = (('lib', '_traced'),)\nx: 'lib._Used' = lib.public()\n",
+    }
+    assert unread_definitions(sources, {"lib"}) == {("lib", "_leftover"), ("lib", "_stored")}

@@ -22,7 +22,7 @@ from caplearn import (
     sugeno_qmax,
     sugeno_qmin,
 )
-from caplearn.capacity import Scoring, _q_scoring, extend_layer
+from caplearn.capacity import _q_holds, extend_layer
 from caplearn.cli import main
 from caplearn.io import save_capacity
 from caplearn.subsets import drop_one_bit, masks_of_sizes
@@ -133,36 +133,52 @@ def all_pairs_monotone(mu):
     )
 
 
-def layer_extension_holds(mu, q, kind):
-    """By definition: every set beyond layer q holds the max of the size-q
-    sets inside it (max-min), or the min of the size-(n - q) sets around it
-    (min-max)."""
-    n, values, size = mu.n, mu.values, 1 << mu.n
-    if kind is SystemKind.MAX_MIN:
-        return all(
-            values[a] == max(values[b] for b in range(size) if b & a == b and b.bit_count() == q)
-            for a in range(size) if a.bit_count() > q
-        )
-    return all(
-        values[a] == min(values[b] for b in range(size) if b & a == a and b.bit_count() == n - q)
-        for a in range(size) if a.bit_count() < n - q
-    )
-
-
 def brute_scoring(mu, q, kind):
-    """The classification by brute force: the chain form for a monotone
-    q-maxitive (q-minitive) table, the reduced form for any other
-    extension of its layer q, refusal otherwise."""
+    """The q-check by brute force: a monotone table whose values beyond
+    layer q are those of the definition of q-maxitive (q-minitive)."""
     brute = brute_q_maxitive if kind is SystemKind.MAX_MIN else brute_q_minitive
-    if all_pairs_monotone(mu) and brute(mu, q):
-        return Scoring.CHAIN
-    return Scoring.REDUCED if layer_extension_holds(mu, q, kind) else Scoring.REFUSED
+    return all_pairs_monotone(mu) and brute(mu, q)
+
+
+def assert_q_forms_agree(mu, q, x):
+    """Wherever the q-check of an order holds, its checked form equals the
+    full form and the reduced form by ``repr``; returns how many held."""
+    held = 0
+    for holds, checked, full, reduced in (
+        (is_q_maxitive, sugeno_qmax, sugeno_maxmin, sugeno_qmax_unchecked),
+        (is_q_minitive, sugeno_qmin, sugeno_minmax, sugeno_qmin_unchecked),
+    ):
+        if holds(mu, q):
+            assert repr(checked(mu, x, q)) == repr(full(mu, x)) == repr(reduced(mu, x, q))
+            held += 1
+    return held
+
+
+@st.composite
+def q_capacities(draw):
+    """(mu, q, x): a capacity and object from :func:`capacities_and_objects`
+    and a q, the capacity extended from its layer q in a drawn order when a
+    boolean says so.  One boundary set of that layer first takes the top
+    (max-min) or a zero (min-max), so the extension stays normalised; it
+    stays monotone, since no other kept set lies beyond it."""
+    mu, x = draw(capacities_and_objects())
+    n = mu.n
+    q = draw(st.integers(1, n))
+    if q < n and draw(st.booleans()):
+        kind = draw(st.sampled_from(SystemKind))
+        dual = kind is SystemKind.MIN_MAX
+        values = list(mu.values)
+        boundary = draw(st.sampled_from(masks_of_sizes(n, (n - q if dual else q,))))
+        values[boundary] = draw(st.sampled_from([0.0, -0.0])) if dual else 1.0
+        mu = Capacity(n, mu.scale, tuple(extend_layer(values, n, q, kind)))
+    return mu, q, x
 
 
 def not_monotone():
-    """(mu, q, kind, x), mu fresh: 2-maxitive but not monotone, {1} holding
-    0.5 and {1,2} 0.  The chain of x reads {2}, {1,2} and {1,2,3}, so the
-    chain form misses {1} and gives 0."""
+    """(mu, q, kind, x), mu fresh: its own extension from layer 2 but not
+    monotone, {1} holding 0.5 and {1,2} 0, so not 2-maxitive.  The chain of
+    x reads {2}, {1,2} and {1,2,3}, so the chain form misses {1} and gives
+    0, where the reduced form gives 0.5."""
     mu = Capacity(3, UNIT, (0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
     return mu, 2, SystemKind.MAX_MIN, (0.5, 1.0, -0.0)
 
@@ -355,18 +371,22 @@ class TestReducedForms:
 
 class TestCheckedFormsMatchTheReducedForms:
     """``sugeno_qmax``/``sugeno_qmin`` read the chain form of a monotone
-    q-extension and the reduced form of any other; both routes equal the
-    ``_unchecked`` reduced form by ``repr``, signed zeros included."""
+    q-extension, which equals the full form and the ``_unchecked`` reduced
+    form by ``repr``, signed zeros included, and refuse a q-extension that
+    is not monotone."""
 
     @given(q_extensions())
     @example(not_monotone())
     @example((Capacity(2, UNIT, (-0.0, 0.0, -0.0, 0.0)), 1, SystemKind.MAX_MIN, (-0.0, 0.0)))
     def test_q_extensions_and_their_conjugates(self, case):
         mu, q, kind, x = case
-        assert_checked_is_reduced(mu, q, kind, x)
-        assert _q_scoring(mu, q, kind) is (
-            Scoring.CHAIN if all_pairs_monotone(mu) else Scoring.REDUCED
-        )
+        if all_pairs_monotone(mu):
+            assert _q_holds(mu, q, kind) is True
+            assert_checked_is_reduced(mu, q, kind, x)
+        else:
+            assert _q_holds(mu, q, kind) is False
+            with pytest.raises(DomainError):
+                SCORES[kind][0](mu, x, q)
 
     @given(POOLS, st.integers(1, 4), st.data())
     def test_learned_capacities_and_their_conjugates(self, scale_pool, n, data):
@@ -384,6 +404,17 @@ class TestCheckedFormsMatchTheReducedForms:
             mu = learn(ts, mode, q).capacity
             if mu is not None:
                 assert_checked_is_reduced(mu, q, kind, data.draw(tie_heavy_objects(pool, n)))
+
+    @given(q_capacities())
+    @example((Capacity(1, UNIT, (-0.0, 1.0)), 1, (-0.0,)))
+    @example((Capacity(1, CHAIN21, (0.0, 1.0)), 1, (-0.0,)))
+    @example((Capacity(2, UNIT, (-0.0, -0.0, 0.0, 1.0)), 1, (0.0, -0.0)))
+    @example((Capacity(2, UNIT, (0.0, 1.0, -0.0, 1.0)), 1, (-0.0, 0.5)))
+    def test_capacities_where_the_check_holds(self, case):
+        mu, q, x = case
+        held = assert_q_forms_agree(mu, q, x)
+        # at q = n every capacity passes both checks
+        assert held == 2 or q < mu.n
 
 
 class TestCheckedRoute:
@@ -409,11 +440,15 @@ class TestCheckedRoute:
         assert passes == [(2, SystemKind.MAX_MIN), (3, SystemKind.MAX_MIN),
                           (2, SystemKind.MIN_MAX), (1, SystemKind.MAX_MIN)]
 
-    def test_a_table_that_is_not_monotone_keeps_the_reduced_form(self, passes):
+    def test_a_table_that_is_not_monotone_is_refused(self, passes):
         mu, q, kind, x = not_monotone()
-        assert is_q_maxitive(mu, q)
+        assert is_q_maxitive(mu, q) is False
+        for _ in range(2):
+            with pytest.raises(DomainError, match="not 2-maxitive"):
+                sugeno_qmax(mu, x, q)
+        # the forms the check would choose between disagree on it
         assert sugeno_maxmin(mu, x) == 0.0
-        assert sugeno_qmax(mu, x, q) == sugeno_qmax_unchecked(mu, x, q) == 0.5
+        assert sugeno_qmax_unchecked(mu, x, q) == 0.5
         assert passes == [(q, kind)]
 
     def test_refuses_through_the_q_check_names_it_reads_at_call_time(self, monkeypatch, mu_e, mu_f):
@@ -430,7 +465,7 @@ class TestCheckedRoute:
         assert seen == ["is_q_maxitive", "is_q_minitive"]
 
     def test_a_classifier_that_always_says_chain_fails_the_comparison(self, monkeypatch):
-        monkeypatch.setattr(caplearn.capacity, "_classify", lambda values, n, q, kind: Scoring.CHAIN)
+        monkeypatch.setattr(caplearn.capacity, "_classify", lambda values, n, q, kind: True)
         mu, q, kind, x = not_monotone()
         with pytest.raises(AssertionError):
             assert_checked_is_reduced(mu, q, kind, x)
@@ -442,9 +477,10 @@ class TestClassification:
     @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 2, SystemKind.MAX_MIN, (0.5, 0.5)))
     @example((Capacity(2, UNIT, (0.0, 0.5, 0.0, 0.25)), 1, SystemKind.MIN_MAX, (0.5, 0.5)))
     @example((Capacity(2, UNIT, (-0.0, 0.0, 0.0, -0.0)), 1, SystemKind.MAX_MIN, (0.0, 0.0)))
-    # the boundaries between the pass over layers 0..q and the extension
-    # from layer q: reduced, refused, each in both orders, at n = 4, q = 2
-    # and at n = 8, q = 1 (the kernel's constant high half)
+    # tables the pass over layers 0..q refuses, each in both orders, at
+    # n = 4, q = 2 and at n = 8, q = 1 (the kernel's constant high half):
+    # a q-extension that is not monotone, and a monotone table off its
+    # extension from layer q
     @example(decreasing_below_layer_q(4, 2, SystemKind.MAX_MIN))
     @example(decreasing_below_layer_q(4, 2, SystemKind.MIN_MAX))
     @example(decreasing_below_layer_q(8, 1, SystemKind.MAX_MIN))
@@ -455,7 +491,7 @@ class TestClassification:
     @example(off_extension_above_q(8, 1, SystemKind.MIN_MAX))
     def test_matches_brute_force(self, case):
         mu, q, kind, _ = case
-        assert _q_scoring(mu, q, kind) is brute_scoring(mu, q, kind)
+        assert _q_holds(mu, q, kind) is brute_scoring(mu, q, kind)
 
     @given(POOLS, st.integers(1, 4), st.data())
     def test_a_fresh_copy_of_a_learned_capacity_is_chain_form(self, scale_pool, n, data):
@@ -475,9 +511,14 @@ class TestClassification:
             if mu is None:
                 continue
             fresh = Capacity(mu.n, mu.scale, mu.values)
-            assert mu._scoring and all(form is Scoring.CHAIN for form in mu._scoring.values())
+            assert mu._scoring and all(held is True for held in mu._scoring.values())
+            # with no answer recorded, the copy's checked forms run the
+            # checks and equal the full and reduced forms
+            assert not fresh._scoring
+            x = data.draw(tie_heavy_objects(pool, n))
+            assert assert_q_forms_agree(fresh, n if whole else q, x) >= 1
             for q_seeded, kind in mu._scoring:
-                assert _q_scoring(fresh, q_seeded, kind) is Scoring.CHAIN
+                assert _q_holds(fresh, q_seeded, kind) is True
 
 
 class TestValidation:
