@@ -222,10 +222,10 @@ def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[Iterable[int],
     """The :func:`_ranked` codes and levels of the seeds, but for zeros.
 
     Equal floats print the same repr except 0.0 and -0.0.  When both occur,
-    the zero seeds are ranked by the preference of a max sweep that keeps,
-    among equals, the set without bit 0, then without bit 1, and so on; a
-    run of same-signed zeros next to each other in that order shares one
-    code.  A plain max of codes then needs no tie rule.
+    each zero seed gets a code of its own, ranked by the preference of a max
+    sweep that keeps, among equals, the set without bit 0, then without
+    bit 1, and so on, least preferred lowest.  A plain max of codes then
+    needs no tie rule.
     """
     codes, levels = _ranked(seeds)
     if 0.0 not in levels:
@@ -236,17 +236,11 @@ def _codes(seeds: list[float], masks: list[int], n: int) -> tuple[Iterable[int],
     zero = levels.index(0.0) + 1
     # least preferred first: the bit-reversed mask, descending
     at.sort(key=lambda i: int(f"{masks[i]:0{n}b}"[::-1], 2), reverse=True)
-    runs: list[float] = []
-    run_codes = []
-    for i in at:
-        if not runs or math.copysign(1.0, seeds[i]) != math.copysign(1.0, runs[-1]):
-            runs.append(seeds[i])
-        run_codes.append(zero + len(runs) - 1)
-    extra = len(runs) - 1
+    extra = len(at) - 1
     codes = [code + extra if code > zero else code for code in codes]
-    for i, code in zip(at, run_codes):
+    for code, i in enumerate(at, zero):
         codes[i] = code
-    return codes, levels[: zero - 1] + runs + levels[zero:]
+    return codes, levels[: zero - 1] + [seeds[i] for i in at] + levels[zero:]
 
 
 def _width(top: int) -> int:

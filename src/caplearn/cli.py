@@ -110,13 +110,11 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "table"], default="json")
 
 
-def _table_lines(payload: Any, prefix: str = "") -> list[str]:
+def _table_lines(payload: dict | list, prefix: str = "") -> list[str]:
     if isinstance(payload, dict):
         marked = [(f"{key}:", value) for key, value in payload.items()]
-    elif isinstance(payload, list):
-        marked = [("-", value) for value in payload]
     else:
-        return [f"{prefix}{_table_scalar(payload)}"]
+        marked = [("-", value) for value in payload]
     lines: list[str] = []
     for mark, value in marked:
         if isinstance(value, (dict, list)):

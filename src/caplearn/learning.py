@@ -33,6 +33,9 @@ from .sugeno import _chain
 # unblocks subsets the optimum needs, and residuals then pass the distance
 TOLERANCE = 1e-9
 
+# a row's flag byte (1: within its bound) as its digit in a blocking word
+_BEYOND = bytes.maketrans(b"\0\1", b"10")
+
 
 @dataclass(frozen=True)
 class TrainingDatum:
@@ -284,18 +287,16 @@ def _solve(
     the value is the meet of the blocking rows' rhs, the top when none.
     Ranked by rhs in the order, lower k ahead among equals as the meet picks
     them, a set's blocking rows are the AND of its members' row words.  A
-    criterion's word is built from its coordinate column in rank order: the
-    rows within their bounds, one ``compress`` of the rank bits, cleared
-    from the word of all rows.
+    criterion's word is its column's flags in rank order, one byte per row
+    (1 within the bound), translated to the binary digits of the rows
+    beyond it and read highest rank first: O(N) per criterion.
     """
     n, order = ts.n, kind.order
     rising = sorted(range(len(rhs)), key=rhs.__getitem__, reverse=order.dual)[::-1]
     levels = [order.top] + [rhs[k] for k in rising]
-    bits = [1 << r for r in range(len(rising))]
     bounds = [bound[k] for k in rising]
-    everyone = (1 << len(rising)) - 1
     blocked = [
-        everyone ^ sum(compress(bits, map(order.le, column, bounds)))
+        int(bytes(map(order.le, column, bounds)).translate(_BEYOND)[::-1], 2)
         for column in zip(*[ts.items[k].x for k in rising])
     ]
     table = [order.bottom] * (1 << n)

@@ -397,3 +397,20 @@ def test_criterion_15_q_checks_of_loaded_capacities_scale_to_n20():
         assert is_q_maxitive(mu, 2)
         assert is_q_minitive(dual, 2)
     assert not is_q_maxitive(mu, 1) and not is_q_minitive(dual, 1)
+
+
+def test_criterion_16_extremal_learning_scales_to_N100000():
+    rng = random.Random(216)
+    mu = random_capacity(rng, 8, CHAIN21.levels, CHAIN21)
+    objects = [random_object(rng, 8, CHAIN21.levels) for _ in range(100_000)]
+    ts = TrainingSet.from_pairs(8, CHAIN21, [(x, sugeno_maxmin(mu, x)) for x in objects])
+    # 0.4 s on one Xeon core, CPython 3.11; blocking words summed from one
+    # int per row took 2.4 s there, quadratic in N
+    with criterion("16 greatest and lowest capacities at n=8, N=100000", 2.0):
+        hi = learn(ts, LearnMode.GREATEST)
+        lo = learn(ts, LearnMode.LOWEST)
+        for report in (hi, lo):
+            assert report.consistent and report.boundary_ok
+    for report in (hi, lo):
+        assert report.residuals == (0.0,) * 100_000
+    assert capacity_leq(lo.capacity, mu) and capacity_leq(mu, hi.capacity)

@@ -633,6 +633,14 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", "--data", str(path), "--q", "3", "--budget", "0")
         assert (code, err) == (1, "caplearn: budget must be positive\n")
 
+    @pytest.mark.parametrize("step", ["0", "-0.25", "1.5"])
+    def test_grid_step_outside_the_unit_interval_refused(self, capsys, tmp_path, step):
+        path = tmp_path / "train.json"
+        save_training_set(reference_training_set(), path)
+        code, out, err = run(capsys, "oracle", "--data", str(path), "--grid-step", step)
+        assert (code, out) == (1, "")
+        assert err == f"caplearn: grid step must be in (0, 1], got {float(step)}\n"
+
     @pytest.mark.parametrize(
         "name, text, flags, refusal",
         [

@@ -25,6 +25,7 @@ from caplearn.io import (
     capacity_to_json,
     dumps_json,
     load_capacity,
+    load_data,
     load_training_set,
     report_to_json,
     save_capacity,
@@ -352,6 +353,16 @@ class TestSystemJson:
     def test_non_number_named_before_the_system_refusal(self, doc):
         with pytest.raises(FormatError, match=r"^matrix entry \(0, 1\): expected a number, got 'x'$"):
             system_from_json({"kind": "maxmin", **doc})
+
+    @pytest.mark.parametrize("doc, refusal", [
+        ({"matrix": [], "rhs": []}, "system needs at least one equation"),
+        ({"matrix": [[]], "rhs": [0.5]}, "system needs at least one column"),
+    ], ids=["no-equations", "no-columns"])
+    def test_empty_system_file_refused(self, tmp_path, doc, refusal):
+        path = tmp_path / "sys.json"
+        path.write_text(json.dumps({"kind": "maxmin", **doc}), encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"^invalid system: {refusal}$"):
+            load_data(path)
 
     def test_huge_integer_rhs_entry_named(self):
         doc = {"kind": "maxmin", "matrix": [[0.5, 0.5], [0.5]], "rhs": [0.5, 10**400]}

@@ -292,6 +292,18 @@ class TestExtremalTable:
                   for k in range(9)]),
         None,
     )
+    # one row, beyond its target in every coordinate: above it, so it blocks
+    # every max-min set, or below it, so it blocks every min-max set
+    @example(ts_of(3, [((0.5, 1.0, 0.75), 0.25)]), None)
+    @example(ts_of(3, [((0.0, -0.0, 0.25), 0.5)]), None)
+    # all targets tied, so the rank order is the item order
+    @example(ts_of(2, [((0.5, 1.0), 0.5), ((1.0, 0.25), 0.5), ((0.0, 0.75), 0.5)]), None)
+    # zero targets of both signs under a relaxation, which moves all three
+    # min-max targets to 0.0
+    @example(
+        ts_of(2, [((0.5, -0.0), 0.0), ((0.0, 1.0), -0.0), ((0.125, 0.25), 0.125)]),
+        (0.125, 1e-9),
+    )
     def test_matches_the_system_route(self, ts, relax):
         self.check(ts, relax)
 

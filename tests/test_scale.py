@@ -22,6 +22,10 @@ class TestConstruction:
         sc = Scale.finite_chain([0.0, 0.2, 0.7, 1.0])
         assert sc.levels == (0.0, 0.2, 0.7, 1.0)
 
+    def test_uniform_chain_needs_a_step(self):
+        with pytest.raises(DomainError, match="^uniform chain needs at least one step$"):
+            Scale.uniform_chain(0)
+
     def test_uniform_chain_matches_literals(self):
         # i/20 must round to the same double as the parsed decimal
         assert CHAIN21.levels[3] == 0.15

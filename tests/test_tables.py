@@ -150,7 +150,7 @@ class TestLayerRecursionMatchesSweep:
     # (2, 1) node that sweeps; at q = 2 both halves recurse and merge; an
     # int above 16 KB splits in halves though 3q > m, down to 2^13 fields
     # of 16 bits or 2^12 of 32; more than 127 codes (C(10, 4) = 210
-    # distinct values, or the zeros of n = 15 told apart in runs) take
+    # distinct values, or the zeros of n = 15, one code per zero) take
     # 16-bit fields and more than 32,767 (C(18, 9) = 48,620) take 32-bit
     # fields
     BRANCHES = [
