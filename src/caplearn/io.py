@@ -59,7 +59,7 @@ from .capacity import Capacity
 from .errors import FormatError
 from .learning import LearnReport, TrainingSet
 from .relational import RelationalSystem, SystemKind
-from .scale import _NUMBER_TYPES, Scale, ScaleKind
+from .scale import _NUMBER_TYPES, Scale, ScaleKind, _number_type
 
 _SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
 # a list of floats longer than this is written block by block
@@ -161,7 +161,7 @@ def _read_json(path: str | Path) -> Any:
 
 def _number(value: Any, where: str) -> None:
     """Refuse ``value``, named ``where``, unless it is a number in float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _number_type(type(value)):
         raise FormatError(f"{where}: expected a number, got {value!r}")
     try:
         float(value)

@@ -29,7 +29,7 @@ from .errors import BudgetError, DomainError
 from .learning import TOLERANCE, LearnMode, TrainingSet, build_system, learn
 from .relational import RelationalSystem, SystemKind, apply_system
 from .relational import potential_solution, vector_for_rhs
-from .scale import Scale
+from .scale import Scale, _number_type
 from .subsets import check_criteria_count, drop_one_bit
 from .sugeno import sugeno_maxmin
 
@@ -37,6 +37,13 @@ DEFAULT_BUDGET = 10_000_000
 
 # the CLI's --mode names of the q constraints: the system kind of each
 _Q_KINDS = {"qmax": SystemKind.MAX_MIN, "qmin": SystemKind.MIN_MAX}
+
+
+def _check_budget(budget: int) -> None:
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise DomainError(f"budget must be an integer, got {budget!r}")
+    if budget < 1:
+        raise DomainError("budget must be positive")
 
 
 def _guard(levels: tuple[float, ...], exponent: int, budget: int, what: str) -> None:
@@ -50,8 +57,7 @@ def _guard(levels: tuple[float, ...], exponent: int, budget: int, what: str) -> 
     if not (levels and levels[0] == 0.0 and levels[-1] == 1.0
             and all(a < b for a, b in zip(levels, levels[1:]))):
         raise DomainError("grid levels must ascend strictly from 0 to 1")
-    if budget < 1:
-        raise DomainError("budget must be positive")
+    _check_budget(budget)
     estimate = len(levels) ** min(exponent, budget.bit_length())
     if estimate > budget:
         raise BudgetError(f"{what} would enumerate ~{len(levels)}^{exponent} candidates,"
@@ -150,10 +156,9 @@ def min_learning_error(
 def grid_levels(step: float, budget: int) -> tuple[float, ...]:
     """Evenly spaced levels 0, 1/k, ..., 1 with k = round(1 / step), refused
     before ``round`` when 1 / step exceeds the budget, as a search would be."""
-    if not 0.0 < step <= 1.0:
-        raise DomainError(f"grid step must be in (0, 1], got {step}")
-    if budget < 1:
-        raise DomainError("budget must be positive")
+    if not (_number_type(type(step)) and 0.0 < step <= 1.0):
+        raise DomainError(f"grid step must be in (0, 1], got {step!r}")
+    _check_budget(budget)
     if 1.0 / step > budget:
         raise BudgetError(f"a grid of step {step} would enumerate ~{1.0 / step} candidates,"
                           f" over the budget of {budget}", 1.0 / step, budget)

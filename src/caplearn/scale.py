@@ -16,6 +16,13 @@ from .errors import DomainError
 _NUMBER_TYPES = frozenset((int, float))
 
 
+# the one rule for what is a number on a scale; a bool is not, though
+# True == 1.0 would pass it for a member
+def _number_type(t: type) -> bool:
+    """True for int, float and their subclasses (numpy.float64), not bool."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 class ScaleKind(Enum):
     FINITE_CHAIN = "finite_chain"
     UNIT_INTERVAL = "unit_interval"
@@ -45,9 +52,9 @@ class Scale:
         levels = self.levels
         if levels is None or len(levels) < 2:
             raise DomainError("finite chain needs at least the two levels 0 and 1")
-        if not set(map(type, levels)) <= _NUMBER_TYPES:
-            odd = next(v for v in levels if type(v) not in _NUMBER_TYPES)
-            raise DomainError(f"chain level {odd!r} is not a number")
+        for v in levels:
+            if not _number_type(type(v)):
+                raise DomainError(f"chain level {v!r} is not a number")
         if levels[0] != 0.0 or levels[-1] != 1.0:
             raise DomainError("chain levels must start at 0 and end at 1")
         # compared, never converted first: a NaN, an infinity or an int past
@@ -69,31 +76,28 @@ class Scale:
     @classmethod
     def uniform_chain(cls, steps: int) -> Scale:
         """Chain 0, 1/steps, 2/steps, ..., 1 built by exact float division."""
+        if isinstance(steps, bool) or not isinstance(steps, int):
+            raise DomainError(f"uniform chain steps must be an integer, got {steps!r}")
         if steps < 1:
             raise DomainError("uniform chain needs at least one step")
         return cls.finite_chain((i / steps for i in range(steps + 1)))
 
     def contains(self, value: float) -> bool:
-        """True iff ``value`` is a number (an int or a float, not a bool) on
-        the scale; ``True == 1.0`` would otherwise pass for a member."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            return False
-        if self.kind is ScaleKind.UNIT_INTERVAL:
-            return 0.0 <= value <= 1.0
-        return value in self._level_set
+        """True iff ``value`` is on the scale: :meth:`floats` of the one value."""
+        return self.floats((value,)) is not None
 
     def floats(self, values: Iterable[float]) -> tuple[float, ...] | None:
-        """The values as floats if each one ``contains`` accepts, else None.
+        """The values as floats if each is a number (``_number_type``) on the
+        scale, else None; a tuple of floats comes back as given.
 
-        An int becomes the float it equals; a tuple of floats comes back as
-        given.  One type scan, then one bulk pass: on the unit interval the
-        bounds of min and max, then a sum that only a NaN makes NaN (min and
-        max skip a NaN unless it comes first, and then fail the bound); on a
-        chain, the set of distinct values against the set of levels.
+        One type scan, then one bulk pass: on the unit interval the bounds of
+        min and max, then a sum that only a NaN makes NaN (min and max skip a
+        NaN unless it comes first, and then fail the bound); on a chain, the
+        set of distinct values against the set of levels.
         """
         vs = tuple(values)
         types = set(map(type, vs))
-        if not types <= _NUMBER_TYPES:
+        if not (types <= _NUMBER_TYPES or all(map(_number_type, types))):
             return None
         if self.kind is ScaleKind.UNIT_INTERVAL:
             held = not vs or (0.0 <= min(vs) and max(vs) <= 1.0 and not math.isnan(sum(vs)))
@@ -104,21 +108,21 @@ class Scale:
         return vs if types <= {float} else tuple(map(float, vs))
 
     def require(self, value: float, what: str = "value") -> float:
-        if not self.contains(value):
-            raise DomainError(f"{what} {value!r} is not a member of {self.describe()}")
-        return float(value)
+        """The one-value case of :meth:`require_floats`, the value named ``what``."""
+        return self.require_floats((value,), lambda _: what)[0]
 
     def require_floats(
         self, values: Iterable[float], what: Callable[[int], str]
     ) -> tuple[float, ...]:
-        """:meth:`floats`, or when some value is not a member, ``require``
-        each value in turn, the one at index i named ``what(i)``, so the
-        first failure raises."""
+        """:meth:`floats`, or when some value is not a member, a
+        ``DomainError`` that names the first such value, the one at index i
+        as ``what(i)``."""
         vs = tuple(values)
         floats = self.floats(vs)
-        if floats is not None:
-            return floats
-        return tuple(self.require(v, what(i)) for i, v in enumerate(vs))
+        if floats is None:
+            i, v = next((i, v) for i, v in enumerate(vs) if not self.contains(v))
+            raise DomainError(f"{what(i)} {v!r} is not a member of {self.describe()}")
+        return floats
 
     def describe(self) -> str:
         if self.kind is ScaleKind.UNIT_INTERVAL:

@@ -723,7 +723,7 @@ class TestTrainingSetValidation:
 
     @pytest.mark.parametrize("sub", [FloatSub, IntSub])
     def test_number_subclasses_are_stored_as_floats(self, sub):
-        # the bulk check refuses a subclass; the item walk's floats are kept
+        # the bulk check takes a subclass, and the floats it returns are kept
         expected = TrainingSet.from_pairs(2, UNIT, [((1.0, 0.25), 0.25), ((0.0, 0.5), 0.0)])
         for ts in (
             TrainingSet.from_pairs(2, UNIT, [([sub(1), 0.25], 0.25), ((0.0, 0.5), sub(0))]),

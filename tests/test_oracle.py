@@ -372,6 +372,29 @@ class TestSearchValidation:
         with pytest.raises(DomainError, match="budget must be positive"):
             SEARCHES[search](COARSE, 0)
 
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize("budget", [True, 10.0, 1e7, "10", None])
+    def test_budget_must_be_an_integer(self, search, budget):
+        with pytest.raises(DomainError) as err:
+            SEARCHES[search](COARSE, budget)
+        assert str(err.value) == f"budget must be an integer, got {budget!r}"
+
+    @pytest.mark.parametrize(
+        "step, budget, refusal",
+        [
+            (True, 100, "grid step must be in (0, 1], got True"),
+            ("0.5", 100, "grid step must be in (0, 1], got '0.5'"),
+            (None, 100, "grid step must be in (0, 1], got None"),
+            (0.5, True, "budget must be an integer, got True"),
+            (0.5, 10.0, "budget must be an integer, got 10.0"),
+        ],
+        ids=["bool-step", "string-step", "none-step", "bool-budget", "float-budget"],
+    )
+    def test_grid_levels_needs_a_number_step_and_an_integer_budget(self, step, budget, refusal):
+        with pytest.raises(DomainError) as err:
+            grid_levels(step, budget)
+        assert str(err.value) == refusal
+
     @pytest.mark.parametrize("q", [True, 1.5, 0, 4])
     def test_q_must_be_an_integer_in_range(self, q):
         with pytest.raises(DomainError, match=r"q must be an integer in 1\.\.3"):

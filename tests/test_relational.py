@@ -239,7 +239,7 @@ class TestConstruction:
 
     @pytest.mark.parametrize("sub", [FloatSub, IntSub])
     def test_number_subclasses_are_stored_as_floats(self, sub):
-        # the bulk check refuses a subclass; the row walk's floats are kept
+        # the bulk check takes a subclass, and the floats it returns are kept
         sys_ = RelationalSystem(SystemKind.MAX_MIN, [[sub(1), 0.5]], [sub(1)], [1, 2], UNIT)
         plain = RelationalSystem(SystemKind.MAX_MIN, ((1.0, 0.5),), (1.0,), (1, 2), UNIT)
         assert type(sys_.matrix) is type(sys_.matrix[0]) is type(sys_.rhs) is tuple

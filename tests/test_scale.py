@@ -1,4 +1,6 @@
 import math
+import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -8,7 +10,7 @@ from caplearn import Capacity, DomainError, Scale, ScaleKind, TrainingSet
 from caplearn.io import scale_to_json
 from caplearn.subsets import subset_label
 
-from helpers import CHAIN21
+from helpers import CHAIN21, FloatSub, IntSub
 
 
 class TestConstruction:
@@ -25,6 +27,13 @@ class TestConstruction:
     def test_uniform_chain_needs_a_step(self):
         with pytest.raises(DomainError, match="^uniform chain needs at least one step$"):
             Scale.uniform_chain(0)
+
+    @pytest.mark.parametrize("steps", [True, 2.5, 2.0, "4", None])
+    def test_uniform_chain_steps_must_be_an_int(self, steps):
+        with pytest.raises(
+            DomainError, match=rf"^uniform chain steps must be an integer, got {steps!r}$"
+        ):
+            Scale.uniform_chain(steps)
 
     def test_uniform_chain_matches_literals(self):
         # i/20 must round to the same double as the parsed decimal
@@ -62,8 +71,13 @@ class TestConstruction:
         with pytest.raises(DomainError, match="is not a number"):
             make()
 
-    def test_int_levels_are_kept_as_floats(self):
-        sc = Scale(ScaleKind.FINITE_CHAIN, (0, 0.5, 1))
+    @pytest.mark.parametrize(
+        "levels",
+        [(0, 0.5, 1), (FloatSub(0.0), 0.5, IntSub(1)), (IntSub(0), FloatSub(0.5), 1.0)],
+        ids=["ints", "subclasses", "mixed"],
+    )
+    def test_int_levels_are_kept_as_floats(self, levels):
+        sc = Scale(ScaleKind.FINITE_CHAIN, levels)
         assert repr(sc.levels) == "(0.0, 0.5, 1.0)"
         assert sc == Scale.finite_chain([0.0, 0.5, 1.0])
         assert repr(scale_to_json(sc)["levels"]) == "[0.0, 0.5, 1.0]"
@@ -91,6 +105,8 @@ class TestMembership:
                 CHAIN21.levels
                 + (-0.0, 0, 1, 2, -1, 0.151, 1.5, -0.1, float("nan"), True, False)
                 + ("0.5", "1", None)
+                + (FloatSub(0.5), FloatSub(-0.0), IntSub(1))
+                + (FloatSub(1.5), IntSub(2), FloatSub(float("nan")))
             )
             | st.floats()
             | st.integers(),
@@ -120,6 +136,21 @@ class TestMembership:
         assert sc.floats(()) == ()
 
     @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
+    def test_subclass_values_are_checked_in_bulk(self, sc):
+        # no value is walked one by one: a valid set never reaches contains
+        # or require, though each value is a FloatSub
+        rng = random.Random(5)
+        pairs = [([FloatSub(rng.choice(CHAIN21.levels)) for _ in range(3)],
+                  FloatSub(rng.choice(CHAIN21.levels))) for _ in range(50)]
+        refuse = mock.Mock(side_effect=AssertionError("walked one value"))
+        with mock.patch.object(Scale, "require", refuse), \
+                mock.patch.object(Scale, "contains", refuse):
+            ts = TrainingSet.from_pairs(3, sc, pairs)
+        expected = TrainingSet.from_pairs(3, sc, [(map(float, x), float(a)) for x, a in pairs])
+        assert {type(v) for item in ts.items for v in (*item.x, item.alpha)} == {float}
+        assert ts == expected
+
+    @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
     def test_training_set_rejects_a_bool(self, sc):
         with pytest.raises(DomainError, match="item 0, coordinate x1"):
             TrainingSet.from_pairs(2, sc, [((True, 0.5), 0.5)])
@@ -129,6 +160,15 @@ class TestMembership:
     def test_require_raises_with_context(self):
         with pytest.raises(DomainError, match="coordinate"):
             CHAIN21.require(0.21, "coordinate x1")
+
+    def test_numpy_values_are_scale_members(self):
+        numpy = pytest.importorskip("numpy")
+        assert Scale.finite_chain(numpy.linspace(0, 1, 5)) == Scale.uniform_chain(4)
+        rows = numpy.array([[0.25, 0.5], [1.0, 0.0]])
+        ts = TrainingSet.from_pairs(2, Scale.unit_interval(), zip(rows, rows[:, 1]))
+        assert {type(v) for item in ts.items for v in (*item.x, item.alpha)} == {float}
+        assert ts == TrainingSet.from_pairs(2, Scale.unit_interval(),
+                                            [((0.25, 0.5), 0.5), ((1.0, 0.0), 0.0)])
 
 
 UNIT = Scale.unit_interval()
