@@ -3,8 +3,10 @@
 The inputs live in ``tests/golden``: the paper's three-criteria set (as
 chain JSON and as CSV), consistent and noisy sets on the 21-level chain and
 on [0, 1], a non-symmetric chain, an n = 1 and an N = 1 set, a tiny set for
-the oracle, a consistent and an inconsistent system of each kind and three
-capacity files.  None holds a negative zero.  ``golden/expected.json``
+the oracle, a consistent and an inconsistent system of each kind, and four
+capacity files.  Only the ``ties_zeros`` sets and ``mu_zeros.json``, which
+``eval --data`` scores, hold a negative zero: their objects tie coordinates
+and mix zeros of both signs.  ``golden/expected.json``
 stores each command's exit code and canonical stdout.  After a deliberate
 output change, rewrite it with
 
@@ -75,6 +77,14 @@ def _cases() -> dict[str, list[str]]:
             "eval data": ["eval", "--capacity", "mu_paper.json", "--data", "paper.csv"],
             "eval skewed": ["eval", "--capacity", "mu_skewed.json", "--data",
                             "skewed_chain.json"],
+            "eval ties zeros": ["eval", "--capacity", "mu_paper.json", "--data",
+                                "ties_zeros.csv"],
+            "eval ties zeros signed": ["eval", "--capacity", "mu_zeros.json", "--data",
+                                       "ties_zeros.csv"],
+            "eval ties zeros chain": ["eval", "--capacity", "mu_skewed.json", "--data",
+                                      "ties_zeros_chain.json"],
+            "eval ties zeros table": ["eval", "--capacity", "mu_zeros.json", "--data",
+                                      "ties_zeros_chain.json", "--format", "table"],
             "eval table": ["eval", "--capacity", "mu_skewed.json", "--object", "0.7,0.1,1",
                            "--format", "table"],
             "eval broken": ["eval", "--capacity", "mu_broken.json", "--object", "0.5,0.5"],
