@@ -33,7 +33,7 @@ from .oracle import (
 )
 from .relational import RelationalSystem, SystemKind, apply_system, potential_solution
 from .scale import Scale, ScaleKind
-from .sugeno import sugeno_maxmin, sugeno_minmax, sugeno_qmax, sugeno_qmin
+from .sugeno import integrals, sugeno_maxmin, sugeno_minmax, sugeno_qmax, sugeno_qmin
 
 __version__ = "0.1.0"
 
@@ -60,6 +60,7 @@ __all__ = [
     "enumerate_capacities",
     "enumerate_solutions",
     "grid_chebyshev",
+    "integrals",
     "is_q_maxitive",
     "is_q_minitive",
     "learn",

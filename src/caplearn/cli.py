@@ -33,7 +33,7 @@ from .oracle import DEFAULT_BUDGET, grid_levels, system_checks, training_checks
 from .relational import RelationalSystem, SystemKind
 from .scale import ScaleKind
 from .subsets import subset_label
-from .sugeno import sugeno_maxmin, sugeno_minmax
+from .sugeno import integrals, sugeno_maxmin, sugeno_minmax
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -187,18 +187,15 @@ def _cmd_eval(args) -> int:
         for msg in problems:
             print(f"caplearn: {msg}", file=sys.stderr)
         return EXIT_INPUT
-    results = []
     if args.object is not None:
         coords = _parse_object(args.object)
-        results.append(_eval_one(mu, coords, None))
+        payload = _evaluation(coords, sugeno_maxmin(mu, coords), sugeno_minmax(mu, coords))
     else:
         ts = load_training_set(args.data)
-        for k, item in enumerate(ts.items):
-            try:
-                results.append(_eval_one(mu, item.x, item.alpha))
-            except DomainError as exc:
-                raise DomainError(f"item {k}: {exc}") from exc
-    payload = results[0] if args.object is not None else {"evaluations": results}
+        scores = integrals(mu, [item.x for item in ts.items])
+        payload = {"evaluations": [
+            _evaluation(item.x, lo, hi, item.alpha) for item, (lo, hi) in zip(ts.items, scores)
+        ]}
     _emit(payload, args.format, args.out)
     return EXIT_OK
 
@@ -212,9 +209,7 @@ def _parse_object(text: str) -> tuple[float, ...]:
         raise DomainError(f"cannot parse object {text!r}: {exc}") from exc
 
 
-def _eval_one(mu, coords, alpha) -> dict:
-    lo = sugeno_maxmin(mu, coords)
-    hi = sugeno_minmax(mu, coords)
+def _evaluation(coords, lo: float, hi: float, alpha: float | None = None) -> dict:
     assert lo == hi, "the two integral formulas disagree; this is a bug"
     out = {"x": list(coords), "maxmin": lo, "minmax": hi, "value": lo}
     if alpha is not None:

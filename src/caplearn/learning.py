@@ -26,7 +26,7 @@ from .errors import DomainError
 from .relational import RelationalSystem, SystemKind
 from .scale import Scale
 from .subsets import check_criteria_count, full_mask, masks_of_sizes, subset_label
-from .sugeno import _chain
+from .sugeno import _chain, _ranking
 
 # the slack for float rounding in targets relaxed by the distance, where
 # target + distance can land a few ulps either side of a tie; a wider one
@@ -348,7 +348,9 @@ def _products(
             if table[full_mask(ts.n) ^ sum(1 << i for i in c)] == 0.0:
                 return x[c[-1]]
 
-    return tuple(_chain(table, item.x, order) or zero(item.x) for item in ts.items)
+    return tuple(
+        _chain(table, item.x, _ranking(item.x), order) or zero(item.x) for item in ts.items
+    )
 
 
 def _residuals(mu: Capacity, ts: TrainingSet, produced: Sequence[float]) -> tuple[float, ...]:

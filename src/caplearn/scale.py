@@ -7,6 +7,7 @@ capacities.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable
@@ -19,8 +20,10 @@ _NUMBER_TYPES = frozenset((int, float))
 # the one rule for what is a number on a scale; a bool is not, though
 # True == 1.0 would pass it for a member
 def _number_type(t: type) -> bool:
-    """True for int, float and their subclasses (numpy.float64), not bool."""
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
+    """True for int, float and their subclasses (numpy.float64) and for the
+    other integers (numpy.int64, a ``numbers.Integral``); not for bool, nor
+    for numpy.bool_, which is no ``numbers.Integral``."""
+    return issubclass(t, (int, float, numbers.Integral)) and not issubclass(t, bool)
 
 
 class ScaleKind(Enum):

@@ -49,7 +49,6 @@ from caplearn.subsets import (
     members,
     subset_label,
 )
-from caplearn.sugeno import _chain
 
 CHAIN21 = Scale.uniform_chain(20)
 FIVE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -427,6 +426,18 @@ def _subset_table(coords: tuple[float, ...], op, empty: float) -> list[float]:
     return table
 
 
+def chain_reference(values, coords, order) -> float:
+    """The chain form as ``sugeno._chain`` once read it: one sort per order,
+    descending for max-min and ascending for min-max, ties in criterion
+    order, then the builtin join of the builtin meets along the chain."""
+    mask = full_mask(len(coords)) if order.dual else 0
+    terms = []
+    for i in sorted(range(len(coords)), key=coords.__getitem__, reverse=not order.dual):
+        mask ^= 1 << i
+        terms.append(order.meet(coords[i], values[mask]))
+    return order.join(terms)
+
+
 def sugeno_table_reference(mu: Capacity, x, kind: SystemKind) -> float:
     """The full integral by its definition: join over all 2^n subsets A of
     meet(the object's A-term, mu(A)), from a 2^n table per object.
@@ -496,7 +507,7 @@ def extremal_table_sweep(ts: TrainingSet, kind: SystemKind):
         table.reverse()
     table[full_mask(n) if order.dual else 0] = order.bottom
     return table, tuple(
-        _chain(table, x, order) or (x[x.index(0.0)] if order.dual else min(x[0], table[1]))
+        chain_reference(table, x, order) or (x[x.index(0.0)] if order.dual else min(x[0], table[1]))
         for x in (item.x for item in ts.items)
     )
 

@@ -170,6 +170,30 @@ class TestMembership:
         assert ts == TrainingSet.from_pairs(2, Scale.unit_interval(),
                                             [((0.25, 0.5), 0.5), ((1.0, 0.0), 0.0)])
 
+    def test_numpy_integers_are_scale_members(self):
+        numpy = pytest.importorskip("numpy")
+        assert Scale.finite_chain(numpy.array([0, 1])) == Scale.uniform_chain(1)
+        assert Scale.finite_chain(numpy.array([0, 1], dtype=numpy.uint8)).levels == (0.0, 1.0)
+        for sc in (CHAIN21, UNIT):
+            assert repr(sc.floats([numpy.int64(1), numpy.int32(0), 0.5])) == "(1.0, 0.0, 0.5)"
+            ts = TrainingSet.from_pairs(2, sc, [((numpy.int64(1), 0.5), numpy.int64(1))])
+            assert ts == TrainingSet.from_pairs(2, sc, [((1.0, 0.5), 1.0)])
+            assert {type(v) for v in (*ts.items[0].x, ts.items[0].alpha)} == {float}
+        # an integer off the scale is named as given
+        with pytest.raises(DomainError, match=r"^target np\.int64\(2\) is not a member"):
+            UNIT.require(numpy.int64(2), "target")
+
+    @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
+    def test_numpy_bools_are_not_members(self, sc):
+        numpy = pytest.importorskip("numpy")
+        for value in (numpy.bool_(True), numpy.bool_(False)):
+            assert not sc.contains(value)
+            assert sc.floats([0.0, value]) is None
+        with pytest.raises(DomainError, match="chain level np.False_ is not a number"):
+            Scale.finite_chain(numpy.array([False, True]))
+        with pytest.raises(DomainError, match="item 0, coordinate x1"):
+            TrainingSet.from_pairs(2, sc, [((numpy.bool_(True), 0.5), 0.5)])
+
 
 UNIT = Scale.unit_interval()
 # members of each scale, ints included, and values that are not: a bool, a

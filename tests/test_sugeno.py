@@ -14,6 +14,7 @@ from caplearn import (
     Scale,
     SystemKind,
     TrainingSet,
+    integrals,
     is_q_maxitive,
     is_q_minitive,
     learn,
@@ -26,7 +27,7 @@ from caplearn.capacity import _q_holds, extend_layer
 from caplearn.cli import main
 from caplearn.io import save_capacity
 from caplearn.subsets import drop_one_bit, masks_of_sizes
-from caplearn.sugeno import sugeno_qmax_unchecked, sugeno_qmin_unchecked
+from caplearn.sugeno import _chain, _ranking, sugeno_qmax_unchecked, sugeno_qmin_unchecked
 
 from helpers import (
     CHAIN21,
@@ -37,6 +38,7 @@ from helpers import (
     brute_q_maxitive,
     brute_q_minitive,
     brute_sugeno_maxmin,
+    chain_reference,
     random_capacity,
     random_object,
     random_training_set,
@@ -61,11 +63,10 @@ POOLS = st.one_of(
 
 
 @st.composite
-def capacities_and_objects(draw):
-    """A monotone, normalised capacity (each value raised to the max of its
-    covered ones) and a tie-heavy object: coordinates from at most three
-    pool values."""
-    scale, pool = draw(POOLS)
+def monotone_capacities(draw, pools=POOLS):
+    """(mu, pool): a monotone, normalised capacity (each value raised to the
+    max of its covered ones) on a drawn scale, and that scale's pool."""
+    scale, pool = draw(pools)
     n = draw(st.integers(1, 6))
     size = 1 << n
     values = [draw(st.sampled_from([0.0, -0.0]))] + [0.0] * (size - 1)
@@ -73,9 +74,14 @@ def capacities_and_objects(draw):
         raw = draw(st.sampled_from(pool))
         values[mask] = max([raw] + [values[sub] for sub in drop_one_bit(mask)])
     values[-1] = 1.0
-    coords = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
-    x = tuple(draw(st.sampled_from(coords)) for _ in range(n))
-    return Capacity(n, scale, tuple(values)), x
+    return Capacity(n, scale, tuple(values)), pool
+
+
+@st.composite
+def capacities_and_objects(draw):
+    """A capacity from :func:`monotone_capacities` and a tie-heavy object."""
+    mu, pool = draw(monotone_capacities())
+    return mu, draw(tie_heavy_objects(pool, mu.n))
 
 
 def tie_heavy_objects(pool, n):
@@ -104,6 +110,19 @@ def tables(draw, extended=st.booleans()):
     if draw(extended):
         values = extend_layer(values, n, q, kind)
     return Capacity(n, scale, tuple(values)), q, kind, draw(tie_heavy_objects(pool, n))
+
+
+# the skewed chain of the golden corpus's mu_skewed.json
+SKEWED = Scale.finite_chain((0.0, 0.1, 0.25, 0.7, 1.0))
+
+
+@st.composite
+def capacities_and_object_lists(draw):
+    """(mu, objects): a capacity from :func:`monotone_capacities`, on the
+    skewed chain too, and one to five tie-heavy objects."""
+    skewed = st.tuples(st.just(SKEWED), st.just(SKEWED.levels + (-0.0,)))
+    mu, pool = draw(monotone_capacities(POOLS | skewed))
+    return mu, draw(st.lists(tie_heavy_objects(pool, mu.n), min_size=1, max_size=5))
 
 
 def q_extensions():
@@ -291,6 +310,75 @@ class TestSortedFormMatchesDefinition:
         assert repr(sugeno_minmax(mu, x)) == repr(
             sugeno_table_reference(mu, x, SystemKind.MIN_MAX)
         )
+
+
+class TestBulkScoring:
+    """``integrals`` gives each object's two integrals as the one-object
+    forms do, by ``repr``, and as the definition over all 2^n subsets does,
+    by value; its ``_chain`` kernel equals the builtin-meet reference."""
+
+    @given(capacities_and_object_lists())
+    # n = 1; a zero result reports the empty set's -0.0
+    @example((Capacity(1, UNIT, (-0.0, 1.0)), [(0.0,), (-0.0,), (0.5,)]))
+    # N = 1, on the skewed chain, two coordinates tied
+    @example((Capacity(3, SKEWED, (0.0, 0.1, 0.1, 0.25, 0.0, 0.7, 0.25, 1.0)),
+              [(0.7, -0.0, 0.7)]))
+    @example((Capacity(3, UNIT, (-0.0, 0.25, 0.5, 0.5, 0.0, 0.5, 0.75, 1.0)),
+              [(0.5,) * 3, (0.0, -0.0, 0.0), (-0.0, 0.75, 0.75), (1.0, 0.0, 1.0)]))
+    @example((Capacity(2, CHAIN21, (0.0, -0.0, 0.0, 1.0)), [(-0.0, -0.0), (0.05, 0.05)]))
+    def test_equals_the_one_object_forms_and_the_definition(self, case):
+        mu, objects = case
+        scores = integrals(mu, objects)
+        assert len(scores) == len(objects)
+        for x, (lo, hi) in zip(objects, scores):
+            assert repr((lo, hi)) == repr((sugeno_maxmin(mu, x), sugeno_minmax(mu, x)))
+            assert lo == hi == sugeno_table_reference(mu, x, SystemKind.MAX_MIN)
+            for kind in SystemKind:
+                order = kind.order
+                got = _chain(mu.values, x, _ranking(x), order)
+                assert got == chain_reference(mu.values, x, order)
+
+    def test_numpy_rows(self):
+        numpy = pytest.importorskip("numpy")
+        mu = Capacity(3, CHAIN21, (0.0, 0.3, 0.4, 1.0, 0.2, 1.0, 1.0, 1.0))
+        rows = numpy.array([[0.5, 0.25, 0.3], [0, 1, 1], [0.15, 0.2, 0.3]])
+        objects = [(0.5, 0.25, 0.3), (0.0, 1.0, 1.0), (0.15, 0.2, 0.3)]
+        assert integrals(mu, rows) == integrals(mu, objects) == [
+            (sugeno_maxmin(mu, x), sugeno_minmax(mu, x)) for x in objects
+        ]
+        scores = integrals(mu, numpy.array([[0, 1, 1], [1, 0, 0]]))
+        assert scores == [(1.0, 1.0), (0.3, 0.3)]
+        assert {type(v) for pair in scores for v in pair} == {float}
+        with pytest.raises(DomainError, match=r"^item 0: coordinate x1 np\.True_ is not a member"):
+            integrals(mu, numpy.array([[True, False, True]]))
+
+    def test_no_objects(self, mu_e):
+        assert integrals(mu_e, []) == []
+
+    @pytest.mark.parametrize(
+        "objects",
+        [
+            [(0.5, 0.25), (0.5, 0.21, 0.3)],
+            [(0.5, 0.25, 0.3), (0.5, 0.21, 0.3), (0.5, 0.25)],
+            [(0.5, 0.25, 0.3), (0.5, 0.25, 0.3, 0.0)],
+            [(0.5, 0.25, 0.3), (0.5, 0.25, 0.3), (0.2, 0.25, 1.5)],
+            [(0.5, 0.25, 0.3), (float("nan"), 0.25, 0.3), (0.21, 0.25, 0.3)],
+            [(0.5, True, 0.3)],
+            [(0.5, 0.25, 0.3), (0.5, 0.25, "0.3")],
+            [(0.5, 0.25, 0.3), (0.0, 0.25, None), (0.5, 0.25)],
+        ],
+    )
+    def test_names_the_first_bad_item_as_the_one_object_forms(self, mu_e, objects):
+        for form in (sugeno_maxmin, sugeno_minmax):
+            for k, x in enumerate(objects):
+                try:
+                    form(mu_e, x)
+                except DomainError as exc:
+                    expected = f"item {k}: {exc}"
+                    break
+            with pytest.raises(DomainError) as err:
+                integrals(mu_e, iter(objects))
+            assert str(err.value) == expected
 
 
 class TestSignedZero:
