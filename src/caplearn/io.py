@@ -20,6 +20,19 @@ scalars (strings, bools, None, or numbers with a NaN or an infinity, which
 break and indentation as its item separator; the C encoder writes every
 item as the indenting one does.
 
+A list of dicts, such as the rows of an ``eval --data`` report, takes the
+records route when every row has one order of str keys and each key's values
+are all numbers (an int or a float, never a bool) or all non-empty lists of
+numbers of one length.  Each row then fills one ``%`` template, made once
+with the keys quoted and their ``%`` doubled, and a nonzero float takes one
+``repr`` per distinct value across the list, from a dict.  A zero or an int
+takes its own ``repr``, as 0.0 == -0.0 and 1 == 1.0 differ in text.  A nan
+or an inf, which the encoder spells in its own way, and any other list of
+dicts take the recursive route.  On a chain few numbers are distinct: a
+50-row report at n = 9 on the 21-level chain holds 26 to 32 distinct numbers
+in 700.  Writing it took 0.44 ms on the recursive route and 0.27 ms on this
+one, and a 10^5-row report 0.99 s and 0.52 s (one Xeon core, CPython 3.11.7).
+
 A list's route is decided by the set of its items' types, a scan of every
 item; the values of a capacity skip it.  A ``Capacity`` holds floats by
 construction, so ``capacity_to_json`` hands them over as a ``_Floats``, a
@@ -59,7 +72,7 @@ from .capacity import Capacity
 from .errors import FormatError
 from .learning import LearnReport, TrainingSet
 from .relational import RelationalSystem, SystemKind
-from .scale import _NUMBER_TYPES, Scale, ScaleKind, _number_type
+from .scale import _NUMBER_TYPES, Scale, ScaleKind, _digits, _number_type
 
 _SCALAR_TYPES = frozenset((int, float, str, bool, type(None)))
 # a list of floats longer than this is written block by block
@@ -92,14 +105,21 @@ def _encode(obj: Any, newline: str) -> str:
     sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
         types = {float} if type(obj) is _Floats else set(map(type, obj))
-        # repr writes an int or a finite float as the encoder does; only a
-        # nan or an inf puts the letter n in the text.  A long list of floats
-        # takes one repr per block of equal values, of one sign if zeros.
-        if len(obj) > _BLOCK and types == {float}:
-            body = _float_blocks(obj, sep)
-        else:
-            body = sep.join(map(repr, obj)) if types <= _NUMBER_TYPES else None
-        if body is None or "n" in body:
+        body = None
+        if types == {dict}:
+            body = _records(obj, inner)
+        elif types <= _NUMBER_TYPES:
+            # repr writes an int or a finite float as the encoder does; only
+            # a nan or an inf puts the letter n in the text.  A long list of
+            # floats takes one repr per block of equal values, of one sign if
+            # zeros.
+            if len(obj) > _BLOCK and types == {float}:
+                body = _float_blocks(obj, sep)
+            else:
+                body = sep.join(map(repr, obj))
+            if "n" in body:
+                body = None
+        if body is None:
             if types <= _SCALAR_TYPES:
                 body = json.dumps(obj, separators=(sep, ": "))[1:-1]
             else:
@@ -116,6 +136,71 @@ def _encode(obj: Any, newline: str) -> str:
         # without its final line break; see the module docstring
         return obj[:-1].replace("\n", newline)
     return _quote(obj) if type(obj) is str else json.dumps(obj)
+
+
+class _Texts(dict):
+    """The ``repr`` of each distinct nonzero float, made at its first lookup.
+    A zero's is made at each lookup, as 0.0 == -0.0; a nan or an inf has none
+    (``KeyError``)."""
+
+    def __missing__(self, v: float) -> str:
+        text = repr(v)
+        if "n" in text:
+            raise KeyError(v)
+        if v:
+            self[v] = text
+        return text
+
+
+def _number_texts(values: list | tuple, texts: _Texts) -> list[str] | None:
+    """The ``repr`` of each value, the floats' read from ``texts``, or None
+    unless every value is an int or a float."""
+    types = set(map(type, values))
+    if types == {float}:
+        return list(map(texts.__getitem__, values))
+    if types <= _NUMBER_TYPES:
+        # an int is never looked up, as 1 == 1.0 and their texts differ
+        return [repr(v) if type(v) is int else texts[v] for v in values]
+    return None
+
+
+def _records(rows: list | tuple, newline: str) -> str | None:
+    """``("," + newline).join(_encode(row, newline) for row in rows)`` for dicts
+    with one order of str keys, each key's values all numbers or all lists of
+    numbers of one nonzero length, with no nan or inf; else None.  Each row
+    fills one ``%`` template; see the module docstring."""
+    orders = set(map(tuple, rows))
+    keys = orders.pop()
+    if orders or not keys or not all(type(k) is str for k in keys):
+        return None
+    pad = newline + "  "  # before each key
+    inner = pad + "  "  # before each number of a list
+    texts = _Texts()
+    slots = []  # the template's text for each key's value
+    columns = []  # the texts that fill each %s, in row order
+    try:
+        for values in zip(*map(dict.values, rows)):
+            if set(map(type, values)) == {list}:
+                widths = set(map(len, values))
+                if len(widths) > 1 or 0 in widths:
+                    return None
+                width = widths.pop()
+                flat = _number_texts(list(chain.from_iterable(values)), texts)
+                if flat is None:
+                    return None
+                columns += [flat[j::width] for j in range(width)]
+                slots.append("".join(("[", inner, ("," + inner).join(["%s"] * width), pad, "]")))
+            else:
+                column = _number_texts(values, texts)
+                if column is None:
+                    return None
+                columns.append(column)
+                slots.append("%s")
+    except KeyError:  # a nan or an inf, which the encoder writes
+        return None
+    fields = [_quote(k).replace("%", "%%") + ": " + slot for k, slot in zip(keys, slots)]
+    template = "".join(("{", pad, ("," + pad).join(fields), newline, "}"))
+    return ("," + newline).join(map(template.__mod__, zip(*columns)))
 
 
 def _float_blocks(values: list | tuple, sep: str) -> str:
@@ -168,7 +253,7 @@ def _number(value: Any, where: str) -> None:
     except OverflowError:
         raise FormatError(
             f"{where}: expected a number in float range, got an integer of"
-            f" {len(str(abs(value)))} digits"
+            f" {_digits(value)} digits"
         ) from None
 
 

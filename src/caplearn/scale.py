@@ -26,6 +26,22 @@ def _number_type(t: type) -> bool:
     return issubclass(t, (int, float, numbers.Integral)) and not issubclass(t, bool)
 
 
+def _digits(v: int) -> int:
+    """The decimal digits of a nonzero int's ``abs``, counted with no decimal
+    conversion, which Python refuses past ``sys.get_int_max_str_digits()``."""
+    v = abs(v)
+    d = int(math.log10(v)) + 1  # off by at most one
+    return d + (v >= 10**d) - (v < 10 ** (d - 1))
+
+
+def _shown(v: object) -> str:
+    """``repr(v)``, or for an int past that limit, its size."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"<an integer of {_digits(v)} digits>"
+
+
 class ScaleKind(Enum):
     FINITE_CHAIN = "finite_chain"
     UNIT_INTERVAL = "unit_interval"
@@ -124,7 +140,7 @@ class Scale:
         floats = self.floats(vs)
         if floats is None:
             i, v = next((i, v) for i, v in enumerate(vs) if not self.contains(v))
-            raise DomainError(f"{what(i)} {v!r} is not a member of {self.describe()}")
+            raise DomainError(f"{what(i)} {_shown(v)} is not a member of {self.describe()}")
         return floats
 
     def describe(self) -> str:

@@ -427,9 +427,10 @@ def test_criterion_17_eval_scores_N100000_objects_at_n9(tmp_path):
     save_capacity(mu, cap_path)
     save_training_set(ts, data_path)
     argv = ["eval", "--capacity", str(cap_path), "--data", str(data_path), "--out", str(out_path)]
-    # 2.5 s on one Xeon core, CPython 3.11: reading the file 0.7 s, scoring
-    # 0.6 s, writing the report 1.1 s; two scale checks and two sorts per
-    # object took 3.4 s in all there
+    # 2.1-3.4 s on one Xeon core, CPython 3.11, in a fresh process on a
+    # shared machine: reading the file 0.6-1.0 s, scoring 0.6-1.1 s, writing
+    # the report 0.6-0.9 s (1.2-1.8 s when each number took its own repr);
+    # two scale checks and two sorts per object took 3.4 s in all there
     with criterion("17 eval --data on N=100000 objects at n=9", 8.0):
         assert main(argv) == 0
     evaluations = json.loads(out_path.read_text(encoding="utf-8"))["evaluations"]

@@ -2,6 +2,7 @@ import codecs
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -15,17 +16,22 @@ from caplearn import (
     DomainError,
     LearnMode,
     Scale,
+    TrainingSet,
     learn,
     sugeno_maxmin,
+    sugeno_minmax,
     validate_data,
 )
 from caplearn.cli import _table_lines, main
 from caplearn.io import dumps_json, load_training_set, report_to_json, save_capacity
 
 from helpers import (
+    CHAIN21,
     FIVE_LEVELS,
     MU_E_VALUES,
     MU_F_VALUES,
+    random_capacity,
+    random_object,
     reference_training_set,
     save_system,
     save_training_set,
@@ -377,6 +383,30 @@ class TestEval:
         assert (code, out) == (1, "")
         assert err == f"caplearn: item {k}: {info.value}\n"
         assert f"coordinate x{3 - k % 3} {bad!r} is not a member" in err
+
+    def test_data_report_is_the_standard_encoding(self, capsys, tmp_path):
+        # 2,000 items on a chain, with zeros of both signs in the table, the
+        # coordinates and the targets: the report is the standard encoder's
+        # text of the payload that the one-object forms give item by item
+        rng = random.Random(36)
+        levels = CHAIN21.levels + (-0.0,)
+        mu = random_capacity(rng, 5, levels, CHAIN21)
+        ts = TrainingSet.from_pairs(5, CHAIN21, [
+            (random_object(rng, 5, levels), rng.choice(levels)) for _ in range(2000)
+        ])
+        cap_path, data_path = tmp_path / "mu.json", tmp_path / "data.json"
+        save_capacity(mu, cap_path)
+        save_training_set(ts, data_path)
+        evaluations = []
+        for item in ts.items:
+            lo, hi = sugeno_maxmin(mu, item.x), sugeno_minmax(mu, item.x)
+            evaluations.append({"x": list(item.x), "maxmin": lo, "minmax": hi, "value": lo,
+                                "alpha": item.alpha, "residual": lo - item.alpha})
+        code, out, _ = run(capsys, "eval", "--capacity", str(cap_path), "--data", str(data_path))
+        assert code == 0
+        assert out == json.dumps({"evaluations": evaluations}, indent=2) + "\n"
+        for zero in ("0.0", "-0.0"):  # in a list and in a column of numbers
+            assert f"\n        {zero}," in out and f'"alpha": {zero},' in out
 
     def test_exactly_one_input_required(self, capsys, mu_e_path, data_csv):
         code, _, err = run(capsys, "eval", "--capacity", mu_e_path)

@@ -235,6 +235,53 @@ def capacity_tables(draw):
     return Capacity(n, UNIT, values)
 
 
+# a records column's numbers: 1 beside 1.0, and zeros of both signs
+RECORD_NUMBERS = st.sampled_from([0.0, -0.0, 0.5, 5e-324, 1e16, 1, 1.0, 0, -3]) | NUMBERS
+# values that take a column off the records route
+RECORD_BREAKERS = (
+    st.sampled_from([True, False, math.nan, math.inf, -math.inf, "n%s", None, (), [0.5, [1]]])
+    | st.dictionaries(st.sampled_from(["x", "%"]), RECORD_NUMBERS, max_size=2)
+)
+RECORD_KEYS = st.sampled_from(["x", "n", "%", "%s", "a%%b", '"', "\u00e9\u4e2d\U0001f600"]) | st.text(max_size=3)
+
+
+@st.composite
+def record_lists(draw):
+    """Lists of dicts built for the writer's records route: one key order,
+    each key's values all numbers or all number lists of one length, zero
+    included.  Then up to two changes that may take a list off the route: a
+    value swapped for a bool, a nan, an inf, a string, None, a tuple, a
+    nested list or a dict; a number list made longer or shorter; a row's keys
+    reordered, or a key added."""
+    keys = draw(st.lists(RECORD_KEYS, max_size=4, unique=True))
+    # None for a column of numbers, else the length of the column's lists
+    widths = [draw(st.none() | st.integers(0, 3)) for _ in keys]
+    rows = [
+        {k: draw(RECORD_NUMBERS if w is None else st.lists(RECORD_NUMBERS, min_size=w, max_size=w))
+         for k, w in zip(keys, widths)}
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    for change in draw(st.lists(st.sampled_from(["value", "width", "order", "key"]), max_size=2)):
+        row = draw(st.sampled_from(rows))
+        if change == "order":
+            items = list(row.items())
+            row.clear()
+            row.update(reversed(items))
+        elif change == "key":
+            row[draw(RECORD_KEYS)] = draw(RECORD_NUMBERS)
+        elif row:
+            k = draw(st.sampled_from(list(row)))
+            value = row[k]
+            if type(value) is not list or not value:
+                row[k] = draw(RECORD_BREAKERS) if change == "value" else [value]
+            elif change == "value":
+                i = draw(st.integers(0, len(value) - 1))
+                row[k] = value[:i] + [draw(RECORD_BREAKERS)] + value[i + 1:]
+            else:
+                row[k] = value[:-1] if draw(st.booleans()) else value + [draw(RECORD_NUMBERS)]
+    return rows if draw(st.booleans()) else {"evaluations": rows}
+
+
 def assert_embeds(doc):
     """A document's canonical text, embedded in a list and in a dict, gives
     the text of the document nested there."""
@@ -244,7 +291,11 @@ def assert_embeds(doc):
 
 
 class TestCanonicalWriter:
-    @given(json_documents() | run_heavy_lists())
+    @given(json_documents() | run_heavy_lists() | record_lists())
+    @example([{}, {}])
+    @example([{"x": []}])
+    @example([{"a%s": -0.0}, {"a%s": 0.0}])
+    @example([{"x": [0.5], "y": 1}, {"x": [0.5, 1.0], "y": 1.0}])
     def test_same_text_as_the_standard_encoder(self, doc):
         assert dumps_json(doc) == json.dumps(doc, indent=2) + "\n"
         assert_embeds(doc)

@@ -1,5 +1,7 @@
 import math
 import random
+import re
+import sys
 from unittest import mock
 
 import pytest
@@ -160,6 +162,25 @@ class TestMembership:
     def test_require_raises_with_context(self):
         with pytest.raises(DomainError, match="coordinate"):
             CHAIN21.require(0.21, "coordinate x1")
+
+    @pytest.mark.parametrize("sc", [CHAIN21, Scale.unit_interval()], ids=["chain", "unit"])
+    def test_an_integer_past_the_digit_limit_is_named_by_its_size(self, sc):
+        # repr refuses an int of more decimal digits than the interpreter allows
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("no limit on int-to-str digits")
+        huge = 10 ** (limit + 700)
+        tail = re.escape(f" <an integer of {limit + 701} digits> is not a member of {sc.describe()}") + "$"
+        for value in (huge, -huge):
+            with pytest.raises(DomainError, match="^value" + tail):
+                sc.require(value)
+        with pytest.raises(DomainError, match=r"^value of \{1\}" + tail):
+            Capacity(1, sc, [0, huge])
+        with pytest.raises(DomainError, match="^item 1, coordinate x2" + tail):
+            TrainingSet.from_pairs(2, sc, [((0, 1), 1), ((0.0, huge), 0.5)])
+        # below the limit, the value is named by its repr
+        with pytest.raises(DomainError, match=f"^value {10**400} is not a member"):
+            sc.require(10**400)
 
     def test_numpy_values_are_scale_members(self):
         numpy = pytest.importorskip("numpy")
